@@ -20,7 +20,6 @@ from .kernel import (
     comp_prod_measure,
     const_kernel,
     deterministic_kernel,
-    id_kernel,
     map_kernel,
     prod_kernel,
 )
@@ -32,7 +31,6 @@ from .measure import (
     dirac,
     product_dist,
     pushforward_dist,
-    section_subset,
     uniform,
 )
 from .model_io import LoadedModel, load_model, model_from_dict
@@ -51,24 +49,19 @@ from .trajectory import (
     ChainModel,
     Cylinder,
     check_cond_exp,
-    check_content_additivity,
     check_traj_split,
     cond_exp,
     content_at_depth,
     cylinder,
     cylinder_content,
     cylinder_from_constraints,
-    diff_cylinders,
     disjoint_union_cylinders,
     expectation_table,
     extract_witness,
     intersect_cylinders,
-    is_sub_cylinder,
     lift_cylinder,
-    restrict_prefix,
     sample_trajectory,
     traj_marginal,
-    union_cylinders,
 )
 from .verify import run_verify
 
@@ -90,7 +83,6 @@ __all__ = [
     "TupleSpace",
     "check_cond_exp",
     "check_const_chain_law",
-    "check_content_additivity",
     "check_partial_traj_const",
     "check_product_projection",
     "check_product_split",
@@ -107,16 +99,13 @@ __all__ = [
     "cylinder_content",
     "cylinder_from_constraints",
     "deterministic_kernel",
-    "diff_cylinders",
     "dirac",
     "disjoint_union_cylinders",
     "expectation_table",
     "extract_witness",
     "format_rational",
-    "id_kernel",
     "initial_prefix_dist",
     "intersect_cylinders",
-    "is_sub_cylinder",
     "lift_cylinder",
     "load_model",
     "map_kernel",
@@ -126,10 +115,8 @@ __all__ = [
     "product_dist",
     "product_prefix_dist",
     "pushforward_dist",
-    "restrict_prefix",
     "run_verify",
     "sample_trajectory",
-    "section_subset",
     "traj_marginal",
     "uniform",
 ]

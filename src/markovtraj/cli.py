@@ -14,8 +14,8 @@ Prefixes are written as labels joined by "|" (so "S|R" is x_0=S, x_1=R)
 and cylinder constraints as comma-separated coordinate clauses like
 "1=S,2=S|R", where "|" separates allowed states.  Rationals are written
 "p/q" or "p".  Exit codes: 0 success, 1 failed verify checks, 2 malformed
-model file, 3 bad request (unknown state, depth out of range, violated
-precondition), 4 internal invariant violation.
+model file, 3 bad request (usage error, unknown state, depth out of range,
+violated precondition), 4 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -76,16 +76,8 @@ def _load(args) -> LoadedModel:
     return load_model(args.model)
 
 
-def _model_line(loaded: LoadedModel) -> str:
-    chain = loaded.chain
-    sizes = "x".join(str(s.size) for s in chain.spaces)
-    kind = "chain" if loaded.marginals is None else "product"
-    return f"MODEL kind={kind} depth={chain.max_depth} sizes={sizes}"
-
-
 def _cmd_validate(args) -> int:
-    loaded = _load(args)
-    print(_model_line(loaded))
+    print(_load(args).header())
     print("VALID")
     return 0
 
@@ -178,8 +170,16 @@ def _cmd_verify(args) -> int:
     return report.exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (bad request); exit 2 means a malformed model."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="markovtraj",
         description="Exact trajectory measures of finite-depth Markov chains.",
     )

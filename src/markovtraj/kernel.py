@@ -2,7 +2,7 @@
 
 Implements:
   * Kernel: one distribution per source point, stored as a dense row table.
-  * Constructors: deterministic_kernel, id_kernel, const_kernel.
+  * Constructors: deterministic_kernel, const_kernel.
   * Algebra: map_kernel (push a kernel forward along a map), comp_kernel
     (sequential composition, written first-to-last), comp_measure (bind a
     distribution through a kernel), prod_kernel (same-source pairing),
@@ -92,11 +92,6 @@ def deterministic_kernel(source, target, f: Callable) -> Kernel:
     return Kernel(
         source, target, [dirac(target, f(p)) for p in source.points()]
     )
-
-
-def id_kernel(space) -> Kernel:
-    """Deterministic kernel for the identity map."""
-    return deterministic_kernel(space, space, lambda p: p)
 
 
 def const_kernel(source, d: Dist) -> Kernel:

@@ -5,7 +5,7 @@ Implements:
     enumeration (tuple spaces are lexicographic, leftmost factor most
     significant).
   * SubsetOf: a finite set of points of a space, held as enumeration
-    indices, with sections of pair-space subsets at a fixed left point.
+    indices.
   * Dist: a probability distribution given by a dense vector of exact
     rational weights, with point mass, set mass, integration, push-forward
     and finite products.
@@ -169,14 +169,6 @@ class SubsetOf:
     def from_points(cls, space, points: Iterable) -> "SubsetOf":
         return cls(space, (space.index_of(p) for p in points))
 
-    @classmethod
-    def empty(cls, space) -> "SubsetOf":
-        return cls(space, ())
-
-    @classmethod
-    def full(cls, space) -> "SubsetOf":
-        return cls(space, range(space.size))
-
     def points(self) -> tuple:
         return tuple(self.space.point_at(i) for i in sorted(self.indices))
 
@@ -201,22 +193,6 @@ class SubsetOf:
 
     def __repr__(self) -> str:
         return f"SubsetOf({self.space!r}, {sorted(self.indices)!r})"
-
-
-def section_subset(subset: SubsetOf, x) -> SubsetOf:
-    """Slice of a pair-space subset at a fixed left point: {y | (x, y) in subset}.
-
-    The subset must live on a two-component tuple space.  Fixing the left
-    point selects one contiguous block of the lexicographic enumeration.
-    """
-    space = subset.space
-    if not isinstance(space, TupleSpace) or len(space.components) != 2:
-        raise DomainError("sections are taken in two-component tuple spaces")
-    left, right = space.components
-    base = left.index_of(x) * right.size
-    return SubsetOf(
-        right, (i - base for i in subset.indices if base <= i < base + right.size)
-    )
 
 
 class Dist:
@@ -281,9 +257,6 @@ class Dist:
     def support(self) -> tuple:
         """Nonzero (index, weight) pairs in enumeration order."""
         return self._support
-
-    def weight(self, index: int) -> Rat:
-        return self.weights[index]
 
     def weight_at(self, point) -> Rat:
         return self.weights[self.space.index_of(point)]

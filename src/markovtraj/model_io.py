@@ -31,7 +31,8 @@ a plain product:
 
 which is loaded as a chain with constant steps, keeping the factor list
 around (a product file also says how to draw coordinate 0, which a chain
-file does not).  Any malformed input raises ModelFormatError.
+file does not).  Any malformed input raises ModelFormatError; in a file,
+that includes a key repeated within one JSON object.
 """
 from __future__ import annotations
 
@@ -58,16 +59,32 @@ class LoadedModel:
     chain: ChainModel
     marginals: tuple | None = None
 
+    def header(self) -> str:
+        """The `MODEL kind=.. depth=.. sizes=..` line of validate and verify."""
+        sizes = "x".join(str(s.size) for s in self.chain.spaces)
+        kind = "chain" if self.marginals is None else "product"
+        return f"MODEL kind={kind} depth={self.chain.max_depth} sizes={sizes}"
+
 
 def load_model(path) -> LoadedModel:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
     return model_from_dict(data)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: a repeated key is an error, not "last one wins"."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ModelFormatError(f"key {key!r} given twice in one object")
+        obj[key] = value
+    return obj
 
 
 def model_from_dict(data) -> LoadedModel:
@@ -224,8 +241,6 @@ def _step_kernel(entry: Mapping, prefix_space, target: FiniteSpace, n: int) -> K
                 index = prefix_space.index_of(prefix)
             except DomainError as exc:
                 raise ModelFormatError(f"{where}: bad prefix key {key!r}") from exc
-            if index in parsed:
-                raise ModelFormatError(f"{where}: prefix {key!r} given twice")
             if not isinstance(row, Mapping):
                 raise ModelFormatError(f"{where}: row {key!r} must be an object")
             parsed[index] = _dist_from_mapping(target, row, f"{where}, row {key!r}")

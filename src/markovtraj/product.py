@@ -18,14 +18,16 @@ Implements:
     (0, D) kernel recovers the full product.
 
 These are the checks that pin down the product measure as a special case
-of the trajectory construction rather than a separate definition.
+of the trajectory construction rather than a separate definition.  Each
+compares the two sides returned by its *_sides function, which the
+`verify` report renders too.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 from .errors import DomainError
-from .kernel import comp_measure, comp_prod_measure, const_kernel
+from .kernel import Kernel, comp_measure, comp_prod_measure, const_kernel
 from .measure import Dist, TupleSpace, dirac, product_dist, pushforward_dist
 from .trajectory import ChainModel
 
@@ -57,62 +59,90 @@ def product_prefix_dist(marginals: Sequence[Dist], depth: int) -> Dist:
     return product_dist(list(marginals[: depth + 1]))
 
 
-def check_partial_traj_const(
+def partial_traj_const_sides(
     chain: ChainModel, marginals: Sequence[Dist], a: int, b: int
-) -> bool:
-    """Exact check of the constant-chain form of the trajectory kernel.
+) -> tuple:
+    """Both sides of the constant-chain form of the (a, b) trajectory kernel.
 
-    From any depth-a prefix, the (a, b) kernel of `chain` must equal the
-    point mass on that prefix times the product of marginals a+1 .. b.
+    The left side is the (a, b) kernel of `chain`; the right side maps each
+    depth-a prefix to the point mass on it times the product of marginals
+    a+1 .. b.  Marginals on other spaces than the chain's raise DomainError.
     """
     if not 0 <= a <= b <= chain.max_depth:
         raise DomainError(f"need 0 <= a <= b <= {chain.max_depth}")
-    kern = chain.partial_traj(a, b)
-    for i, prefix in enumerate(chain.prefix_space(a).points()):
+    rows = []
+    for prefix in chain.prefix_space(a).points():
         factors = [dirac(space, s) for space, s in zip(chain.spaces, prefix)]
         factors.extend(marginals[a + 1 : b + 1])
-        if kern.row_at(i) != product_dist(factors):
-            return False
-    return True
+        rows.append(product_dist(factors))
+    literal = Kernel(chain.prefix_space(a), chain.prefix_space(b), rows)
+    return chain.partial_traj(a, b), literal
 
 
-def check_product_split(marginals: Sequence[Dist], a: int, b: int) -> bool:
-    """Exact check that products re-associate across a cut after depth a.
+def check_partial_traj_const(
+    chain: ChainModel, marginals: Sequence[Dist], a: int, b: int
+) -> bool:
+    """Exact check of the constant-chain form of the trajectory kernel."""
+    kern, literal = partial_traj_const_sides(chain, marginals, a, b)
+    return kern == literal
 
-    The product over coordinates 0..b equals the joint law of (head, tail)
-    with head the product over 0..a and tail the independent product over
-    a+1..b, flattened back to a single tuple.
+
+def product_split_sides(marginals: Sequence[Dist], a: int, b: int) -> tuple:
+    """Both sides of the re-association of a product across a cut after depth a.
+
+    The left side is the joint law of (head, tail), with head the product
+    over coordinates 0..a and tail the independent product over a+1..b,
+    flattened back to a single tuple; the right side is the product over
+    0..b.  For a == b the tail is the empty product and the head is the
+    left side.
     """
     if not 0 <= a <= b < len(marginals):
         raise DomainError(f"need 0 <= a <= b <= {len(marginals) - 1}")
     whole = product_prefix_dist(marginals, b)
-    if a == b:
-        return True
     head = product_prefix_dist(marginals, a)
+    if a == b:
+        return head, whole
     tail = product_dist(list(marginals[a + 1 : b + 1]))
     paired = comp_prod_measure(head, const_kernel(head.space, tail))
     flattened = pushforward_dist(
         paired, lambda pair: pair[0] + pair[1], whole.space
     )
+    return flattened, whole
+
+
+def check_product_split(marginals: Sequence[Dist], a: int, b: int) -> bool:
+    """Exact check that products re-associate across a cut after depth a."""
+    flattened, whole = product_split_sides(marginals, a, b)
     return flattened == whole
 
 
-def check_product_projection(marginals: Sequence[Dist], a: int, b: int) -> bool:
-    """Exact check that restricting a truncated product drops factors.
+def product_projection_sides(marginals: Sequence[Dist], a: int, b: int) -> tuple:
+    """Both sides of the projectivity of truncated products.
 
-    Pushing the product over coordinates 0..b forward along restriction to
-    0..a must give the product over 0..a: truncated products form a
-    projective family.
+    The left side pushes the product over coordinates 0..b forward along
+    restriction to 0..a; the right side is the product over 0..a.
     """
     if not 0 <= a <= b < len(marginals):
         raise DomainError(f"need 0 <= a <= b <= {len(marginals) - 1}")
     longer = product_prefix_dist(marginals, b)
     shorter = product_prefix_dist(marginals, a)
-    return pushforward_dist(longer, lambda p: p[: a + 1], shorter.space) == shorter
+    return pushforward_dist(longer, lambda p: p[: a + 1], shorter.space), shorter
+
+
+def check_product_projection(marginals: Sequence[Dist], a: int, b: int) -> bool:
+    """Exact check that restricting a truncated product drops factors."""
+    restricted, shorter = product_projection_sides(marginals, a, b)
+    return restricted == shorter
+
+
+def const_chain_law_sides(chain: ChainModel, marginals: Sequence[Dist]) -> tuple:
+    """The chain's full law from the first marginal, and the full product."""
+    start = initial_prefix_dist(marginals[0])
+    law = comp_measure(start, chain.partial_traj(0, chain.max_depth))
+    return law, product_prefix_dist(marginals, chain.max_depth)
 
 
 def check_const_chain_law(chain: ChainModel, marginals: Sequence[Dist]) -> bool:
     """Exact check that the chain's full law is the product of the marginals."""
-    start = initial_prefix_dist(marginals[0])
-    law = comp_measure(start, chain.partial_traj(0, chain.max_depth))
-    return law == product_prefix_dist(marginals, chain.max_depth)
+    law, product = const_chain_law_sides(chain, marginals)
+    return law == product

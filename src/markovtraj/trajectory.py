@@ -16,7 +16,9 @@ Implements:
   * cond_exp / check_cond_exp / check_traj_split: conditional
     expectation given the first b coordinates as an explicit table, and
     exact checks of its defining identity and of the two-stage
-    decomposition of the trajectory law.
+    decomposition of the trajectory law.  Each identity's two sides come
+    from one function (cond_exp_sides, traj_split_sides), which the
+    `verify` report renders too.
 
 Prefixes are tuples of state labels; a prefix of depth n has n + 1 entries.
 Prefix spaces enumerate lexicographically with coordinate 0 most
@@ -29,23 +31,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, InvariantError, PreconditionError
-from .kernel import (
-    Kernel,
-    comp_kernel,
-    deterministic_kernel,
-    id_kernel,
-    map_kernel,
-    prod_kernel,
-)
+from .kernel import Kernel, comp_kernel, deterministic_kernel
 from .measure import Dist, SubsetOf, TupleSpace
 from .rational import ZERO, Rat
-
-
-def restrict_prefix(prefix: tuple, depth: int) -> tuple:
-    """Initial segment of a prefix down to the given depth."""
-    if not 0 <= depth < len(prefix):
-        raise DomainError(f"cannot restrict a prefix of {len(prefix)} entries to depth {depth}")
-    return prefix[: depth + 1]
 
 
 class ChainModel:
@@ -98,28 +86,23 @@ class ChainModel:
         self.prefix_space(depth).index_of(prefix)
         return prefix
 
-    def depth_of(self, prefix: tuple) -> int:
-        depth = len(prefix) - 1
-        self.check_prefix(prefix, depth)
-        return depth
-
     def advance_kernel(self, depth: int) -> Kernel:
         """One-step extension kernel from depth-`depth` to depth-`depth`+1 prefixes.
 
-        Built as: keep the prefix, draw the next state from the step kernel
-        as a one-entry segment, then concatenate the pair.
+        Appending state s to prefix i gives prefix i * |X_{depth+1}| + s of
+        the next prefix space, with the step row's weight.
         """
         kern = self._advance.get(depth)
         if kern is None:
             if not 0 <= depth < self.max_depth:
                 raise DomainError(f"no step kernel at depth {depth}")
-            here = self.prefix_space(depth)
-            segment = TupleSpace([self.spaces[depth + 1]])
-            step_as_segment = map_kernel(self.steps[depth], lambda s: (s,), segment)
-            paired = prod_kernel(id_kernel(here), step_as_segment)
-            kern = map_kernel(
-                paired, lambda pair: pair[0] + pair[1], self.prefix_space(depth + 1)
-            )
+            width = self.spaces[depth + 1].size
+            after = self.prefix_space(depth + 1)
+            rows = [
+                Dist.from_support(after, [(i * width + s, w) for s, w in row.support()])
+                for i, row in enumerate(self.steps[depth].rows)
+            ]
+            kern = Kernel(self.prefix_space(depth), after, rows)
             self._advance[depth] = kern
         return kern
 
@@ -273,26 +256,6 @@ def intersect_cylinders(model: ChainModel, first: Cylinder, second: Cylinder) ->
     return Cylinder(depth, SubsetOf(a.base.space, a.base.indices & b.base.indices))
 
 
-def union_cylinders(model: ChainModel, first: Cylinder, second: Cylinder) -> Cylinder:
-    """Union, described at the deeper of the two depths."""
-    depth = max(first.depth, second.depth)
-    a = lift_cylinder(model, first, depth)
-    b = lift_cylinder(model, second, depth)
-    return Cylinder(depth, SubsetOf(a.base.space, a.base.indices | b.base.indices))
-
-
-def diff_cylinders(model: ChainModel, first: Cylinder, second: Cylinder) -> Cylinder:
-    """Trajectories of `first` not in `second`, at the deeper of the depths.
-
-    With intersection this makes the cylinders a ring of sets: both
-    operations land on cylinders again, no closure under complement needed.
-    """
-    depth = max(first.depth, second.depth)
-    a = lift_cylinder(model, first, depth)
-    b = lift_cylinder(model, second, depth)
-    return Cylinder(depth, SubsetOf(a.base.space, a.base.indices - b.base.indices))
-
-
 def disjoint_union_cylinders(model: ChainModel, cylinders: Sequence[Cylinder]) -> Cylinder:
     """Union of pairwise disjoint cylinders, at the deepest depth involved."""
     if not cylinders:
@@ -305,14 +268,6 @@ def disjoint_union_cylinders(model: ChainModel, cylinders: Sequence[Cylinder]) -
             raise PreconditionError("cylinders overlap; union would double-count")
         seen |= c.base.indices
     return Cylinder(depth, SubsetOf(lifted[0].base.space, seen))
-
-
-def is_sub_cylinder(model: ChainModel, inner: Cylinder, outer: Cylinder) -> bool:
-    """Whether every trajectory of `inner` belongs to `outer`."""
-    depth = max(inner.depth, outer.depth)
-    a = lift_cylinder(model, inner, depth)
-    b = lift_cylinder(model, outer, depth)
-    return a.base.indices <= b.base.indices
 
 
 # ---- cylinder content ----
@@ -334,15 +289,6 @@ def content_at_depth(model: ChainModel, a: int, prefix, cyl: Cylinder, depth: in
 def cylinder_content(model: ChainModel, a: int, prefix, cyl: Cylinder) -> Rat:
     """Probability that the chain started from `prefix` lands in the cylinder."""
     return content_at_depth(model, a, prefix, cyl, max(a, cyl.depth))
-
-
-def check_content_additivity(
-    model: ChainModel, a: int, prefix, cylinders: Sequence[Cylinder]
-) -> bool:
-    """Exact check that content adds up over a disjoint cylinder family."""
-    union = disjoint_union_cylinders(model, cylinders)
-    total = sum((cylinder_content(model, a, prefix, c) for c in cylinders), ZERO)
-    return total == cylinder_content(model, a, prefix, union)
 
 
 # ---- witness extraction ----
@@ -423,44 +369,54 @@ def cond_exp(model: ChainModel, b: int, f) -> dict:
     return table
 
 
-def check_cond_exp(model: ChainModel, a: int, prefix, b: int, f) -> bool:
-    """Exact check of the defining property of `cond_exp`.
+def cond_exp_sides(model: ChainModel, a: int, prefix, b: int, f, table) -> tuple:
+    """Both sides of the defining property of `table = cond_exp(model, b, f)`.
 
-    For the chain started from a depth-a `prefix` (a <= b), and for every
-    event determined by the first b coordinates, integrating f agrees with
-    integrating the conditional-expectation table.  Events fixing the
-    depth-b prefix generate all of them, so those are what is checked.
+    For the chain started from a depth-a `prefix` (a <= b), each reachable
+    depth-b prefix p maps to the integral of f over the trajectories
+    through p on the left, and to the probability of p times table[p] on
+    the right.  Events fixing the depth-b prefix generate every event
+    determined by the first b coordinates, so the property holds iff the
+    two tables are equal.
     """
     if not 0 <= a <= b <= model.max_depth:
         raise DomainError(f"need 0 <= a <= b <= {model.max_depth}")
     fn = _as_fn(f)
     law = traj_marginal(model, a, prefix, model.max_depth)
     space_d = model.prefix_space(model.max_depth)
-    ratio = space_d.size // model.prefix_space(b).size
+    space_b = model.prefix_space(b)
+    ratio = space_d.size // space_b.size
     f_mass: dict = {}
-    total_mass: dict = {}
+    mass: dict = {}
     for j, w in law.support():
         block = j // ratio  # index of the depth-b restriction
         f_mass[block] = f_mass.get(block, ZERO) + w * Rat(fn(space_d.point_at(j)))
-        total_mass[block] = total_mass.get(block, ZERO) + w
-    continue_kern = model.partial_traj(b, model.max_depth)
-    for block, mass in total_mass.items():
-        expected = ZERO
-        for j, w in continue_kern.row_at(block).support():
-            expected += w * Rat(fn(space_d.point_at(j)))
-        if f_mass[block] != mass * expected:
-            return False
-    return True
+        mass[block] = mass.get(block, ZERO) + w
+    lhs: dict = {}
+    rhs: dict = {}
+    for i, m in mass.items():
+        p = space_b.point_at(i)
+        lhs[p] = f_mass[i]
+        rhs[p] = m * table[p]
+    return lhs, rhs
 
 
-def check_traj_split(model: ChainModel, a: int, b: int) -> bool:
-    """Exact check that the trajectory law splits at depth b.
+def check_cond_exp(model: ChainModel, a: int, prefix, b: int, f) -> bool:
+    """Exact check of the defining property of `cond_exp` (see cond_exp_sides)."""
+    lhs, rhs = cond_exp_sides(model, a, prefix, b, f, cond_exp(model, b, f))
+    return lhs == rhs
 
-    Drawing a depth-b prefix from the (a, b) kernel and continuing it with
-    the (b, D) kernel gives the same joint law of (depth-b prefix, full
-    trajectory) as drawing the full trajectory from the (a, D) kernel and
-    restricting it.  Joint laws are compared entry by entry on their
-    supports.
+
+def traj_split_sides(model: ChainModel, a: int, b: int) -> tuple:
+    """Both sides of the split of the trajectory law at depth b.
+
+    Row u of a side is the joint law of (depth-b prefix, full trajectory)
+    from depth-a prefix u, as sorted (index, weight) entries of the pair
+    space, where the pair (i, j) has index i * |P_D| + j.  The left side
+    draws the depth-b prefix from the (a, b) kernel and continues it with
+    the (b, D) kernel; the right side draws the full trajectory from the
+    (a, D) kernel and pairs it with its restriction.  Rows stay support
+    lists because the pair space is far larger than any row's support.
     """
     if not 0 <= a <= b <= model.max_depth:
         raise DomainError(f"need 0 <= a <= b <= {model.max_depth}")
@@ -469,16 +425,21 @@ def check_traj_split(model: ChainModel, a: int, b: int) -> bool:
     whole = model.partial_traj(a, model.max_depth)
     size_d = model.prefix_space(model.max_depth).size
     ratio = size_d // model.prefix_space(b).size
+    two_stage = []
+    direct = []
     for u in range(model.prefix_space(a).size):
-        two_stage: dict = {}
-        for i, w1 in first.row_at(u).support():
-            for j, w2 in rest.row_at(i).support():
-                key = i * size_d + j
-                two_stage[key] = two_stage.get(key, ZERO) + w1 * w2
-        direct: dict = {}
-        for j, w in whole.row_at(u).support():
-            key = (j // ratio) * size_d + j
-            direct[key] = direct.get(key, ZERO) + w
-        if two_stage != direct:
-            return False
-    return True
+        two_stage.append(tuple(
+            (i * size_d + j, w1 * w2)
+            for i, w1 in first.row_at(u).support()
+            for j, w2 in rest.row_at(i).support()
+        ))
+        direct.append(tuple(
+            ((j // ratio) * size_d + j, w) for j, w in whole.row_at(u).support()
+        ))
+    return two_stage, direct
+
+
+def check_traj_split(model: ChainModel, a: int, b: int) -> bool:
+    """Exact check that the trajectory law splits at depth b (see traj_split_sides)."""
+    two_stage, direct = traj_split_sides(model, a, b)
+    return two_stage == direct

@@ -7,18 +7,15 @@ maxDepth; this is meant for the small models that ship in model files.
 """
 from __future__ import annotations
 
-from .kernel import (
-    Kernel,
-    comp_kernel,
-    comp_measure,
-    comp_prod_kernel,
-    comp_prod_measure,
-    const_kernel,
-    map_kernel,
-)
-from .measure import TupleSpace, dirac, product_dist, pushforward_dist
+from .kernel import Kernel, comp_kernel, map_kernel
+from .measure import Dist, TupleSpace
 from .model_io import LoadedModel
-from .product import initial_prefix_dist, product_prefix_dist
+from .product import (
+    const_chain_law_sides,
+    partial_traj_const_sides,
+    product_projection_sides,
+    product_split_sides,
+)
 from .rational import ONE, ZERO, Rat
 from .report import (
     Report,
@@ -29,6 +26,7 @@ from .report import (
 from .trajectory import (
     ChainModel,
     cond_exp,
+    cond_exp_sides,
     content_at_depth,
     cylinder_content,
     cylinder_from_constraints,
@@ -37,15 +35,13 @@ from .trajectory import (
     intersect_cylinders,
     lift_cylinder,
     expectation_table,
-    traj_marginal,
+    traj_split_sides,
 )
 
 
 def run_verify(loaded: LoadedModel) -> Report:
     chain = loaded.chain
-    sizes = "x".join(str(s.size) for s in chain.spaces)
-    kind = "chain" if loaded.marginals is None else "product"
-    report = Report(f"MODEL kind={kind} depth={chain.max_depth} sizes={sizes}")
+    report = Report(loaded.header())
     _kernel_checks(report, chain)
     _content_checks(report, chain)
     _witness_check(report, chain)
@@ -160,26 +156,13 @@ def _witness_check(report: Report, chain: ChainModel) -> None:
 
 def _condexp_checks(report: Report, chain: ChainModel) -> None:
     depth = chain.max_depth
-    space_d = chain.prefix_space(depth)
-    f = _index_fraction(space_d)
+    f = _index_fraction(chain.prefix_space(depth))
     for b in range(depth + 1):
         space_b = chain.prefix_space(b)
         table = cond_exp(chain, b, f)
-        ratio = space_d.size // space_b.size
         for a in range(b + 1):
             u = chain.prefix_space(a).point_at(0)
-            law = traj_marginal(chain, a, u, depth)
-            f_mass: dict = {}
-            mass: dict = {}
-            for j, w in law.support():
-                block = j // ratio
-                f_mass[block] = f_mass.get(block, ZERO) + w * f(space_d.point_at(j))
-                mass[block] = mass.get(block, ZERO) + w
-            lhs = {space_b.point_at(i): v for i, v in f_mass.items()}
-            rhs = {
-                space_b.point_at(i): mass[i] * table[space_b.point_at(i)]
-                for i in mass
-            }
+            lhs, rhs = cond_exp_sides(chain, a, u, b, f, table)
             report.add_compared(
                 f"condexp:{a},{b}",
                 canonical_table(space_b, lhs),
@@ -189,71 +172,46 @@ def _condexp_checks(report: Report, chain: ChainModel) -> None:
 
 def _split_checks(report: Report, chain: ChainModel) -> None:
     depth = chain.max_depth
-    space_d = chain.prefix_space(depth)
     for b in range(depth + 1):
-        space_b = chain.prefix_space(b)
-        rest = chain.partial_traj(b, depth)
+        pairs = TupleSpace([chain.prefix_space(b), chain.prefix_space(depth)])
         for a in range(b + 1):
-            first = chain.partial_traj(a, b)
-            whole = chain.partial_traj(a, depth)
-            pair_source = TupleSpace([chain.prefix_space(a), space_b])
-            continuation = Kernel(
-                pair_source,
-                space_d,
-                [rest.row_at(i % space_b.size) for i in range(pair_source.size)],
-            )
-            two_stage = comp_prod_kernel(first, continuation)
-            direct = map_kernel(
-                whole,
-                lambda y: (y[: b + 1], y),
-                TupleSpace([space_b, space_d]),
-            )
+            source = chain.prefix_space(a)
+            two_stage, direct = traj_split_sides(chain, a, b)
             report.add_compared(
                 f"split:{a},{b}",
-                canonical_kernel(two_stage),
-                canonical_kernel(direct),
+                _canonical_rows(source, pairs, two_stage),
+                _canonical_rows(source, pairs, direct),
             )
+
+
+def _canonical_rows(source, target, rows) -> str:
+    """Canonical form of the kernel whose rows are (index, weight) supports."""
+    return canonical_kernel(
+        Kernel(source, target, [Dist.from_support(target, row) for row in rows])
+    )
 
 
 def _product_checks(report: Report, chain: ChainModel, marginals) -> None:
     depth = chain.max_depth
     for a in range(depth + 1):
-        space_a = chain.prefix_space(a)
         for b in range(a, depth + 1):
-            rows = []
-            for prefix in space_a.points():
-                factors = [dirac(sp, s) for sp, s in zip(chain.spaces, prefix)]
-                factors.extend(marginals[a + 1 : b + 1])
-                rows.append(product_dist(factors))
-            literal = Kernel(space_a, chain.prefix_space(b), rows)
+            kern, literal = partial_traj_const_sides(chain, marginals, a, b)
             report.add_compared(
                 f"product-form:{a},{b}",
-                canonical_kernel(chain.partial_traj(a, b)),
+                canonical_kernel(kern),
                 canonical_kernel(literal),
             )
-    law = comp_measure(
-        initial_prefix_dist(marginals[0]), chain.partial_traj(0, depth)
-    )
-    report.add_compared(
-        "product-law",
-        canonical_dist(law),
-        canonical_dist(product_prefix_dist(marginals, depth)),
-    )
+    law, product = const_chain_law_sides(chain, marginals)
+    report.add_compared("product-law", canonical_dist(law), canonical_dist(product))
     for a in range(depth + 1):
         for b in range(a + 1, depth + 1):
-            whole = product_prefix_dist(marginals, b)
-            head = product_prefix_dist(marginals, a)
-            tail = product_dist(list(marginals[a + 1 : b + 1]))
-            paired = comp_prod_measure(head, const_kernel(head.space, tail))
-            flattened = pushforward_dist(
-                paired, lambda pair: pair[0] + pair[1], whole.space
-            )
+            flattened, whole = product_split_sides(marginals, a, b)
             report.add_compared(
                 f"product-split:{a},{b}",
                 canonical_dist(flattened),
                 canonical_dist(whole),
             )
-            restricted = pushforward_dist(whole, lambda p: p[: a + 1], head.space)
+            restricted, head = product_projection_sides(marginals, a, b)
             report.add_compared(
                 f"product-proj:{a},{b}",
                 canonical_dist(restricted),

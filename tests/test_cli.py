@@ -6,6 +6,7 @@ import pytest
 from markovtraj.cli import main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 WEATHER = str(MODELS / "weather.json")
 COIN = str(MODELS / "coin.json")
 DRIFT = str(MODELS / "drift.json")
@@ -101,6 +102,13 @@ def test_verify_output_is_stable(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("name", ["weather", "coin", "drift"])
+def test_verify_matches_golden_transcript(capsys, name):
+    code, out, _ = run(capsys, "verify", "--model", str(MODELS / f"{name}.json"))
+    assert code == 0
+    assert out == (GOLDEN / f"verify-{name}.txt").read_text(encoding="utf-8")
+
+
 def test_malformed_model_exits_2(capsys, tmp_path):
     doc = json.loads(Path(WEATHER).read_text())
     doc["steps"][1]["rows"]["S"]["S"] = "2/3"  # row sums to 11/12
@@ -138,6 +146,22 @@ def test_bad_cylinder_specs(capsys):
             capsys, "content", "--model", WEATHER, "--point", "S", "--cylinder", spec
         )
         assert code == 3, spec
+
+
+def test_usage_errors_exit_3(capsys):
+    for argv in (
+        ["marginal", "--model", WEATHER],  # required options missing
+        ["marginal", "--model", WEATHER, "--point", "S", "--at", "two"],
+        ["frobnicate", "--model", WEATHER],
+        [],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3, argv
+        assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["marginal", "--help"])
+    assert exc.value.code == 0
 
 
 def test_missing_model_file_exits_2(capsys, tmp_path):

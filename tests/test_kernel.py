@@ -17,11 +17,9 @@ from markovtraj import (
     const_kernel,
     deterministic_kernel,
     dirac,
-    id_kernel,
     map_kernel,
     prod_kernel,
     pushforward_dist,
-    section_subset,
     uniform,
 )
 
@@ -55,7 +53,7 @@ def test_kernel_validates_shape():
 def test_deterministic_and_id():
     swap = deterministic_kernel(W, W, lambda s: "R" if s == "S" else "S")
     assert swap.row("S") == dirac(W, "R")
-    assert id_kernel(W).row("R") == dirac(W, "R")
+    assert deterministic_kernel(W, W, lambda s: s).row("R") == dirac(W, "R")
 
 
 def test_const_kernel_shares_rows():
@@ -171,8 +169,8 @@ def test_identity_is_neutral():
     for _ in range(25):
         sa, sb = spaces_for(rng, 2)
         k = random_kernel(rng, sa, sb)
-        assert comp_kernel(id_kernel(sa), k) == k
-        assert comp_kernel(k, id_kernel(sb)) == k
+        assert comp_kernel(deterministic_kernel(sa, sa, lambda p: p), k) == k
+        assert comp_kernel(k, deterministic_kernel(sb, sb, lambda p: p)) == k
 
 
 def test_comp_measure_agrees_with_dirac_rows():
@@ -198,11 +196,12 @@ def test_coupling_mass_decomposes_into_sections():
             pair_space,
             rng.sample(range(pair_space.size), rng.randint(0, pair_space.size)),
         )
+
+        def section(x):
+            return SubsetOf.from_points(sb, [y for x2, y in picked.points() if x2 == x])
+
         split = sum(
-            (
-                mu.weight_at(x) * k.row(x).mass(section_subset(picked, x))
-                for x in sa.points()
-            ),
+            (mu.weight_at(x) * k.row(x).mass(section(x)) for x in sa.points()),
             Rat(0),
         )
         assert joint.mass(picked) == split

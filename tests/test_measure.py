@@ -14,7 +14,6 @@ from markovtraj import (
     dirac,
     product_dist,
     pushforward_dist,
-    section_subset,
     uniform,
 )
 
@@ -98,34 +97,11 @@ def test_subset_membership():
     assert "S" not in sub
     assert len(sub) == 1
     assert sub.points() == ("R",)
-    assert SubsetOf.full(space).indices == {0, 1}
-    assert len(SubsetOf.empty(space)) == 0
 
 
 def test_subset_rejects_bad_indices():
     with pytest.raises(DomainError):
         SubsetOf(w_space(), [2])
-
-
-def test_section_of_pair_subset():
-    left = FiniteSpace("L", ["a", "b"])
-    right = FiniteSpace("R", ["x", "y", "z"])
-    pairs = TupleSpace([left, right])
-    sub = SubsetOf.from_points(pairs, [("a", "y"), ("b", "x"), ("b", "z")])
-    assert section_subset(sub, "a").points() == ("y",)
-    assert section_subset(sub, "b").points() == ("x", "z")
-    assert section_subset(SubsetOf.full(pairs), "a") == SubsetOf.full(right)
-    assert len(section_subset(SubsetOf.empty(pairs), "b")) == 0
-    with pytest.raises(DomainError):
-        section_subset(sub, "q")
-
-
-def test_section_needs_a_pair_space():
-    single = TupleSpace([w_space()])
-    with pytest.raises(DomainError):
-        section_subset(SubsetOf.full(single), "S")
-    with pytest.raises(DomainError):
-        section_subset(SubsetOf.full(w_space()), "S")
 
 
 # ---- distributions ----

@@ -76,6 +76,18 @@ def test_invalid_json_is_a_format_error(tmp_path):
         load_model(path)
 
 
+def test_duplicate_keys_are_a_format_error(tmp_path):
+    # json.load alone would keep the last value and load S:1/2 silently
+    path = tmp_path / "dup.json"
+    path.write_text('{"kind": "product", "factors": [{"S": "1/4", "S": "1/2", "R": "1/2"}]}')
+    with pytest.raises(ModelFormatError, match="'S' given twice"):
+        load_model(path)
+    doc = json.dumps(weather_doc())
+    path.write_text(doc.replace('"maxDepth": 2', '"maxDepth": 2, "maxDepth": 2'))
+    with pytest.raises(ModelFormatError, match="'maxDepth' given twice"):
+        load_model(path)
+
+
 # ---- document validation ----
 
 

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,25 +14,21 @@ from markovtraj import (
     SubsetOf,
     TupleSpace,
     check_cond_exp,
-    check_content_additivity,
     check_traj_split,
     cond_exp,
     content_at_depth,
     cylinder,
     cylinder_content,
     cylinder_from_constraints,
-    diff_cylinders,
     dirac,
     disjoint_union_cylinders,
     expectation_table,
     intersect_cylinders,
-    is_sub_cylinder,
     lift_cylinder,
-    restrict_prefix,
+    load_model,
     sample_trajectory,
     traj_marginal,
     uniform,
-    union_cylinders,
 )
 
 from conftest import (
@@ -41,6 +38,8 @@ from conftest import (
     random_prefix,
     weather_chain,
 )
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 # ---- model construction ----
@@ -58,19 +57,12 @@ def test_chain_validates_steps():
 def test_prefix_helpers(weather):
     assert weather.prefix_space(0).size == 2
     assert weather.prefix_space(3).size == 16
-    assert weather.depth_of(("S", "R")) == 1
     with pytest.raises(DomainError):
         weather.prefix_space(4)
     with pytest.raises(DomainError):
         weather.check_prefix(("S", "Q"), 1)
     with pytest.raises(DomainError):
         weather.check_prefix(("S",), 1)
-
-
-def test_restrict_prefix():
-    assert restrict_prefix(("S", "R", "S"), 1) == ("S", "R")
-    with pytest.raises(DomainError):
-        restrict_prefix(("S",), 1)
 
 
 # ---- partial trajectory kernels ----
@@ -85,6 +77,19 @@ def test_partial_traj_frozen_values(weather):
         w for i, w in row.support() if row.space.point_at(i)[2] == "S"
     )
     assert mass_s == Rat(11, 16)
+
+
+def test_advance_kernel_appends_the_step_state():
+    # the prefix with index i followed by state s has index i * |X_{n+1}| + s
+    chain = load_model(MODELS / "drift.json").chain
+    for n in range(chain.max_depth):
+        width = chain.spaces[n + 1].size
+        kern = chain.advance_kernel(n)
+        assert kern.target == chain.prefix_space(n + 1)
+        for i, step_row in enumerate(chain.steps[n].rows):
+            assert set(kern.row_at(i).support()) == {
+                (i * width + s, w) for s, w in step_row.support()
+            }
 
 
 def test_partial_traj_restricts_when_not_deeper(weather):
@@ -256,30 +261,6 @@ def test_disjoint_union(weather):
         )
 
 
-def test_is_sub_cylinder(weather):
-    outer = cylinder_from_constraints(weather, {1: ["S"]})
-    inner = cylinder_from_constraints(weather, {1: ["S"], 2: ["S"]})
-    assert is_sub_cylinder(weather, inner, outer)
-    assert not is_sub_cylinder(weather, outer, inner)
-
-
-def test_union_and_diff_cylinders(weather):
-    first = cylinder_from_constraints(weather, {1: ["S"]})
-    second = cylinder_from_constraints(weather, {2: ["S"]})
-    either = union_cylinders(weather, first, second)
-    assert either.depth == 2
-    assert set(either.base.points()) == {
-        ("S", "S", "S"), ("S", "S", "R"), ("R", "S", "S"), ("R", "S", "R"),
-        ("S", "R", "S"), ("R", "R", "S"),
-    }
-    only_first = diff_cylinders(weather, first, second)
-    assert set(only_first.base.points()) == {("S", "S", "R"), ("R", "S", "R")}
-    # idempotence and the full/empty extremes
-    assert len(union_cylinders(weather, first, first)) == len(first)
-    full = cylinder(weather, 0, [("S",), ("R",)])
-    assert len(diff_cylinders(weather, first, full)) == 0
-
-
 def test_ring_operations_respect_content(weather):
     # content(first) splits as content(first minus second) + content(both),
     # and union = disjoint union of (first minus second) with second
@@ -287,12 +268,15 @@ def test_ring_operations_respect_content(weather):
     second = cylinder_from_constraints(weather, {2: ["S"]})
     start = ("S",)
     both = intersect_cylinders(weather, first, second)
-    rest = diff_cylinders(weather, first, second)
+    rest = cylinder_from_constraints(weather, {1: ["S"], 2: ["R"]})
     assert cylinder_content(weather, 0, start, first) == cylinder_content(
         weather, 0, start, rest
     ) + cylinder_content(weather, 0, start, both)
     rebuilt = disjoint_union_cylinders(weather, [rest, second])
-    assert rebuilt.base == union_cylinders(weather, first, second).base
+    assert set(rebuilt.base.points()) == {
+        ("S", "S", "S"), ("S", "S", "R"), ("R", "S", "S"), ("R", "S", "R"),
+        ("S", "R", "S"), ("R", "R", "S"),
+    }
 
 
 # ---- content ----
@@ -336,14 +320,17 @@ def test_content_of_past_coordinates_is_an_indicator(weather):
 
 
 def test_check_content_additivity(weather):
+    # content adds up over a disjoint family; an overlapping family is refused
     parts = [
         cylinder_from_constraints(weather, {1: ["S"]}),
         cylinder_from_constraints(weather, {1: ["R"], 2: ["S"]}),
         cylinder_from_constraints(weather, {1: ["R"], 2: ["R"]}),
     ]
-    assert check_content_additivity(weather, 0, ("S",), parts)
+    union = disjoint_union_cylinders(weather, parts)
+    total = sum((cylinder_content(weather, 0, ("S",), c) for c in parts), Rat(0))
+    assert total == cylinder_content(weather, 0, ("S",), union) == 1
     with pytest.raises(PreconditionError):
-        check_content_additivity(weather, 0, ("S",), [parts[0], parts[0]])
+        disjoint_union_cylinders(weather, [parts[0], parts[0]])
 
 
 # ---- conditional expectation and splitting ----

@@ -1,7 +1,8 @@
 """Markov kernels between enumerated finite spaces, with exact weights.
 
 Implements:
-  * Kernel: one distribution per source point, stored as a dense row table.
+  * Kernel: one distribution per source point; each row stores only its
+    support, so a kernel costs memory in the sum of its rows' supports.
   * Constructors: deterministic_kernel, const_kernel.
   * Algebra: map_kernel (push a kernel forward along a map), comp_kernel
     (sequential composition, written first-to-last), comp_measure (bind a
@@ -32,7 +33,8 @@ def _mix(target, weighted_rows: Iterable) -> Dist:
         if not _same_space(row.space, target):
             raise DomainError("mixture component lives on a different space")
         for i, v in row.support():
-            acc[i] = acc.get(i, ZERO) + w * v
+            mass = w * v
+            acc[i] = acc[i] + mass if i in acc else mass
     return Dist.from_support(target, acc.items())
 
 

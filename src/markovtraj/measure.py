@@ -6,9 +6,9 @@ Implements:
     significant).
   * SubsetOf: a finite set of points of a space, held as enumeration
     indices.
-  * Dist: a probability distribution given by a dense vector of exact
-    rational weights, with point mass, set mass, integration, push-forward
-    and finite products.
+  * Dist: a probability distribution that stores only its support, as
+    (index, exact rational weight) pairs, with point mass, set mass,
+    integration, push-forward and finite products.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share between threads.
@@ -198,68 +198,73 @@ class SubsetOf:
 class Dist:
     """Probability distribution over an enumerated space.
 
-    Weights are exact rationals aligned with the space's enumeration; they
-    must be nonnegative and sum to exactly 1.  The nonzero entries are cached
-    as a sorted support list, which is what all the algebra iterates over, so
-    distributions concentrated on few points stay cheap even when the ambient
-    space is large.
+    Only the nonzero weights are stored, as a sorted list of (index, exact
+    rational weight) pairs, which is what all the algebra iterates over; an
+    index outside that list has weight 0.  So a distribution costs memory in
+    its support, not in its space, and one concentrated on few points stays
+    cheap even when the ambient space is huge.  Weights must be nonnegative
+    and sum to exactly 1.
     """
 
-    __slots__ = ("space", "weights", "_support", "_cumulative")
+    __slots__ = ("space", "_support", "_lookup", "_cumulative")
 
     def __init__(self, space, weights: Iterable):
+        """Build from a dense weight sequence aligned with the enumeration."""
         weights = tuple(Rat(w) for w in weights)
         if len(weights) != space.size:
             raise DomainError(
                 f"expected {space.size} weights for {space!r}, got {len(weights)}"
             )
-        support = []
-        total = ZERO
         for i, w in enumerate(weights):
             if w < 0:
                 raise DomainError(f"negative weight {w} at index {i}")
-            if w:
-                support.append((i, w))
-                total += w
-        if total != ONE:
-            raise DomainError(f"weights sum to {total}, expected 1")
-        self.space = space
-        self.weights = weights
-        self._support = tuple(support)
-        self._cumulative = None
+        self._set(space, [(i, w) for i, w in enumerate(weights) if w])
 
     @classmethod
     def from_support(cls, space, items: Iterable) -> "Dist":
-        """Build from (index, weight) pairs; indices must be unique.
+        """Build from (index, weight) pairs; indices must be unique and in range.
 
-        Zero weights are dropped.  This skips the dense scan of __init__,
-        which matters when the ambient space is much larger than the support.
+        Zero weights are dropped.  Nothing proportional to the size of the
+        space is allocated, so the space may be far larger than the support.
         """
-        dense = [ZERO] * space.size
+        size = space.size
         support = []
-        total = ZERO
+        previous = None
         for i, w in sorted(items):
+            if not 0 <= i < size:
+                raise DomainError(f"index {i} out of range for {space!r}")
+            if i == previous:
+                raise DomainError(f"index {i} given twice")
+            previous = i
             if w < 0:
                 raise DomainError(f"negative weight {w} at index {i}")
             if w:
-                dense[i] = w
                 support.append((i, w))
-                total += w
-        if total != ONE:
-            raise DomainError(f"weights sum to {total}, expected 1")
         self = object.__new__(cls)
-        self.space = space
-        self.weights = tuple(dense)
-        self._support = tuple(support)
-        self._cumulative = None
+        self._set(space, support)
         return self
+
+    def _set(self, space, support: list) -> None:
+        # Sum to exactly 1, checked over the common denominator in plain
+        # integers, which skips the gcd that every Fraction addition runs.
+        denom = math.lcm(*(w.denominator for _, w in support))
+        if sum(w.numerator * (denom // w.denominator) for _, w in support) != denom:
+            total = sum((w for _, w in support), ZERO)
+            raise DomainError(f"weights sum to {total}, expected 1")
+        self.space = space
+        self._support = tuple(support)
+        self._lookup = None
+        self._cumulative = None
 
     def support(self) -> tuple:
         """Nonzero (index, weight) pairs in enumeration order."""
         return self._support
 
     def weight_at(self, point) -> Rat:
-        return self.weights[self.space.index_of(point)]
+        """Weight of a point of the space; 0 off the support."""
+        if self._lookup is None:
+            self._lookup = dict(self._support)
+        return self._lookup.get(self.space.index_of(point), ZERO)
 
     def mass(self, subset: SubsetOf) -> Rat:
         """Total weight of a subset of this distribution's space."""

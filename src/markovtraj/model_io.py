@@ -47,9 +47,12 @@ from .product import const_chain
 from .rational import parse_rational
 from .trajectory import ChainModel
 
-# Loading builds one kernel row table per step, so refuse prefix spaces too
-# large to materialise.
-_MAX_PREFIX_POINTS = 1 << 22
+# Refuse trajectory spaces too large to query.  Measured with `validate`
+# plus `marginal --at D` from a depth-0 prefix on the two-state weather
+# chain, in a process capped at 1 GiB of address space: depth 19 (2^20
+# trajectories) completes in about 28 s at a peak RSS of 790 MB, and
+# depth 20 runs out of memory.
+_MAX_PREFIX_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 Implements:
   * ChainModel: state spaces X_0..X_D plus one step kernel per depth, where
     each step reads the whole prefix so far.
-  * partial_traj: the kernel from depth-a prefixes to depth-b prefixes,
-    built by composing one-step advances (and by plain restriction when the
-    target depth is not larger).
+  * partial_row / partial_traj: the law of the depth-b prefix from one
+    depth-a prefix, built by binding one-step advances (and by plain
+    restriction when the target depth is not larger), and the kernel from
+    depth-a to depth-b prefixes assembled from those rows.  Queries from one
+    prefix read its row alone, so they touch only the support it reaches.
   * expectation_table / traj_marginal / sample_trajectory: integration against,
     marginals of, and exact seeded sampling from the trajectory law.
   * Cylinder: a constraint on finitely many coordinates, stored as a set of
@@ -31,9 +33,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, InvariantError, PreconditionError
-from .kernel import Kernel, comp_kernel, deterministic_kernel
+from .kernel import Kernel, comp_measure
 from .measure import Dist, SubsetOf, TupleSpace
-from .rational import ZERO, Rat
+from .rational import ONE, ZERO, Rat
 
 
 class ChainModel:
@@ -47,8 +49,10 @@ class ChainModel:
         steps[n] maps the depth-n prefix space into X_{n+1}; there must be
         exactly max_depth of them.
 
-    Partial-trajectory kernels and the per-depth advance kernels are
-    memoized on the model, so repeated queries share all the work.
+    Partial-trajectory rows and kernels and the per-depth advance kernels
+    are memoized on the model, so repeated queries share all the work, and
+    a kernel's rows are the very row objects that single-prefix queries
+    read.
     """
 
     def __init__(self, spaces: Sequence, steps: Sequence[Kernel]):
@@ -67,6 +71,7 @@ class ChainModel:
                 raise DomainError(f"step {n} does not read the depth-{n} prefix space")
             if step.target != self.spaces[n + 1]:
                 raise DomainError(f"step {n} does not map into the depth-{n + 1} space")
+        self._rows: dict = {}
         self._partial: dict = {}
         self._advance: dict = {}
 
@@ -106,26 +111,54 @@ class ChainModel:
             self._advance[depth] = kern
         return kern
 
+    def partial_row(self, a: int, b: int, index: int) -> Dist:
+        """Law of the depth-b prefix from the depth-a prefix numbered `index`.
+
+        For b <= a this is the point mass at the restriction, which is the
+        index of the prefix's block, index // (|P_a| / |P_b|); otherwise it
+        is the (a, b-1) row bound through the one-step advance at b-1.  Only
+        the rows from this one prefix are built, each memoized.
+        """
+        key = (a, b, index)
+        row = self._rows.get(key)
+        if row is not None:
+            return row
+        source = self.prefix_space(a)
+        target = self.prefix_space(b)
+        if not 0 <= index < source.size:
+            raise DomainError(f"prefix index {index} out of range for depth {a}")
+        if b <= a:
+            row = Dist.from_support(target, [(index // (source.size // target.size), ONE)])
+            self._rows[key] = row
+            return row
+        # Step forward from the deepest row already built from this prefix
+        # (the depth-a point mass if none), memoizing every row on the way.
+        # A loop, not recursion, so that a deep chain of one-state spaces
+        # stays within the interpreter's recursion limit.
+        depth = b - 1
+        while depth > a and (a, depth, index) not in self._rows:
+            depth -= 1
+        row = self.partial_row(a, depth, index)
+        for n in range(depth, b):
+            row = comp_measure(row, self.advance_kernel(n))
+            self._rows[(a, n + 1, index)] = row
+        return row
+
     def partial_traj(self, a: int, b: int) -> Kernel:
         """Kernel from depth-a prefixes to depth-b prefixes.
 
-        For b <= a this is deterministic restriction; otherwise it is the
-        (a, b-1) kernel followed by the one-step advance at b-1.
+        Row i is `partial_row(a, b, i)`: deterministic restriction for
+        b <= a, otherwise the (a, b-1) row followed by the one-step advance
+        at b-1.
         """
-        if not 0 <= a <= self.max_depth:
-            raise DomainError(f"depth {a} outside 0..{self.max_depth}")
-        if not 0 <= b <= self.max_depth:
-            raise DomainError(f"depth {b} outside 0..{self.max_depth}")
         kern = self._partial.get((a, b))
         if kern is None:
-            if b <= a:
-                kern = deterministic_kernel(
-                    self.prefix_space(a),
-                    self.prefix_space(b),
-                    lambda p: p[: b + 1],
-                )
-            else:
-                kern = comp_kernel(self.partial_traj(a, b - 1), self.advance_kernel(b - 1))
+            source = self.prefix_space(a)
+            kern = Kernel(
+                source,
+                self.prefix_space(b),
+                [self.partial_row(a, b, i) for i in range(source.size)],
+            )
             self._partial[(a, b)] = kern
         return kern
 
@@ -164,8 +197,8 @@ def expectation_table(model: ChainModel, a: int, b: int, f) -> dict:
 
 def traj_marginal(model: ChainModel, a: int, prefix, b: int) -> Dist:
     """Law of the depth-b prefix when the chain is started from `prefix`."""
-    prefix = model.check_prefix(prefix, a)
-    return model.partial_traj(a, b).row(prefix)
+    index = model.prefix_space(a).index_of(tuple(prefix))
+    return model.partial_row(a, b, index)
 
 
 def sample_trajectory(model: ChainModel, prefix, rng) -> tuple:
@@ -326,26 +359,23 @@ def extract_witness(
             raise PreconditionError(f"a cylinder has content below {eps}")
 
     innermost = lifted[-1].base
-    current = prefix
+    index = model.prefix_space(a).index_of(prefix)
     for depth in range(a, target_depth):
-        best_state = None
+        # Appending state s to prefix `index` gives prefix index * width + s.
+        width = model.spaces[depth + 1].size
+        best_index = None
         best_content = None
-        for state in model.spaces[depth + 1].points():
-            extended = current + (state,)
-            content = (
-                model.partial_traj(depth + 1, target_depth)
-                .row(extended)
-                .mass(innermost)
-            )
+        for extended in range(index * width, (index + 1) * width):
+            content = model.partial_row(depth + 1, target_depth, extended).mass(innermost)
             if best_content is None or content > best_content:
-                best_state = state
+                best_index = extended
                 best_content = content
-        current = current + (best_state,)
+        index = best_index
 
     for c in lifted:
-        if model.prefix_space(target_depth).index_of(current) not in c.base.indices:
+        if index not in c.base.indices:
             raise InvariantError("constructed point escaped a cylinder")
-    return current
+    return model.prefix_space(target_depth).point_at(index)
 
 
 # ---- conditional expectation ----
@@ -354,8 +384,11 @@ def extract_witness(
 def cond_exp(model: ChainModel, b: int, f) -> dict:
     """Conditional expectation of f given the first b coordinates, as a table.
 
-    f assigns a rational to every full trajectory; the returned table maps
-    each depth-b prefix to the mean of f under the chain continued from it.
+    f assigns a rational of either sign to every full trajectory; the
+    returned table maps each depth-b prefix to the mean of f under the chain
+    continued from it.  Unlike `expectation_table`, which integrates
+    nonnegative functions only, a conditional expectation is defined for
+    every integrable f, and on a finite space every f is integrable.
     """
     fn = _as_fn(f)
     kern = model.partial_traj(b, model.max_depth)

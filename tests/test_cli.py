@@ -119,6 +119,24 @@ def test_malformed_model_exits_2(capsys, tmp_path):
     assert "expected 1" in err
 
 
+def test_loader_cap_is_a_depth_19_two_state_chain(capsys, tmp_path):
+    # 2^20 trajectories load; one depth more is a malformed model
+    for depth, expected in ((19, 0), (20, 2)):
+        doc = {
+            "maxDepth": depth,
+            "spaces": [{"states": ["a", "b"]}],
+            "steps": [
+                {"n": n, "kind": "const", "row": {"a": "1/2", "b": "1/2"}}
+                for n in range(depth)
+            ],
+        }
+        path = tmp_path / f"depth{depth}.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", "--model", str(path))
+        assert code == expected, err
+    assert "caps at 1048576" in err
+
+
 def test_unsatisfiable_witness_exits_3(capsys):
     code, _, err = run(
         capsys, "witness", "--model", WEATHER, "--point", "S",

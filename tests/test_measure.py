@@ -137,6 +137,21 @@ def test_from_support_validates():
         Dist.from_support(space, [(0, Rat(1, 2))])
     with pytest.raises(DomainError):
         Dist.from_support(space, [(0, Rat(3, 2)), (1, Rat(-1, 2))])
+    with pytest.raises(DomainError):
+        Dist.from_support(space, [(-1, Rat(1))])  # would alias the last state
+    with pytest.raises(DomainError):
+        Dist.from_support(space, [(space.size, Rat(1))])
+    with pytest.raises(DomainError):
+        Dist.from_support(space, [(0, Rat(1, 2)), (0, Rat(1, 2))])
+
+
+def test_from_support_stores_only_the_support():
+    # 2^40 points: any storage proportional to the space could not be built
+    space = TupleSpace([FiniteSpace("B", ["0", "1"])] * 40)
+    d = Dist.from_support(space, [(0, Rat(1, 3)), (space.size - 1, Rat(2, 3))])
+    assert d.weight_at(("1",) * 40) == Rat(2, 3)
+    assert d.weight_at(("0",) * 39 + ("1",)) == 0
+    assert d.mass(SubsetOf(space, [0, 1, 2])) == Rat(1, 3)
 
 
 def test_mass_requires_same_space():
@@ -161,7 +176,8 @@ def test_dirac_and_uniform():
     assert d.weight_at("R") == 1
     assert d.weight_at("S") == 0
     u = uniform(space)
-    assert u.weights == (Rat(1, 2), Rat(1, 2))
+    assert u.support() == ((0, Rat(1, 2)), (1, Rat(1, 2)))
+    assert u.weight_at("S") == u.weight_at("R") == Rat(1, 2)
     with pytest.raises(DomainError):
         dirac(space, "Q")
 

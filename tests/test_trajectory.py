@@ -1,4 +1,5 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from markovtraj import (
     check_cond_exp,
     check_traj_split,
     cond_exp,
+    const_chain,
     content_at_depth,
     cylinder,
     cylinder_content,
@@ -23,6 +25,7 @@ from markovtraj import (
     dirac,
     disjoint_union_cylinders,
     expectation_table,
+    extract_witness,
     intersect_cylinders,
     lift_cylinder,
     load_model,
@@ -35,6 +38,7 @@ from conftest import (
     brute_force_content,
     brute_force_prefix_law,
     random_chain,
+    random_nested_family,
     random_prefix,
     weather_chain,
 )
@@ -110,6 +114,9 @@ def test_partial_traj_depth_range(weather):
         weather.partial_traj(0, 4)
     with pytest.raises(DomainError):
         weather.partial_traj(-1, 2)
+    for a, b, index in ((0, 4, 0), (0, 1, 2), (1, 0, -1)):
+        with pytest.raises(DomainError):
+            weather.partial_row(a, b, index)
 
 
 def test_partial_traj_matches_path_enumeration(weather):
@@ -121,6 +128,54 @@ def test_partial_traj_matches_path_enumeration(weather):
                     kern.target.point_at(j): w for j, w in kern.row_at(i).support()
                 }
                 assert law == brute_force_prefix_law(weather, prefix, b)
+
+
+def test_fast_paths_match_path_enumeration_on_deeper_chains():
+    # Random chains of depth 6 and 7 (up to 3^8 = 6561 trajectories), one or
+    # two depths past the acceptance pool.  Budget 60 s; about 0.5 s on a
+    # 2-vCPU VM.
+    start = time.perf_counter()
+    rng = random.Random(2026)
+    for depth in (6, 6, 6, 7, 7, 7):
+        chain = random_chain(rng, depth=depth)
+        for _ in range(8):
+            a = rng.randint(0, 2)
+            u = random_prefix(rng, chain, a)
+            b = rng.randint(0, depth)
+            law = traj_marginal(chain, a, u, b)
+            assert {law.space.point_at(j): w for j, w in law.support()} == (
+                brute_force_prefix_law(chain, u, b)
+            )
+            coords = rng.sample(range(depth + 1), rng.randint(1, 3))
+            constraints = {
+                i: rng.sample(chain.spaces[i].labels, rng.randint(1, chain.spaces[i].size))
+                for i in coords
+            }
+            cyl = cylinder_from_constraints(chain, constraints)
+            assert cylinder_content(chain, a, u, cyl) == brute_force_content(
+                chain, u, constraints
+            )
+        for _ in range(3):
+            a, b = rng.randint(0, depth), rng.randint(0, depth)
+            kern = chain.partial_traj(a, b)
+            assert all(
+                kern.row_at(i) is chain.partial_row(a, b, i)
+                for i in range(kern.source.size)
+            )
+        u = random_prefix(rng, chain, 1)
+        family = random_nested_family(rng, chain, u)
+        law = brute_force_prefix_law(chain, u, depth)
+        eps = min(sum(w for t, w in law.items() if t in c) for c in family)
+        witness = extract_witness(chain, 1, u, family, eps)
+        assert witness[:2] == u
+        assert all(witness in c for c in family)
+    assert time.perf_counter() - start < 60
+
+
+def test_deep_chains_stay_within_the_recursion_limit():
+    one = FiniteSpace("X", ["a"])
+    chain = const_chain([dirac(one, "a")] * 1500)
+    assert traj_marginal(chain, 0, ("a",), 1499).support() == ((0, Rat(1)),)
 
 
 def test_partial_traj_matches_path_enumeration_random():

@@ -16,10 +16,8 @@ from .kernel import (
     Kernel,
     comp_kernel,
     comp_measure,
-    comp_prod_kernel,
     comp_prod_measure,
     const_kernel,
-    deterministic_kernel,
     map_kernel,
     prod_kernel,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "check_traj_split",
     "comp_kernel",
     "comp_measure",
-    "comp_prod_kernel",
     "comp_prod_measure",
     "cond_exp",
     "const_chain",
@@ -98,7 +95,6 @@ __all__ = [
     "cylinder",
     "cylinder_content",
     "cylinder_from_constraints",
-    "deterministic_kernel",
     "dirac",
     "disjoint_union_cylinders",
     "expectation_table",

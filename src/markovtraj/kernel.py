@@ -3,12 +3,12 @@
 Implements:
   * Kernel: one distribution per source point; each row stores only its
     support, so a kernel costs memory in the sum of its rows' supports.
-  * Constructors: deterministic_kernel, const_kernel.
+  * Constructor: const_kernel.
   * Algebra: map_kernel (push a kernel forward along a map), comp_kernel
     (sequential composition, written first-to-last), comp_measure (bind a
     distribution through a kernel), prod_kernel (same-source pairing),
-    comp_prod_kernel / comp_prod_measure (couple a step that reads the
-    combined history, keeping the joint law on the pair space).
+    comp_prod_measure (couple a distribution with a step that reads it,
+    keeping the joint law on the pair space).
 
 Pair-shaped targets are two-component TupleSpace instances, so joint points
 are plain tuples (y, z) and all index arithmetic is the tuple space's.
@@ -18,8 +18,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError
-from .measure import Dist, TupleSpace, dirac, product_dist, pushforward_dist
-from .rational import ZERO
+from .measure import Dist, TupleSpace, product_dist, pushforward_dist
 
 
 def _same_space(a, b) -> bool:
@@ -86,14 +85,7 @@ class Kernel:
         return f"Kernel({self.source!r} -> {self.target!r}, {len(self.rows)} rows)"
 
 
-# ---- constructors ----
-
-
-def deterministic_kernel(source, target, f: Callable) -> Kernel:
-    """Kernel putting unit mass at f(x) for each source point x."""
-    return Kernel(
-        source, target, [dirac(target, f(p)) for p in source.points()]
-    )
+# ---- constructor ----
 
 
 def const_kernel(source, d: Dist) -> Kernel:
@@ -155,31 +147,6 @@ def prod_kernel(k: Kernel, l: Kernel) -> Kernel:
             cache[key] = row
         rows.append(row)
     target = TupleSpace([k.target, l.target])
-    return Kernel(k.source, target, rows)
-
-
-def comp_prod_kernel(k: Kernel, l: Kernel) -> Kernel:
-    """Couple k : X -> Y with a follow-up l : (X, Y) -> Z, keeping the pair.
-
-    The result maps x to the joint law of (y, z) where y ~ k(x) and
-    z ~ l((x, y)); l's source must be the tuple space of X and Y.
-    """
-    pair_source = TupleSpace([k.source, k.target])
-    if not _same_space(l.source, pair_source):
-        raise DomainError("coupling: follow-up kernel must read the (x, y) pair")
-    target = TupleSpace([k.target, l.target])
-    z_size = l.target.size
-    rows = []
-    for x_index, krow in enumerate(k.rows):
-        base = x_index * k.target.size
-        items = []
-        for y_index, wy in krow.support():
-            lrow = l.row_at(base + y_index)
-            items.extend(
-                (y_index * z_size + z_index, wy * wz)
-                for z_index, wz in lrow.support()
-            )
-        rows.append(Dist.from_support(target, items))
     return Kernel(k.source, target, rows)
 
 

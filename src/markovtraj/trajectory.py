@@ -4,10 +4,11 @@ Implements:
   * ChainModel: state spaces X_0..X_D plus one step kernel per depth, where
     each step reads the whole prefix so far.
   * partial_row / partial_traj: the law of the depth-b prefix from one
-    depth-a prefix, built by binding one-step advances (and by plain
-    restriction when the target depth is not larger), and the kernel from
-    depth-a to depth-b prefixes assembled from those rows.  Queries from one
-    prefix read its row alone, so they touch only the support it reaches.
+    depth-a prefix, extended one step at a time through the step kernels
+    (and plain restriction when the target depth is not larger), and the
+    kernel from depth-a to depth-b prefixes assembled from those rows.
+    Queries from one prefix read its row alone, so they touch only the
+    support it reaches.
   * expectation_table / traj_marginal / sample_trajectory: integration against,
     marginals of, and exact seeded sampling from the trajectory law.
   * Cylinder: a constraint on finitely many coordinates, stored as a set of
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, InvariantError, PreconditionError
-from .kernel import Kernel, comp_measure
+from .kernel import Kernel
 from .measure import Dist, SubsetOf, TupleSpace
 from .rational import ONE, ZERO, Rat
 
@@ -49,10 +50,9 @@ class ChainModel:
         steps[n] maps the depth-n prefix space into X_{n+1}; there must be
         exactly max_depth of them.
 
-    Partial-trajectory rows and kernels and the per-depth advance kernels
-    are memoized on the model, so repeated queries share all the work, and
-    a kernel's rows are the very row objects that single-prefix queries
-    read.
+    Partial-trajectory rows and kernels are memoized on the model, so
+    repeated queries share all the work, and a kernel's rows are the very
+    row objects that single-prefix queries read.
     """
 
     def __init__(self, spaces: Sequence, steps: Sequence[Kernel]):
@@ -65,25 +65,23 @@ class ChainModel:
             raise DomainError(
                 f"expected {self.max_depth} step kernels, got {len(self.steps)}"
             )
-        self._prefix_spaces: dict = {}
+        # Each step reads the prefix space at its depth; adopt it rather
+        # than build an equal one.
         for n, step in enumerate(self.steps):
-            if step.source != self.prefix_space(n):
+            source = step.source
+            if not isinstance(source, TupleSpace) or source.components != self.spaces[: n + 1]:
                 raise DomainError(f"step {n} does not read the depth-{n} prefix space")
             if step.target != self.spaces[n + 1]:
                 raise DomainError(f"step {n} does not map into the depth-{n + 1} space")
+        self._prefix_spaces = [step.source for step in self.steps] + [TupleSpace(self.spaces)]
         self._rows: dict = {}
         self._partial: dict = {}
-        self._advance: dict = {}
 
     def prefix_space(self, depth: int) -> TupleSpace:
         """Space of prefixes (x_0, .., x_depth)."""
         if not 0 <= depth <= self.max_depth:
             raise DomainError(f"depth {depth} outside 0..{self.max_depth}")
-        space = self._prefix_spaces.get(depth)
-        if space is None:
-            space = TupleSpace(self.spaces[: depth + 1])
-            self._prefix_spaces[depth] = space
-        return space
+        return self._prefix_spaces[depth]
 
     def check_prefix(self, prefix, depth: int) -> tuple:
         """Validate a prefix of the given depth, returning it as a tuple."""
@@ -92,32 +90,20 @@ class ChainModel:
         return prefix
 
     def advance_kernel(self, depth: int) -> Kernel:
-        """One-step extension kernel from depth-`depth` to depth-`depth`+1 prefixes.
-
-        Appending state s to prefix i gives prefix i * |X_{depth+1}| + s of
-        the next prefix space, with the step row's weight.
-        """
-        kern = self._advance.get(depth)
-        if kern is None:
-            if not 0 <= depth < self.max_depth:
-                raise DomainError(f"no step kernel at depth {depth}")
-            width = self.spaces[depth + 1].size
-            after = self.prefix_space(depth + 1)
-            rows = [
-                Dist.from_support(after, [(i * width + s, w) for s, w in row.support()])
-                for i, row in enumerate(self.steps[depth].rows)
-            ]
-            kern = Kernel(self.prefix_space(depth), after, rows)
-            self._advance[depth] = kern
-        return kern
+        """One-step extension kernel: `partial_traj(depth, depth + 1)`."""
+        if not 0 <= depth < self.max_depth:
+            raise DomainError(f"no step kernel at depth {depth}")
+        return self.partial_traj(depth, depth + 1)
 
     def partial_row(self, a: int, b: int, index: int) -> Dist:
         """Law of the depth-b prefix from the depth-a prefix numbered `index`.
 
         For b <= a this is the point mass at the restriction, which is the
         index of the prefix's block, index // (|P_a| / |P_b|); otherwise it
-        is the (a, b-1) row bound through the one-step advance at b-1.  Only
-        the rows from this one prefix are built, each memoized.
+        is the (a, b-1) row extended through steps[b-1]: appending state s
+        to prefix i gives prefix i * |X_b| + s, with weight the (a, b-1)
+        row's weight at i times the step row's weight at s.  Only the rows
+        from this one prefix are built, each memoized.
         """
         key = (a, b, index)
         row = self._rows.get(key)
@@ -140,7 +126,15 @@ class ChainModel:
             depth -= 1
         row = self.partial_row(a, depth, index)
         for n in range(depth, b):
-            row = comp_measure(row, self.advance_kernel(n))
+            # i * width + s is increasing in (i, s), so the entries come
+            # out sorted and distinct.
+            width = self.spaces[n + 1].size
+            step_rows = self.steps[n].rows
+            row = Dist.from_support(self.prefix_space(n + 1), [
+                (i * width + s, w * v)
+                for i, w in row.support()
+                for s, v in step_rows[i].support()
+            ])
             self._rows[(a, n + 1, index)] = row
         return row
 
@@ -148,8 +142,7 @@ class ChainModel:
         """Kernel from depth-a prefixes to depth-b prefixes.
 
         Row i is `partial_row(a, b, i)`: deterministic restriction for
-        b <= a, otherwise the (a, b-1) row followed by the one-step advance
-        at b-1.
+        b <= a, otherwise the (a, b-1) row extended through steps[b-1].
         """
         kern = self._partial.get((a, b))
         if kern is None:

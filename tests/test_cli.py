@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,6 +139,31 @@ def test_loader_cap_is_a_depth_19_two_state_chain(capsys, tmp_path):
         code, _, err = run(capsys, "validate", "--model", str(path))
         assert code == expected, err
     assert "caps at 1048576" in err
+
+
+def test_huge_max_depth_is_a_malformed_model(tmp_path):
+    # Short files that ask for huge chains fail as malformed models, with
+    # work bounded by the file.  Each runs in a child capped at 512 MiB of
+    # address space, so a loader that builds per-depth objects before
+    # checking the steps fails here instead of exhausting memory.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    for depth, states in ((15000, ["a", "b"]), (3_000_000, ["a"])):
+        model = tmp_path / f"depth{depth}.json"
+        model.write_text(json.dumps(
+            {"maxDepth": depth, "spaces": [{"id": "X", "states": states}], "steps": []}
+        ))
+        child = subprocess.run(
+            [sys.executable, "-m", "markovtraj.cli", "validate", "--model", str(model)],
+            capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=60,
+        )
+        assert child.returncode == 2, child.stderr
+        assert child.stderr.startswith("error: missing steps"), child.stderr
 
 
 def test_unsatisfiable_witness_exits_3(capsys):

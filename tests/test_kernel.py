@@ -9,13 +9,10 @@ from markovtraj import (
     Kernel,
     Rat,
     SubsetOf,
-    TupleSpace,
     comp_kernel,
     comp_measure,
-    comp_prod_kernel,
     comp_prod_measure,
     const_kernel,
-    deterministic_kernel,
     dirac,
     map_kernel,
     prod_kernel,
@@ -32,13 +29,6 @@ def weather_step() -> Kernel:
     return Kernel(W, W, [Dist(W, ["3/4", "1/4"]), Dist(W, ["1/2", "1/2"])])
 
 
-def pairwise_step() -> Kernel:
-    """The weather step read off the second coordinate of a (W, W) pair."""
-    source = TupleSpace([W, W])
-    step = weather_step()
-    return Kernel(source, W, [step.row(p[1]) for p in source.points()])
-
-
 # ---- constructors ----
 
 
@@ -48,12 +38,6 @@ def test_kernel_validates_shape():
     other = FiniteSpace("X", ["a", "b"])
     with pytest.raises(DomainError):
         Kernel(W, W, [uniform(W), uniform(other)])
-
-
-def test_deterministic_and_id():
-    swap = deterministic_kernel(W, W, lambda s: "R" if s == "S" else "S")
-    assert swap.row("S") == dirac(W, "R")
-    assert deterministic_kernel(W, W, lambda s: s).row("R") == dirac(W, "R")
 
 
 def test_const_kernel_shares_rows():
@@ -104,17 +88,6 @@ def test_prod_kernel():
     assert first.row("S") == step.row("S")
     with pytest.raises(DomainError):
         prod_kernel(step, Kernel(FiniteSpace("X", ["a"]), W, [uniform(W)]))
-
-
-def test_comp_prod_kernel():
-    step = weather_step()
-    joint = comp_prod_kernel(step, pairwise_step())
-    # 3/4 * 3/4
-    assert joint.row("S").weight_at(("S", "S")) == Rat(9, 16)
-    second = map_kernel(joint, lambda pair: pair[1], W)
-    assert second.row("S") == comp_kernel(step, step).row("S")
-    with pytest.raises(DomainError):
-        comp_prod_kernel(step, step)  # second kernel must read the pair
 
 
 def test_comp_prod_measure():
@@ -169,8 +142,10 @@ def test_identity_is_neutral():
     for _ in range(25):
         sa, sb = spaces_for(rng, 2)
         k = random_kernel(rng, sa, sb)
-        assert comp_kernel(deterministic_kernel(sa, sa, lambda p: p), k) == k
-        assert comp_kernel(k, deterministic_kernel(sb, sb, lambda p: p)) == k
+        id_a = Kernel(sa, sa, [dirac(sa, p) for p in sa.points()])
+        id_b = Kernel(sb, sb, [dirac(sb, p) for p in sb.points()])
+        assert comp_kernel(id_a, k) == k
+        assert comp_kernel(k, id_b) == k
 
 
 def test_comp_measure_agrees_with_dirac_rows():

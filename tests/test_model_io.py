@@ -6,6 +6,7 @@ import pytest
 from markovtraj import (
     ModelFormatError,
     Rat,
+    TupleSpace,
     check_partial_traj_const,
     load_model,
     model_from_dict,
@@ -62,6 +63,32 @@ def test_shared_rows_after_expansion():
     drift = load_model(MODELS / "drift.json").chain
     rows = set(map(id, drift.steps[2].rows))
     assert len(rows) == 1  # const kind shares one distribution
+
+
+def test_last_state_rows_are_read_by_index(monkeypatch):
+    # prefix i ends in state i % |X_n|; no prefix tuple is ever enumerated
+    def refuse(space):
+        raise AssertionError(f"enumerated the points of {space!r}")
+
+    monkeypatch.setattr(TupleSpace, "points", refuse)
+    load_model(MODELS / "weather.json")
+    doc = {
+        "maxDepth": 2,
+        "spaces": [
+            {"states": ["a", "b"]},
+            {"states": ["x", "y", "z"]},
+            {"states": ["a", "b"]},
+        ],
+        "steps": [
+            {"n": 0, "kind": "const", "row": {"x": "1/3", "y": "1/3", "z": "1/3"}},
+            {"n": 1, "kind": "last-state",
+             "rows": {"x": {"a": "1"}, "y": {"b": "1"}, "z": {"a": "1/2", "b": "1/2"}}},
+        ],
+    }
+    step = model_from_dict(doc).chain.steps[1]
+    assert step.row(("b", "y")).weight_at("b") == 1
+    assert step.row(("a", "z")).weight_at("a") == Rat(1, 2)
+    assert step.row(("b", "x")).weight_at("a") == 1
 
 
 def test_missing_file_is_a_format_error(tmp_path):
@@ -124,7 +151,12 @@ def test_spaces_validation():
 def test_steps_validation():
     doc = weather_doc()
     doc["steps"] = doc["steps"][:1]
-    rejects(doc)  # missing depth 1
+    # a count and the first missing depth, not the list of every depth
+    with pytest.raises(ModelFormatError, match="missing steps for 1 depths, the first is 1$"):
+        model_from_dict(doc)
+    doc = {"maxDepth": 1000, "spaces": [{"states": ["a"]}], "steps": []}
+    with pytest.raises(ModelFormatError, match="missing steps for 1000 depths, the first is 0$"):
+        model_from_dict(doc)
     doc = weather_doc()
     doc["steps"][1]["n"] = 0
     rejects(doc)  # duplicate depth
@@ -181,12 +213,17 @@ def test_product_validation():
 
 
 def test_size_cap():
-    doc = {
-        "maxDepth": 23,
-        "spaces": [{"states": ["a", "b"]}],
-        "steps": [
-            {"n": n, "kind": "const", "row": {"a": "1/2", "b": "1/2"}}
-            for n in range(23)
-        ],
-    }
-    rejects(doc)  # 2^24 trajectories is past the loader cap
+    # 2^24 trajectories is past the loader cap, and so is 2^15001, a total
+    # with more digits than int-to-str conversion allows, so the message
+    # must not print it
+    for depth in (23, 15000):
+        doc = {
+            "maxDepth": depth,
+            "spaces": [{"states": ["a", "b"]}],
+            "steps": [
+                {"n": n, "kind": "const", "row": {"a": "1/2", "b": "1/2"}}
+                for n in range(depth)
+            ],
+        }
+        with pytest.raises(ModelFormatError, match="caps at 1048576"):
+            model_from_dict(doc)

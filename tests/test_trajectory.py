@@ -7,6 +7,7 @@ import pytest
 from markovtraj import (
     ChainModel,
     Cylinder,
+    Dist,
     DomainError,
     FiniteSpace,
     Kernel,
@@ -94,6 +95,36 @@ def test_advance_kernel_appends_the_step_state():
             assert set(kern.row_at(i).support()) == {
                 (i * width + s, w) for s, w in step_row.support()
             }
+
+
+def test_advance_kernel_is_the_one_step_partial_traj(weather):
+    for n in range(weather.max_depth):
+        kern = weather.advance_kernel(n)
+        assert kern is weather.partial_traj(n, n + 1)
+        for i in range(kern.source.size):
+            assert kern.row_at(i) is weather.partial_row(n, n + 1, i)
+    for depth in (-1, weather.max_depth):
+        with pytest.raises(DomainError):
+            weather.advance_kernel(depth)
+
+
+def test_marginal_builds_one_row_per_depth(monkeypatch):
+    # From one prefix, each depth extends the row before it through the step
+    # kernel: one Dist per depth, and no rows for prefixes the query never
+    # reaches.
+    depth = 8
+    chain = weather_chain(depth)
+    build = Dist.from_support.__func__
+    built = []
+
+    def counted(cls, space, items):
+        built.append(space)
+        return build(cls, space, items)
+
+    monkeypatch.setattr(Dist, "from_support", classmethod(counted))
+    law = traj_marginal(chain, 0, ("S",), depth)
+    assert len(built) <= depth + 1
+    assert law.space == chain.prefix_space(depth)
 
 
 def test_partial_traj_restricts_when_not_deeper(weather):

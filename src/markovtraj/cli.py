@@ -12,8 +12,8 @@ Verbs:
 
 Prefixes are written as labels joined by "|" (so "S|R" is x_0=S, x_1=R)
 and cylinder constraints as comma-separated coordinate clauses like
-"1=S,2=S|R", where "|" separates allowed states.  Rationals are written
-"p/q" or "p".  Exit codes: 0 success, 1 failed verify checks, 2 malformed
+"1=S,2=S|R", where "|" separates allowed states.  Coordinates and
+rationals ("p/q" or "p") take ASCII digits only.  Exit codes: 0 success, 1 failed verify checks, 2 malformed
 model file, 3 bad request (usage error, unknown state, depth out of range,
 violated precondition), 4 internal invariant violation.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 
 from .errors import (
@@ -55,14 +56,20 @@ def _parse_cylinder_spec(spec: str) -> dict:
         coord_text, sep, states_text = clause.partition("=")
         if not sep or not coord_text or not states_text:
             raise DomainError(f"bad cylinder clause {clause!r}; want COORD=STATE[|STATE..]")
-        try:
-            coord = int(coord_text)
-        except ValueError:
-            raise DomainError(f"bad coordinate {coord_text!r} in cylinder spec") from None
+        if not re.fullmatch("[0-9]+", coord_text):
+            raise DomainError(f"bad coordinate {coord_text!r} in cylinder spec")
+        coord = int(coord_text)
         if coord in constraints:
             raise DomainError(f"coordinate {coord} constrained twice")
         constraints[coord] = states_text.split("|")
     return constraints
+
+
+def _one_cylinder(chain, args):
+    """The single --cylinder of a verb that takes one (witness takes several)."""
+    if len(args.cylinder) != 1:
+        raise DomainError("this verb takes exactly one --cylinder")
+    return cylinder_from_constraints(chain, _parse_cylinder_spec(args.cylinder[0]))
 
 
 def _parse_eps(text: str):
@@ -94,7 +101,7 @@ def _cmd_marginal(args) -> int:
 
 def _cmd_cylinder(args) -> int:
     chain = _load(args).chain
-    cyl = cylinder_from_constraints(chain, _parse_cylinder_spec(args.cylinder[0]))
+    cyl = _one_cylinder(chain, args)
     if args.lift is not None:
         cyl = lift_cylinder(chain, cyl, args.lift)
     space = cyl.base.space
@@ -106,7 +113,7 @@ def _cmd_cylinder(args) -> int:
 def _cmd_content(args) -> int:
     chain = _load(args).chain
     point = _parse_point(args.point)
-    cyl = cylinder_from_constraints(chain, _parse_cylinder_spec(args.cylinder[0]))
+    cyl = _one_cylinder(chain, args)
     print(format_rational(cylinder_content(chain, len(point) - 1, point, cyl)))
     return 0
 
@@ -151,13 +158,8 @@ def _cmd_witness(args) -> int:
 
 def _cmd_condexp(args) -> int:
     chain = _load(args).chain
-    cyl = cylinder_from_constraints(chain, _parse_cylinder_spec(args.cylinder[0]))
-    lifted = lift_cylinder(chain, cyl, chain.max_depth)
-
-    def indicator(traj) -> int:
-        return 1 if lifted.base.space.index_of(traj) in lifted.base.indices else 0
-
-    table = cond_exp(chain, args.at, indicator)
+    cyl = _one_cylinder(chain, args)
+    table = cond_exp(chain, args.at, lambda traj: 1 if traj in cyl else 0)
     space = chain.prefix_space(args.at)
     for p in space.points():
         print(f"{space.format_point(p)} {format_rational(table[p])}")

@@ -124,6 +124,8 @@ class TupleSpace:
         )
 
     def point_at(self, index: int) -> tuple:
+        if self._points is not None:
+            return self._points[index]
         coords = []
         for comp, stride in zip(self.components, self._strides):
             sub, index = divmod(index, stride)

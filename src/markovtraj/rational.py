@@ -14,8 +14,9 @@ Rat = Fraction
 ZERO = Rat(0)
 ONE = Rat(1)
 
-# Fraction() would also take decimals like "0.75"; the wire format does not.
-_LITERAL = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
+# Fraction() would also take decimals like "0.75" and non-ASCII digits like
+# "١/2"; the wire format takes neither.
+_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 def parse_rational(text: str) -> Rat:

@@ -4,17 +4,21 @@ A report is a fixed header plus one line per check:
 
     CHECK <id> PASS|FAIL <lhs> <rhs>
 
-Scalar comparisons print the two rationals; structural comparisons
-(distributions, kernels, tables) print short fingerprints of a canonical
-text form, so equal objects show equal columns.  Rendering depends only on
-the compared values, never on timing or identity, so a report is stable
-byte for byte across runs.
+A check passes iff its two values are equal under the library's own `==`,
+the comparison the `check_*` functions make.  Each column is the value
+rendered by the check's render function: scalar checks print the rational,
+structural checks (distributions, kernels, tables) print a short
+fingerprint of a canonical text form.  A passing check renders its left
+value once and shows it in both columns; the right value is rendered only
+when the check fails.  Rendering depends only on the compared values,
+never on timing or identity, so a report is stable byte for byte across
+runs.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import List, Mapping
+from typing import Callable, List, Mapping
 
 from .rational import format_rational
 
@@ -72,14 +76,15 @@ class Report:
     def add(self, check_id: str, ok: bool, lhs: str, rhs: str) -> None:
         self.lines.append(CheckLine(check_id, ok, lhs, rhs))
 
-    def add_compared(self, check_id: str, lhs_text: str, rhs_text: str) -> None:
-        """Add a structural comparison; PASS iff the canonical forms agree."""
-        self.add(
-            check_id, lhs_text == rhs_text, fingerprint(lhs_text), fingerprint(rhs_text)
-        )
+    def add_compared(self, check_id: str, lhs, rhs, render: Callable) -> None:
+        """Add a check that passes iff lhs == rhs, with columns render(side).
 
-    def add_scalars(self, check_id: str, lhs, rhs) -> None:
-        self.add(check_id, lhs == rhs, format_rational(lhs), format_rational(rhs))
+        A passing check renders lhs once for both columns; rhs is rendered
+        only when the check fails.
+        """
+        ok = lhs == rhs
+        text = render(lhs)
+        self.add(check_id, ok, text, text if ok else render(rhs))
 
     @property
     def ok(self) -> bool:

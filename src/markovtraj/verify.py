@@ -1,9 +1,12 @@
 """Exhaustive identity checks for a loaded model, rendered as a report.
 
-Every check compares two values that the theory says must be equal, built
-through the public operations, and adds one PASS/FAIL line.  All depth
-combinations of the model are covered, so the cost grows quickly with
-maxDepth; this is meant for the small models that ship in model files.
+Every check builds the two values that the theory says must be equal,
+through the public operations, and adds one line that is PASS iff they
+are equal under `==`, the comparison the `check_*` functions make.  A
+passing check renders one side only (see `Report.add_compared`).  All
+depth combinations of the model are covered, so the cost grows quickly
+with maxDepth; this is meant for the small models that ship in model
+files.
 """
 from __future__ import annotations
 
@@ -16,12 +19,13 @@ from .product import (
     product_projection_sides,
     product_split_sides,
 )
-from .rational import ONE, ZERO, Rat
+from .rational import ONE, ZERO, Rat, format_rational
 from .report import (
     Report,
     canonical_dist,
     canonical_kernel,
     canonical_table,
+    fingerprint,
 )
 from .trajectory import (
     ChainModel,
@@ -33,7 +37,6 @@ from .trajectory import (
     disjoint_union_cylinders,
     extract_witness,
     intersect_cylinders,
-    lift_cylinder,
     expectation_table,
     traj_split_sides,
 )
@@ -66,32 +69,39 @@ def _depth_triples(depth: int):
     )
 
 
+def _fingerprinted(canonical, *context):
+    """Render of a structural value: the fingerprint of its canonical form."""
+    return lambda value: fingerprint(canonical(*context, value))
+
+
 def _kernel_checks(report: Report, chain: ChainModel) -> None:
-    for a, b, c in _depth_triples(chain.max_depth):
+    depth = chain.max_depth
+    by_kernel = _fingerprinted(canonical_kernel)
+    for a, b, c in _depth_triples(depth):
         composed = comp_kernel(chain.partial_traj(a, b), chain.partial_traj(b, c))
         report.add_compared(
-            f"kernel-comp:{a},{b},{c}",
-            canonical_kernel(composed),
-            canonical_kernel(chain.partial_traj(a, c)),
+            f"kernel-comp:{a},{b},{c}", composed, chain.partial_traj(a, c), by_kernel
         )
-    for a, b, c in _depth_triples(chain.max_depth):
+    for a, b, c in _depth_triples(depth):
         restricted = map_kernel(
             chain.partial_traj(a, c), lambda p: p[: b + 1], chain.prefix_space(b)
         )
         report.add_compared(
-            f"restrict:{a},{b},{c}",
-            canonical_kernel(restricted),
-            canonical_kernel(chain.partial_traj(a, b)),
+            f"restrict:{a},{b},{c}", restricted, chain.partial_traj(a, b), by_kernel
         )
-    for a, b, c in _depth_triples(chain.max_depth):
-        f = _index_fraction(chain.prefix_space(c))
-        staged = expectation_table(chain, a, b, expectation_table(chain, b, c, f))
-        direct = expectation_table(chain, a, c, f)
-        space_a = chain.prefix_space(a)
+    # One table per pair b <= c serves as the inner stage of every (a, b, c)
+    # and as the direct side of every (b, ., c).
+    tables = {
+        (b, c): expectation_table(chain, b, c, _index_fraction(chain.prefix_space(c)))
+        for b in range(depth + 1)
+        for c in range(b, depth + 1)
+    }
+    for a, b, c in _depth_triples(depth):
         report.add_compared(
             f"tower:{a},{b},{c}",
-            canonical_table(space_a, staged),
-            canonical_table(space_a, direct),
+            expectation_table(chain, a, b, tables[b, c]),
+            tables[a, c],
+            _fingerprinted(canonical_table, chain.prefix_space(a)),
         )
 
 
@@ -123,20 +133,19 @@ def _content_checks(report: Report, chain: ChainModel) -> None:
     start = _canonical_start(chain)
     coord = min(1, chain.max_depth)
     outer, _ = _best_constraint_cylinder(chain, start, coord)
-    report.add_scalars(
+    report.add_compared(
         "content-depth",
         content_at_depth(chain, 0, start, outer, max(0, outer.depth)),
         content_at_depth(chain, 0, start, outer, chain.max_depth),
+        format_rational,
     )
     parts = [
         cylinder_from_constraints(chain, {coord: [s]})
         for s in chain.spaces[coord].points()
     ]
-    union = disjoint_union_cylinders(chain, parts)
     total = sum((cylinder_content(chain, 0, start, c) for c in parts), ZERO)
-    report.add_scalars(
-        "content-additive", total, cylinder_content(chain, 0, start, union)
-    )
+    union = cylinder_content(chain, 0, start, disjoint_union_cylinders(chain, parts))
+    report.add_compared("content-additive", total, union, format_rational)
 
 
 def _witness_check(report: Report, chain: ChainModel) -> None:
@@ -146,28 +155,20 @@ def _witness_check(report: Report, chain: ChainModel) -> None:
         chain, start, min(2, chain.max_depth), within=outer
     )
     witness = extract_witness(chain, 0, start, [outer, inner], eps)
-    member = ONE
-    for cyl in (outer, inner):
-        lifted = lift_cylinder(chain, cyl, len(witness) - 1)
-        if lifted.base.space.index_of(witness) not in lifted.base.indices:
-            member = ZERO
-    report.add_scalars("witness-member", member, ONE)
+    member = ONE if witness in outer and witness in inner else ZERO
+    report.add_compared("witness-member", member, ONE, format_rational)
 
 
 def _condexp_checks(report: Report, chain: ChainModel) -> None:
     depth = chain.max_depth
     f = _index_fraction(chain.prefix_space(depth))
     for b in range(depth + 1):
-        space_b = chain.prefix_space(b)
+        render = _fingerprinted(canonical_table, chain.prefix_space(b))
         table = cond_exp(chain, b, f)
         for a in range(b + 1):
             u = chain.prefix_space(a).point_at(0)
             lhs, rhs = cond_exp_sides(chain, a, u, b, f, table)
-            report.add_compared(
-                f"condexp:{a},{b}",
-                canonical_table(space_b, lhs),
-                canonical_table(space_b, rhs),
-            )
+            report.add_compared(f"condexp:{a},{b}", lhs, rhs, render)
 
 
 def _split_checks(report: Report, chain: ChainModel) -> None:
@@ -175,13 +176,9 @@ def _split_checks(report: Report, chain: ChainModel) -> None:
     for b in range(depth + 1):
         pairs = TupleSpace([chain.prefix_space(b), chain.prefix_space(depth)])
         for a in range(b + 1):
-            source = chain.prefix_space(a)
             two_stage, direct = traj_split_sides(chain, a, b)
-            report.add_compared(
-                f"split:{a},{b}",
-                _canonical_rows(source, pairs, two_stage),
-                _canonical_rows(source, pairs, direct),
-            )
+            render = _fingerprinted(_canonical_rows, chain.prefix_space(a), pairs)
+            report.add_compared(f"split:{a},{b}", two_stage, direct, render)
 
 
 def _canonical_rows(source, target, rows) -> str:
@@ -193,27 +190,17 @@ def _canonical_rows(source, target, rows) -> str:
 
 def _product_checks(report: Report, chain: ChainModel, marginals) -> None:
     depth = chain.max_depth
+    by_kernel = _fingerprinted(canonical_kernel)
+    by_dist = _fingerprinted(canonical_dist)
     for a in range(depth + 1):
         for b in range(a, depth + 1):
             kern, literal = partial_traj_const_sides(chain, marginals, a, b)
-            report.add_compared(
-                f"product-form:{a},{b}",
-                canonical_kernel(kern),
-                canonical_kernel(literal),
-            )
+            report.add_compared(f"product-form:{a},{b}", kern, literal, by_kernel)
     law, product = const_chain_law_sides(chain, marginals)
-    report.add_compared("product-law", canonical_dist(law), canonical_dist(product))
+    report.add_compared("product-law", law, product, by_dist)
     for a in range(depth + 1):
         for b in range(a + 1, depth + 1):
             flattened, whole = product_split_sides(marginals, a, b)
-            report.add_compared(
-                f"product-split:{a},{b}",
-                canonical_dist(flattened),
-                canonical_dist(whole),
-            )
+            report.add_compared(f"product-split:{a},{b}", flattened, whole, by_dist)
             restricted, head = product_projection_sides(marginals, a, b)
-            report.add_compared(
-                f"product-proj:{a},{b}",
-                canonical_dist(restricted),
-                canonical_dist(head),
-            )
+            report.add_compared(f"product-proj:{a},{b}", restricted, head, by_dist)

@@ -214,3 +214,56 @@ def test_usage_errors_exit_3(capsys):
 def test_missing_model_file_exits_2(capsys, tmp_path):
     code, _, _ = run(capsys, "validate", "--model", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+def test_one_cylinder_verbs_reject_a_second_cylinder(capsys):
+    # From S, {x_1 = S} has content 3/4 and its intersection with
+    # {x_2 = R} has 3/16; dropping the second flag would print 3/4.
+    for verb, extra in (
+        ("content", ["--point", "S"]),
+        ("condexp", ["--at", "1"]),
+        ("cylinder", []),
+    ):
+        code, out, err = run(
+            capsys, verb, "--model", WEATHER, *extra,
+            "--cylinder", "1=S", "--cylinder", "2=R",
+        )
+        assert code == 3, verb
+        assert out == ""
+        assert "exactly one --cylinder" in err
+
+
+def test_numeric_literals_take_ascii_digits_only(capsys, tmp_path):
+    arabic_one = "١"
+    doc = json.loads(Path(WEATHER).read_text())
+    doc["steps"][0]["rows"]["R"] = {"S": f"{arabic_one}/2", "R": "1/2"}
+    path = tmp_path / "arabic.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", "--model", str(path))
+    assert code == 2
+    assert "not a rational literal" in err
+    code, out, _ = run(
+        capsys, "witness", "--model", WEATHER, "--point", "S",
+        "--cylinder", "1=S", "--eps", f"{arabic_one}/2",
+    )
+    assert (code, out) == (3, "")
+    for spec in ("1_0=S", f"{arabic_one}=S", "+1=S", " 1=S,-0=S"):
+        code, out, err = run(
+            capsys, "content", "--model", WEATHER, "--point", "S", "--cylinder", spec
+        )
+        assert (code, out) == (3, ""), spec
+        assert "bad coordinate" in err, spec
+
+
+def test_condexp_tests_membership_without_lifting(capsys, monkeypatch):
+    import markovtraj.cli
+
+    def refuse(*args):
+        raise AssertionError("condexp lifted its cylinder")
+
+    monkeypatch.setattr(markovtraj.cli, "lift_cylinder", refuse)
+    code, out, _ = run(
+        capsys, "condexp", "--model", WEATHER, "--at", "1", "--cylinder", "2=S"
+    )
+    assert code == 0
+    assert out == "S|S 3/4\nS|R 1/2\nR|S 3/4\nR|R 1/2\n"

@@ -69,7 +69,10 @@ def test_tuple_space_index_roundtrip(data):
     ]
     space = TupleSpace(comps)
     index = data.draw(st.integers(0, space.size - 1))
-    assert space.index_of(space.point_at(index)) == index
+    point = space.point_at(index)
+    assert space.index_of(point) == index
+    # once the enumeration is built, point_at reads it
+    assert space.points()[index] == point == space.point_at(index)
 
 
 def test_empty_tuple_space_is_a_point():

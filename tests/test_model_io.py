@@ -2,8 +2,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovtraj import (
+    LoadedModel,
+    MarkovTrajError,
     ModelFormatError,
     Rat,
     TupleSpace,
@@ -227,3 +231,63 @@ def test_size_cap():
         }
         with pytest.raises(ModelFormatError, match="caps at 1048576"):
             model_from_dict(doc)
+
+
+# ---- fuzzing ----
+
+
+def _node_paths(node, path=()):
+    """Every position in a JSON document, as a path of keys and indices."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _replaced(node, path, value):
+    """A copy of the document with the node at `path` replaced by `value`."""
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+SHIPPED_NODES = [
+    (doc, path)
+    for doc in (
+        json.loads((MODELS / f"{name}.json").read_text())
+        for name in ("weather", "coin", "drift")
+    )
+    for path in _node_paths(doc)
+]
+
+# Arbitrary JSON values, with words of the model format mixed into the
+# strings so that some replacements get past the first checks.
+FORMAT_WORDS = ["S", "R", "H", "T", "1/2", "3/4", "0", "1",
+                "const", "last-state", "table", "product"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8) | st.sampled_from(FORMAT_WORDS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(st.sampled_from(SHIPPED_NODES), JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_model_from_dict_only_raises_its_own_errors(node, value):
+    # Replaces one node of a shipped model with an arbitrary JSON value.
+    # 300 examples take about 1.5 s on a 2-vCPU VM.
+    doc, path = node
+    try:
+        loaded = model_from_dict(_replaced(doc, path, value))
+    except MarkovTrajError:
+        return
+    assert isinstance(loaded, LoadedModel)

@@ -30,9 +30,10 @@ from .errors import (
     ModelFormatError,
     PreconditionError,
 )
+from .measure import dist_lines, labels_at
 from .model_io import LoadedModel, load_model
 from .rational import format_rational, parse_rational
-from .report import Report
+from .report import Report, table_lines
 from .trajectory import (
     cond_exp,
     cylinder_content,
@@ -93,9 +94,7 @@ def _cmd_marginal(args) -> int:
     chain = _load(args).chain
     point = _parse_point(args.point)
     dist = traj_marginal(chain, len(point) - 1, point, args.at)
-    space = dist.space
-    for i, w in dist.support():
-        print(f"{space.format_point(space.point_at(i))} {format_rational(w)}")
+    sys.stdout.writelines(f"{line}\n" for line in dist_lines(dist, " "))
     return 0
 
 
@@ -104,9 +103,8 @@ def _cmd_cylinder(args) -> int:
     cyl = _one_cylinder(chain, args)
     if args.lift is not None:
         cyl = lift_cylinder(chain, cyl, args.lift)
-    space = cyl.base.space
-    for i in sorted(cyl.base.indices):
-        print(space.format_point(space.point_at(i)))
+    labels = labels_at(cyl.base.space, sorted(cyl.base.indices))
+    sys.stdout.writelines(f"{label}\n" for label in labels)
     return 0
 
 
@@ -160,9 +158,8 @@ def _cmd_condexp(args) -> int:
     chain = _load(args).chain
     cyl = _one_cylinder(chain, args)
     table = cond_exp(chain, args.at, lambda traj: 1 if traj in cyl else 0)
-    space = chain.prefix_space(args.at)
-    for p in space.points():
-        print(f"{space.format_point(p)} {format_rational(table[p])}")
+    lines = table_lines(chain.prefix_space(args.at), table, " ")
+    sys.stdout.writelines(f"{line}\n" for line in lines)
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Implements:
   * Kernel: one distribution per source point; each row stores only its
-    support, so a kernel costs memory in the sum of its rows' supports.
+    support, as integer numerators over one denominator, so a kernel costs
+    memory in the sum of its rows' supports.
   * Constructor: const_kernel.
   * Algebra: map_kernel (push a kernel forward along a map), comp_kernel
     (sequential composition, written first-to-last), comp_measure (bind a
@@ -11,11 +12,14 @@ Implements:
     keeping the joint law on the pair space).
 
 Pair-shaped targets are two-component TupleSpace instances, so joint points
-are plain tuples (y, z) and all index arithmetic is the tuple space's.
+are plain tuples (y, z) and all index arithmetic is the tuple space's.  The
+algebra works on the rows' integer numerators, with one lcm of the row
+denominators per result row and the one gcd that `Dist` reduces by.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import math
+from typing import Callable, Sequence
 
 from .errors import DomainError
 from .measure import Dist, TupleSpace, product_dist, pushforward_dist
@@ -25,16 +29,24 @@ def _same_space(a, b) -> bool:
     return a is b or a == b
 
 
-def _mix(target, weighted_rows: Iterable) -> Dist:
-    """Mixture sum(w * row) of distributions on target; weights sum to 1."""
-    acc: dict = {}
-    for w, row in weighted_rows:
+def _mix(target, d: Dist, rows: Sequence[Dist]) -> Dist:
+    """Mixture sum(w_i * rows[i]) over the weights w_i of d, on target.
+
+    With d's weights n_i / D and row i's m_ij / E_i, the mixture has
+    denominator D * L for L = lcm(E_i), and numerator at j the sum of
+    n_i * (L / E_i) * m_ij: one lcm for the row, all else integer.
+    """
+    parts = [(n, rows[i]) for i, n in d._numerators]
+    for _, row in parts:
         if not _same_space(row.space, target):
             raise DomainError("mixture component lives on a different space")
-        for i, v in row.support():
-            mass = w * v
-            acc[i] = acc[i] + mass if i in acc else mass
-    return Dist.from_support(target, acc.items())
+    common = math.lcm(*(row._denom for _, row in parts))
+    acc: dict = {}
+    for n, row in parts:
+        scale = n * (common // row._denom)
+        for j, m in row._numerators:
+            acc[j] = acc[j] + scale * m if j in acc else scale * m
+    return Dist._from_numerators(target, d._denom * common, sorted(acc.items()))
 
 
 class Kernel:
@@ -116,10 +128,7 @@ def comp_kernel(first: Kernel, second: Kernel) -> Kernel:
     """
     if not _same_space(first.target, second.source):
         raise DomainError("composition: first.target differs from second.source")
-    rows = [
-        _mix(second.target, ((w, second.row_at(i)) for i, w in row.support()))
-        for row in first.rows
-    ]
+    rows = [_mix(second.target, row, second.rows) for row in first.rows]
     return Kernel(first.source, second.target, rows)
 
 
@@ -127,7 +136,7 @@ def comp_measure(d: Dist, k: Kernel) -> Dist:
     """Law of the kernel's output when the input is drawn from d."""
     if not _same_space(d.space, k.source):
         raise DomainError("bind: distribution space differs from kernel source")
-    return _mix(k.target, ((w, k.row_at(i)) for i, w in d.support()))
+    return _mix(k.target, d, k.rows)
 
 
 def prod_kernel(k: Kernel, l: Kernel) -> Kernel:
@@ -154,10 +163,22 @@ def comp_prod_measure(d: Dist, k: Kernel) -> Dist:
     """Joint law of (x, y) with x ~ d and y ~ k(x), on the pair space."""
     if not _same_space(d.space, k.source):
         raise DomainError("coupling: distribution space differs from kernel source")
-    target = TupleSpace([d.space, k.target])
+    return _couple(d, k, TupleSpace([d.space, k.target]))
+
+
+def _couple(d: Dist, k: Kernel, target) -> Dist:
+    """Joint law of (x, y), x ~ d and y ~ k(x), on a space indexed x*|Y| + y.
+
+    That is the pair space, and also the prefix space one depth deeper when
+    d is a prefix law and k the step that appends y.  The entries come out
+    sorted and distinct, since x * |Y| + y increases with (x, y).
+    """
     y_size = k.target.size
+    rows = [(x, n, k.rows[x]) for x, n in d._numerators]
+    common = math.lcm(*(row._denom for _, _, row in rows))
     items = []
-    for x_index, wx in d.support():
-        for y_index, wy in k.row_at(x_index).support():
-            items.append((x_index * y_size + y_index, wx * wy))
-    return Dist.from_support(target, items)
+    for x, n, row in rows:
+        base = x * y_size
+        scale = n * (common // row._denom)
+        items.extend([(base + y, scale * m) for y, m in row._numerators])
+    return Dist._from_numerators(target, d._denom * common, items)

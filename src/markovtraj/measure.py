@@ -7,20 +7,23 @@ Implements:
   * SubsetOf: a finite set of points of a space, held as enumeration
     indices.
   * Dist: a probability distribution that stores only its support, as
-    (index, exact rational weight) pairs, with point mass, set mass,
-    integration, push-forward and finite products.
+    (index, integer numerator) pairs over one common denominator, with
+    point mass, set mass, integration, push-forward and finite products.
+  * labels_at / dist_lines: the text of many points of a space by index,
+    sharing the text of common prefixes, and of a distribution's entries.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share between threads.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError
-from .rational import ONE, ZERO, Rat
+from .rational import ZERO, Rat, format_ratio, ratio_of, sum_of_ratios
 
 
 class FiniteSpace:
@@ -91,10 +94,12 @@ class TupleSpace:
     space whose sole point is the empty tuple.
     """
 
-    __slots__ = ("components", "_strides", "_size", "_points")
+    __slots__ = ("components", "_strides", "_size", "_points", "_digits", "_leaves")
 
     def __init__(self, components: Sequence):
         self.components = tuple(components)
+        # (size, index_of) per coordinate, for the Horner loop of index_of.
+        self._digits = tuple((comp.size, comp.index_of) for comp in self.components)
         strides = []
         size = 1
         for comp in reversed(self.components):
@@ -103,6 +108,7 @@ class TupleSpace:
         self._strides = tuple(reversed(strides))
         self._size = size
         self._points = None
+        self._leaves = None
 
     @property
     def size(self) -> int:
@@ -118,10 +124,10 @@ class TupleSpace:
     def index_of(self, point) -> int:
         if not isinstance(point, tuple) or len(point) != len(self.components):
             raise DomainError(f"{point!r} is not a point of {self!r}")
-        return sum(
-            comp.index_of(coord) * stride
-            for comp, coord, stride in zip(self.components, point, self._strides)
-        )
+        index = 0
+        for (size, index_in), coord in zip(self._digits, point):
+            index = index * size + index_in(coord)
+        return index
 
     def point_at(self, index: int) -> tuple:
         if self._points is not None:
@@ -136,6 +142,23 @@ class TupleSpace:
         return "|".join(
             comp.format_point(coord) for comp, coord in zip(self.components, point)
         )
+
+    def _leaf_labels(self) -> tuple:
+        """The label list of each leaf coordinate, nested tuple spaces flattened.
+
+        Both the enumeration and the text of a point join its coordinates
+        left to right, so a nested tuple space reads as the flat product of
+        its leaves; an empty tuple space is a leaf with the one label "".
+        """
+        if self._leaves is None:
+            leaves = []
+            for comp in self.components:
+                if isinstance(comp, TupleSpace) and comp.components:
+                    leaves.extend(comp._leaf_labels())
+                else:
+                    leaves.append(tuple(comp.format_point(p) for p in comp.points()))
+            self._leaves = tuple(leaves)
+        return self._leaves
 
     def __contains__(self, point) -> bool:
         try:
@@ -200,15 +223,20 @@ class SubsetOf:
 class Dist:
     """Probability distribution over an enumerated space.
 
-    Only the nonzero weights are stored, as a sorted list of (index, exact
-    rational weight) pairs, which is what all the algebra iterates over; an
-    index outside that list has weight 0.  So a distribution costs memory in
-    its support, not in its space, and one concentrated on few points stays
-    cheap even when the ambient space is huge.  Weights must be nonnegative
-    and sum to exactly 1.
+    Only the nonzero weights are stored, as one common denominator and a
+    sorted tuple of (index, integer numerator) pairs, which is what all the
+    algebra iterates over; an index outside that tuple has weight 0.  The
+    pairs are reduced so that the denominator and the numerators have gcd 1,
+    so equal laws have equal storage and `==` is a tuple compare.  A
+    distribution costs memory in its support, not in its space, and one
+    concentrated on few points stays cheap even when the ambient space is
+    huge.  Weights must be nonnegative and sum to exactly 1, that is, the
+    numerators sum to the denominator.  `support`, `weight_at`, `mass` and
+    `integrate` hand out `Fraction`s; the (index, weight) pairs of
+    `support` are built on first use and kept.
     """
 
-    __slots__ = ("space", "_support", "_lookup", "_cumulative")
+    __slots__ = ("space", "_denom", "_numerators", "_support", "_lookup", "_cumulative")
 
     def __init__(self, space, weights: Iterable):
         """Build from a dense weight sequence aligned with the enumeration."""
@@ -217,10 +245,9 @@ class Dist:
             raise DomainError(
                 f"expected {space.size} weights for {space!r}, got {len(weights)}"
             )
-        for i, w in enumerate(weights):
-            if w < 0:
-                raise DomainError(f"negative weight {w} at index {i}")
-        self._set(space, [(i, w) for i, w in enumerate(weights) if w])
+        self._set(space, *over_common_denominator(
+            (i, w.numerator, w.denominator) for i, w in enumerate(weights)
+        ))
 
     @classmethod
     def from_support(cls, space, items: Iterable) -> "Dist":
@@ -230,7 +257,7 @@ class Dist:
         space is allocated, so the space may be far larger than the support.
         """
         size = space.size
-        support = []
+        entries = []
         previous = None
         for i, w in sorted(items):
             if not 0 <= i < size:
@@ -238,111 +265,192 @@ class Dist:
             if i == previous:
                 raise DomainError(f"index {i} given twice")
             previous = i
-            if w < 0:
-                raise DomainError(f"negative weight {w} at index {i}")
-            if w:
-                support.append((i, w))
+            entries.append((i, *ratio_of(w)))
+        return cls._from_numerators(space, *over_common_denominator(entries))
+
+    @classmethod
+    def _from_numerators(cls, space, denom: int, numerators) -> "Dist":
+        """The internal constructor: weights numerators[k][1] / denom.
+
+        The (index, numerator) pairs must be sorted by index, distinct, in
+        range and positive, as the callers in this package build them.
+        """
         self = object.__new__(cls)
-        self._set(space, support)
+        self._set(space, denom, numerators)
         return self
 
-    def _set(self, space, support: list) -> None:
-        # Sum to exactly 1, checked over the common denominator in plain
-        # integers, which skips the gcd that every Fraction addition runs.
-        denom = math.lcm(*(w.denominator for _, w in support))
-        if sum(w.numerator * (denom // w.denominator) for _, w in support) != denom:
-            total = sum((w for _, w in support), ZERO)
-            raise DomainError(f"weights sum to {total}, expected 1")
+    def _set(self, space, denom: int, numerators) -> None:
+        # Every constructor ends here: check the sum, then reduce.
+        numerators = tuple(numerators)
+        values = [n for _, n in numerators]
+        total = sum(values)
+        if total != denom:
+            raise DomainError(f"weights sum to {Rat(total, denom)}, expected 1")
+        g = math.gcd(*values)
+        if g > 1:
+            denom //= g
+            numerators = tuple((i, n // g) for i, n in numerators)
         self.space = space
-        self._support = tuple(support)
+        self._denom = denom
+        self._numerators = numerators
+        self._support = None
         self._lookup = None
         self._cumulative = None
 
     def support(self) -> tuple:
         """Nonzero (index, weight) pairs in enumeration order."""
+        if self._support is None:
+            denom = self._denom
+            self._support = tuple((i, Rat(n, denom)) for i, n in self._numerators)
         return self._support
 
     def weight_at(self, point) -> Rat:
         """Weight of a point of the space; 0 off the support."""
         if self._lookup is None:
-            self._lookup = dict(self._support)
-        return self._lookup.get(self.space.index_of(point), ZERO)
+            self._lookup = dict(self._numerators)
+        n = self._lookup.get(self.space.index_of(point))
+        return ZERO if n is None else Rat(n, self._denom)
 
     def mass(self, subset: SubsetOf) -> Rat:
         """Total weight of a subset of this distribution's space."""
         if subset.space != self.space:
             raise DomainError("subset lives on a different space")
         indices = subset.indices
-        return sum((w for i, w in self._support if i in indices), ZERO)
+        return Rat(sum(n for i, n in self._numerators if i in indices), self._denom)
 
     def integrate(self, f: Callable) -> Rat:
         """Sum of f(state) * weight(state); f must be nonnegative rational."""
-        total = ZERO
-        for i, w in self._support:
-            value = f(self.space.point_at(i))
-            if value < 0:
+        return self._integral(f, signed=False)
+
+    def _integral(self, f: Callable, *, signed: bool) -> Rat:
+        # The products f * numerator are summed in integers, one slot per
+        # denominator of f's values, and divided once at the end.
+        point_at = self.space.point_at
+        by_denom: dict = {}
+        for i, n in self._numerators:
+            value = f(point_at(i))
+            p, q = ratio_of(value)
+            if p < 0 and not signed:
                 raise DomainError(f"integrand is negative ({value}) on a state")
-            total += Rat(value) * w
-        return total
+            by_denom[q] = by_denom.get(q, 0) + p * n
+        return sum_of_ratios(by_denom, self._denom)
 
     def sample(self, rng):
         """Draw one point; exact, and deterministic given the rng state.
 
-        Weights are scaled to a common integer denominator and a uniform
-        integer below it is drawn, so every state is hit with exactly its
-        rational probability.
+        A uniform integer below the common denominator is drawn and looked
+        up among the cumulative numerators, so every state is hit with
+        exactly its rational probability.
         """
         if self._cumulative is None:
-            denom = math.lcm(*(w.denominator for _, w in self._support))
-            acc = 0
-            cumulative = []
-            for i, w in self._support:
-                acc += w.numerator * (denom // w.denominator)
-                cumulative.append((acc, i))
-            self._cumulative = (denom, tuple(cumulative))
-        denom, cumulative = self._cumulative
-        draw = rng.randrange(denom)
-        for acc, i in cumulative:
-            if draw < acc:
-                return self.space.point_at(i)
-        raise AssertionError("cumulative weights did not reach the total")
+            self._cumulative = tuple(
+                itertools.accumulate(n for _, n in self._numerators)
+            )
+        draw = rng.randrange(self._denom)
+        k = bisect.bisect_right(self._cumulative, draw)
+        return self.space.point_at(self._numerators[k][0])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Dist)
             and self.space == other.space
-            and self._support == other._support
+            and self._denom == other._denom
+            and self._numerators == other._numerators
         )
 
     def __hash__(self) -> int:
-        return hash(("Dist", self.space, self._support))
+        return hash(("Dist", self.space, self._denom, self._numerators))
 
     def __repr__(self) -> str:
-        entries = ", ".join(
-            f"{self.space.format_point(self.space.point_at(i))}:{w}"
-            for i, w in self._support
-        )
-        return f"Dist({entries})"
+        return f"Dist({', '.join(dist_lines(self, ':'))})"
+
+
+def over_common_denominator(entries: Iterable) -> tuple:
+    """(denominator, ((index, numerator), ...)) of (index, p, q) entries.
+
+    The entries must be sorted by index; a negative weight is an error and
+    zero weights are dropped.  The result is not reduced (see Dist._set).
+    """
+    entries = list(entries)
+    for i, p, q in entries:
+        if p < 0:
+            raise DomainError(f"negative weight {Rat(p, q)} at index {i}")
+    denom = math.lcm(*(q for _, p, q in entries if p))
+    return denom, [(i, p * (denom // q)) for i, p, q in entries if p]
+
+
+def dist_lines(d, sep: str):
+    """Each support entry of d as `label<sep>weight`, in enumeration order.
+
+    Weights are written from the integer numerators, labels by `labels_at`;
+    this is the one renderer of distributions, for `repr`, the CLI and the
+    canonical forms of `report`.
+    """
+    denom = d._denom
+    numerators = d._numerators
+    labels = labels_at(d.space, (i for i, _ in numerators))
+    return (
+        f"{label}{sep}{format_ratio(n, denom)}"
+        for label, (_, n) in zip(labels, numerators)
+    )
+
+
+def labels_at(space, indices: Iterable[int]):
+    """`space.format_point(space.point_at(i))` for each of increasing indices.
+
+    A tuple space is rendered leaf by leaf (see TupleSpace._leaf_labels).
+    The labels of the current point's prefixes are kept on a stack,
+    label(i * |X| + s) = label(i) + "|" + label(s), so consecutive indices
+    that share a prefix reuse its text instead of re-deriving every
+    coordinate.
+    """
+    if not isinstance(space, TupleSpace) or not space.components:
+        for i in indices:
+            yield space.format_point(space.point_at(i))
+        return
+    names = space._leaf_labels()
+    last = len(names) - 1
+    # blocks[k]: how many indices share one value of coordinates 0..k.
+    blocks = [1] * len(names)
+    for k in range(last - 1, -1, -1):
+        blocks[k] = blocks[k + 1] * len(names[k + 1])
+    stack = [""] * len(names)
+    previous = None
+    for index in indices:
+        # Deepest coordinate k whose prefix 0..k-1 the previous index shares.
+        k = 0
+        if previous is not None:
+            k = last
+            while k > 0 and index // blocks[k - 1] != previous // blocks[k - 1]:
+                k -= 1
+        head = stack[k - 1] + "|" if k else ""
+        for j in range(k, last + 1):
+            leaf = names[j]
+            head += leaf[index // blocks[j] % len(leaf)]
+            stack[j] = head
+            head += "|"
+        previous = index
+        yield stack[last]
 
 
 def dirac(space, point) -> Dist:
     """Unit mass at a single point."""
-    return Dist.from_support(space, [(space.index_of(point), ONE)])
+    return Dist._from_numerators(space, 1, ((space.index_of(point), 1),))
 
 
 def uniform(space) -> Dist:
     """Equal mass on every point of the space."""
-    w = Rat(1, space.size)
-    return Dist.from_support(space, [(i, w) for i in range(space.size)])
+    return Dist._from_numerators(space, space.size, [(i, 1) for i in range(space.size)])
 
 
 def pushforward_dist(d: Dist, f: Callable, target) -> Dist:
     """Image of d under a total map f into the target space."""
+    point_at = d.space.point_at
     acc: dict = {}
-    for i, w in d.support():
-        j = target.index_of(f(d.space.point_at(i)))
-        acc[j] = acc.get(j, ZERO) + w
-    return Dist.from_support(target, acc.items())
+    for i, n in d._numerators:
+        j = target.index_of(f(point_at(i)))
+        acc[j] = acc.get(j, 0) + n
+    return Dist._from_numerators(target, d._denom, sorted(acc.items()))
 
 
 def product_dist(dists: Sequence[Dist]) -> Dist:
@@ -356,11 +464,16 @@ def product_dist(dists: Sequence[Dist]) -> Dist:
         raise DomainError("product of zero distributions is not defined")
     target = TupleSpace([d.space for d in dists])
     strides = target._strides
+    denom = 1
+    for d in dists:
+        denom *= d._denom
     items = []
-    for combo in itertools.product(*(d.support() for d in dists)):
-        index = sum(i * stride for (i, _), stride in zip(combo, strides))
-        weight = ONE
-        for _, w in combo:
-            weight *= w
+    # Leftmost factor most significant, so the indices come out increasing.
+    for combo in itertools.product(*(d._numerators for d in dists)):
+        index = 0
+        weight = 1
+        for (i, n), stride in zip(combo, strides):
+            index += i * stride
+            weight *= n
         items.append((index, weight))
-    return Dist.from_support(target, items)
+    return Dist._from_numerators(target, denom, items)

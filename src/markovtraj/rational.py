@@ -1,11 +1,14 @@
 """Exact rational scalars and their text form.
 
-Every probability in this package is a `fractions.Fraction`; nothing is ever
-rounded, so identities can be tested as literal equality.  The wire format is
-"p/q" with gcd(p, q) = 1 and q > 0; integers may drop the "/1".
+Every probability this package returns is a `fractions.Fraction`; nothing is
+ever rounded, so identities can be tested as literal equality.  Inside,
+hot loops carry integer numerators over one common denominator and build a
+`Fraction` only for the value they hand out.  The wire format is "p/q" with
+gcd(p, q) = 1 and q > 0; integers may drop the "/1".
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -19,8 +22,8 @@ ONE = Rat(1)
 _LITERAL = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
 
-def parse_rational(text: str) -> Rat:
-    """Parse "p/q" or "p" into an exact rational.
+def parse_ratio(text: str) -> tuple:
+    """Parse "p/q" or "p" into the integers (p, q), not reduced.
 
     Raises ValueError on anything else: decimals, empty strings, zero
     denominators, stray characters.
@@ -28,9 +31,43 @@ def parse_rational(text: str) -> Rat:
     text = text.strip()
     if not _LITERAL.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Rat(text)
+    num, _, den = text.partition("/")
+    return int(num), int(den or 1)
+
+
+def parse_rational(text: str) -> Rat:
+    """Parse "p/q" or "p" into an exact rational (see parse_ratio)."""
+    return Rat(*parse_ratio(text))
+
+
+def ratio_of(value) -> tuple:
+    """(numerator, denominator) of an exact rational value."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is not Fraction:
+        value = Rat(value)
+    return value.numerator, value.denominator
+
+
+def sum_of_ratios(by_denominator: dict, scale: int = 1) -> Rat:
+    """sum(p / q for q, p in by_denominator.items()) / scale, as one Fraction.
+
+    Callers add integer numerators into one slot per denominator, so a sum
+    of many terms costs one lcm and one gcd instead of one per term.
+    """
+    common = math.lcm(*by_denominator)
+    total = sum(p * (common // q) for q, p in by_denominator.items())
+    return Rat(total, common * scale)
+
+
+def format_ratio(numerator: int, denominator: int) -> str:
+    """Render numerator/denominator (denominator > 0) as "p/q", or "p"."""
+    g = math.gcd(numerator, denominator)
+    if g == denominator:
+        return str(numerator // g)
+    return f"{numerator // g}/{denominator // g}"
 
 
 def format_rational(value) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
-    return str(Rat(value))
+    return str(value)

@@ -20,6 +20,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Mapping
 
+from .measure import dist_lines, labels_at
 from .rational import format_rational
 
 
@@ -28,32 +29,35 @@ def fingerprint(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-def canonical_dist(d) -> str:
-    space = d.space
-    entries = (
-        f"{space.format_point(space.point_at(i))}={format_rational(w)}"
-        for i, w in d.support()
+def table_lines(space, table: Mapping, sep: str):
+    """Each entry of a {point: rational} table as `label<sep>value`.
+
+    Entries come in enumeration order; this renders `condexp` output and
+    the canonical form of tables.
+    """
+    points = space.points()
+    present = [i for i, p in enumerate(points) if p in table]
+    return (
+        f"{label}{sep}{format_rational(table[points[i]])}"
+        for label, i in zip(labels_at(space, present), present)
     )
-    return " ".join(entries)
+
+
+def canonical_dist(d) -> str:
+    return " ".join(dist_lines(d, "="))
 
 
 def canonical_kernel(k) -> str:
-    source = k.source
     rows = (
-        f"{source.format_point(source.point_at(i))}:{canonical_dist(row)}"
-        for i, row in enumerate(k.rows)
+        f"{label}:{canonical_dist(row)}"
+        for label, row in zip(labels_at(k.source, range(k.source.size)), k.rows)
     )
     return "; ".join(rows)
 
 
 def canonical_table(space, table: Mapping) -> str:
     """Canonical form of a {point: rational} table, in enumeration order."""
-    entries = (
-        f"{space.format_point(p)}={format_rational(table[p])}"
-        for p in space.points()
-        if p in table
-    )
-    return " ".join(entries)
+    return " ".join(table_lines(space, table, "="))
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, InvariantError, PreconditionError
-from .kernel import Kernel
+from .kernel import Kernel, _couple
 from .measure import Dist, SubsetOf, TupleSpace
-from .rational import ONE, ZERO, Rat
+from .rational import Rat, ratio_of, sum_of_ratios
 
 
 class ChainModel:
@@ -102,7 +102,8 @@ class ChainModel:
         index of the prefix's block, index // (|P_a| / |P_b|); otherwise it
         is the (a, b-1) row extended through steps[b-1]: appending state s
         to prefix i gives prefix i * |X_b| + s, with weight the (a, b-1)
-        row's weight at i times the step row's weight at s.  Only the rows
+        row's weight at i times the step row's weight at s, multiplied as
+        integer numerators over one common denominator.  Only the rows
         from this one prefix are built, each memoized.
         """
         key = (a, b, index)
@@ -114,7 +115,7 @@ class ChainModel:
         if not 0 <= index < source.size:
             raise DomainError(f"prefix index {index} out of range for depth {a}")
         if b <= a:
-            row = Dist.from_support(target, [(index // (source.size // target.size), ONE)])
+            row = Dist._from_numerators(target, 1, ((index // (source.size // target.size), 1),))
             self._rows[key] = row
             return row
         # Step forward from the deepest row already built from this prefix
@@ -126,15 +127,7 @@ class ChainModel:
             depth -= 1
         row = self.partial_row(a, depth, index)
         for n in range(depth, b):
-            # i * width + s is increasing in (i, s), so the entries come
-            # out sorted and distinct.
-            width = self.spaces[n + 1].size
-            step_rows = self.steps[n].rows
-            row = Dist.from_support(self.prefix_space(n + 1), [
-                (i * width + s, w * v)
-                for i, w in row.support()
-                for s, v in step_rows[i].support()
-            ])
+            row = _couple(row, self.steps[n], self.prefix_space(n + 1))
             self._rows[(a, n + 1, index)] = row
         return row
 
@@ -200,11 +193,16 @@ def sample_trajectory(model: ChainModel, prefix, rng) -> tuple:
     Exact: each state is drawn with its rational probability.  The result
     is a pure function of the rng state, which is advanced in place.
     """
-    depth = len(prefix) - 1
-    p = model.check_prefix(prefix, depth)
-    for n in range(depth, model.max_depth):
-        p = p + (model.steps[n].row(p).sample(rng),)
-    return p
+    prefix = tuple(prefix)
+    index = model.prefix_space(len(prefix) - 1).index_of(prefix)
+    states = list(prefix)
+    for n in range(len(prefix) - 1, model.max_depth):
+        # Appending state s to prefix `index` gives index * |X_{n+1}| + s.
+        row = model.steps[n].rows[index]
+        state = row.sample(rng)
+        states.append(state)
+        index = index * row.space.size + row.space.index_of(state)
+    return tuple(states)
 
 
 # ---- cylinders ----
@@ -385,14 +383,10 @@ def cond_exp(model: ChainModel, b: int, f) -> dict:
     """
     fn = _as_fn(f)
     kern = model.partial_traj(b, model.max_depth)
-    space_d = model.prefix_space(model.max_depth)
-    table = {}
-    for i, p in enumerate(model.prefix_space(b).points()):
-        total = ZERO
-        for j, w in kern.row_at(i).support():
-            total += w * Rat(fn(space_d.point_at(j)))
-        table[p] = total
-    return table
+    return {
+        p: kern.row_at(i)._integral(fn, signed=True)
+        for i, p in enumerate(model.prefix_space(b).points())
+    }
 
 
 def cond_exp_sides(model: ChainModel, a: int, prefix, b: int, f, table) -> tuple:
@@ -412,18 +406,22 @@ def cond_exp_sides(model: ChainModel, a: int, prefix, b: int, f, table) -> tuple
     space_d = model.prefix_space(model.max_depth)
     space_b = model.prefix_space(b)
     ratio = space_d.size // space_b.size
+    # Integer numerators over law's denominator, one slot per denominator
+    # of f's values, per block.
     f_mass: dict = {}
     mass: dict = {}
-    for j, w in law.support():
+    for j, n in law._numerators:
         block = j // ratio  # index of the depth-b restriction
-        f_mass[block] = f_mass.get(block, ZERO) + w * Rat(fn(space_d.point_at(j)))
-        mass[block] = mass.get(block, ZERO) + w
+        num, q = ratio_of(fn(space_d.point_at(j)))
+        sums = f_mass.setdefault(block, {})
+        sums[q] = sums.get(q, 0) + num * n
+        mass[block] = mass.get(block, 0) + n
     lhs: dict = {}
     rhs: dict = {}
     for i, m in mass.items():
         p = space_b.point_at(i)
-        lhs[p] = f_mass[i]
-        rhs[p] = m * table[p]
+        lhs[p] = sum_of_ratios(f_mass[i], law._denom)
+        rhs[p] = Rat(m, law._denom) * table[p]
     return lhs, rhs
 
 
@@ -436,33 +434,31 @@ def check_cond_exp(model: ChainModel, a: int, prefix, b: int, f) -> bool:
 def traj_split_sides(model: ChainModel, a: int, b: int) -> tuple:
     """Both sides of the split of the trajectory law at depth b.
 
-    Row u of a side is the joint law of (depth-b prefix, full trajectory)
-    from depth-a prefix u, as sorted (index, weight) entries of the pair
-    space, where the pair (i, j) has index i * |P_D| + j.  The left side
-    draws the depth-b prefix from the (a, b) kernel and continues it with
-    the (b, D) kernel; the right side draws the full trajectory from the
-    (a, D) kernel and pairs it with its restriction.  Rows stay support
-    lists because the pair space is far larger than any row's support.
+    Each side is a kernel from depth-a prefixes to the pair space of
+    (depth-b prefix, full trajectory), where the pair (i, j) has index
+    i * |P_D| + j.  The left side draws the depth-b prefix from the (a, b)
+    kernel and continues it with the (b, D) kernel; the right side draws
+    the full trajectory from the (a, D) kernel and pairs it with its
+    restriction.  Rows store only their support, so the size of the pair
+    space costs nothing.
     """
     if not 0 <= a <= b <= model.max_depth:
         raise DomainError(f"need 0 <= a <= b <= {model.max_depth}")
     first = model.partial_traj(a, b)
     rest = model.partial_traj(b, model.max_depth)
     whole = model.partial_traj(a, model.max_depth)
+    pairs = TupleSpace([model.prefix_space(b), model.prefix_space(model.max_depth)])
     size_d = model.prefix_space(model.max_depth).size
     ratio = size_d // model.prefix_space(b).size
-    two_stage = []
-    direct = []
-    for u in range(model.prefix_space(a).size):
-        two_stage.append(tuple(
-            (i * size_d + j, w1 * w2)
-            for i, w1 in first.row_at(u).support()
-            for j, w2 in rest.row_at(i).support()
-        ))
-        direct.append(tuple(
-            ((j // ratio) * size_d + j, w) for j, w in whole.row_at(u).support()
-        ))
-    return two_stage, direct
+    two_stage = [_couple(row, rest, pairs) for row in first.rows]
+    direct = [
+        Dist._from_numerators(
+            pairs, row._denom, [((j // ratio) * size_d + j, n) for j, n in row._numerators]
+        )
+        for row in whole.rows
+    ]
+    source = model.prefix_space(a)
+    return Kernel(source, pairs, two_stage), Kernel(source, pairs, direct)
 
 
 def check_traj_split(model: ChainModel, a: int, b: int) -> bool:

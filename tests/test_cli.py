@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import resource
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from markovtraj import Dist
 from markovtraj.cli import main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -79,6 +82,16 @@ def test_sample_is_seed_deterministic(capsys):
     assert sum(int(line.rsplit(" ", 1)[1]) for line in out1.splitlines()) == 200
     _, out3, _ = run(capsys, "sample", "--model", COIN, "--samples", "200", "--seed", "6")
     assert out3 != out1
+
+
+def test_sample_output_is_pinned(capsys):
+    # Sampling walks prefix indices; the draws, and so the counts, are the
+    # ones a walk through whole prefix tuples gives.
+    code, out, _ = run(capsys, "sample", "--model", COIN, "--seed", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "c4822225b05dc5d89d960cb938517455e4384a557dee93e5fbd025e8e32eff07"
+    )
 
 
 def test_sample_needs_a_start_for_chain_files(capsys):
@@ -267,3 +280,48 @@ def test_condexp_tests_membership_without_lifting(capsys, monkeypatch):
     )
     assert code == 0
     assert out == "S|S 3/4\nS|R 1/2\nR|S 3/4\nR|R 1/2\n"
+
+
+def history_table_chain(depth: int) -> dict:
+    """A "table" chain whose step weights depend on the whole prefix: from a
+    depth-n prefix with k S's, S has weight (k+1)/(n+3)."""
+    def label(bits):
+        return "|".join("S" if bit else "R" for bit in bits)
+
+    steps = []
+    for n in range(depth):
+        rows = {}
+        for bits in itertools.product((1, 0), repeat=n + 1):
+            k = sum(bits)
+            rows[label(bits)] = {"S": f"{k + 1}/{n + 3}", "R": f"{n + 2 - k}/{n + 3}"}
+        steps.append({"n": n, "kind": "table", "rows": rows})
+    return {"maxDepth": depth, "spaces": [{"id": "W", "states": ["S", "R"]}], "steps": steps}
+
+
+def test_cold_queries_never_build_the_fraction_support(capsys, monkeypatch, tmp_path):
+    # The CLI reads and prints the integer form; Dist.support, which builds
+    # (index, Fraction) pairs, is for library callers only.
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(history_table_chain(4)))
+    queries = [
+        ("marginal", "--point", "S", "--at", "3"),
+        ("marginal", "--point", "S|R", "--at", "1"),
+        ("content", "--point", "S", "--cylinder", "2=R,3=S"),
+        ("witness", "--point", "S", "--cylinder", "1=S", "--cylinder", "1=S,3=R",
+         "--eps", "1/1000"),
+        ("condexp", "--cylinder", "1=S,3=R", "--at", "2"),
+        ("cylinder", "--cylinder", "1=S,2=R", "--lift", "3"),
+    ]
+    expected = {}
+    for model in (WEATHER, str(table)):
+        for verb, *rest in queries:
+            code, out, _ = run(capsys, verb, "--model", model, *rest)
+            assert code == 0
+            expected[(model, verb, *rest)] = out
+
+    def no_support(self):
+        raise AssertionError("Dist.support called on a CLI query")
+
+    monkeypatch.setattr(Dist, "support", no_support)
+    for (model, verb, *rest), out in expected.items():
+        assert run(capsys, verb, "--model", model, *rest) == (0, out, "")

@@ -16,6 +16,7 @@ from markovtraj import (
     pushforward_dist,
     uniform,
 )
+from markovtraj.measure import labels_at
 
 
 def w_space():
@@ -73,6 +74,27 @@ def test_tuple_space_index_roundtrip(data):
     assert space.index_of(point) == index
     # once the enumeration is built, point_at reads it
     assert space.points()[index] == point == space.point_at(index)
+
+
+@st.composite
+def spaces(draw, depth=0):
+    """A finite space, or a tuple space of them, nested up to two levels."""
+    if depth < 2 and draw(st.booleans()):
+        comps = draw(st.lists(spaces(depth + 1), max_size=3))
+        return TupleSpace(comps)
+    size = draw(st.integers(1, 3))
+    return FiniteSpace(f"X{depth}", [f"s{depth}{j}" for j in range(size)])
+
+
+@given(spaces(), st.data())
+@settings(deadline=None)
+def test_labels_at_matches_format_point(space, data):
+    # Sparse and dense runs of sorted indices, on nested and empty tuple
+    # spaces, render as format_point does point by point.
+    indices = sorted(data.draw(st.sets(st.integers(0, space.size - 1), max_size=40)))
+    assert list(labels_at(space, indices)) == [
+        space.format_point(space.point_at(i)) for i in indices
+    ]
 
 
 def test_empty_tuple_space_is_a_point():

@@ -17,6 +17,7 @@ from markovtraj import (
     TupleSpace,
     check_cond_exp,
     check_traj_split,
+    comp_kernel,
     cond_exp,
     const_chain,
     content_at_depth,
@@ -39,6 +40,7 @@ from conftest import (
     brute_force_content,
     brute_force_prefix_law,
     random_chain,
+    random_dist,
     random_nested_family,
     random_prefix,
     weather_chain,
@@ -111,19 +113,21 @@ def test_advance_kernel_is_the_one_step_partial_traj(weather):
 def test_marginal_builds_one_row_per_depth(monkeypatch):
     # From one prefix, each depth extends the row before it through the step
     # kernel: one Dist per depth, and no rows for prefixes the query never
-    # reaches.
+    # reaches.  Every constructor of Dist (the dense one, from_support and
+    # the internal integer one) stores through Dist._set, so this counts
+    # every Dist built, whichever way.
     depth = 8
     chain = weather_chain(depth)
-    build = Dist.from_support.__func__
+    store = Dist._set
     built = []
 
-    def counted(cls, space, items):
+    def counted(self, space, *args):
         built.append(space)
-        return build(cls, space, items)
+        return store(self, space, *args)
 
-    monkeypatch.setattr(Dist, "from_support", classmethod(counted))
+    monkeypatch.setattr(Dist, "_set", counted)
     law = traj_marginal(chain, 0, ("S",), depth)
-    assert len(built) <= depth + 1
+    assert 1 <= len(built) <= depth + 1
     assert law.space == chain.prefix_space(depth)
 
 
@@ -203,6 +207,79 @@ def test_fast_paths_match_path_enumeration_on_deeper_chains():
     assert time.perf_counter() - start < 60
 
 
+def three_state_chain(rng: random.Random, depth: int) -> ChainModel:
+    """Random chain with three states at every depth."""
+    spaces = [FiniteSpace(f"X{i}", ["a", "b", "c"]) for i in range(depth + 1)]
+    steps = [
+        Kernel(
+            TupleSpace(spaces[: n + 1]),
+            spaces[n + 1],
+            [random_dist(rng, spaces[n + 1]) for _ in range(3 ** (n + 1))],
+        )
+        for n in range(depth)
+    ]
+    return ChainModel(spaces, steps)
+
+
+def test_queries_match_path_enumeration_at_depth_8():
+    # Four random chains of depth 8 (up to 3^9 = 19683 trajectories) and a
+    # three-state chain of depth 6 (2187), against the path-enumeration
+    # oracles.  Budget 60 s; about 1 s on a 2-vCPU VM.
+    start = time.perf_counter()
+    rng = random.Random(8080)
+    chains = [random_chain(rng, depth=8) for _ in range(4)]
+    chains.append(three_state_chain(rng, 6))
+    for chain in chains:
+        depth = chain.max_depth
+        for _ in range(4):
+            a = rng.randint(0, 2)
+            u = random_prefix(rng, chain, a)
+            b = rng.randint(0, depth)
+            law = traj_marginal(chain, a, u, b)
+            assert {law.space.point_at(j): w for j, w in law.support()} == (
+                brute_force_prefix_law(chain, u, b)
+            )
+            coords = rng.sample(range(depth + 1), rng.randint(1, 3))
+            constraints = {
+                i: rng.sample(chain.spaces[i].labels, rng.randint(1, chain.spaces[i].size))
+                for i in coords
+            }
+            cyl = cylinder_from_constraints(chain, constraints)
+            assert cylinder_content(chain, a, u, cyl) == brute_force_content(
+                chain, u, constraints
+            )
+
+        # expectation_table: a nonnegative table on depth-b prefixes.
+        a = rng.randint(0, 2)
+        b = rng.randint(a, depth)
+        f = {p: Rat(rng.randint(0, 9), rng.randint(1, 6)) for p in chain.prefix_space(b).points()}
+        table = expectation_table(chain, a, b, f)
+        for p in chain.prefix_space(a).points():
+            law = brute_force_prefix_law(chain, p, b)
+            assert table[p] == sum((w * f[t] for t, w in law.items()), Rat(0))
+
+        # cond_exp: a signed integrand in [-9, 9] on full trajectories.
+        b = rng.randint(0, depth)
+        g = {
+            t: Rat(rng.randint(-9, 9), rng.randint(1, 6))
+            for t in chain.prefix_space(depth).points()
+        }
+        table = cond_exp(chain, b, g)
+        for p in chain.prefix_space(b).points():
+            law = brute_force_prefix_law(chain, p, depth)
+            assert table[p] == sum((w * g[t] for t, w in law.items()), Rat(0))
+
+        # comp_kernel of two partial-trajectory kernels.
+        a, b, c = sorted(rng.randint(0, depth) for _ in range(3))
+        composed = comp_kernel(chain.partial_traj(a, b), chain.partial_traj(b, c))
+        for i, p in enumerate(chain.prefix_space(a).points()):
+            row = composed.row_at(i)
+            assert {row.space.point_at(j): w for j, w in row.support()} == (
+                brute_force_prefix_law(chain, p, c)
+            )
+    assert time.perf_counter() - start < 60
+
+
 def test_deep_chains_stay_within_the_recursion_limit():
     one = FiniteSpace("X", ["a"])
     chain = const_chain([dirac(one, "a")] * 1500)
@@ -272,6 +349,26 @@ def test_sample_trajectory_deterministic(weather):
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+def _reference_walk(chain: ChainModel, prefix: tuple, rng) -> tuple:
+    """One draw the plain way: the step row of the whole prefix, Dist.sample."""
+    p = tuple(prefix)
+    for n in range(len(p) - 1, chain.max_depth):
+        p = p + (chain.steps[n].row(p).sample(rng),)
+    return p
+
+
+def test_sample_trajectory_matches_a_reference_walk():
+    rng = random.Random(88)
+    chains = [load_model(MODELS / "weather.json").chain, random_chain(rng, depth=8)]
+    for chain in chains:
+        for a in (0, 2):
+            prefix = random_prefix(rng, chain, a)
+            fast, slow = random.Random(a + 5), random.Random(a + 5)
+            draws = [sample_trajectory(chain, prefix, fast) for _ in range(500)]
+            assert draws == [_reference_walk(chain, prefix, slow) for _ in range(500)]
+            assert fast.random() == slow.random()
 
 
 def test_sample_trajectory_avoids_zero_weight_states():

@@ -20,6 +20,7 @@ violated precondition), 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import re
 import sys
@@ -57,7 +58,9 @@ def _parse_cylinder_spec(spec: str) -> dict:
         coord_text, sep, states_text = clause.partition("=")
         if not sep or not coord_text or not states_text:
             raise DomainError(f"bad cylinder clause {clause!r}; want COORD=STATE[|STATE..]")
-        if not re.fullmatch("[0-9]+", coord_text):
+        # Bounded: int() raises ValueError past a few thousand digits, and
+        # 18 digits are far past any depth a model can have.
+        if not re.fullmatch("[0-9]{1,18}", coord_text):
             raise DomainError(f"bad coordinate {coord_text!r} in cylinder spec")
         coord = int(coord_text)
         if coord in constraints:
@@ -103,7 +106,8 @@ def _cmd_cylinder(args) -> int:
     cyl = _one_cylinder(chain, args)
     if args.lift is not None:
         cyl = lift_cylinder(chain, cyl, args.lift)
-    labels = labels_at(cyl.base.space, sorted(cyl.base.indices))
+    base = cyl.base
+    labels = labels_at(base.space, sorted(base.indices))
     sys.stdout.writelines(f"{label}\n" for label in labels)
     return 0
 
@@ -117,6 +121,8 @@ def _cmd_content(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.samples < 0:
+        raise DomainError("--samples must not be negative")
     loaded = _load(args)
     chain = loaded.chain
     rng = random.Random(args.seed)
@@ -177,7 +183,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call."""
     parser = _Parser(
         prog="markovtraj",
         description="Exact trajectory measures of finite-depth Markov chains.",

@@ -94,7 +94,7 @@ class TupleSpace:
     space whose sole point is the empty tuple.
     """
 
-    __slots__ = ("components", "_strides", "_size", "_points", "_digits", "_leaves")
+    __slots__ = ("components", "_strides", "_size", "_points", "_digits", "_leaves", "_halves")
 
     def __init__(self, components: Sequence):
         self.components = tuple(components)
@@ -109,6 +109,7 @@ class TupleSpace:
         self._size = size
         self._points = None
         self._leaves = None
+        self._halves = None
 
     @property
     def size(self) -> int:
@@ -130,13 +131,23 @@ class TupleSpace:
         return index
 
     def point_at(self, index: int) -> tuple:
-        if self._points is not None:
-            return self._points[index]
-        coords = []
-        for comp, stride in zip(self.components, self._strides):
-            sub, index = divmod(index, stride)
-            coords.append(comp.point_at(sub))
-        return tuple(coords)
+        # A point is a head (the leading coordinates) joined to a tail (the
+        # rest).  Both are enumerated once, about sqrt(size) of each when
+        # the components are small, so a point of a huge space costs two
+        # lookups without listing the space.
+        if self._halves is None:
+            cut = len(self.components)
+            tail_size = 1
+            while cut and tail_size * tail_size < self._size:
+                cut -= 1
+                tail_size *= self.components[cut].size
+            self._halves = (
+                tail_size,
+                TupleSpace(self.components[:cut]).points(),
+                TupleSpace(self.components[cut:]).points(),
+            )
+        tail_size, heads, tails = self._halves
+        return heads[index // tail_size] + tails[index % tail_size]
 
     def format_point(self, point) -> str:
         return "|".join(
@@ -319,19 +330,13 @@ class Dist:
         return Rat(sum(n for i, n in self._numerators if i in indices), self._denom)
 
     def integrate(self, f: Callable) -> Rat:
-        """Sum of f(state) * weight(state); f must be nonnegative rational."""
-        return self._integral(f, signed=False)
-
-    def _integral(self, f: Callable, *, signed: bool) -> Rat:
+        """Sum of f(state) * weight(state); f takes rational values of either sign."""
         # The products f * numerator are summed in integers, one slot per
         # denominator of f's values, and divided once at the end.
         point_at = self.space.point_at
         by_denom: dict = {}
         for i, n in self._numerators:
-            value = f(point_at(i))
-            p, q = ratio_of(value)
-            if p < 0 and not signed:
-                raise DomainError(f"integrand is negative ({value}) on a state")
+            p, q = ratio_of(f(point_at(i)))
             by_denom[q] = by_denom.get(q, 0) + p * n
         return sum_of_ratios(by_denom, self._denom)
 

@@ -11,11 +11,15 @@ Implements:
     support it reaches.
   * expectation_table / traj_marginal / sample_trajectory: integration against,
     marginals of, and exact seeded sampling from the trajectory law.
-  * Cylinder: a constraint on finitely many coordinates, stored as a set of
-    prefixes at its depth, with lifting, intersection and disjoint union.
+  * Cylinder: a constraint on finitely many coordinates, stored as a
+    disjoint union of boxes (one allowed state set per constrained
+    coordinate), with lifting, intersection and disjoint union done box by
+    box; the prefixes it allows are enumerated only on request.
   * cylinder_content and extract_witness: the content of a cylinder under
-    the trajectory law, and a greedy construction of a common point for a
-    nested sequence of cylinders whose contents stay above a bound.
+    the trajectory law, read off the memoized rows by the index digits of
+    the constrained coordinates, and a greedy construction of a common
+    point for a nested sequence of cylinders whose contents stay above a
+    bound.
   * cond_exp / check_cond_exp / check_traj_split: conditional
     expectation given the first b coordinates as an explicit table, and
     exact checks of its defining identity and of the two-stage
@@ -30,6 +34,7 @@ contiguous index block.  Several routines below lean on that.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -165,7 +170,7 @@ def _as_fn(f) -> Callable:
 
 
 def expectation_table(model: ChainModel, a: int, b: int, f) -> dict:
-    """Integrate a nonnegative f on depth-b prefixes back to depth a.
+    """Integrate f, rational of either sign, on depth-b prefixes back to depth a.
 
     Returns the table {depth-a prefix: integral of f against the (a, b)
     trajectory kernel started there}.  For a <= b <= c, integrating first
@@ -208,36 +213,160 @@ def sample_trajectory(model: ChainModel, prefix, rng) -> tuple:
 # ---- cylinders ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cylinder:
     """A set of trajectories constrained on coordinates 0..depth.
 
-    Held as the set of allowed depth-`depth` prefixes; a trajectory belongs
-    to the cylinder iff its restriction to that depth is in `base`.
+    Held as a finite union of pairwise-disjoint boxes on `space`, the
+    depth-`depth` prefix space.  A box is a tuple of (coordinate, frozenset
+    of allowed state indices) pairs, coordinates increasing; a coordinate
+    it does not list is unconstrained.  A trajectory belongs to the
+    cylinder iff it lies in one of the boxes.  Every operation works on the
+    boxes, so its cost is the constraints, not the prefix space; `base`,
+    the enumerated set of allowed prefixes, is built only when read.
+    Equality is equality of the trajectory sets.
     """
 
     depth: int
-    base: SubsetOf
+    space: TupleSpace
+    boxes: tuple
 
     def __post_init__(self):
-        if self.depth != len(self.base.space.components) - 1:
-            raise DomainError("cylinder depth does not match its base space")
+        if self.depth != len(self.space.components) - 1:
+            raise DomainError("cylinder depth does not match its prefix space")
+        sizes = [comp.size for comp in self.space.components]
+        for box in self.boxes:
+            for k, allowed in box:
+                if not (0 <= k <= self.depth and allowed
+                        and all(0 <= s < sizes[k] for s in allowed)):
+                    raise DomainError(f"bad box constraint on coordinate {k}")
 
     def __contains__(self, trajectory) -> bool:
-        return trajectory[: self.depth + 1] in self.base
+        comps = self.space.components
+        try:
+            for box in self.boxes:
+                for k, allowed in box:
+                    if comps[k].index_of(trajectory[k]) not in allowed:
+                        break
+                else:
+                    return True
+        except (DomainError, IndexError):
+            pass
+        return False
 
     def __len__(self) -> int:
-        return len(self.base)
+        return _box_count(self.space, self.boxes)
+
+    @property
+    def base(self) -> SubsetOf:
+        """The allowed depth-`depth` prefixes, enumerated box by box."""
+        comps, strides = self.space.components, self.space._strides
+        indices = []
+        for box in self.boxes:
+            allowed = dict(box)
+            digits = [
+                [s * stride for s in sorted(allowed.get(k, range(comp.size)))]
+                for k, (comp, stride) in enumerate(zip(comps, strides))
+            ]
+            indices.extend(map(sum, itertools.product(*digits)))
+        return SubsetOf(self.space, indices)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Cylinder):
+            return NotImplemented
+        if self.depth != other.depth or self.space != other.space:
+            return False
+        # Equal sets: the intersection is as large as each of them.
+        met = _box_meets(self.boxes, other.boxes)
+        return len(self) == len(other) == _box_count(self.space, met)
+
+    def __hash__(self) -> int:
+        return hash(("Cylinder", self.depth, self.space, len(self)))
+
+
+def _box_meet(first: tuple, second: tuple):
+    """Intersection of two boxes, or None when it is empty."""
+    merged = dict(first)
+    for k, allowed in second:
+        if k in merged:
+            allowed = merged[k] & allowed
+            if not allowed:
+                return None
+        merged[k] = allowed
+    return tuple(sorted(merged.items()))
+
+
+def _box_meets(first: Iterable, second: Sequence) -> tuple:
+    """The nonempty pairwise intersections; disjoint if each side is."""
+    return tuple(
+        met for a in first for b in second if (met := _box_meet(a, b)) is not None
+    )
+
+
+def _box_count(space: TupleSpace, boxes: Iterable) -> int:
+    """Number of points of `space` inside the (disjoint) boxes."""
+    comps = space.components
+    total = 0
+    for box in boxes:
+        count = space.size
+        for k, allowed in box:
+            count = count // comps[k].size * len(allowed)
+        total += count
+    return total
+
+
+def _check_cylinder(model: ChainModel, cyl: Cylinder) -> None:
+    if cyl.space != model.prefix_space(cyl.depth):
+        raise DomainError("cylinder lives on a different prefix space")
+
+
+def _box_mass(model: ChainModel, cyl: Cylinder, a: int, index: int, depth: int) -> Rat:
+    """Weight that `partial_row(a, depth, index)` puts inside the cylinder.
+
+    Coordinate k of the index j of a depth-`depth` prefix is
+    j // stride_k % |X_k|.  Coordinates up to a are those of the starting
+    prefix, so each box checks them once on the first index of its block;
+    every other constraint is one pass over the row entries still inside.
+    The boxes are disjoint, so their masses add up.
+    """
+    row = model.partial_row(a, depth, index)
+    space = model.prefix_space(depth)
+    comps, strides = space.components, space._strides
+    first = index * (space.size // model.prefix_space(a).size)
+    total = 0
+    for box in cyl.boxes:
+        entries = row._numerators
+        for k, allowed in box:
+            stride, size = strides[k], comps[k].size
+            if k > a:
+                entries = [e for e in entries if e[0] // stride % size in allowed]
+            elif first // stride % size not in allowed:
+                break
+        else:
+            total += sum(n for _, n in entries)
+    return Rat(total, row._denom)
 
 
 def cylinder(model: ChainModel, depth: int, prefixes: Iterable) -> Cylinder:
-    """Cylinder of all trajectories whose depth-`depth` prefix is listed."""
+    """Cylinder of all trajectories whose depth-`depth` prefix is listed.
+
+    One point box per distinct prefix.
+    """
     space = model.prefix_space(depth)
-    return Cylinder(depth, SubsetOf.from_points(space, map(tuple, prefixes)))
+    comps, strides = space.components, space._strides
+    indices = sorted({space.index_of(tuple(p)) for p in prefixes})
+    boxes = tuple(
+        tuple(
+            (k, frozenset((i // stride % comp.size,)))
+            for k, (comp, stride) in enumerate(zip(comps, strides))
+        )
+        for i in indices
+    )
+    return Cylinder(depth, space, boxes)
 
 
 def cylinder_from_constraints(model: ChainModel, constraints: Mapping[int, Iterable]) -> Cylinder:
-    """Cylinder {x_i in allowed_i for each constrained coordinate i}.
+    """Cylinder {x_i in allowed_i for each constrained coordinate i}: one box.
 
     The cylinder's depth is the largest constrained coordinate.
     """
@@ -246,30 +375,26 @@ def cylinder_from_constraints(model: ChainModel, constraints: Mapping[int, Itera
     depth = max(constraints)
     if min(constraints) < 0 or depth > model.max_depth:
         raise DomainError(f"constrained coordinates must lie in 0..{model.max_depth}")
-    allowed = {}
-    for i, states in constraints.items():
-        allowed[i] = {model.spaces[i].index_of(s) for s in states}
-    space = model.prefix_space(depth)
-    indices = [
-        i
-        for i, p in enumerate(space.points())
-        if all(model.spaces[j].index_of(p[j]) in ok for j, ok in allowed.items())
-    ]
-    return Cylinder(depth, SubsetOf(space, indices))
+    box = tuple(
+        (i, frozenset(model.spaces[i].index_of(s) for s in states))
+        for i, states in sorted(constraints.items())
+    )
+    boxes = (box,) if all(allowed for _, allowed in box) else ()
+    return Cylinder(depth, model.prefix_space(depth), boxes)
 
 
 def lift_cylinder(model: ChainModel, cyl: Cylinder, depth: int) -> Cylinder:
-    """The same set of trajectories, described at a greater depth."""
+    """The same set of trajectories, described at a greater depth.
+
+    The boxes carry over unchanged: coordinates past `cyl.depth` are
+    unconstrained.
+    """
+    _check_cylinder(model, cyl)
     if depth < cyl.depth:
         raise DomainError("cannot lift a cylinder to a smaller depth")
     if depth == cyl.depth:
         return cyl
-    space = model.prefix_space(depth)
-    # Extensions of one prefix form a contiguous block of the lexicographic
-    # enumeration, so lifting is a union of blocks.
-    ratio = space.size // model.prefix_space(cyl.depth).size
-    indices = [i * ratio + t for i in cyl.base.indices for t in range(ratio)]
-    return Cylinder(depth, SubsetOf(space, indices))
+    return Cylinder(depth, model.prefix_space(depth), cyl.boxes)
 
 
 def intersect_cylinders(model: ChainModel, first: Cylinder, second: Cylinder) -> Cylinder:
@@ -277,7 +402,7 @@ def intersect_cylinders(model: ChainModel, first: Cylinder, second: Cylinder) ->
     depth = max(first.depth, second.depth)
     a = lift_cylinder(model, first, depth)
     b = lift_cylinder(model, second, depth)
-    return Cylinder(depth, SubsetOf(a.base.space, a.base.indices & b.base.indices))
+    return Cylinder(depth, a.space, _box_meets(a.boxes, b.boxes))
 
 
 def disjoint_union_cylinders(model: ChainModel, cylinders: Sequence[Cylinder]) -> Cylinder:
@@ -285,13 +410,13 @@ def disjoint_union_cylinders(model: ChainModel, cylinders: Sequence[Cylinder]) -
     if not cylinders:
         raise DomainError("union of zero cylinders is not defined")
     depth = max(c.depth for c in cylinders)
-    lifted = [lift_cylinder(model, c, depth) for c in cylinders]
-    seen: set = set()
-    for c in lifted:
-        if seen & c.base.indices:
+    boxes: list = []
+    for c in cylinders:
+        lifted = lift_cylinder(model, c, depth)
+        if _box_meets(lifted.boxes, boxes):
             raise PreconditionError("cylinders overlap; union would double-count")
-        seen |= c.base.indices
-    return Cylinder(depth, SubsetOf(lifted[0].base.space, seen))
+        boxes.extend(lifted.boxes)
+    return Cylinder(depth, model.prefix_space(depth), tuple(boxes))
 
 
 # ---- cylinder content ----
@@ -302,12 +427,14 @@ def content_at_depth(model: ChainModel, a: int, prefix, cyl: Cylinder, depth: in
 
     Any depth >= max(a, cyl.depth) gives the same value; `cylinder_content`
     uses the smallest one, and this entry point exists so that independence
-    of the choice can be checked exactly.
+    of the choice can be checked exactly.  The memoized depth-`depth` row
+    is summed over the entries inside the boxes (see _box_mass).
     """
     if depth < max(a, cyl.depth):
         raise DomainError("evaluation depth must cover both the prefix and the cylinder")
-    lifted = lift_cylinder(model, cyl, depth)
-    return traj_marginal(model, a, prefix, depth).mass(lifted.base)
+    _check_cylinder(model, cyl)
+    index = model.prefix_space(a).index_of(tuple(prefix))
+    return _box_mass(model, cyl, a, index, depth)
 
 
 def cylinder_content(model: ChainModel, a: int, prefix, cyl: Cylinder) -> Rat:
@@ -341,15 +468,16 @@ def extract_witness(
         raise DomainError("need at least one cylinder")
     prefix = model.check_prefix(prefix, a)
     target_depth = max(a, max(c.depth for c in cylinders))
-    lifted = [lift_cylinder(model, c, target_depth) for c in cylinders]
-    for inner, outer in zip(lifted[1:], lifted):
-        if not inner.base.indices <= outer.base.indices:
+    for inner, outer in zip(cylinders[1:], cylinders):
+        # inner is inside outer iff their intersection is as large as inner.
+        met = intersect_cylinders(model, inner, outer)
+        if len(met) != len(lift_cylinder(model, inner, met.depth)):
             raise PreconditionError("cylinders are not nested")
     for c in cylinders:
         if cylinder_content(model, a, prefix, c) < eps:
             raise PreconditionError(f"a cylinder has content below {eps}")
 
-    innermost = lifted[-1].base
+    innermost = cylinders[-1]
     index = model.prefix_space(a).index_of(prefix)
     for depth in range(a, target_depth):
         # Appending state s to prefix `index` gives prefix index * width + s.
@@ -357,14 +485,14 @@ def extract_witness(
         best_index = None
         best_content = None
         for extended in range(index * width, (index + 1) * width):
-            content = model.partial_row(depth + 1, target_depth, extended).mass(innermost)
+            content = _box_mass(model, innermost, depth + 1, extended, target_depth)
             if best_content is None or content > best_content:
                 best_index = extended
                 best_content = content
         index = best_index
 
-    for c in lifted:
-        if index not in c.base.indices:
+    for c in cylinders:
+        if _box_mass(model, c, target_depth, index, target_depth) != 1:
             raise InvariantError("constructed point escaped a cylinder")
     return model.prefix_space(target_depth).point_at(index)
 
@@ -377,16 +505,9 @@ def cond_exp(model: ChainModel, b: int, f) -> dict:
 
     f assigns a rational of either sign to every full trajectory; the
     returned table maps each depth-b prefix to the mean of f under the chain
-    continued from it.  Unlike `expectation_table`, which integrates
-    nonnegative functions only, a conditional expectation is defined for
-    every integrable f, and on a finite space every f is integrable.
+    continued from it, which is `expectation_table(model, b, D, f)`.
     """
-    fn = _as_fn(f)
-    kern = model.partial_traj(b, model.max_depth)
-    return {
-        p: kern.row_at(i)._integral(fn, signed=True)
-        for i, p in enumerate(model.prefix_space(b).points())
-    }
+    return expectation_table(model, b, model.max_depth, f)
 
 
 def cond_exp_sides(model: ChainModel, a: int, prefix, b: int, f, table) -> tuple:

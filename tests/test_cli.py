@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -8,9 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovtraj import Dist
-from markovtraj.cli import main
+from markovtraj.cli import build_parser, main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -198,10 +202,16 @@ def test_domain_errors_exit_3(capsys):
     )
     assert code == 3
     assert "coordinate" in err
+    code, out, err = run(
+        capsys, "sample", "--model", WEATHER, "--point", "S", "--samples", "-3"
+    )
+    assert (code, out) == (3, "")
+    assert "--samples" in err
 
 
 def test_bad_cylinder_specs(capsys):
-    for spec in ("", "1", "1=", "=S", "1=S,1=R"):
+    # int() refuses a 5000-digit coordinate with ValueError
+    for spec in ("", "1", "1=", "=S", "1=S,1=R", "9" * 5000 + "=S"):
         code, _, _ = run(
             capsys, "content", "--model", WEATHER, "--point", "S", "--cylinder", spec
         )
@@ -222,6 +232,33 @@ def test_usage_errors_exit_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["marginal", "--help"])
     assert exc.value.code == 0
+
+
+def test_main_reuses_one_parser_without_leaking_arguments(capsys, monkeypatch):
+    parser = build_parser()
+    assert build_parser() is parser
+    seen = []
+    parse = parser.parse_args
+
+    def spy(argv=None):
+        seen.append(parse(argv))
+        return seen[-1]
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    assert run(capsys, "cylinder", "--model", WEATHER, "--cylinder", "1=S", "--lift", "1") == (
+        0, "S|S\nR|S\n", ""
+    )
+    # From S: 3/4 * 1/4 + 1/4 * 1/2; the first call's --cylinder 1=S would
+    # make this a second cylinder, a bad request.
+    assert run(capsys, "content", "--model", WEATHER, "--point", "S", "--cylinder", "2=R") == (
+        0, "5/16\n", ""
+    )
+    assert run(capsys, "validate", "--model", WEATHER)[0] == 0
+    first, second, third = seen
+    assert (first.cylinder, first.lift) == (["1=S"], 1)
+    assert second.cylinder == ["2=R"]
+    assert set(vars(second)) == {"verb", "model", "point", "cylinder", "func"}
+    assert set(vars(third)) == {"verb", "model", "func"}
 
 
 def test_missing_model_file_exits_2(capsys, tmp_path):
@@ -325,3 +362,42 @@ def test_cold_queries_never_build_the_fraction_support(capsys, monkeypatch, tmp_
     monkeypatch.setattr(Dist, "support", no_support)
     for (model, verb, *rest), out in expected.items():
         assert run(capsys, verb, "--model", model, *rest) == (0, out, "")
+
+
+def _text_or(pattern):
+    """Arbitrary text, or text shaped like a valid argument."""
+    return st.one_of(st.text(max_size=30), st.from_regex(pattern, fullmatch=True))
+
+
+POINT_TEXT = _text_or(r"[SRQ](\|[SR]){0,3}")
+SPEC_TEXT = _text_or(r"[0-4]=[SRQ](\|[SR])?(,[0-4]=[SR](\|[SR])?){0,2}")
+EPS_TEXT = _text_or(r"-?[0-9]{1,2}(/[0-9]{1,2})?")
+
+
+@given(
+    st.sampled_from(["content", "witness", "condexp", "cylinder"]),
+    POINT_TEXT,
+    st.lists(SPEC_TEXT, min_size=1, max_size=3),
+    EPS_TEXT,
+)
+@settings(max_examples=250, deadline=None)
+def test_argument_parsers_fail_only_with_documented_codes(verb, point, specs, eps):
+    # Values are passed as --opt=value, so text starting with "-" reaches
+    # the parsers too.  A value of the wrong form is a bad request (3),
+    # never a traceback.  Only witness takes several cylinders.
+    if verb != "witness":
+        specs = specs[:1]
+    argv = [verb, "--model", WEATHER, *(f"--cylinder={spec}" for spec in specs)]
+    if verb in ("content", "witness"):
+        argv.append(f"--point={point}")
+    if verb == "witness":
+        argv.append(f"--eps={eps}")
+    if verb == "condexp":
+        argv += ["--at", "1"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code in (0, 3), argv
+    assert code in (0, 1, 2, 3), argv

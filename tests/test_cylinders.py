@@ -1,0 +1,234 @@
+"""Cylinders held as boxes, checked against enumeration and path oracles.
+
+A cylinder is a disjoint union of boxes (one allowed state set per
+constrained coordinate).  Every box operation here is compared with the
+same operation on the enumerated prefix sets (`Cylinder.base`), and every
+content with `conftest.brute_force_content`, which walks the step rows
+path by path.
+"""
+import json
+import os
+import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from markovtraj import (
+    PreconditionError,
+    Rat,
+    content_at_depth,
+    cylinder,
+    cylinder_content,
+    cylinder_from_constraints,
+    disjoint_union_cylinders,
+    extract_witness,
+    intersect_cylinders,
+    lift_cylinder,
+)
+
+from conftest import (
+    brute_force_content,
+    positive_extension,
+    random_chain,
+    random_prefix,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def random_constraints(rng, chain, coords) -> dict:
+    """Random nonempty allowed sets (sometimes every state) on `coords`."""
+    return {
+        k: rng.sample(chain.spaces[k].labels, rng.randint(1, chain.spaces[k].size))
+        for k in coords
+    }
+
+
+def random_coords(rng, chain, a: int) -> list:
+    """One to four coordinates, among them one at or below a or at full depth."""
+    depth = chain.max_depth
+    coords = {rng.randint(0, depth) for _ in range(rng.randint(1, 3))}
+    coords.add(rng.choice([rng.randint(0, a), depth]))
+    return sorted(coords)
+
+
+def enumerated(chain, cyl, depth: int) -> set:
+    """The cylinder's allowed depth-`depth` prefixes, through `base`."""
+    return set(lift_cylinder(chain, cyl, depth).base.points())
+
+
+def random_cylinder(rng, chain):
+    """A constraint box, or a union of point boxes, at a random depth."""
+    if rng.random() < 0.7:
+        return cylinder_from_constraints(
+            chain, random_constraints(rng, chain, random_coords(rng, chain, 0))
+        )
+    depth = rng.randint(0, chain.max_depth)
+    return cylinder(chain, depth, [random_prefix(rng, chain, depth) for _ in range(4)])
+
+
+def test_box_contents_match_path_enumeration():
+    rng = random.Random(7001)
+    checks = 0
+    for depth in (6, 7, 8):
+        for _ in range(2):
+            chain = random_chain(rng, depth=depth)
+            for _ in range(6):
+                a = rng.randint(0, depth)
+                start = random_prefix(rng, chain, a)
+                constraints = random_constraints(rng, chain, random_coords(rng, chain, a))
+                cyl = cylinder_from_constraints(chain, constraints)
+                expected = brute_force_content(
+                    chain, start, {k: set(ok) for k, ok in constraints.items()}
+                )
+                assert cylinder_content(chain, a, start, cyl) == expected
+                at = rng.randint(max(a, cyl.depth), depth)
+                assert content_at_depth(chain, a, start, cyl, at) == expected
+                checks += 1
+    assert checks == 36
+
+
+def test_box_set_operations_match_enumeration():
+    rng = random.Random(7002)
+    for _ in range(30):
+        chain = random_chain(rng, depth=rng.randint(2, 4))
+        first = random_cylinder(rng, chain)
+        second = random_cylinder(rng, chain)
+        depth = max(first.depth, second.depth)
+        points = enumerated(chain, first, depth)
+        assert len(first) == len(first.base)
+
+        met = intersect_cylinders(chain, first, second)
+        assert met.depth == depth
+        assert enumerated(chain, met, depth) == points & enumerated(chain, second, depth)
+        assert len(met) == len(enumerated(chain, met, depth))
+        assert met == intersect_cylinders(chain, second, first)
+        assert first == cylinder(chain, first.depth, first.base.points())
+
+        for _ in range(10):
+            traj = random_prefix(rng, chain, chain.max_depth)
+            assert (traj in first) == (traj[: first.depth + 1] in first.base)
+            assert (traj in met) == (traj in first and traj in second)
+
+        # first splits into its part inside second and the part outside
+        k = second.depth
+        complement = [p for p in chain.prefix_space(k).points() if p not in second.base]
+        outside = intersect_cylinders(chain, first, cylinder(chain, k, complement))
+        union = disjoint_union_cylinders(chain, [met, outside])
+        assert enumerated(chain, union, depth) == points
+        assert union == lift_cylinder(chain, first, depth)
+        if len(first):
+            with pytest.raises(PreconditionError):
+                disjoint_union_cylinders(chain, [first, union])
+
+
+def test_membership_reads_only_the_constrained_coordinates(weather):
+    cyl = cylinder_from_constraints(weather, {1: ["S"], 3: ["R", "S"]})
+    assert ("R", "S", "R", "R") in cyl
+    assert ("R", "R", "R", "R") not in cyl
+    assert ("R", "S") not in cyl  # too short to reach coordinate 3
+    assert ("R", "Q", "R", "R") not in cyl
+    assert len(cyl) == 8
+    empty = cylinder_from_constraints(weather, {1: []})
+    assert len(empty) == 0 and ("S", "S", "S", "S") not in empty
+    assert cylinder_content(weather, 0, ("S",), empty) == 0
+
+
+def test_cylinders_are_equal_when_their_sets_are(weather):
+    sunny = cylinder_from_constraints(weather, {1: ["S"]})
+    points = cylinder(weather, 1, [("R", "S"), ("S", "S")])
+    assert sunny == points and hash(sunny) == hash(points)
+    # same depth and size, other set
+    assert sunny != cylinder_from_constraints(weather, {1: ["R"]})
+    assert sunny != lift_cylinder(weather, sunny, 2)
+
+
+def nested_constraint_family(rng, chain, start) -> list:
+    """Constraint boxes, each adding a coordinate to the one before."""
+    traj = positive_extension(rng, chain, start)
+    coords = sorted(rng.sample(range(chain.max_depth + 1), rng.randint(1, 3)))
+    allowed = {}
+    family = []
+    for k in coords:
+        allowed[k] = {traj[k], rng.choice(chain.spaces[k].labels)}
+        family.append(cylinder_from_constraints(chain, dict(allowed)))
+    return family
+
+
+def test_witness_on_nested_box_families():
+    rng = random.Random(7003)
+    for _ in range(40):
+        chain = random_chain(rng, depth=rng.randint(3, 6))
+        a = rng.randint(0, chain.max_depth)
+        start = random_prefix(rng, chain, a)
+        family = nested_constraint_family(rng, chain, start)
+        if rng.random() < 0.5:
+            # innermost: a union of point boxes inside the last constraint box
+            last = family[-1]
+            depth = max(last.depth, a)
+            inner = {positive_extension(rng, chain, start)[: depth + 1] for _ in range(3)}
+            inner = [p for p in inner if p in last]
+            if inner:
+                family.append(cylinder(chain, depth, inner))
+        contents = [cylinder_content(chain, a, start, c) for c in family]
+        witness = extract_witness(chain, a, start, family, min(contents))
+        assert witness[: a + 1] == start
+        for c in family:
+            assert witness[: c.depth + 1] in c.base
+
+
+def test_nesting_is_checked_against_the_union_of_boxes(weather):
+    # {x_1 = S} is covered by two point boxes together, by neither alone
+    outer = cylinder(weather, 1, [("S", "S"), ("R", "S")])
+    inner = cylinder_from_constraints(weather, {1: ["S"], 2: ["S"]})
+    assert extract_witness(weather, 0, ("S",), [outer, inner], Rat(9, 16)) == ("S", "S", "S")
+    loose = cylinder_from_constraints(weather, {2: ["S"]})
+    with pytest.raises(PreconditionError):
+        extract_witness(weather, 0, ("S",), [outer, loose], Rat(1, 4))
+
+
+DEEP_QUERY = """
+import resource, sys, time
+from markovtraj import cylinder_content, cylinder_from_constraints, load_model
+chain = load_model(sys.argv[1]).chain
+start = time.perf_counter()
+cyl = cylinder_from_constraints(chain, {18: ["S"]})
+value = cylinder_content(chain, 15, ("S",) * 16, cyl)
+elapsed = time.perf_counter() - start
+print(value, elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_deep_content_costs_the_reached_support(tmp_path):
+    # The depth-18 weather chain has 2^19 trajectories; from a depth-15
+    # prefix, {x_18 = S} touches 8 of them.  Enumerating the cylinder took
+    # about 1 s and 149 MB; the box query takes well under a millisecond.
+    # Budget: 10 ms for the query after load and 64 MB peak RSS, in a child
+    # capped at 512 MiB of address space.
+    rows = {"S": {"S": "3/4", "R": "1/4"}, "R": {"S": "1/2", "R": "1/2"}}
+    model = tmp_path / "weather18.json"
+    model.write_text(json.dumps({
+        "maxDepth": 18,
+        "spaces": [{"id": "W", "states": ["S", "R"]}],
+        "steps": [{"n": n, "kind": "last-state", "rows": rows} for n in range(18)],
+    }))
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    child = subprocess.run(
+        [sys.executable, "-c", DEEP_QUERY, str(model)],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    value, elapsed, peak_kb = child.stdout.split()
+    # from S, three steps to S: (11/16) * 3/4 + (5/16) * 1/2
+    assert value == "43/64"
+    assert float(elapsed) < 0.010, elapsed
+    # about 26 MB measured, against 149 MB when the cylinder was enumerated
+    assert int(peak_kb) < 64 << 10, peak_kb

@@ -191,8 +191,10 @@ def test_integrate_frozen_value():
     d = uniform(space)
     # (0 + 1 + 2 + 3) / 4
     assert d.integrate(lambda p: Rat(space.index_of(p))) == Rat(3, 2)
-    with pytest.raises(DomainError):
-        d.integrate(lambda p: -1)
+    # integrands of either sign: (-1 + 0 + 1/2 + 5/3) / 4
+    signed = {"a": -1, "b": 0, "c": Rat(1, 2), "d": Rat(5, 3)}
+    assert d.integrate(signed.__getitem__) == Rat(7, 24)
+    assert d.integrate(lambda p: -1) == -1
 
 
 def test_dirac_and_uniform():

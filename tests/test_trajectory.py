@@ -307,14 +307,18 @@ def test_expectation_table_frozen(weather):
     assert table[("R",)] == Rat(1, 2)
 
 
-def test_expectation_table_accepts_tables_and_rejects_negatives(weather):
+def test_expectation_table_accepts_tables_and_signed_integrands(weather):
     space = weather.prefix_space(1)
     by_point = {p: Rat(space.index_of(p), 4) for p in space.points()}
     assert expectation_table(weather, 0, 1, by_point) == expectation_table(
         weather, 0, 1, lambda p: by_point[p]
     )
-    with pytest.raises(DomainError):
-        expectation_table(weather, 0, 1, lambda p: -1)
+    # from S: 3/4 * (-1) + 1/4 * 2; from R: 1/2 * (-1) + 1/2 * 2
+    signed = lambda p: -1 if p[1] == "S" else 2
+    assert expectation_table(weather, 0, 1, signed) == {
+        ("S",): Rat(-1, 4), ("R",): Rat(1, 2),
+    }
+    assert cond_exp(weather, 0, signed) == expectation_table(weather, 0, 3, signed)
     with pytest.raises(DomainError):
         expectation_table(weather, 1, 0, lambda p: 0)
 
@@ -402,11 +406,19 @@ def test_cylinder_membership(weather):
     assert ("R", "S", "S", "S") not in cyl
 
 
-def test_cylinder_depth_must_match_base():
+def test_cylinder_depth_must_match_its_space():
     w = FiniteSpace("W", ["S", "R"])
-    base = SubsetOf.from_points(TupleSpace([w, w]), [("S", "S")])
+    space = TupleSpace([w, w])
+    point = ((0, frozenset({0})), (1, frozenset({0})))
+    assert Cylinder(1, space, (point,)).base == SubsetOf.from_points(space, [("S", "S")])
     with pytest.raises(DomainError):
-        Cylinder(0, base)
+        Cylinder(0, space, (point,))
+    with pytest.raises(DomainError):
+        Cylinder(2, space, (point,))
+    # boxes must constrain coordinates of the space to nonempty sets of states
+    for box in (((2, frozenset({0})),), ((1, frozenset({2})),), ((1, frozenset()),)):
+        with pytest.raises(DomainError):
+            Cylinder(1, space, (box,))
 
 
 def test_lift_preserves_the_set(weather):

@@ -31,7 +31,7 @@ from .errors import (
     ModelFormatError,
     PreconditionError,
 )
-from .measure import dist_lines, labels_at
+from .measure import dist_lines
 from .model_io import LoadedModel, load_model
 from .rational import format_rational, parse_rational
 from .report import Report, table_lines
@@ -107,8 +107,7 @@ def _cmd_cylinder(args) -> int:
     if args.lift is not None:
         cyl = lift_cylinder(chain, cyl, args.lift)
     base = cyl.base
-    labels = labels_at(base.space, sorted(base.indices))
-    sys.stdout.writelines(f"{label}\n" for label in labels)
+    sys.stdout.writelines(f"{base.space.label_at(i)}\n" for i in sorted(base.indices))
     return 0
 
 
@@ -143,7 +142,7 @@ def _cmd_sample(args) -> int:
         counts[traj] = counts.get(traj, 0) + 1
     space = chain.prefix_space(chain.max_depth)
     for index, traj in sorted((space.index_of(t), t) for t in counts):
-        print(f"{space.format_point(traj)} {counts[traj]}")
+        print(f"{space.label_at(index)} {counts[traj]}")
     return 0
 
 

@@ -8,9 +8,9 @@ Implements:
     indices.
   * Dist: a probability distribution that stores only its support, as
     (index, integer numerator) pairs over one common denominator, with
-    point mass, set mass, integration, push-forward and finite products.
-  * labels_at / dist_lines: the text of many points of a space by index,
-    sharing the text of common prefixes, and of a distribution's entries.
+    point mass, integration, push-forward and finite products.
+  * dist_lines: the text of a distribution's entries, each label read by
+    index from its space (`label_at`).
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share between threads.
@@ -67,6 +67,9 @@ class FiniteSpace:
     def point_at(self, index: int):
         return self.labels[index]
 
+    def label_at(self, index: int) -> str:
+        return str(self.labels[index])
+
     def format_point(self, point) -> str:
         return str(point)
 
@@ -94,12 +97,10 @@ class TupleSpace:
     space whose sole point is the empty tuple.
     """
 
-    __slots__ = ("components", "_strides", "_size", "_points", "_digits", "_leaves", "_halves")
+    __slots__ = ("components", "_strides", "_size", "_points", "_table")
 
     def __init__(self, components: Sequence):
         self.components = tuple(components)
-        # (size, index_of) per coordinate, for the Horner loop of index_of.
-        self._digits = tuple((comp.size, comp.index_of) for comp in self.components)
         strides = []
         size = 1
         for comp in reversed(self.components):
@@ -108,8 +109,7 @@ class TupleSpace:
         self._strides = tuple(reversed(strides))
         self._size = size
         self._points = None
-        self._leaves = None
-        self._halves = None
+        self._table = None
 
     @property
     def size(self) -> int:
@@ -122,54 +122,69 @@ class TupleSpace:
             )
         return self._points
 
-    def index_of(self, point) -> int:
-        if not isinstance(point, tuple) or len(point) != len(self.components):
-            raise DomainError(f"{point!r} is not a point of {self!r}")
-        index = 0
-        for (size, index_in), coord in zip(self._digits, point):
-            index = index * size + index_in(coord)
-        return index
+    def _codec(self) -> tuple:
+        """The codec: (tail size, (heads, tails), (head texts, tail texts),
+        (cut, head index, tail index)).
 
-    def point_at(self, index: int) -> tuple:
-        # A point is a head (the leading coordinates) joined to a tail (the
-        # rest).  Both are enumerated once, about sqrt(size) of each when
-        # the components are small, so a point of a huge space costs two
-        # lookups without listing the space.
-        if self._halves is None:
-            cut = len(self.components)
+        A point is a head (the coordinates before `cut`) joined to a tail
+        (the rest), and its index is the head's position times the tail
+        size plus the tail's position; its text (format_point) is the
+        head's text, with the "|" that joins the halves, then the tail's.
+        Both halves are enumerated once, on first use, about sqrt(size) of
+        each when the components are small, so a conversion on a huge space
+        costs two lookups without listing the space.
+        """
+        if self._table is None:
+            comps = self.components
+            cut = len(comps)
             tail_size = 1
             while cut and tail_size * tail_size < self._size:
                 cut -= 1
-                tail_size *= self.components[cut].size
-            self._halves = (
+                tail_size *= comps[cut].size
+            heads = TupleSpace(comps[:cut]).points()
+            tails = TupleSpace(comps[cut:]).points()
+            texts = [[comp.label_at(i) for i in range(comp.size)] for comp in comps]
+            join = "|" if 0 < cut < len(comps) else ""
+            self._table = (
                 tail_size,
-                TupleSpace(self.components[:cut]).points(),
-                TupleSpace(self.components[cut:]).points(),
+                (heads, tails),
+                (
+                    tuple(
+                        text + join
+                        for text in map("|".join, itertools.product(*texts[:cut]))
+                    ),
+                    tuple(map("|".join, itertools.product(*texts[cut:]))),
+                ),
+                (
+                    cut,
+                    {h: k * tail_size for k, h in enumerate(heads)},
+                    {t: j for j, t in enumerate(tails)},
+                ),
             )
-        tail_size, heads, tails = self._halves
+        return self._table
+
+    def index_of(self, point) -> int:
+        if isinstance(point, tuple) and len(point) == len(self.components):
+            _, _, _, (cut, head_index, tail_index) = self._codec()
+            try:
+                return head_index[point[:cut]] + tail_index[point[cut:]]
+            except (KeyError, TypeError):
+                pass
+        raise DomainError(f"{point!r} is not a point of {self!r}")
+
+    def point_at(self, index: int) -> tuple:
+        tail_size, (heads, tails), _, _ = self._codec()
         return heads[index // tail_size] + tails[index % tail_size]
+
+    def label_at(self, index: int) -> str:
+        """The text of the point numbered `index`: format_point(point_at(index))."""
+        tail_size, _, (head_text, tail_text), _ = self._codec()
+        return head_text[index // tail_size] + tail_text[index % tail_size]
 
     def format_point(self, point) -> str:
         return "|".join(
             comp.format_point(coord) for comp, coord in zip(self.components, point)
         )
-
-    def _leaf_labels(self) -> tuple:
-        """The label list of each leaf coordinate, nested tuple spaces flattened.
-
-        Both the enumeration and the text of a point join its coordinates
-        left to right, so a nested tuple space reads as the flat product of
-        its leaves; an empty tuple space is a leaf with the one label "".
-        """
-        if self._leaves is None:
-            leaves = []
-            for comp in self.components:
-                if isinstance(comp, TupleSpace) and comp.components:
-                    leaves.extend(comp._leaf_labels())
-                else:
-                    leaves.append(tuple(comp.format_point(p) for p in comp.points()))
-            self._leaves = tuple(leaves)
-        return self._leaves
 
     def __contains__(self, point) -> bool:
         try:
@@ -242,7 +257,7 @@ class Dist:
     distribution costs memory in its support, not in its space, and one
     concentrated on few points stays cheap even when the ambient space is
     huge.  Weights must be nonnegative and sum to exactly 1, that is, the
-    numerators sum to the denominator.  `support`, `weight_at`, `mass` and
+    numerators sum to the denominator.  `support`, `weight_at` and
     `integrate` hand out `Fraction`s; the (index, weight) pairs of
     `support` are built on first use and kept.
     """
@@ -322,13 +337,6 @@ class Dist:
         n = self._lookup.get(self.space.index_of(point))
         return ZERO if n is None else Rat(n, self._denom)
 
-    def mass(self, subset: SubsetOf) -> Rat:
-        """Total weight of a subset of this distribution's space."""
-        if subset.space != self.space:
-            raise DomainError("subset lives on a different space")
-        indices = subset.indices
-        return Rat(sum(n for i, n in self._numerators if i in indices), self._denom)
-
     def integrate(self, f: Callable) -> Rat:
         """Sum of f(state) * weight(state); f takes rational values of either sign."""
         # The products f * numerator are summed in integers, one slot per
@@ -387,55 +395,13 @@ def over_common_denominator(entries: Iterable) -> tuple:
 def dist_lines(d, sep: str):
     """Each support entry of d as `label<sep>weight`, in enumeration order.
 
-    Weights are written from the integer numerators, labels by `labels_at`;
-    this is the one renderer of distributions, for `repr`, the CLI and the
-    canonical forms of `report`.
+    Weights are written from the integer numerators, labels by the space's
+    `label_at`; this is the one renderer of distributions, for `repr`, the
+    CLI and the canonical forms of `report`.
     """
+    label_at = d.space.label_at
     denom = d._denom
-    numerators = d._numerators
-    labels = labels_at(d.space, (i for i, _ in numerators))
-    return (
-        f"{label}{sep}{format_ratio(n, denom)}"
-        for label, (_, n) in zip(labels, numerators)
-    )
-
-
-def labels_at(space, indices: Iterable[int]):
-    """`space.format_point(space.point_at(i))` for each of increasing indices.
-
-    A tuple space is rendered leaf by leaf (see TupleSpace._leaf_labels).
-    The labels of the current point's prefixes are kept on a stack,
-    label(i * |X| + s) = label(i) + "|" + label(s), so consecutive indices
-    that share a prefix reuse its text instead of re-deriving every
-    coordinate.
-    """
-    if not isinstance(space, TupleSpace) or not space.components:
-        for i in indices:
-            yield space.format_point(space.point_at(i))
-        return
-    names = space._leaf_labels()
-    last = len(names) - 1
-    # blocks[k]: how many indices share one value of coordinates 0..k.
-    blocks = [1] * len(names)
-    for k in range(last - 1, -1, -1):
-        blocks[k] = blocks[k + 1] * len(names[k + 1])
-    stack = [""] * len(names)
-    previous = None
-    for index in indices:
-        # Deepest coordinate k whose prefix 0..k-1 the previous index shares.
-        k = 0
-        if previous is not None:
-            k = last
-            while k > 0 and index // blocks[k - 1] != previous // blocks[k - 1]:
-                k -= 1
-        head = stack[k - 1] + "|" if k else ""
-        for j in range(k, last + 1):
-            leaf = names[j]
-            head += leaf[index // blocks[j] % len(leaf)]
-            stack[j] = head
-            head += "|"
-        previous = index
-        yield stack[last]
+    return (f"{label_at(i)}{sep}{format_ratio(n, denom)}" for i, n in d._numerators)
 
 
 def dirac(space, point) -> Dist:

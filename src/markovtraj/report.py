@@ -20,7 +20,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Mapping
 
-from .measure import dist_lines, labels_at
+from .measure import dist_lines
 from .rational import format_rational
 
 
@@ -35,11 +35,10 @@ def table_lines(space, table: Mapping, sep: str):
     Entries come in enumeration order; this renders `condexp` output and
     the canonical form of tables.
     """
-    points = space.points()
-    present = [i for i, p in enumerate(points) if p in table]
     return (
-        f"{label}{sep}{format_rational(table[points[i]])}"
-        for label, i in zip(labels_at(space, present), present)
+        f"{space.label_at(i)}{sep}{format_rational(table[p])}"
+        for i, p in enumerate(space.points())
+        if p in table
     )
 
 
@@ -48,10 +47,8 @@ def canonical_dist(d) -> str:
 
 
 def canonical_kernel(k) -> str:
-    rows = (
-        f"{label}:{canonical_dist(row)}"
-        for label, row in zip(labels_at(k.source, range(k.source.size)), k.rows)
-    )
+    label_at = k.source.label_at
+    rows = (f"{label_at(i)}:{canonical_dist(row)}" for i, row in enumerate(k.rows))
     return "; ".join(rows)
 
 

@@ -88,12 +88,6 @@ class ChainModel:
             raise DomainError(f"depth {depth} outside 0..{self.max_depth}")
         return self._prefix_spaces[depth]
 
-    def check_prefix(self, prefix, depth: int) -> tuple:
-        """Validate a prefix of the given depth, returning it as a tuple."""
-        prefix = tuple(prefix)
-        self.prefix_space(depth).index_of(prefix)
-        return prefix
-
     def advance_kernel(self, depth: int) -> Kernel:
         """One-step extension kernel: `partial_traj(depth, depth + 1)`."""
         if not 0 <= depth < self.max_depth:
@@ -466,7 +460,8 @@ def extract_witness(
         raise DomainError("the content bound must be positive")
     if not cylinders:
         raise DomainError("need at least one cylinder")
-    prefix = model.check_prefix(prefix, a)
+    prefix = tuple(prefix)
+    index = model.prefix_space(a).index_of(prefix)
     target_depth = max(a, max(c.depth for c in cylinders))
     for inner, outer in zip(cylinders[1:], cylinders):
         # inner is inside outer iff their intersection is as large as inner.
@@ -478,7 +473,6 @@ def extract_witness(
             raise PreconditionError(f"a cylinder has content below {eps}")
 
     innermost = cylinders[-1]
-    index = model.prefix_space(a).index_of(prefix)
     for depth in range(a, target_depth):
         # Appending state s to prefix `index` gives prefix index * width + s.
         width = model.spaces[depth + 1].size

@@ -98,6 +98,60 @@ def test_sample_output_is_pinned(capsys):
     )
 
 
+def weather_doc(depth: int) -> dict:
+    """The two-state weather chain of models/weather.json, to any depth."""
+    rows = {"S": {"S": "3/4", "R": "1/4"}, "R": {"S": "1/2", "R": "1/2"}}
+    return {
+        "maxDepth": depth,
+        "spaces": [{"id": "W", "states": ["S", "R"]}],
+        "steps": [{"n": n, "kind": "last-state", "rows": rows} for n in range(depth)],
+    }
+
+
+# sha256 of each query's stdout.  drift.json has unequal space sizes; at
+# depth 12 both the head and the tail of a prefix space (see
+# TupleSpace._codec) hold several coordinates.
+PINNED_QUERIES = [
+    ("drift", ("marginal", "--point", "R", "--at", "3"),
+     "a53cf590bbaf283fae357ca894c8515959f9a890787fd8ff11276430643d2cc7"),
+    ("drift", ("cylinder", "--cylinder", "1=L|M,2=R", "--lift", "3"),
+     "42ecb3183408cfd56b3bfb7703ecb079a850034524c618b2fe5a163596148ce5"),
+    ("drift", ("condexp", "--cylinder", "1=M,3=R", "--at", "2"),
+     "a9c10e266e943a8a5320a4e199455df695abc869c7e8bca0ec5725677c53704c"),
+    ("drift", ("sample", "--point", "L", "--seed", "7", "--samples", "500"),
+     "de921c1509bd581fd4d97783b01733514c9fd2295609a19c2364fc9f4d7767b0"),
+    ("drift", ("witness", "--point", "L", "--cylinder", "1=L|M",
+               "--cylinder", "1=M,3=R", "--eps", "1/10"),
+     "41987243dba0b8df5fc92036cf2dbc2cf3acf77a98daf231c94e923b4faa8479"),
+    ("weather12", ("marginal", "--point", "S|R", "--at", "12"),
+     "30276a7e98c0b750579e369f058920558da7da9ea51fdcf85620f62c7ceaa8a7"),
+    ("weather12", ("cylinder", "--cylinder", "3=S,7=R|S,10=R", "--lift", "12"),
+     "6c09df94c45154bf905221601eb5bc203ddedd6e7bac6060b1cd64af7f0dbea0"),
+    ("weather12", ("condexp", "--cylinder", "11=R,12=S", "--at", "10"),
+     "bb55b58f4b842e0032dd538cf245caf21df4c978894dd7a71dfe1b42d8ee219c"),
+    ("weather12", ("sample", "--point", "R", "--seed", "3", "--samples", "3000"),
+     "deb7e3608a68c757253ff95a1777c4276620296638c164138433252895d4c5c0"),
+    ("weather12", ("witness", "--point", "S", "--cylinder", "4=R",
+                   "--cylinder", "4=R,9=S|R,12=S", "--eps", "1/100"),
+     "ea11320f017bc8e3c7269a78f0c47bf522c4a3f82cf36ba7f1ae2becb34c791a"),
+]
+
+
+@pytest.mark.parametrize(
+    "model,argv,digest", PINNED_QUERIES,
+    ids=[f"{model}-{argv[0]}" for model, argv, _ in PINNED_QUERIES],
+)
+def test_query_output_is_pinned(capsys, tmp_path, model, argv, digest):
+    if model == "drift":
+        path = DRIFT
+    else:
+        path = tmp_path / "weather12.json"
+        path.write_text(json.dumps(weather_doc(12)))
+    code, out, err = run(capsys, *argv[:1], "--model", str(path), *argv[1:])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_sample_needs_a_start_for_chain_files(capsys):
     code, _, err = run(capsys, "sample", "--model", WEATHER, "--samples", "5")
     assert code == 3
@@ -158,11 +212,9 @@ def test_loader_cap_is_a_depth_19_two_state_chain(capsys, tmp_path):
     assert "caps at 1048576" in err
 
 
-def test_huge_max_depth_is_a_malformed_model(tmp_path):
-    # Short files that ask for huge chains fail as malformed models, with
-    # work bounded by the file.  Each runs in a child capped at 512 MiB of
-    # address space, so a loader that builds per-depth objects before
-    # checking the steps fails here instead of exhausting memory.
+def validate_in_capped_child(model, timeout: float):
+    """`markovtraj validate` on a model file, in a child process whose
+    address space is capped at 512 MiB; the cap applies to the child only."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -170,17 +222,41 @@ def test_huge_max_depth_is_a_malformed_model(tmp_path):
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
+    return subprocess.run(
+        [sys.executable, "-m", "markovtraj.cli", "validate", "--model", str(model)],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=timeout,
+    )
+
+
+def test_huge_max_depth_is_a_malformed_model(tmp_path):
+    # Short files that ask for huge chains fail as malformed models, with
+    # work bounded by the file, so a loader that builds per-depth objects
+    # before checking the steps fails here instead of exhausting memory.
     for depth, states in ((15000, ["a", "b"]), (3_000_000, ["a"])):
         model = tmp_path / f"depth{depth}.json"
         model.write_text(json.dumps(
             {"maxDepth": depth, "spaces": [{"id": "X", "states": states}], "steps": []}
         ))
-        child = subprocess.run(
-            [sys.executable, "-m", "markovtraj.cli", "validate", "--model", str(model)],
-            capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=60,
-        )
+        child = validate_in_capped_child(model, timeout=60)
         assert child.returncode == 2, child.stderr
         assert child.stderr.startswith("error: missing steps"), child.stderr
+
+
+def test_deep_one_state_chain_validates_in_bounded_memory(tmp_path):
+    # 4,000 prefix spaces of up to 4,001 coordinates: loading may keep
+    # per-space work linear in the depth, but nothing per coordinate of
+    # every space (about 8 million objects), which overran the cap.  The
+    # load takes about 2 s; the timeout leaves room for a slow machine.
+    depth = 4000
+    model = tmp_path / "deep.json"
+    model.write_text(json.dumps({
+        "maxDepth": depth,
+        "spaces": [{"id": "X", "states": ["a"]}],
+        "steps": [{"n": n, "kind": "const", "row": {"a": "1"}} for n in range(depth)],
+    }))
+    child = validate_in_capped_child(model, timeout=20)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.endswith("VALID\n"), child.stdout
 
 
 def test_unsatisfiable_witness_exits_3(capsys):

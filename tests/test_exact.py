@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from markovtraj import (
     Dist,
     FiniteSpace,
-    SubsetOf,
     TupleSpace,
     comp_measure,
     cond_exp,
@@ -110,7 +109,6 @@ def test_public_queries_return_fractions():
                 for row in chain.partial_traj(a, b).rows:
                     values += [w for _, w in row.support()]
                     values += [row.weight_at(p) for p in row.space.points()[:4]]
-                    values.append(row.mass(SubsetOf(row.space, {0})))
                     values.append(row.integrate(lambda p: 1))
             values += expectation_table(chain, a, depth, lambda t: 2).values()
             values += cond_exp(chain, a, lambda t: -1 if t in last else 0).values()

@@ -16,7 +16,6 @@ from markovtraj import (
     pushforward_dist,
     uniform,
 )
-from markovtraj.measure import labels_at
 
 
 def w_space():
@@ -86,15 +85,43 @@ def spaces(draw, depth=0):
     return FiniteSpace(f"X{depth}", [f"s{depth}{j}" for j in range(size)])
 
 
+def foreign_points(space, point):
+    """Tuples shaped like points of `space`, each with one coordinate off it.
+
+    Every coordinate is replaced in turn, so both halves of the codec are
+    hit, and nested tuple spaces are entered.
+    """
+    for k, comp in enumerate(space.components):
+        for bad in ("?", ["s00"]):
+            yield point[:k] + (bad,) + point[k + 1:]
+        if isinstance(comp, TupleSpace):
+            for inner in foreign_points(comp, point[k]):
+                yield point[:k] + (inner,) + point[k + 1:]
+
+
 @given(spaces(), st.data())
 @settings(deadline=None)
-def test_labels_at_matches_format_point(space, data):
-    # Sparse and dense runs of sorted indices, on nested and empty tuple
-    # spaces, render as format_point does point by point.
-    indices = sorted(data.draw(st.sets(st.integers(0, space.size - 1), max_size=40)))
-    assert list(labels_at(space, indices)) == [
-        space.format_point(space.point_at(i)) for i in indices
-    ]
+def test_codec_agrees_with_the_enumeration(space, data):
+    # On nested and empty tuple spaces, index_of, point_at and label_at
+    # agree with points() and format_point at every index, and whatever is
+    # not a point is a DomainError, never a KeyError or TypeError.
+    points = space.points()
+    for i in range(space.size):
+        point = space.point_at(i)
+        assert point == points[i]
+        assert space.index_of(point) == i
+        assert space.label_at(i) == space.format_point(point)
+    point = points[data.draw(st.integers(0, space.size - 1))]
+    if isinstance(space, TupleSpace):
+        bad = [*foreign_points(space, point), point + ("s00",), list(point)]
+        if point:
+            bad.append(point[:-1])
+    else:
+        bad = ["?", ["s00"], (point,)]
+    for p in bad:
+        with pytest.raises(DomainError):
+            space.index_of(p)
+        assert p not in space
 
 
 def test_empty_tuple_space_is_a_point():
@@ -110,6 +137,19 @@ def test_tuple_space_rejects_foreign_points():
         space.index_of(("S", "S"))
     with pytest.raises(DomainError):
         space.index_of("S")
+    # 81 points split into a head and a tail of two coordinates each
+    space = TupleSpace([FiniteSpace(f"X{k}", ["a", "b", "c"]) for k in range(4)])
+    assert space.index_of(("c", "a", "b", "c")) == 59
+    for bad in (
+        ("?", "a", "b", "c"),  # a bad label in the head
+        ("c", "a", "b", "?"),  # and in the tail
+        ("c", "a", "b"),
+        ["c", "a", "b", "c"],
+        ("c", ["a"], "b", "c"),
+        ("c", "a", "b", ["c"]),
+    ):
+        with pytest.raises(DomainError):
+            space.index_of(bad)
 
 
 # ---- subsets ----
@@ -176,14 +216,7 @@ def test_from_support_stores_only_the_support():
     d = Dist.from_support(space, [(0, Rat(1, 3)), (space.size - 1, Rat(2, 3))])
     assert d.weight_at(("1",) * 40) == Rat(2, 3)
     assert d.weight_at(("0",) * 39 + ("1",)) == 0
-    assert d.mass(SubsetOf(space, [0, 1, 2])) == Rat(1, 3)
-
-
-def test_mass_requires_same_space():
-    d = uniform(w_space())
-    other = SubsetOf.from_points(FiniteSpace("X", ["a"]), ["a"])
-    with pytest.raises(DomainError):
-        d.mass(other)
+    assert d.support() == ((0, Rat(1, 3)), (space.size - 1, Rat(2, 3)))
 
 
 def test_integrate_frozen_value():
@@ -243,15 +276,6 @@ def dists(draw, max_size=5):
     space = FiniteSpace("X", [f"s{i}" for i in range(size)])
     total = sum(weights)
     return Dist(space, [Rat(w, total) for w in weights])
-
-
-@given(dists(), st.data())
-@settings(deadline=None)
-def test_mass_is_additive_on_complements(d, data):
-    picked = data.draw(st.sets(st.integers(0, d.space.size - 1)))
-    sub = SubsetOf(d.space, picked)
-    rest = SubsetOf(d.space, set(range(d.space.size)) - picked)
-    assert d.mass(sub) + d.mass(rest) == 1
 
 
 @given(dists(max_size=3), dists(max_size=3))

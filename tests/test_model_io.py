@@ -70,12 +70,10 @@ def test_shared_rows_after_expansion():
 
 
 def test_last_state_rows_are_read_by_index(monkeypatch):
-    # prefix i ends in state i % |X_n|; no prefix tuple is ever enumerated
+    # prefix i ends in state i % |X_n|, so loading enumerates no prefix tuple
     def refuse(space):
         raise AssertionError(f"enumerated the points of {space!r}")
 
-    monkeypatch.setattr(TupleSpace, "points", refuse)
-    load_model(MODELS / "weather.json")
     doc = {
         "maxDepth": 2,
         "spaces": [
@@ -89,10 +87,25 @@ def test_last_state_rows_are_read_by_index(monkeypatch):
              "rows": {"x": {"a": "1"}, "y": {"b": "1"}, "z": {"a": "1/2", "b": "1/2"}}},
         ],
     }
-    step = model_from_dict(doc).chain.steps[1]
+    with monkeypatch.context() as patched:
+        patched.setattr(TupleSpace, "points", refuse)
+        load_model(MODELS / "weather.json")
+        step = model_from_dict(doc).chain.steps[1]
+    # A row lookup by prefix enumerates only the two halves of the prefix
+    # space's codec, each smaller than the space itself.
+    enumerated = []
+    points = TupleSpace.points
+
+    def record(space):
+        enumerated.append(space.size)
+        return points(space)
+
+    monkeypatch.setattr(TupleSpace, "points", record)
     assert step.row(("b", "y")).weight_at("b") == 1
     assert step.row(("a", "z")).weight_at("a") == Rat(1, 2)
     assert step.row(("b", "x")).weight_at("a") == 1
+    assert enumerated
+    assert all(size < step.source.size for size in enumerated)
 
 
 def test_missing_file_is_a_format_error(tmp_path):

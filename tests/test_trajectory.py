@@ -66,10 +66,13 @@ def test_prefix_helpers(weather):
     assert weather.prefix_space(3).size == 16
     with pytest.raises(DomainError):
         weather.prefix_space(4)
-    with pytest.raises(DomainError):
-        weather.check_prefix(("S", "Q"), 1)
-    with pytest.raises(DomainError):
-        weather.check_prefix(("S",), 1)
+    # an unknown label and a prefix shorter than its depth
+    everything = cylinder_from_constraints(weather, {0: ["S", "R"]})
+    for bad in (("S", "Q"), ("S",)):
+        with pytest.raises(DomainError):
+            extract_witness(weather, 1, bad, [everything], Rat(1, 2))
+        with pytest.raises(DomainError):
+            traj_marginal(weather, 1, bad, 2)
 
 
 # ---- partial trajectory kernels ----

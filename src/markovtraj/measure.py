@@ -18,6 +18,7 @@ everything here is safe to share between threads.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from typing import Callable, Iterable, Sequence
@@ -97,7 +98,7 @@ class TupleSpace:
     space whose sole point is the empty tuple.
     """
 
-    __slots__ = ("components", "_strides", "_size", "_points", "_table")
+    __slots__ = ("components", "_strides", "_size", "_points", "_halves", "_texts")
 
     def __init__(self, components: Sequence):
         self.components = tuple(components)
@@ -109,7 +110,8 @@ class TupleSpace:
         self._strides = tuple(reversed(strides))
         self._size = size
         self._points = None
-        self._table = None
+        self._halves = None
+        self._texts = None
 
     @property
     def size(self) -> int:
@@ -122,64 +124,55 @@ class TupleSpace:
             )
         return self._points
 
-    def _codec(self) -> tuple:
-        """The codec: (tail size, (heads, tails), (head texts, tail texts),
-        (cut, head index, tail index)).
+    def _cut(self) -> tuple:
+        """(cut, tail size): a point is a head, the coordinates before `cut`,
+        joined to a tail, the rest.
 
-        A point is a head (the coordinates before `cut`) joined to a tail
-        (the rest), and its index is the head's position times the tail
-        size plus the tail's position; its text (format_point) is the
-        head's text, with the "|" that joins the halves, then the tail's.
-        Both halves are enumerated once, on first use, about sqrt(size) of
-        each when the components are small, so a conversion on a huge space
-        costs two lookups without listing the space.
+        The tail takes trailing coordinates until its size squared reaches
+        the space's size, so there are about sqrt(size) heads and tails when
+        the components are small.  The index of a point is the head's
+        position times the tail size plus the tail's position, and its text
+        (format_point) is the head's text, "|", then the tail's.  point_at
+        enumerates both halves once, on first use, and label_at keeps the
+        text of each head and tail it has written, so each costs two
+        lookups without listing the space.
         """
-        if self._table is None:
-            comps = self.components
-            cut = len(comps)
-            tail_size = 1
-            while cut and tail_size * tail_size < self._size:
-                cut -= 1
-                tail_size *= comps[cut].size
-            heads = TupleSpace(comps[:cut]).points()
-            tails = TupleSpace(comps[cut:]).points()
-            texts = [[comp.label_at(i) for i in range(comp.size)] for comp in comps]
-            join = "|" if 0 < cut < len(comps) else ""
-            self._table = (
-                tail_size,
-                (heads, tails),
-                (
-                    tuple(
-                        text + join
-                        for text in map("|".join, itertools.product(*texts[:cut]))
-                    ),
-                    tuple(map("|".join, itertools.product(*texts[cut:]))),
-                ),
-                (
-                    cut,
-                    {h: k * tail_size for k, h in enumerate(heads)},
-                    {t: j for j, t in enumerate(tails)},
-                ),
-            )
-        return self._table
+        comps = self.components
+        cut = len(comps)
+        tail_size = 1
+        while cut and tail_size * tail_size < self._size:
+            cut -= 1
+            tail_size *= comps[cut].size
+        return cut, tail_size
 
     def index_of(self, point) -> int:
-        if isinstance(point, tuple) and len(point) == len(self.components):
-            _, _, _, (cut, head_index, tail_index) = self._codec()
-            try:
-                return head_index[point[:cut]] + tail_index[point[cut:]]
-            except (KeyError, TypeError):
-                pass
-        raise DomainError(f"{point!r} is not a point of {self!r}")
+        if not isinstance(point, tuple) or len(point) != len(self.components):
+            raise DomainError(f"{point!r} is not a point of {self!r}")
+        index = 0
+        for comp, coord, stride in zip(self.components, point, self._strides):
+            index += comp.index_of(coord) * stride
+        return index
 
     def point_at(self, index: int) -> tuple:
-        tail_size, (heads, tails), _, _ = self._codec()
+        if self._halves is None:
+            cut, tail_size = self._cut()
+            self._halves = (
+                tail_size,
+                TupleSpace(self.components[:cut]).points(),
+                TupleSpace(self.components[cut:]).points(),
+            )
+        tail_size, heads, tails = self._halves
         return heads[index // tail_size] + tails[index % tail_size]
 
     def label_at(self, index: int) -> str:
         """The text of the point numbered `index`: format_point(point_at(index))."""
-        tail_size, _, (head_text, tail_text), _ = self._codec()
-        return head_text[index // tail_size] + tail_text[index % tail_size]
+        if self._texts is None:
+            comps = self.components
+            cut, tail_size = self._cut()
+            join = "|" if 0 < cut < len(comps) else ""
+            self._texts = (tail_size, _text_of(comps[:cut], join), _text_of(comps[cut:], ""))
+        tail_size, head_text, tail_text = self._texts
+        return head_text(index // tail_size) + tail_text(index % tail_size)
 
     def format_point(self, point) -> str:
         return "|".join(
@@ -201,6 +194,17 @@ class TupleSpace:
 
     def __repr__(self) -> str:
         return f"TupleSpace({list(self.components)!r})"
+
+
+def _text_of(components: tuple, join: str) -> Callable:
+    """Index -> the text of that point of TupleSpace(components), then `join`:
+    the components' texts joined by "|" (format_point's rule), each written
+    when first asked for and kept, so rendering costs memory in the labels
+    it writes, not in the size of the space."""
+    digits = tuple(zip(components, TupleSpace(components)._strides))
+    return functools.cache(
+        lambda i: "|".join(comp.label_at(i // stride % comp.size) for comp, stride in digits) + join
+    )
 
 
 class SubsetOf:

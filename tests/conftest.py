@@ -6,7 +6,12 @@ for it.
 """
 from __future__ import annotations
 
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +65,35 @@ def weather_chain(depth: int = 3) -> ChainModel:
 @pytest.fixture
 def weather() -> ChainModel:
     return weather_chain()
+
+
+def weather_doc(depth: int) -> dict:
+    """The model file of the weather chain (models/weather.json), to any depth."""
+    rows = {"S": {"S": "3/4", "R": "1/4"}, "R": {"S": "1/2", "R": "1/2"}}
+    return {
+        "maxDepth": depth,
+        "spaces": [{"id": "W", "states": ["S", "R"]}],
+        "steps": [{"n": n, "kind": "last-state", "rows": rows} for n in range(depth)],
+    }
+
+
+# ---- child processes ----
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_capped(args, timeout: float) -> subprocess.CompletedProcess:
+    """`python *args` with this package importable, in a child process whose
+    address space is capped at 512 MiB; the cap applies to the child only."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), preexec_fn=cap_memory, timeout=timeout,
+    )
 
 
 # ---- random models ----

@@ -3,10 +3,6 @@ import hashlib
 import io
 import itertools
 import json
-import os
-import resource
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +11,8 @@ from hypothesis import strategies as st
 
 from markovtraj import Dist
 from markovtraj.cli import build_parser, main
+
+from conftest import run_capped, weather_doc
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -98,19 +96,9 @@ def test_sample_output_is_pinned(capsys):
     )
 
 
-def weather_doc(depth: int) -> dict:
-    """The two-state weather chain of models/weather.json, to any depth."""
-    rows = {"S": {"S": "3/4", "R": "1/4"}, "R": {"S": "1/2", "R": "1/2"}}
-    return {
-        "maxDepth": depth,
-        "spaces": [{"id": "W", "states": ["S", "R"]}],
-        "steps": [{"n": n, "kind": "last-state", "rows": rows} for n in range(depth)],
-    }
-
-
 # sha256 of each query's stdout.  drift.json has unequal space sizes; at
 # depth 12 both the head and the tail of a prefix space (see
-# TupleSpace._codec) hold several coordinates.
+# TupleSpace._cut) hold several coordinates.
 PINNED_QUERIES = [
     ("drift", ("marginal", "--point", "R", "--at", "3"),
      "a53cf590bbaf283fae357ca894c8515959f9a890787fd8ff11276430643d2cc7"),
@@ -213,19 +201,8 @@ def test_loader_cap_is_a_depth_19_two_state_chain(capsys, tmp_path):
 
 
 def validate_in_capped_child(model, timeout: float):
-    """`markovtraj validate` on a model file, in a child process whose
-    address space is capped at 512 MiB; the cap applies to the child only."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-    return subprocess.run(
-        [sys.executable, "-m", "markovtraj.cli", "validate", "--model", str(model)],
-        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=timeout,
-    )
+    """`markovtraj validate` on a model file, under conftest.run_capped."""
+    return run_capped(["-m", "markovtraj.cli", "validate", "--model", str(model)], timeout)
 
 
 def test_huge_max_depth_is_a_malformed_model(tmp_path):

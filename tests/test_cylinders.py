@@ -7,12 +7,7 @@ content with `conftest.brute_force_content`, which walks the step rows
 path by path.
 """
 import json
-import os
 import random
-import resource
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -34,9 +29,9 @@ from conftest import (
     positive_extension,
     random_chain,
     random_prefix,
+    run_capped,
+    weather_doc,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def random_constraints(rng, chain, coords) -> dict:
@@ -208,23 +203,9 @@ def test_deep_content_costs_the_reached_support(tmp_path):
     # about 1 s and 149 MB; the box query takes well under a millisecond.
     # Budget: 10 ms for the query after load and 64 MB peak RSS, in a child
     # capped at 512 MiB of address space.
-    rows = {"S": {"S": "3/4", "R": "1/4"}, "R": {"S": "1/2", "R": "1/2"}}
     model = tmp_path / "weather18.json"
-    model.write_text(json.dumps({
-        "maxDepth": 18,
-        "spaces": [{"id": "W", "states": ["S", "R"]}],
-        "steps": [{"n": n, "kind": "last-state", "rows": rows} for n in range(18)],
-    }))
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-    child = subprocess.run(
-        [sys.executable, "-c", DEEP_QUERY, str(model)],
-        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
-    )
+    model.write_text(json.dumps(weather_doc(18)))
+    child = run_capped(["-c", DEEP_QUERY, str(model)], timeout=120)
     assert child.returncode == 0, child.stderr
     value, elapsed, peak_kb = child.stdout.split()
     # from S, three steps to S: (11/16) * 3/4 + (5/16) * 1/2

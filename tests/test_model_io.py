@@ -16,19 +16,9 @@ from markovtraj import (
     model_from_dict,
 )
 
+from conftest import weather_doc
+
 MODELS = Path(__file__).resolve().parent.parent / "models"
-
-
-def weather_doc():
-    row = {"S": {"S": "3/4", "R": "1/4"}, "R": {"S": "1/2", "R": "1/2"}}
-    return {
-        "maxDepth": 2,
-        "spaces": [{"id": "W", "states": ["S", "R"]}],
-        "steps": [
-            {"n": 0, "kind": "last-state", "rows": row},
-            {"n": 1, "kind": "last-state", "rows": row},
-        ],
-    }
 
 
 # ---- the shipped files ----
@@ -70,10 +60,12 @@ def test_shared_rows_after_expansion():
 
 
 def test_last_state_rows_are_read_by_index(monkeypatch):
-    # prefix i ends in state i % |X_n|, so loading enumerates no prefix tuple
+    # prefix i ends in state i % |X_n|; no prefix tuple is ever enumerated
     def refuse(space):
         raise AssertionError(f"enumerated the points of {space!r}")
 
+    monkeypatch.setattr(TupleSpace, "points", refuse)
+    load_model(MODELS / "weather.json")
     doc = {
         "maxDepth": 2,
         "spaces": [
@@ -87,25 +79,10 @@ def test_last_state_rows_are_read_by_index(monkeypatch):
              "rows": {"x": {"a": "1"}, "y": {"b": "1"}, "z": {"a": "1/2", "b": "1/2"}}},
         ],
     }
-    with monkeypatch.context() as patched:
-        patched.setattr(TupleSpace, "points", refuse)
-        load_model(MODELS / "weather.json")
-        step = model_from_dict(doc).chain.steps[1]
-    # A row lookup by prefix enumerates only the two halves of the prefix
-    # space's codec, each smaller than the space itself.
-    enumerated = []
-    points = TupleSpace.points
-
-    def record(space):
-        enumerated.append(space.size)
-        return points(space)
-
-    monkeypatch.setattr(TupleSpace, "points", record)
+    step = model_from_dict(doc).chain.steps[1]
     assert step.row(("b", "y")).weight_at("b") == 1
     assert step.row(("a", "z")).weight_at("a") == Rat(1, 2)
     assert step.row(("b", "x")).weight_at("a") == 1
-    assert enumerated
-    assert all(size < step.source.size for size in enumerated)
 
 
 def test_missing_file_is_a_format_error(tmp_path):
@@ -126,7 +103,7 @@ def test_duplicate_keys_are_a_format_error(tmp_path):
     path.write_text('{"kind": "product", "factors": [{"S": "1/4", "S": "1/2", "R": "1/2"}]}')
     with pytest.raises(ModelFormatError, match="'S' given twice"):
         load_model(path)
-    doc = json.dumps(weather_doc())
+    doc = json.dumps(weather_doc(2))
     path.write_text(doc.replace('"maxDepth": 2', '"maxDepth": 2, "maxDepth": 2'))
     with pytest.raises(ModelFormatError, match="'maxDepth' given twice"):
         load_model(path)
@@ -148,25 +125,25 @@ def test_top_level_shape():
 
 
 def test_spaces_validation():
-    doc = weather_doc()
+    doc = weather_doc(2)
     doc["spaces"] = []
     rejects(doc)
-    doc = weather_doc()
+    doc = weather_doc(2)
     doc["spaces"] = [{"states": ["S", "R"]}, {"states": ["S", "R"]}]  # need 1 or 3
     rejects(doc)
-    doc = weather_doc()
+    doc = weather_doc(2)
     doc["spaces"] = [{"states": ["S", "S"]}]
     rejects(doc)
-    doc = weather_doc()
+    doc = weather_doc(2)
     doc["spaces"] = [{"states": ["S", "R|X"]}]
     rejects(doc)
-    doc = weather_doc()
+    doc = weather_doc(2)
     doc["spaces"] = [{"states": ["S", 3]}]
     rejects(doc)
 
 
 def test_steps_validation():
-    doc = weather_doc()
+    doc = weather_doc(2)
     doc["steps"] = doc["steps"][:1]
     # a count and the first missing depth, not the list of every depth
     with pytest.raises(ModelFormatError, match="missing steps for 1 depths, the first is 1$"):
@@ -174,31 +151,31 @@ def test_steps_validation():
     doc = {"maxDepth": 1000, "spaces": [{"states": ["a"]}], "steps": []}
     with pytest.raises(ModelFormatError, match="missing steps for 1000 depths, the first is 0$"):
         model_from_dict(doc)
-    doc = weather_doc()
+    doc = weather_doc(2)
     doc["steps"][1]["n"] = 0
     rejects(doc)  # duplicate depth
-    doc = weather_doc()
+    doc = weather_doc(2)
     doc["steps"][0]["kind"] = "markov"
     rejects(doc)  # unknown kind
-    doc = weather_doc()
+    doc = weather_doc(2)
     del doc["steps"][0]["rows"]
     rejects(doc)
 
 
 def test_row_validation():
-    doc = weather_doc()
+    doc = weather_doc(2)
     doc["steps"][0]["rows"]["S"]["S"] = "2/3"
     rejects(doc)  # sums to 11/12
-    doc = weather_doc()
+    doc = weather_doc(2)
     doc["steps"][0]["rows"]["S"]["Q"] = "0/1"
     rejects(doc)  # unknown state
-    doc = weather_doc()
+    doc = weather_doc(2)
     doc["steps"][0]["rows"]["S"]["S"] = "0.75"
     rejects(doc)  # not a rational string
-    doc = weather_doc()
+    doc = weather_doc(2)
     doc["steps"][0]["rows"]["S"]["S"] = 0.75
     rejects(doc)  # wrong type
-    doc = weather_doc()
+    doc = weather_doc(2)
     del doc["steps"][0]["rows"]["R"]
     rejects(doc)  # last-state row missing
 

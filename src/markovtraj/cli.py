@@ -33,7 +33,7 @@ from .errors import (
 )
 from .measure import dist_lines
 from .model_io import LoadedModel, load_model
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 from .report import Report, table_lines
 from .trajectory import (
     cond_exp,
@@ -74,13 +74,6 @@ def _one_cylinder(chain, args):
     if len(args.cylinder) != 1:
         raise DomainError("this verb takes exactly one --cylinder")
     return cylinder_from_constraints(chain, _parse_cylinder_spec(args.cylinder[0]))
-
-
-def _parse_eps(text: str):
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
 
 
 def _load(args) -> LoadedModel:
@@ -153,8 +146,8 @@ def _cmd_witness(args) -> int:
         cylinder_from_constraints(chain, _parse_cylinder_spec(spec))
         for spec in args.cylinder
     ]
-    eps = _parse_eps(args.eps)
-    witness = extract_witness(chain, len(point) - 1, point, cylinders, eps)
+    # extract_witness reads the "p/q" text by the model file's rule
+    witness = extract_witness(chain, len(point) - 1, point, cylinders, args.eps)
     print(chain.prefix_space(len(witness) - 1).format_point(witness))
     return 0
 

@@ -87,7 +87,7 @@ class Kernel:
             isinstance(other, Kernel)
             and self.source == other.source
             and self.target == other.target
-            and (self.rows is other.rows or self.rows == other.rows)
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
@@ -110,15 +110,7 @@ def const_kernel(source, d: Dist) -> Kernel:
 
 def map_kernel(k: Kernel, f: Callable, target) -> Kernel:
     """Push each row of k forward along f : k.target -> target."""
-    cache: dict = {}
-    rows = []
-    for row in k.rows:
-        pushed = cache.get(id(row))
-        if pushed is None:
-            pushed = pushforward_dist(row, f, target)
-            cache[id(row)] = pushed
-        rows.append(pushed)
-    return Kernel(k.source, target, rows)
+    return Kernel(k.source, target, [pushforward_dist(row, f, target) for row in k.rows])
 
 
 def comp_kernel(first: Kernel, second: Kernel) -> Kernel:
@@ -146,17 +138,8 @@ def prod_kernel(k: Kernel, l: Kernel) -> Kernel:
     """
     if not _same_space(k.source, l.source):
         raise DomainError("pairing: kernels have different sources")
-    cache: dict = {}
-    rows = []
-    for kr, lr in zip(k.rows, l.rows):
-        key = (id(kr), id(lr))
-        row = cache.get(key)
-        if row is None:
-            row = product_dist([kr, lr])
-            cache[key] = row
-        rows.append(row)
-    target = TupleSpace([k.target, l.target])
-    return Kernel(k.source, target, rows)
+    rows = [product_dist([kr, lr]) for kr, lr in zip(k.rows, l.rows)]
+    return Kernel(k.source, TupleSpace([k.target, l.target]), rows)
 
 
 def comp_prod_measure(d: Dist, k: Kernel) -> Dist:

@@ -261,23 +261,23 @@ class Dist:
     distribution costs memory in its support, not in its space, and one
     concentrated on few points stays cheap even when the ambient space is
     huge.  Weights must be nonnegative and sum to exactly 1, that is, the
-    numerators sum to the denominator.  `support`, `weight_at` and
-    `integrate` hand out `Fraction`s; the (index, weight) pairs of
-    `support` are built on first use and kept.
+    numerators sum to the denominator.  Weights come in as exact
+    rationals (see `ratio_of`): ints, `Fraction`s or "p/q" strings, never
+    floats.  `support`, `weight_at` and `integrate` hand out `Fraction`s,
+    built from the numerators on each call; only the sampler's cumulative
+    numerators are kept, after the first draw.
     """
 
-    __slots__ = ("space", "_denom", "_numerators", "_support", "_lookup", "_cumulative")
+    __slots__ = ("space", "_denom", "_numerators", "_cumulative")
 
     def __init__(self, space, weights: Iterable):
         """Build from a dense weight sequence aligned with the enumeration."""
-        weights = tuple(Rat(w) for w in weights)
+        weights = [(i, *ratio_of(w)) for i, w in enumerate(weights)]
         if len(weights) != space.size:
             raise DomainError(
                 f"expected {space.size} weights for {space!r}, got {len(weights)}"
             )
-        self._set(space, *over_common_denominator(
-            (i, w.numerator, w.denominator) for i, w in enumerate(weights)
-        ))
+        self._set(space, *over_common_denominator(weights))
 
     @classmethod
     def from_support(cls, space, items: Iterable) -> "Dist":
@@ -323,23 +323,21 @@ class Dist:
         self.space = space
         self._denom = denom
         self._numerators = numerators
-        self._support = None
-        self._lookup = None
         self._cumulative = None
 
     def support(self) -> tuple:
         """Nonzero (index, weight) pairs in enumeration order."""
-        if self._support is None:
-            denom = self._denom
-            self._support = tuple((i, Rat(n, denom)) for i, n in self._numerators)
-        return self._support
+        denom = self._denom
+        return tuple((i, Rat(n, denom)) for i, n in self._numerators)
 
     def weight_at(self, point) -> Rat:
         """Weight of a point of the space; 0 off the support."""
-        if self._lookup is None:
-            self._lookup = dict(self._numerators)
-        n = self._lookup.get(self.space.index_of(point))
-        return ZERO if n is None else Rat(n, self._denom)
+        i = self.space.index_of(point)
+        numerators = self._numerators
+        k = bisect.bisect_left(numerators, (i,))
+        if k < len(numerators) and numerators[k][0] == i:
+            return Rat(numerators[k][1], self._denom)
+        return ZERO
 
     def integrate(self, f: Callable) -> Rat:
         """Sum of f(state) * weight(state); f takes rational values of either sign."""

@@ -222,42 +222,29 @@ def _step_kernel(entry: Mapping, prefix_space, target: FiniteSpace, n: int) -> K
             raise ModelFormatError(f'{where}: "const" needs a "row" object')
         return const_kernel(prefix_space, _dist_from_mapping(target, row, where))
     if kind == "last-state":
-        rows = entry.get("rows")
-        if not isinstance(rows, Mapping):
-            raise ModelFormatError(f'{where}: "last-state" needs a "rows" object')
         last_space = prefix_space.components[-1]
-        by_last = []
-        for label in last_space.points():
-            if label not in rows:
-                raise ModelFormatError(f"{where}: no row for last state {label!r}")
-            row = rows[label]
-            if not isinstance(row, Mapping):
-                raise ModelFormatError(f"{where}: row {label!r} must be an object")
-            by_last.append(_dist_from_mapping(target, row, f"{where}, row {label!r}"))
-        extra = set(rows) - set(last_space.points())
-        if extra:
-            raise ModelFormatError(f"{where}: rows for unknown states {sorted(extra)}")
+        by_last = _keyed_rows(entry, kind, last_space.labels, target, where)
         # The last coordinate is the least significant, so prefix i ends in
         # state i % |X_n| and the rows repeat with that period.
-        dists = by_last * (prefix_space.size // last_space.size)
-        return Kernel(prefix_space, target, dists)
+        return Kernel(prefix_space, target, by_last * (prefix_space.size // last_space.size))
     if kind == "table":
-        rows = entry.get("rows")
-        if not isinstance(rows, Mapping):
-            raise ModelFormatError(f'{where}: "table" needs a "rows" object')
-        parsed = {}
-        for key, row in rows.items():
-            prefix = tuple(key.split("|"))
-            try:
-                index = prefix_space.index_of(prefix)
-            except DomainError as exc:
-                raise ModelFormatError(f"{where}: bad prefix key {key!r}") from exc
-            if not isinstance(row, Mapping):
-                raise ModelFormatError(f"{where}: row {key!r} must be an object")
-            parsed[index] = _dist_from_mapping(target, row, f"{where}, row {key!r}")
-        if len(parsed) != prefix_space.size:
-            raise ModelFormatError(
-                f"{where}: {len(parsed)} rows for {prefix_space.size} prefixes"
-            )
-        return Kernel(prefix_space, target, [parsed[i] for i in range(prefix_space.size)])
+        keys = map(prefix_space.label_at, range(prefix_space.size))
+        return Kernel(prefix_space, target, _keyed_rows(entry, kind, keys, target, where))
     raise ModelFormatError(f'{where}: unknown kind {kind!r}')
+
+
+def _keyed_rows(entry: Mapping, kind: str, keys, target: FiniteSpace, where: str) -> list:
+    """One Dist per key, in key order, read from the step's "rows" object,
+    which must hold a row object for every key and nothing else."""
+    rows = entry.get("rows")
+    if not isinstance(rows, Mapping):
+        raise ModelFormatError(f'{where}: "{kind}" needs a "rows" object')
+    dists = []
+    for key in keys:
+        row = rows.get(key)
+        if not isinstance(row, Mapping):
+            raise ModelFormatError(f"{where}: row {key!r} is missing or not an object")
+        dists.append(_dist_from_mapping(target, row, f"{where}, row {key!r}"))
+    if len(rows) > len(dists):
+        raise ModelFormatError(f"{where}: {len(rows)} rows for {len(dists)} keys")
+    return dists

@@ -12,6 +12,8 @@ import math
 import re
 from fractions import Fraction
 
+from .errors import DomainError
+
 Rat = Fraction
 
 ZERO = Rat(0)
@@ -41,12 +43,19 @@ def parse_rational(text: str) -> Rat:
 
 
 def ratio_of(value) -> tuple:
-    """(numerator, denominator) of an exact rational value."""
+    """(numerator, denominator) of an exact rational: an int, a Fraction, or
+    a "p/q" string by parse_ratio's rule.  Anything else, a float, a Decimal
+    or None, raises DomainError, as a malformed literal does."""
     if type(value) is int:
         return value, 1
-    if type(value) is not Fraction:
-        value = Rat(value)
-    return value.numerator, value.denominator
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    if isinstance(value, str):
+        try:
+            return parse_ratio(value)
+        except ValueError as exc:
+            raise DomainError(str(exc)) from None
+    raise DomainError(f"not an exact rational: {value!r}")
 
 
 def sum_of_ratios(by_denominator: dict, scale: int = 1) -> Rat:

@@ -159,7 +159,12 @@ def _as_fn(f) -> Callable:
     if callable(f):
         return f
     if isinstance(f, Mapping):
-        return f.__getitem__
+        def lookup(prefix):
+            try:
+                return f[prefix]
+            except KeyError:
+                raise DomainError(f"the table has no value for {prefix!r}") from None
+        return lookup
     raise DomainError("expected a callable or a mapping from prefixes to rationals")
 
 
@@ -455,7 +460,7 @@ def extract_witness(
     stays >= eps until the cylinder depth is reached, where it becomes a
     membership indicator.
     """
-    eps = Rat(eps)
+    eps = Rat(*ratio_of(eps))
     if eps <= 0:
         raise DomainError("the content bound must be positive")
     if not cylinders:
@@ -516,7 +521,7 @@ def cond_exp_sides(model: ChainModel, a: int, prefix, b: int, f, table) -> tuple
     """
     if not 0 <= a <= b <= model.max_depth:
         raise DomainError(f"need 0 <= a <= b <= {model.max_depth}")
-    fn = _as_fn(f)
+    fn, value = _as_fn(f), _as_fn(table)
     law = traj_marginal(model, a, prefix, model.max_depth)
     space_d = model.prefix_space(model.max_depth)
     space_b = model.prefix_space(b)
@@ -536,7 +541,8 @@ def cond_exp_sides(model: ChainModel, a: int, prefix, b: int, f, table) -> tuple
     for i, m in mass.items():
         p = space_b.point_at(i)
         lhs[p] = sum_of_ratios(f_mass[i], law._denom)
-        rhs[p] = Rat(m, law._denom) * table[p]
+        t, q = ratio_of(value(p))
+        rhs[p] = Rat(m * t, law._denom * q)
     return lhs, rhs
 
 

@@ -2,9 +2,10 @@
 
 bench/spans.py patches functions and methods of the library by name, so a
 renamed or deleted name would only show up as a crash of
-`bench/run.py --trace 1`.  Installing the tracer, running a query and a
-verify through the wrapped CLI, and removing the tracer again turns that
-into a test failure, including for a wrapper that breaks only when called.
+`bench/run.py --trace 1`.  Installing the tracer, running every query verb
+and a verify through the wrapped CLI, and removing the tracer again turns
+that into a test failure, including for a wrapper that breaks only when
+called.
 """
 import importlib.util
 from pathlib import Path
@@ -13,6 +14,16 @@ import markovtraj.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
+
+# every query verb of the CLI, on models/weather.json
+QUERIES = [
+    ("marginal", "--point", "S", "--at", "3"),
+    ("content", "--point", "S", "--cylinder", "1=S,2=S"),
+    ("witness", "--point", "S", "--cylinder", "1=S", "--cylinder", "1=S,2=S", "--eps", "9/16"),
+    ("condexp", "--at", "1", "--cylinder", "2=S"),
+    ("cylinder", "--cylinder", "1=S,2=S|R"),
+    ("sample", "--point", "S", "--samples", "20", "--seed", "5"),
+]
 
 
 def test_tracer_installs_and_uninstalls(capsys):
@@ -26,12 +37,14 @@ def test_tracer_installs_and_uninstalls(capsys):
         assert markovtraj.cli.main is not main
         weather = str(ROOT / "models" / "weather.json")
         coin = str(ROOT / "models" / "coin.json")
-        assert markovtraj.cli.main(
-            ["marginal", "--model", weather, "--point", "S", "--at", "3"]
-        ) == 0
+        for args in QUERIES:
+            assert markovtraj.cli.main([args[0], "--model", weather, *args[1:]]) == 0, args
         assert markovtraj.cli.main(["verify", "--model", coin]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert markovtraj.cli.main is main
-    assert tracer.calls["cli.main"] == 2
+    assert tracer.calls["cli.main"] == len(QUERIES) + 1
+    # each query wrapper ran, including the sampler's draws
+    for name in [*(f"trajectory.{q}" for q in spans.QUERIES), "measure.sample"]:
+        assert tracer.calls[name] > 0, name

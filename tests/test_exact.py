@@ -3,19 +3,23 @@
 `0.5 == Fraction(1, 2)` is True, so a float that slipped into the
 probability path would pass every equality test on dyadic weights.  These
 tests pin the storage of `Dist` (equal laws, equal reduced integers), the
-type of every rational the public queries return, and the absence of
-floats and true division from the source.
+type of every rational the public queries return, that the library API
+takes only exact rationals (as the model file and the CLI do), and the
+absence of floats and true division from the source.
 """
 import ast
 import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovtraj import (
     Dist,
+    DomainError,
     FiniteSpace,
     TupleSpace,
     comp_measure,
@@ -25,6 +29,7 @@ from markovtraj import (
     cylinder_content,
     cylinder_from_constraints,
     expectation_table,
+    extract_witness,
     load_model,
     product_dist,
     pushforward_dist,
@@ -120,6 +125,51 @@ def test_public_queries_return_fractions():
         values += [w for _, w in law.support()]
     assert values
     assert {type(v) for v in values} == {Fraction}
+
+
+# ---- the library takes exact rationals only ----
+
+
+W = FiniteSpace("W", ["S", "R"])
+WEATHER = load_model(ROOT / "models" / "weather.json").chain
+ONE_S = cylinder_from_constraints(WEATHER, {1: ["S"]})
+
+# Each of these was accepted (or failed with a bare TypeError or KeyError)
+# while Fraction() did the conversion: a float, a decimal, a non-ASCII digit.
+INEXACT = {
+    "float weights": lambda: Dist(W, [0.5, 0.5]),
+    "decimal strings": lambda: Dist(W, ["0.75", "0.25"]),
+    "Decimal weights": lambda: Dist(W, [Decimal("0.5"), Decimal("0.5")]),
+    "non-ASCII digit": lambda: Dist(W, ["\u0661/2", "1/2"]),
+    "float support": lambda: Dist.from_support(W, [(0, 0.25), (1, 0.75)]),
+    "float integrand": lambda: expectation_table(WEATHER, 0, 1, lambda p: 0.1),
+    "None integrand": lambda: expectation_table(WEATHER, 0, 1, lambda p: None),
+    "table lacks a prefix": lambda: expectation_table(WEATHER, 0, 1, {}),
+    "cond_exp_sides float": lambda: cond_exp_sides(
+        WEATHER, 0, ("S",), 1, lambda t: 0.5, cond_exp(WEATHER, 1, lambda t: 1)
+    ),
+    "cond_exp_sides short table": lambda: cond_exp_sides(WEATHER, 0, ("S",), 1, lambda t: 1, {}),
+    "float eps": lambda: extract_witness(WEATHER, 0, ("S",), [ONE_S], 0.5),
+    "decimal eps": lambda: extract_witness(WEATHER, 0, ("S",), [ONE_S], "0.5"),
+}
+
+
+@pytest.mark.parametrize("call", INEXACT.values(), ids=INEXACT.keys())
+def test_inexact_inputs_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_exact_inputs_of_every_form_agree():
+    law = Dist(W, ["3/4", "1/4"])  # the README's example
+    assert Dist(W, [Fraction(3, 4), Fraction(1, 4)]) == law
+    assert Dist.from_support(W, [(0, "3/4"), (1, Fraction(1, 4))]) == law
+    assert Dist(FiniteSpace("X", ["a", "b"]), [1, 0]).support() == ((0, 1),)
+    for eps in ("9/16", Fraction(9, 16)):
+        assert extract_witness(WEATHER, 0, ("S",), [ONE_S], eps) == ("S", "S")
+    table = expectation_table(WEATHER, 0, 1, {("S", "S"): 1, ("S", "R"): "1/2",
+                                              ("R", "S"): Fraction(1, 3), ("R", "R"): 0})
+    assert table == {("S",): Fraction(7, 8), ("R",): Fraction(1, 6)}
 
 
 # ---- no float and no true division in the source ----

@@ -56,6 +56,12 @@ def test_map_kernel():
         weather_step(), lambda s: "dry" if s == "S" else "wet", target
     )
     assert relabel.row("S") == Dist(target, ["3/4", "1/4"])
+    # const_kernel's rows are one shared object; each is pushed on its own
+    const = const_kernel(W, Dist(W, ["1/3", "2/3"]))
+    wet = lambda s: "dry" if s == "S" else "wet"
+    pushed = map_kernel(const, wet, target)
+    assert pushed == Kernel(W, target, [pushforward_dist(row, wet, target) for row in const.rows])
+    assert pushed.row("R") == Dist(target, ["1/3", "2/3"])
 
 
 def test_comp_kernel_two_steps():
@@ -103,6 +109,9 @@ def test_comp_prod_measure():
 
 def test_kernel_equality_is_structural():
     assert weather_step() == weather_step()
+    # equal rows held by distinct objects
+    shared = const_kernel(W, uniform(W))
+    assert shared == Kernel(W, W, [Dist(W, ["1/2", "1/2"]), uniform(W)])
     assert weather_step() != Kernel(W, W, [uniform(W), uniform(W)])
 
 

@@ -196,6 +196,9 @@ def test_from_support_matches_dense_and_drops_zeros():
     assert dense == sparse
     assert sparse.support() == ((0, Rat(1, 2)), (2, Rat(1, 2)))
     assert hash(dense) == hash(sparse)
+    # off the support, below, between and above its entries
+    inner = Dist.from_support(FiniteSpace("Y", "abcde"), [(1, Rat(1, 4)), (3, Rat(3, 4))])
+    assert [inner.weight_at(p) for p in "abcde"] == [0, Rat(1, 4), 0, Rat(3, 4), 0]
 
 
 def test_from_support_validates():
@@ -217,11 +220,14 @@ import tracemalloc
 from markovtraj import Dist, FiniteSpace, Rat, TupleSpace
 tracemalloc.start()
 space = TupleSpace([FiniteSpace("B", ["0", "1"])] * 40)
-d = Dist.from_support(space, [(0, Rat(1, 3)), (space.size - 1, Rat(2, 3))])
-assert d.weight_at(("1",) * 40) == Rat(2, 3)
-assert d.weight_at(("0",) * 39 + ("1",)) == 0
-assert d.support() == ((0, Rat(1, 3)), (space.size - 1, Rat(2, 3)))
-assert repr(d) == f"Dist({'|'.join('0' * 40)}:1/3, {'|'.join('1' * 40)}:2/3)"
+d = Dist.from_support(space, [(1, Rat(1, 3)), (space.size - 2, Rat(2, 3))])
+assert d.weight_at(("0",) * 39 + ("1",)) == Rat(1, 3)
+assert d.weight_at(("1",) * 39 + ("0",)) == Rat(2, 3)
+assert d.weight_at(("0",) * 40) == 0  # below the first entry
+assert d.weight_at(("0",) + ("1",) * 39) == 0  # between the two
+assert d.weight_at(("1",) * 40) == 0  # above the last
+assert d.support() == ((1, Rat(1, 3)), (space.size - 2, Rat(2, 3)))
+assert repr(d) == f"Dist({'|'.join('0' * 39 + '1')}:1/3, {'|'.join('1' * 39 + '0')}:2/3)"
 print(tracemalloc.get_traced_memory()[1])
 """
 

@@ -85,6 +85,50 @@ def test_last_state_rows_are_read_by_index(monkeypatch):
     assert step.row(("b", "x")).weight_at("a") == 1
 
 
+def keyed_doc(kind: str) -> dict:
+    """A depth-2 chain on {a, b} whose step 1 reads its rows by key."""
+    keys = ("a", "b") if kind == "last-state" else ("a|a", "a|b", "b|a", "b|b")
+    rows = {key: {"a": f"{k}/4", "b": f"{4 - k}/4"} for k, key in enumerate(keys)}
+    return {
+        "maxDepth": 2,
+        "spaces": [{"states": ["a", "b"]}],
+        "steps": [
+            {"n": 0, "kind": "const", "row": {"a": "1/2", "b": "1/2"}},
+            {"n": 1, "kind": kind, "rows": rows},
+        ],
+    }
+
+
+def test_table_rows_are_read_by_label(monkeypatch):
+    # each table key is matched against the label of the prefix at its
+    # index; no key is parsed into a tuple and no prefix is enumerated
+    def refuse(*args):
+        raise AssertionError("a table key went through the tuple codec")
+
+    monkeypatch.setattr(TupleSpace, "index_of", refuse)
+    monkeypatch.setattr(TupleSpace, "points", refuse)
+    step = model_from_dict(keyed_doc("table")).chain.steps[1]
+    assert [row.weight_at("a") for row in step.rows] == [0, Rat(1, 4), Rat(1, 2), Rat(3, 4)]
+
+
+MALFORMED_ROWS = {
+    "rows not an object": lambda rows: list(rows.values()),
+    "row not an object": lambda rows: {**rows, next(iter(rows)): "1/2"},
+    "missing key": lambda rows: dict(list(rows.items())[1:]),
+    "extra key": lambda rows: {**rows, "c": {"a": "1"}},
+    "wrong arity": lambda rows: {f"{key}|a": row for key, row in rows.items()},
+}
+
+
+@pytest.mark.parametrize("kind", ["last-state", "table"])
+@pytest.mark.parametrize("mutate", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys())
+def test_keyed_rows_must_match_the_keys(kind, mutate):
+    doc = keyed_doc(kind)
+    model_from_dict(doc)  # loads as written
+    doc["steps"][1]["rows"] = mutate(doc["steps"][1]["rows"])
+    rejects(doc)
+
+
 def test_missing_file_is_a_format_error(tmp_path):
     with pytest.raises(ModelFormatError):
         load_model(tmp_path / "absent.json")

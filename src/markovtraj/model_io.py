@@ -18,7 +18,9 @@ reused at every depth; otherwise exactly maxDepth+1 entries are required.
 Step kinds:
 
   * "table": "rows" maps every depth-n prefix, written as labels joined by
-    "|", to a distribution over next states.
+    "|", to a distribution over next states.  Each distinct row literal is
+    parsed once per step: prefixes whose rows are written identically share
+    one Dist.
   * "last-state": "rows" maps each possible last state to a distribution;
     prefixes sharing a last state share the row.
   * "const": a single "row" distribution used for every prefix.
@@ -37,8 +39,8 @@ that includes a key repeated within one JSON object.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import DomainError, ModelFormatError
 from .kernel import Kernel, const_kernel
@@ -48,10 +50,10 @@ from .rational import parse_ratio
 from .trajectory import ChainModel
 
 # Refuse trajectory spaces too large to query.  Measured with `validate`
-# plus `marginal --at D` from a depth-0 prefix on the two-state weather
-# chain, in a process capped at 1 GiB of address space on a 2-vCPU VM:
-# depth 19 (2^20 trajectories) completes in about 2.7 s at a peak RSS of
-# 210 MB, and depth 20 in about 5.5 s at 380 MB.
+# plus `marginal --point S --at 19`, as one process capped at 1 GiB of
+# address space on a 2-vCPU VM (Python 3.11.7, 3 runs): the depth-19
+# two-state weather chain (2^20 trajectories) completes in 3.2-3.3 s at a
+# peak RSS of 198 MB.
 _MAX_PREFIX_POINTS = 1 << 20
 
 
@@ -82,11 +84,13 @@ def load_model(path) -> LoadedModel:
 
 def _unique_keys(pairs: list) -> dict:
     """JSON object hook: a repeated key is an error, not "last one wins"."""
-    obj: dict = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ModelFormatError(f"key {key!r} given twice in one object")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ModelFormatError(f"key {key!r} given twice in one object")
+            seen.add(key)
     return obj
 
 
@@ -235,16 +239,27 @@ def _step_kernel(entry: Mapping, prefix_space, target: FiniteSpace, n: int) -> K
 
 def _keyed_rows(entry: Mapping, kind: str, keys, target: FiniteSpace, where: str) -> list:
     """One Dist per key, in key order, read from the step's "rows" object,
-    which must hold a row object for every key and nothing else."""
+    which must hold a row object for every key and nothing else.  Rows
+    written identically share one Dist, parsed at the first of them."""
     rows = entry.get("rows")
     if not isinstance(rows, Mapping):
         raise ModelFormatError(f'{where}: "{kind}" needs a "rows" object')
     dists = []
+    parsed: dict = {}  # a row's (label, text) pairs -> its accepted Dist
     for key in keys:
         row = rows.get(key)
         if not isinstance(row, Mapping):
             raise ModelFormatError(f"{where}: row {key!r} is missing or not an object")
-        dists.append(_dist_from_mapping(target, row, f"{where}, row {key!r}"))
+        literal = tuple(row.items())
+        try:
+            dist = parsed.get(literal)
+        except TypeError:  # an unhashable weight, which the parse rejects
+            literal = dist = None
+        if dist is None:
+            dist = _dist_from_mapping(target, row, f"{where}, row {key!r}")
+            if literal is not None:
+                parsed[literal] = dist
+        dists.append(dist)
     if len(rows) > len(dists):
         raise ModelFormatError(f"{where}: {len(rows)} rows for {len(dists)} keys")
     return dists

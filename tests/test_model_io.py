@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovtraj import (
+    Dist,
+    Kernel,
     LoadedModel,
     MarkovTrajError,
     ModelFormatError,
@@ -109,6 +112,86 @@ def test_table_rows_are_read_by_label(monkeypatch):
     monkeypatch.setattr(TupleSpace, "points", refuse)
     step = model_from_dict(keyed_doc("table")).chain.steps[1]
     assert [row.weight_at("a") for row in step.rows] == [0, Rat(1, 4), Rat(1, 2), Rat(3, 4)]
+
+
+def two_literal_doc() -> dict:
+    """keyed_doc("table") with rows that repeat two literals: x, y, y, x."""
+    doc = keyed_doc("table")
+    x, y = {"a": "1/4", "b": "3/4"}, {"b": "1/2", "a": "1/2"}
+    doc["steps"][1]["rows"] = {"a|a": x, "a|b": y, "b|a": dict(y), "b|b": dict(x)}
+    return doc
+
+
+def count_dists(monkeypatch) -> list:
+    """Patch Dist._set, through which every Dist is built, to log its space."""
+    built = []
+    original = Dist._set
+
+    def counting(self, space, *args):
+        built.append(space)
+        original(self, space, *args)
+
+    monkeypatch.setattr(Dist, "_set", counting)
+    return built
+
+
+def test_table_rows_share_one_dist_per_literal(monkeypatch):
+    built = count_dists(monkeypatch)
+    chain = model_from_dict(two_literal_doc()).chain
+    step = chain.steps[1]
+    # one Dist for the const row of step 0, one per distinct literal of step 1
+    assert len(built) == 3
+    assert len({id(row) for row in step.rows}) == 2
+    assert step.rows[0] is step.rows[3] and step.rows[1] is step.rows[2]
+    X = chain.spaces[2]
+    x, y = Dist(X, [Rat(1, 4), Rat(3, 4)]), Dist(X, [Rat(1, 2), Rat(1, 2)])
+    assert step == Kernel(step.source, X, [x, y, y, x])
+
+
+def test_a_literal_is_parsed_once_per_step(monkeypatch):
+    # the same row text over two targets gives one Dist on each target
+    row = {"a": "1/2", "b": "1/2"}
+    doc = {
+        "maxDepth": 2,
+        "spaces": [{"states": ["a", "b"]}, {"states": ["a", "b"]},
+                   {"id": "Z", "states": ["a", "b", "c"]}],
+        "steps": [
+            {"n": 0, "kind": "table", "rows": {"a": row, "b": row}},
+            {"n": 1, "kind": "table",
+             "rows": {key: dict(row) for key in ("a|a", "a|b", "b|a", "b|b")}},
+        ],
+    }
+    built = count_dists(monkeypatch)
+    chain = model_from_dict(doc).chain
+    assert built == [chain.spaces[1], chain.spaces[2]]
+    for n in (0, 1):
+        rows = chain.steps[n].rows
+        assert len({id(r) for r in rows}) == 1
+        assert rows[0].space is chain.spaces[n + 1]
+
+
+SHARED_ROW_ERRORS = {
+    "unknown state": ({"a": "1/2", "z": "1/2"}, "unknown state 'z'"),
+    "bad sum": ({"a": "1/2", "b": "1/4"}, "weights sum to 3/4"),
+    "unhashable weight": ({"a": ["1/2"], "b": "1/2"}, "weights must be rational strings"),
+}
+
+
+@pytest.mark.parametrize("row, error", SHARED_ROW_ERRORS.values(), ids=SHARED_ROW_ERRORS.keys())
+def test_a_repeated_bad_row_fails_at_its_first_key(row, error):
+    def rejects_at(doc, key):
+        with pytest.raises(ModelFormatError, match=re.escape(f"step 1, row '{key}': {error}")):
+            model_from_dict(doc)
+
+    # two copies of a bad literal: the first in prefix order is named
+    doc = two_literal_doc()
+    rows = doc["steps"][1]["rows"]
+    rows["a|b"], rows["b|a"] = row, json.loads(json.dumps(row))
+    rejects_at(doc, "a|b")
+    # a bad row after an accepted literal is parsed on its own
+    doc = two_literal_doc()
+    doc["steps"][1]["rows"]["b|b"] = row
+    rejects_at(doc, "b|b")
 
 
 MALFORMED_ROWS = {
@@ -292,12 +375,16 @@ def _replaced(node, path, value):
     return copy
 
 
+# The shipped models, plus a table step whose rows repeat two literals, so
+# that a replacement can make a later copy of a shared row differ from the
+# first or hold an unhashable weight.
 SHIPPED_NODES = [
     (doc, path)
-    for doc in (
-        json.loads((MODELS / f"{name}.json").read_text())
-        for name in ("weather", "coin", "drift")
-    )
+    for doc in [
+        *(json.loads((MODELS / f"{name}.json").read_text())
+          for name in ("weather", "coin", "drift")),
+        two_literal_doc(),
+    ]
     for path in _node_paths(doc)
 ]
 

@@ -41,7 +41,7 @@ from .product import (
     initial_prefix_dist,
     product_prefix_dist,
 )
-from .rational import Rat, format_rational, parse_rational
+from .rational import Rat, format_rational
 from .report import Report
 from .trajectory import (
     ChainModel,
@@ -106,7 +106,6 @@ __all__ = [
     "load_model",
     "map_kernel",
     "model_from_dict",
-    "parse_rational",
     "prod_kernel",
     "product_dist",
     "product_prefix_dist",

@@ -98,7 +98,7 @@ class TupleSpace:
     space whose sole point is the empty tuple.
     """
 
-    __slots__ = ("components", "_strides", "_size", "_points", "_halves", "_texts")
+    __slots__ = ("components", "_strides", "_size", "_points", "_halves", "_lookup", "_texts")
 
     def __init__(self, components: Sequence):
         self.components = tuple(components)
@@ -111,6 +111,7 @@ class TupleSpace:
         self._size = size
         self._points = None
         self._halves = None
+        self._lookup = None
         self._texts = None
 
     @property
@@ -135,7 +136,9 @@ class TupleSpace:
         (format_point) is the head's text, "|", then the tail's.  point_at
         enumerates both halves once, on first use, and label_at keeps the
         text of each head and tail it has written, so each costs two
-        lookups without listing the space.
+        lookups without listing the space.  Once point_at has listed the
+        halves, index_of looks the head and the tail up in dicts over those
+        lists; before that it sums digits, so a lookup alone lists nothing.
         """
         comps = self.components
         cut = len(comps)
@@ -146,12 +149,31 @@ class TupleSpace:
         return cut, tail_size
 
     def index_of(self, point) -> int:
+        if self._halves is not None and isinstance(point, tuple):
+            cut, tail_size, head_index, tail_index = self._lookup or self._index_halves()
+            try:
+                return head_index[point[:cut]] * tail_size + tail_index[point[cut:]]
+            except (KeyError, TypeError):
+                pass  # not a point: the loop below raises the DomainError
         if not isinstance(point, tuple) or len(point) != len(self.components):
             raise DomainError(f"{point!r} is not a point of {self!r}")
         index = 0
         for comp, coord, stride in zip(self.components, point, self._strides):
             index += comp.index_of(coord) * stride
         return index
+
+    def _index_halves(self) -> tuple:
+        """(cut, tail size, head -> position, tail -> position) over the
+        halves that point_at listed."""
+        cut, _ = self._cut()
+        tail_size, heads, tails = self._halves
+        self._lookup = (
+            cut,
+            tail_size,
+            {head: i for i, head in enumerate(heads)},
+            {tail: i for i, tail in enumerate(tails)},
+        )
+        return self._lookup
 
     def point_at(self, index: int) -> tuple:
         if self._halves is None:
@@ -200,7 +222,13 @@ def _text_of(components: tuple, join: str) -> Callable:
     """Index -> the text of that point of TupleSpace(components), then `join`:
     the components' texts joined by "|" (format_point's rule), each written
     when first asked for and kept, so rendering costs memory in the labels
-    it writes, not in the size of the space."""
+    it writes, not in the size of the space.  A single component's texts
+    are read from it, since a FiniteSpace holds its labels and a TupleSpace
+    keeps its own texts; so a split's pair space of two prefix spaces keeps
+    no second copy of theirs."""
+    if len(components) == 1:
+        label_at = components[0].label_at
+        return (lambda i: label_at(i) + join) if join else label_at
     digits = tuple(zip(components, TupleSpace(components)._strides))
     return functools.cache(
         lambda i: "|".join(comp.label_at(i // stride % comp.size) for comp, stride in digits) + join

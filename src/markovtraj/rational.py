@@ -37,11 +37,6 @@ def parse_ratio(text: str) -> tuple:
     return int(num), int(den or 1)
 
 
-def parse_rational(text: str) -> Rat:
-    """Parse "p/q" or "p" into an exact rational (see parse_ratio)."""
-    return Rat(*parse_ratio(text))
-
-
 def ratio_of(value) -> tuple:
     """(numerator, denominator) of an exact rational: an int, a Fraction, or
     a "p/q" string by parse_ratio's rule.  Anything else, a float, a Decimal

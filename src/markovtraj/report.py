@@ -8,11 +8,13 @@ A check passes iff its two values are equal under the library's own `==`,
 the comparison the `check_*` functions make.  Each column is the value
 rendered by the check's render function: scalar checks print the rational,
 structural checks (distributions, kernels, tables) print a short
-fingerprint of a canonical text form.  A passing check renders its left
-value once and shows it in both columns; the right value is rendered only
-when the check fails.  Rendering depends only on the compared values,
-never on timing or identity, so a report is stable byte for byte across
-runs.
+fingerprint of a canonical text form.  Equal values render equal text,
+so a passing check renders one side and shows it in both columns:
+`add_compared` renders its left value, and a caller that already holds
+the text of one side (`verify`, for the model's memoized kernels and
+tables) passes that text to `add` and renders the other side only when
+the check fails.  Rendering depends only on the compared values, never
+on timing or identity, so a report is stable byte for byte across runs.
 """
 from __future__ import annotations
 

@@ -81,6 +81,7 @@ class ChainModel:
         self._prefix_spaces = [step.source for step in self.steps] + [TupleSpace(self.spaces)]
         self._rows: dict = {}
         self._partial: dict = {}
+        self._pair_spaces: dict = {}
 
     def prefix_space(self, depth: int) -> TupleSpace:
         """Space of prefixes (x_0, .., x_depth)."""
@@ -146,6 +147,16 @@ class ChainModel:
             )
             self._partial[(a, b)] = kern
         return kern
+
+    def _pair_space(self, b: int) -> TupleSpace:
+        """(depth-b prefix, full trajectory) pairs, the target of the split
+        at depth b: one per b, shared by the splits from every depth a.  Its
+        labels are read from the two prefix spaces (see measure._text_of)."""
+        pairs = self._pair_spaces.get(b)
+        if pairs is None:
+            pairs = TupleSpace([self.prefix_space(b), self.prefix_space(self.max_depth)])
+            self._pair_spaces[b] = pairs
+        return pairs
 
     def __repr__(self) -> str:
         sizes = "x".join(str(s.size) for s in self.spaces)
@@ -568,7 +579,7 @@ def traj_split_sides(model: ChainModel, a: int, b: int) -> tuple:
     first = model.partial_traj(a, b)
     rest = model.partial_traj(b, model.max_depth)
     whole = model.partial_traj(a, model.max_depth)
-    pairs = TupleSpace([model.prefix_space(b), model.prefix_space(model.max_depth)])
+    pairs = model._pair_space(b)
     size_d = model.prefix_space(model.max_depth).size
     ratio = size_d // model.prefix_space(b).size
     two_stage = [_couple(row, rest, pairs) for row in first.rows]

@@ -3,12 +3,20 @@
 Every check builds the two values that the theory says must be equal,
 through the public operations, and adds one line that is PASS iff they
 are equal under `==`, the comparison the `check_*` functions make.  A
-passing check renders one side only (see `Report.add_compared`).  All
-depth combinations of the model are covered, so the cost grows quickly
-with maxDepth; this is meant for the small models that ship in model
-files.
+passing check renders one side only.  Where that side is one of the
+model's memoized kernels or tables (`kernel-comp`, `restrict`, `tower`
+and `product-form`), its fingerprint is rendered once per depth pair and
+shared by every check against it; the freshly built side is rendered
+only when the check fails, in its own column (the first, except in
+`product-form`, whose left side is the memoized kernel).  Every other
+check renders its left value (see `Report.add_compared`).  All depth
+combinations of the model are covered, so the cost grows quickly with
+maxDepth; this is meant for the small models that ship in model files.
 """
 from __future__ import annotations
+
+import functools
+from typing import Callable
 
 from .kernel import comp_kernel, map_kernel
 from .model_io import LoadedModel
@@ -44,13 +52,14 @@ from .trajectory import (
 def run_verify(loaded: LoadedModel) -> Report:
     chain = loaded.chain
     report = Report(loaded.header())
-    _kernel_checks(report, chain)
+    kernel_text = _kernel_texts(chain)
+    _kernel_checks(report, chain, kernel_text)
     _content_checks(report, chain)
     _witness_check(report, chain)
     _condexp_checks(report, chain)
     _split_checks(report, chain)
     if loaded.marginals is not None:
-        _product_checks(report, chain, loaded.marginals)
+        _product_checks(report, chain, loaded.marginals, kernel_text)
     return report
 
 
@@ -73,35 +82,52 @@ def _fingerprinted(canonical, *context):
     return lambda value: fingerprint(canonical(*context, value))
 
 
-def _kernel_checks(report: Report, chain: ChainModel) -> None:
+def _kernel_texts(chain: ChainModel) -> Callable:
+    """(a, b) -> fingerprint of the memoized `partial_traj(a, b)`, rendered
+    on first use.  Only the model's own kernels are kept, never fresh ones."""
+    return functools.cache(
+        lambda a, b: fingerprint(canonical_kernel(chain.partial_traj(a, b)))
+    )
+
+
+def _add_against(report: Report, check_id: str, fresh, memoized, text: str, render) -> None:
+    """Add the check `fresh == memoized`, where `text` renders `memoized`.
+
+    A pass shows `text` in both columns; a FAIL renders `fresh` into the
+    first column and shows `text` in the second.
+    """
+    ok = fresh == memoized
+    report.add(check_id, ok, text if ok else render(fresh), text)
+
+
+def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> None:
     depth = chain.max_depth
     by_kernel = _fingerprinted(canonical_kernel)
     for a, b, c in _depth_triples(depth):
         composed = comp_kernel(chain.partial_traj(a, b), chain.partial_traj(b, c))
-        report.add_compared(
-            f"kernel-comp:{a},{b},{c}", composed, chain.partial_traj(a, c), by_kernel
-        )
+        _add_against(report, f"kernel-comp:{a},{b},{c}",
+                     composed, chain.partial_traj(a, c), kernel_text(a, c), by_kernel)
     for a, b, c in _depth_triples(depth):
         restricted = map_kernel(
             chain.partial_traj(a, c), lambda p: p[: b + 1], chain.prefix_space(b)
         )
-        report.add_compared(
-            f"restrict:{a},{b},{c}", restricted, chain.partial_traj(a, b), by_kernel
-        )
+        _add_against(report, f"restrict:{a},{b},{c}",
+                     restricted, chain.partial_traj(a, b), kernel_text(a, b), by_kernel)
     # One table per pair b <= c serves as the inner stage of every (a, b, c)
-    # and as the direct side of every (b, ., c).
+    # and as the direct side of every (b, ., c), and is rendered once.
     tables = {
         (b, c): expectation_table(chain, b, c, _index_fraction(chain.prefix_space(c)))
         for b in range(depth + 1)
         for c in range(b, depth + 1)
     }
+    table_text = functools.cache(
+        lambda a, c: fingerprint(canonical_table(chain.prefix_space(a), tables[a, c]))
+    )
     for a, b, c in _depth_triples(depth):
-        report.add_compared(
-            f"tower:{a},{b},{c}",
-            expectation_table(chain, a, b, tables[b, c]),
-            tables[a, c],
-            _fingerprinted(canonical_table, chain.prefix_space(a)),
-        )
+        _add_against(report, f"tower:{a},{b},{c}",
+                     expectation_table(chain, a, b, tables[b, c]), tables[a, c],
+                     table_text(a, c),
+                     _fingerprinted(canonical_table, chain.prefix_space(a)))
 
 
 def _canonical_start(chain: ChainModel) -> tuple:
@@ -178,14 +204,18 @@ def _split_checks(report: Report, chain: ChainModel) -> None:
             report.add_compared(f"split:{a},{b}", two_stage, direct, by_kernel)
 
 
-def _product_checks(report: Report, chain: ChainModel, marginals) -> None:
+def _product_checks(report: Report, chain: ChainModel, marginals, kernel_text: Callable) -> None:
     depth = chain.max_depth
     by_kernel = _fingerprinted(canonical_kernel)
     by_dist = _fingerprinted(canonical_dist)
     for a in range(depth + 1):
         for b in range(a, depth + 1):
+            # The memoized kernel is the left side here: a FAIL renders the
+            # literal product into the second column.
             kern, literal = partial_traj_const_sides(chain, marginals, a, b)
-            report.add_compared(f"product-form:{a},{b}", kern, literal, by_kernel)
+            text = kernel_text(a, b)
+            ok = kern == literal
+            report.add(f"product-form:{a},{b}", ok, text, text if ok else by_kernel(literal))
     law, product = const_chain_law_sides(chain, marginals)
     report.add_compared("product-law", law, product, by_dist)
     for a in range(depth + 1):

@@ -154,6 +154,46 @@ def test_tuple_space_rejects_foreign_points():
             space.index_of(bad)
 
 
+def test_index_of_answers_from_the_halves_once_point_at_listed_them():
+    space = TupleSpace([FiniteSpace(f"X{k}", ["a", "b", "c"]) for k in range(4)])
+    # A lookup alone lists nothing.
+    assert space.index_of(("c", "a", "b", "c")) == 59
+    assert space._halves is None and space._lookup is None
+    assert space.point_at(59) == ("c", "a", "b", "c")
+    for i in range(space.size):
+        assert space.index_of(space.point_at(i)) == i
+    assert space._lookup is not None
+    # Every miss falls back to the loop: a DomainError, never a KeyError or
+    # TypeError.
+    for bad in (
+        ("?", "a", "b", "c"),  # bad label in the head
+        ("c", "a", "b", "?"),  # bad label in the tail
+        ("c", ["a"], "b", "c"),  # unhashable coordinate
+        ("c", "a", "b", ["c"]),
+        ("c", "a", "b"),  # short tuple
+        ("c", "a", "b", "c", "a"),
+        ["c", "a", "b", "c"],  # a list
+        "cabc",
+        None,
+    ):
+        with pytest.raises(DomainError):
+            space.index_of(bad)
+        assert bad not in space
+
+
+def test_a_space_of_two_tuple_spaces_reads_their_texts():
+    # The pair space of a split: its labels come from the two components'
+    # own texts, with no second copy kept in the pair space.
+    first = TupleSpace([w_space()] * 2)
+    second = TupleSpace([w_space()] * 3)
+    pairs = TupleSpace([first, second])
+    for i in range(pairs.size):
+        assert pairs.label_at(i) == pairs.format_point(pairs.point_at(i))
+    _, head_text, tail_text = pairs._texts
+    assert tail_text == second.label_at
+    assert head_text(3) == first.label_at(3) + "|"
+
+
 # ---- subsets ----
 
 

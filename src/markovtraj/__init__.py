@@ -38,7 +38,6 @@ from .product import (
     check_product_projection,
     check_product_split,
     const_chain,
-    initial_prefix_dist,
     product_prefix_dist,
 )
 from .rational import Rat, format_rational
@@ -100,7 +99,6 @@ __all__ = [
     "expectation_table",
     "extract_witness",
     "format_rational",
-    "initial_prefix_dist",
     "intersect_cylinders",
     "lift_cylinder",
     "load_model",

@@ -51,6 +51,14 @@ def _parse_point(text: str) -> tuple:
     return tuple(text.split("|"))
 
 
+def _coordinate(text: str) -> int:
+    """A coordinate or depth: 1 to 18 ASCII digits, far past any depth a
+    model can have (int() would also take other digits, "_" and signs)."""
+    if not re.fullmatch("[0-9]{1,18}", text):
+        raise DomainError(f"bad coordinate {text!r}")
+    return int(text)
+
+
 def _parse_cylinder_spec(spec: str) -> dict:
     constraints: dict = {}
     for clause in spec.split(","):
@@ -58,11 +66,7 @@ def _parse_cylinder_spec(spec: str) -> dict:
         coord_text, sep, states_text = clause.partition("=")
         if not sep or not coord_text or not states_text:
             raise DomainError(f"bad cylinder clause {clause!r}; want COORD=STATE[|STATE..]")
-        # Bounded: int() raises ValueError past a few thousand digits, and
-        # 18 digits are far past any depth a model can have.
-        if not re.fullmatch("[0-9]{1,18}", coord_text):
-            raise DomainError(f"bad coordinate {coord_text!r} in cylinder spec")
-        coord = int(coord_text)
+        coord = _coordinate(coord_text)
         if coord in constraints:
             raise DomainError(f"coordinate {coord} constrained twice")
         constraints[coord] = states_text.split("|")
@@ -194,11 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("marginal", _cmd_marginal, "law of the depth-b prefix from a start prefix")
     p.add_argument("--point", required=True, help='start prefix, e.g. "S|R"')
-    p.add_argument("--at", type=int, required=True, help="target depth b")
+    p.add_argument("--at", type=_coordinate, required=True, help="target depth b")
 
     p = add("cylinder", _cmd_cylinder, "list the prefixes a cylinder allows")
     p.add_argument("--cylinder", action="append", required=True, help='e.g. "1=S,2=S|R"')
-    p.add_argument("--lift", type=int, help="describe the cylinder at this depth")
+    p.add_argument("--lift", type=_coordinate, help="describe the cylinder at this depth")
 
     p = add("content", _cmd_content, "probability of a cylinder from a start prefix")
     p.add_argument("--point", required=True)
@@ -217,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("condexp", _cmd_condexp, "conditional cylinder probability table")
     p.add_argument("--cylinder", action="append", required=True)
-    p.add_argument("--at", type=int, required=True, help="condition on depths 0..b")
+    p.add_argument("--at", type=_coordinate, required=True, help="condition on depths 0..b")
 
     add("verify", _cmd_verify, "run all identity checks and print a report")
     return parser

@@ -79,9 +79,6 @@ class Kernel:
         """The distribution this kernel assigns to a source point."""
         return self.rows[self.source.index_of(point)]
 
-    def row_at(self, index: int) -> Dist:
-        return self.rows[index]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Kernel)

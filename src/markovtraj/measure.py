@@ -98,7 +98,7 @@ class TupleSpace:
     space whose sole point is the empty tuple.
     """
 
-    __slots__ = ("components", "_strides", "_size", "_points", "_halves", "_lookup", "_texts")
+    __slots__ = ("components", "_strides", "_size", "_points", "_halves", "_texts")
 
     def __init__(self, components: Sequence):
         self.components = tuple(components)
@@ -111,19 +111,11 @@ class TupleSpace:
         self._size = size
         self._points = None
         self._halves = None
-        self._lookup = None
         self._texts = None
 
     @property
     def size(self) -> int:
         return self._size
-
-    def points(self) -> tuple:
-        if self._points is None:
-            self._points = tuple(
-                itertools.product(*(comp.points() for comp in self.components))
-            )
-        return self._points
 
     def _cut(self) -> tuple:
         """(cut, tail size): a point is a head, the coordinates before `cut`,
@@ -133,12 +125,7 @@ class TupleSpace:
         the space's size, so there are about sqrt(size) heads and tails when
         the components are small.  The index of a point is the head's
         position times the tail size plus the tail's position, and its text
-        (format_point) is the head's text, "|", then the tail's.  point_at
-        enumerates both halves once, on first use, and label_at keeps the
-        text of each head and tail it has written, so each costs two
-        lookups without listing the space.  Once point_at has listed the
-        halves, index_of looks the head and the tail up in dicts over those
-        lists; before that it sums digits, so a lookup alone lists nothing.
+        (format_point) is the head's text, "|", then the tail's.
         """
         comps = self.components
         cut = len(comps)
@@ -148,9 +135,38 @@ class TupleSpace:
             tail_size *= comps[cut].size
         return cut, tail_size
 
+    def _listing(self) -> tuple:
+        """(cut, tail size, heads, tails, head -> position, tail -> position).
+
+        The one listing of the space, built on the first point_at or
+        points(): the head and tail points and a dict over each.  index_of
+        reads the dicts once they exist; before that it sums digits, so a
+        lookup alone lists nothing.  label_at lists nothing either.
+        """
+        if self._halves is None:
+            comps = self.components
+            cut, tail_size = self._cut()
+            heads = tuple(itertools.product(*(comp.points() for comp in comps[:cut])))
+            tails = tuple(itertools.product(*(comp.points() for comp in comps[cut:])))
+            self._halves = (
+                cut,
+                tail_size,
+                heads,
+                tails,
+                {head: i for i, head in enumerate(heads)},
+                {tail: i for i, tail in enumerate(tails)},
+            )
+        return self._halves
+
+    def points(self) -> tuple:
+        if self._points is None:
+            _, _, heads, tails, _, _ = self._listing()
+            self._points = tuple(head + tail for head in heads for tail in tails)
+        return self._points
+
     def index_of(self, point) -> int:
         if self._halves is not None and isinstance(point, tuple):
-            cut, tail_size, head_index, tail_index = self._lookup or self._index_halves()
+            cut, tail_size, _, _, head_index, tail_index = self._halves
             try:
                 return head_index[point[:cut]] * tail_size + tail_index[point[cut:]]
             except (KeyError, TypeError):
@@ -162,32 +178,16 @@ class TupleSpace:
             index += comp.index_of(coord) * stride
         return index
 
-    def _index_halves(self) -> tuple:
-        """(cut, tail size, head -> position, tail -> position) over the
-        halves that point_at listed."""
-        cut, _ = self._cut()
-        tail_size, heads, tails = self._halves
-        self._lookup = (
-            cut,
-            tail_size,
-            {head: i for i, head in enumerate(heads)},
-            {tail: i for i, tail in enumerate(tails)},
-        )
-        return self._lookup
-
     def point_at(self, index: int) -> tuple:
-        if self._halves is None:
-            cut, tail_size = self._cut()
-            self._halves = (
-                tail_size,
-                TupleSpace(self.components[:cut]).points(),
-                TupleSpace(self.components[cut:]).points(),
-            )
-        tail_size, heads, tails = self._halves
+        _, tail_size, heads, tails, _, _ = self._halves or self._listing()
         return heads[index // tail_size] + tails[index % tail_size]
 
     def label_at(self, index: int) -> str:
-        """The text of the point numbered `index`: format_point(point_at(index))."""
+        """The text of the point numbered `index`: format_point(point_at(index)).
+
+        The text of each head and tail is kept once written, so each label
+        costs two lookups without listing the space.
+        """
         if self._texts is None:
             comps = self.components
             cut, tail_size = self._cut()
@@ -247,10 +247,6 @@ class SubsetOf:
                 raise DomainError(f"index {i} out of range for {space!r}")
         self.space = space
         self.indices = indices
-
-    @classmethod
-    def from_points(cls, space, points: Iterable) -> "SubsetOf":
-        return cls(space, (space.index_of(p) for p in points))
 
     def points(self) -> tuple:
         return tuple(self.space.point_at(i) for i in sorted(self.indices))

@@ -4,8 +4,7 @@ Implements:
   * const_chain: the ChainModel whose step at every depth ignores the
     prefix and draws the next coordinate from a fixed marginal, so its
     trajectory law is the product of the marginals.
-  * product_prefix_dist / initial_prefix_dist: truncated products on
-    prefix spaces.
+  * product_prefix_dist: truncated products on prefix spaces.
   * check_partial_traj_const: the partial-trajectory kernel of a constant
     chain is a point mass on the given prefix times the product of the
     remaining marginals.
@@ -43,13 +42,6 @@ def const_chain(marginals: Sequence[Dist]) -> ChainModel:
         for n in range(len(marginals) - 1)
     ]
     return ChainModel(spaces, steps)
-
-
-def initial_prefix_dist(marginal: Dist) -> Dist:
-    """A distribution on states, viewed on the space of depth-0 prefixes."""
-    return pushforward_dist(
-        marginal, lambda s: (s,), TupleSpace([marginal.space])
-    )
 
 
 def product_prefix_dist(marginals: Sequence[Dist], depth: int) -> Dist:
@@ -137,7 +129,7 @@ def check_product_projection(marginals: Sequence[Dist], a: int, b: int) -> bool:
 
 def const_chain_law_sides(chain: ChainModel, marginals: Sequence[Dist]) -> tuple:
     """The chain's full law from the first marginal, and the full product."""
-    start = initial_prefix_dist(marginals[0])
+    start = product_prefix_dist(marginals, 0)
     law = comp_measure(start, chain.partial_traj(0, chain.max_depth))
     return law, product_prefix_dist(marginals, chain.max_depth)
 

@@ -191,7 +191,7 @@ def expectation_table(model: ChainModel, a: int, b: int, f) -> dict:
     fn = _as_fn(f)
     kern = model.partial_traj(a, b)
     return {
-        p: kern.row_at(i).integrate(fn)
+        p: kern.rows[i].integrate(fn)
         for i, p in enumerate(model.prefix_space(a).points())
     }
 
@@ -227,23 +227,24 @@ def sample_trajectory(model: ChainModel, prefix, rng) -> tuple:
 class Cylinder:
     """A set of trajectories constrained on coordinates 0..depth.
 
-    Held as a finite union of pairwise-disjoint boxes on `space`, the
-    depth-`depth` prefix space.  A box is a tuple of (coordinate, frozenset
-    of allowed state indices) pairs, coordinates increasing; a coordinate
-    it does not list is unconstrained.  A trajectory belongs to the
-    cylinder iff it lies in one of the boxes.  Every operation works on the
-    boxes, so its cost is the constraints, not the prefix space; `base`,
-    the enumerated set of allowed prefixes, is built only when read.
-    Equality is equality of the trajectory sets.
+    Held as a finite union of pairwise-disjoint boxes on `space`, a prefix
+    space whose last coordinate is the depth.  A box is a tuple of
+    (coordinate, frozenset of allowed state indices) pairs, coordinates
+    increasing; a coordinate it does not list is unconstrained.  A
+    trajectory belongs to the cylinder iff it lies in one of the boxes.
+    Every operation works on the boxes, so its cost is the constraints, not
+    the prefix space; `base`, the enumerated set of allowed prefixes, is
+    built only when read.  Equality is equality of the trajectory sets.
     """
 
-    depth: int
     space: TupleSpace
     boxes: tuple
 
+    @property
+    def depth(self) -> int:
+        return len(self.space.components) - 1
+
     def __post_init__(self):
-        if self.depth != len(self.space.components) - 1:
-            raise DomainError("cylinder depth does not match its prefix space")
         sizes = [comp.size for comp in self.space.components]
         for box in self.boxes:
             for k, allowed in box:
@@ -284,14 +285,14 @@ class Cylinder:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cylinder):
             return NotImplemented
-        if self.depth != other.depth or self.space != other.space:
+        if self.space != other.space:
             return False
         # Equal sets: the intersection is as large as each of them.
         met = _box_meets(self.boxes, other.boxes)
         return len(self) == len(other) == _box_count(self.space, met)
 
     def __hash__(self) -> int:
-        return hash(("Cylinder", self.depth, self.space, len(self)))
+        return hash(("Cylinder", self.space, len(self)))
 
 
 def _box_meet(first: tuple, second: tuple):
@@ -372,7 +373,7 @@ def cylinder(model: ChainModel, depth: int, prefixes: Iterable) -> Cylinder:
         )
         for i in indices
     )
-    return Cylinder(depth, space, boxes)
+    return Cylinder(space, boxes)
 
 
 def cylinder_from_constraints(model: ChainModel, constraints: Mapping[int, Iterable]) -> Cylinder:
@@ -390,7 +391,7 @@ def cylinder_from_constraints(model: ChainModel, constraints: Mapping[int, Itera
         for i, states in sorted(constraints.items())
     )
     boxes = (box,) if all(allowed for _, allowed in box) else ()
-    return Cylinder(depth, model.prefix_space(depth), boxes)
+    return Cylinder(model.prefix_space(depth), boxes)
 
 
 def lift_cylinder(model: ChainModel, cyl: Cylinder, depth: int) -> Cylinder:
@@ -404,7 +405,7 @@ def lift_cylinder(model: ChainModel, cyl: Cylinder, depth: int) -> Cylinder:
         raise DomainError("cannot lift a cylinder to a smaller depth")
     if depth == cyl.depth:
         return cyl
-    return Cylinder(depth, model.prefix_space(depth), cyl.boxes)
+    return Cylinder(model.prefix_space(depth), cyl.boxes)
 
 
 def intersect_cylinders(model: ChainModel, first: Cylinder, second: Cylinder) -> Cylinder:
@@ -412,7 +413,7 @@ def intersect_cylinders(model: ChainModel, first: Cylinder, second: Cylinder) ->
     depth = max(first.depth, second.depth)
     a = lift_cylinder(model, first, depth)
     b = lift_cylinder(model, second, depth)
-    return Cylinder(depth, a.space, _box_meets(a.boxes, b.boxes))
+    return Cylinder(a.space, _box_meets(a.boxes, b.boxes))
 
 
 def disjoint_union_cylinders(model: ChainModel, cylinders: Sequence[Cylinder]) -> Cylinder:
@@ -426,7 +427,7 @@ def disjoint_union_cylinders(model: ChainModel, cylinders: Sequence[Cylinder]) -
         if _box_meets(lifted.boxes, boxes):
             raise PreconditionError("cylinders overlap; union would double-count")
         boxes.extend(lifted.boxes)
-    return Cylinder(depth, model.prefix_space(depth), tuple(boxes))
+    return Cylinder(model.prefix_space(depth), tuple(boxes))
 
 
 # ---- cylinder content ----

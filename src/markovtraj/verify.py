@@ -36,7 +36,6 @@ from .report import (
 )
 from .trajectory import (
     ChainModel,
-    cond_exp,
     cond_exp_sides,
     content_at_depth,
     cylinder_content,
@@ -53,10 +52,13 @@ def run_verify(loaded: LoadedModel) -> Report:
     chain = loaded.chain
     report = Report(loaded.header())
     kernel_text = _kernel_texts(chain)
-    _kernel_checks(report, chain, kernel_text)
-    _content_checks(report, chain)
-    _witness_check(report, chain)
-    _condexp_checks(report, chain)
+    cond_tables = _kernel_checks(report, chain, kernel_text)
+    start = _canonical_start(chain)
+    outer, _ = _best_constraint_cylinder(chain, start, min(1, chain.max_depth))
+    _content_checks(report, chain, start, outer)
+    _witness_check(report, chain, start, outer)
+    _condexp_checks(report, chain, cond_tables)
+    del cond_tables  # not held through the split checks
     _split_checks(report, chain)
     if loaded.marginals is not None:
         _product_checks(report, chain, loaded.marginals, kernel_text)
@@ -100,7 +102,9 @@ def _add_against(report: Report, check_id: str, fresh, memoized, text: str, rend
     report.add(check_id, ok, text if ok else render(fresh), text)
 
 
-def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> None:
+def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> dict:
+    """Add the kernel-comp, restrict and tower checks.  Returns the tower's
+    (b, D) tables by b: `cond_exp(chain, b, f)` for the index fraction f."""
     depth = chain.max_depth
     by_kernel = _fingerprinted(canonical_kernel)
     for a, b, c in _depth_triples(depth):
@@ -128,6 +132,7 @@ def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> 
                      expectation_table(chain, a, b, tables[b, c]), tables[a, c],
                      table_text(a, c),
                      _fingerprinted(canonical_table, chain.prefix_space(a)))
+    return {b: tables[b, depth] for b in range(depth + 1)}
 
 
 def _canonical_start(chain: ChainModel) -> tuple:
@@ -154,10 +159,10 @@ def _best_constraint_cylinder(chain: ChainModel, start, coord: int, within=None)
     return best, best_content
 
 
-def _content_checks(report: Report, chain: ChainModel) -> None:
-    start = _canonical_start(chain)
+def _content_checks(report: Report, chain: ChainModel, start, outer) -> None:
+    """`outer` is the cylinder {x_coord = s} of largest content from `start`,
+    for coord = min(1, D)."""
     coord = min(1, chain.max_depth)
-    outer, _ = _best_constraint_cylinder(chain, start, coord)
     report.add_compared(
         "content-depth",
         content_at_depth(chain, 0, start, outer, max(0, outer.depth)),
@@ -173,9 +178,7 @@ def _content_checks(report: Report, chain: ChainModel) -> None:
     report.add_compared("content-additive", total, union, format_rational)
 
 
-def _witness_check(report: Report, chain: ChainModel) -> None:
-    start = _canonical_start(chain)
-    outer, _ = _best_constraint_cylinder(chain, start, min(1, chain.max_depth))
+def _witness_check(report: Report, chain: ChainModel, start, outer) -> None:
     inner, eps = _best_constraint_cylinder(
         chain, start, min(2, chain.max_depth), within=outer
     )
@@ -184,15 +187,15 @@ def _witness_check(report: Report, chain: ChainModel) -> None:
     report.add_compared("witness-member", member, ONE, format_rational)
 
 
-def _condexp_checks(report: Report, chain: ChainModel) -> None:
+def _condexp_checks(report: Report, chain: ChainModel, tables: dict) -> None:
+    """`tables[b]` is `cond_exp(chain, b, f)` for the index fraction f."""
     depth = chain.max_depth
     f = _index_fraction(chain.prefix_space(depth))
     for b in range(depth + 1):
         render = _fingerprinted(canonical_table, chain.prefix_space(b))
-        table = cond_exp(chain, b, f)
         for a in range(b + 1):
             u = chain.prefix_space(a).point_at(0)
-            lhs, rhs = cond_exp_sides(chain, a, u, b, f, table)
+            lhs, rhs = cond_exp_sides(chain, a, u, b, f, tables[b])
             report.add_compared(f"condexp:{a},{b}", lhs, rhs, render)
 
 

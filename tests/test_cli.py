@@ -356,6 +356,17 @@ def test_numeric_literals_take_ascii_digits_only(capsys, tmp_path):
         )
         assert (code, out) == (3, ""), spec
         assert "bad coordinate" in err, spec
+    # Depths take the coordinates' rule: int() would read these as 1, 2 and 10.
+    for depth in (arabic_one, "\uff12", "1_0", "+1", " 1", "1" * 19):
+        for argv in (
+            ("marginal", "--model", WEATHER, "--point", "S", "--at", depth),
+            ("condexp", "--model", WEATHER, "--cylinder", "1=S", "--at", depth),
+            ("cylinder", "--model", WEATHER, "--cylinder", "1=S", "--lift", depth),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 3, argv
+            assert capsys.readouterr().out == "", argv
 
 
 def test_condexp_tests_membership_without_lifting(capsys, monkeypatch):

@@ -182,7 +182,7 @@ def test_coupling_mass_decomposes_into_sections():
         )
 
         def section(x):
-            return SubsetOf.from_points(sb, [y for x2, y in picked.points() if x2 == x])
+            return SubsetOf(sb, [sb.index_of(y) for x2, y in picked.points() if x2 == x])
 
         def mass(d, subset):
             return sum((w for i, w in d.support() if i in subset.indices), Rat(0))

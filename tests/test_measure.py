@@ -158,11 +158,11 @@ def test_index_of_answers_from_the_halves_once_point_at_listed_them():
     space = TupleSpace([FiniteSpace(f"X{k}", ["a", "b", "c"]) for k in range(4)])
     # A lookup alone lists nothing.
     assert space.index_of(("c", "a", "b", "c")) == 59
-    assert space._halves is None and space._lookup is None
+    assert space._halves is None and space._points is None
     assert space.point_at(59) == ("c", "a", "b", "c")
     for i in range(space.size):
         assert space.index_of(space.point_at(i)) == i
-    assert space._lookup is not None
+    assert space._halves is not None
     # Every miss falls back to the loop: a DomainError, never a KeyError or
     # TypeError.
     for bad in (
@@ -199,7 +199,7 @@ def test_a_space_of_two_tuple_spaces_reads_their_texts():
 
 def test_subset_membership():
     space = w_space()
-    sub = SubsetOf.from_points(space, ["R"])
+    sub = SubsetOf(space, [space.index_of("R")])
     assert "R" in sub
     assert "S" not in sub
     assert len(sub) == 1

@@ -12,7 +12,6 @@ from markovtraj import (
     check_product_projection,
     check_product_split,
     const_chain,
-    initial_prefix_dist,
     product_prefix_dist,
     uniform,
 )
@@ -60,7 +59,7 @@ def test_product_prefix_dist_frozen():
 
 def test_initial_prefix_dist():
     d = Dist(FiniteSpace("C", ["H", "T"]), ["1/3", "2/3"])
-    start = initial_prefix_dist(d)
+    start = product_prefix_dist([d], 0)
     assert start.weight_at(("H",)) == Rat(1, 3)
 
 

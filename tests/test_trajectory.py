@@ -97,7 +97,7 @@ def test_advance_kernel_appends_the_step_state():
         kern = chain.advance_kernel(n)
         assert kern.target == chain.prefix_space(n + 1)
         for i, step_row in enumerate(chain.steps[n].rows):
-            assert set(kern.row_at(i).support()) == {
+            assert set(kern.rows[i].support()) == {
                 (i * width + s, w) for s, w in step_row.support()
             }
 
@@ -107,7 +107,7 @@ def test_advance_kernel_is_the_one_step_partial_traj(weather):
         kern = weather.advance_kernel(n)
         assert kern is weather.partial_traj(n, n + 1)
         for i in range(kern.source.size):
-            assert kern.row_at(i) is weather.partial_row(n, n + 1, i)
+            assert kern.rows[i] is weather.partial_row(n, n + 1, i)
     for depth in (-1, weather.max_depth):
         with pytest.raises(DomainError):
             weather.advance_kernel(depth)
@@ -163,7 +163,7 @@ def test_partial_traj_matches_path_enumeration(weather):
             kern = weather.partial_traj(a, b)
             for i, prefix in enumerate(weather.prefix_space(a).points()):
                 law = {
-                    kern.target.point_at(j): w for j, w in kern.row_at(i).support()
+                    kern.target.point_at(j): w for j, w in kern.rows[i].support()
                 }
                 assert law == brute_force_prefix_law(weather, prefix, b)
 
@@ -197,7 +197,7 @@ def test_fast_paths_match_path_enumeration_on_deeper_chains():
             a, b = rng.randint(0, depth), rng.randint(0, depth)
             kern = chain.partial_traj(a, b)
             assert all(
-                kern.row_at(i) is chain.partial_row(a, b, i)
+                kern.rows[i] is chain.partial_row(a, b, i)
                 for i in range(kern.source.size)
             )
         u = random_prefix(rng, chain, 1)
@@ -276,7 +276,7 @@ def test_queries_match_path_enumeration_at_depth_8():
         a, b, c = sorted(rng.randint(0, depth) for _ in range(3))
         composed = comp_kernel(chain.partial_traj(a, b), chain.partial_traj(b, c))
         for i, p in enumerate(chain.prefix_space(a).points()):
-            row = composed.row_at(i)
+            row = composed.rows[i]
             assert {row.space.point_at(j): w for j, w in row.support()} == (
                 brute_force_prefix_law(chain, p, c)
             )
@@ -297,7 +297,7 @@ def test_partial_traj_matches_path_enumeration_random():
         b = rng.randint(0, chain.max_depth)
         kern = chain.partial_traj(a, b)
         for i, prefix in enumerate(chain.prefix_space(a).points()):
-            law = {kern.target.point_at(j): w for j, w in kern.row_at(i).support()}
+            law = {kern.target.point_at(j): w for j, w in kern.rows[i].support()}
             assert law == brute_force_prefix_law(chain, prefix, b)
 
 
@@ -308,6 +308,16 @@ def test_expectation_table_frozen(weather):
     table = expectation_table(weather, 0, 1, lambda p: 1 if p[1] == "S" else 0)
     assert table[("S",)] == Rat(3, 4)
     assert table[("R",)] == Rat(1, 2)
+
+
+def test_expectation_table_is_keyed_by_the_listed_points(weather):
+    # The keys are the very tuples of the cached `points()`, so the tables
+    # that `verify` keeps per depth hold no copy of the prefixes.
+    for a in range(weather.max_depth + 1):
+        points = weather.prefix_space(a).points()
+        table = expectation_table(weather, a, weather.max_depth, lambda p: 1)
+        assert len(table) == len(points)
+        assert all(key is point for key, point in zip(table, points))
 
 
 def test_expectation_table_accepts_tables_and_signed_integrands(weather):
@@ -413,15 +423,14 @@ def test_cylinder_depth_must_match_its_space():
     w = FiniteSpace("W", ["S", "R"])
     space = TupleSpace([w, w])
     point = ((0, frozenset({0})), (1, frozenset({0})))
-    assert Cylinder(1, space, (point,)).base == SubsetOf.from_points(space, [("S", "S")])
-    with pytest.raises(DomainError):
-        Cylinder(0, space, (point,))
-    with pytest.raises(DomainError):
-        Cylinder(2, space, (point,))
+    # the depth is read from the space, so it cannot disagree with it
+    cyl = Cylinder(space, (point,))
+    assert cyl.depth == 1
+    assert cyl.base == SubsetOf(space, [space.index_of(("S", "S"))])
     # boxes must constrain coordinates of the space to nonempty sets of states
     for box in (((2, frozenset({0})),), ((1, frozenset({2})),), ((1, frozenset()),)):
         with pytest.raises(DomainError):
-            Cylinder(1, space, (box,))
+            Cylinder(space, (box,))
 
 
 def test_lift_preserves_the_set(weather):

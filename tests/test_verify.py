@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import markovtraj.trajectory
 import markovtraj.verify as verify
 from markovtraj import (
     ChainModel,
@@ -178,7 +179,10 @@ def test_kernel_checks_render_each_memoized_kernel_once(monkeypatch):
 
 def test_tower_builds_one_table_per_depth_pair(monkeypatch):
     # depth 3: 10 pairs b <= c plus one staged table per each of the 20
-    # triples a <= b <= c, where building three per triple would take 60
+    # triples a <= b <= c, where building three per triple would take 60.
+    # The condexp checks read the tower's (b, 3) tables, so no `cond_exp`
+    # call (which integrates through the name bound in `trajectory`) adds
+    # one of the 4 tables it would rebuild.
     integrate = verify.expectation_table
     calls = []
 
@@ -187,6 +191,7 @@ def test_tower_builds_one_table_per_depth_pair(monkeypatch):
         return integrate(chain, a, b, f)
 
     monkeypatch.setattr(verify, "expectation_table", counted)
+    monkeypatch.setattr(markovtraj.trajectory, "expectation_table", counted)
     assert run_verify(load_model(WEATHER)).ok
     assert len(calls) == 30
 

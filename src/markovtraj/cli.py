@@ -12,8 +12,8 @@ Verbs:
 
 Prefixes are written as labels joined by "|" (so "S|R" is x_0=S, x_1=R)
 and cylinder constraints as comma-separated coordinate clauses like
-"1=S,2=S|R", where "|" separates allowed states.  Coordinates and
-rationals ("p/q" or "p") take ASCII digits only.  Exit codes: 0 success, 1 failed verify checks, 2 malformed
+"1=S,2=S|R", where "|" separates allowed states.  Coordinates, counts,
+seeds and rationals ("p/q" or "p") take ASCII digits only.  Exit codes: 0 success, 1 failed verify checks, 2 malformed
 model file, 3 bad request (usage error, unknown state, depth out of range,
 violated precondition), 4 internal invariant violation.
 """
@@ -51,12 +51,17 @@ def _parse_point(text: str) -> tuple:
     return tuple(text.split("|"))
 
 
-def _coordinate(text: str) -> int:
-    """A coordinate or depth: 1 to 18 ASCII digits, far past any depth a
-    model can have (int() would also take other digits, "_" and signs)."""
-    if not re.fullmatch("[0-9]{1,18}", text):
-        raise DomainError(f"bad coordinate {text!r}")
+def _integer(text: str, what: str, signed: bool = False) -> int:
+    """A coordinate, depth, count or seed: 1 to 18 ASCII digits, far past
+    any depth a model can have or count it can draw, after a "-" only when
+    `signed` (int() would also take other digits, "_" and "+")."""
+    if not re.fullmatch("-?[0-9]{1,18}" if signed else "[0-9]{1,18}", text):
+        raise DomainError(f"bad {what} {text!r}")
     return int(text)
+
+
+def _coordinate(text: str) -> int:
+    return _integer(text, "coordinate")
 
 
 def _parse_cylinder_spec(spec: str) -> dict:
@@ -117,11 +122,11 @@ def _cmd_content(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.samples < 0:
-        raise DomainError("--samples must not be negative")
+    samples = _integer(args.samples, "--samples")
+    seed = _integer(args.seed, "--seed", signed=True)
     loaded = _load(args)
     chain = loaded.chain
-    rng = random.Random(args.seed)
+    rng = random.Random(seed)
     if args.point is not None:
         start = _parse_point(args.point)
         draw_start = None
@@ -133,7 +138,7 @@ def _cmd_sample(args) -> int:
             "a chain file does not say how to draw coordinate 0; give --point"
         )
     counts: dict = {}
-    for _ in range(args.samples):
+    for _ in range(samples):
         prefix = start if start is not None else (draw_start.sample(rng),)
         traj = sample_trajectory(chain, prefix, rng)
         counts[traj] = counts.get(traj, 0) + 1
@@ -159,7 +164,7 @@ def _cmd_witness(args) -> int:
 def _cmd_condexp(args) -> int:
     chain = _load(args).chain
     cyl = _one_cylinder(chain, args)
-    table = cond_exp(chain, args.at, lambda traj: 1 if traj in cyl else 0)
+    table = cond_exp(chain, args.at, cyl)
     lines = table_lines(chain.prefix_space(args.at), table, " ")
     sys.stdout.writelines(f"{line}\n" for line in lines)
     return 0
@@ -210,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sample", _cmd_sample, "seeded exact sampling, printed as counts")
     p.add_argument("--point", help="start prefix; product files may omit it")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--seed", default="0")
+    p.add_argument("--samples", default="10000")
 
     p = add("witness", _cmd_witness, "common point of nested cylinders")
     p.add_argument("--point", required=True)

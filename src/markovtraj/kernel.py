@@ -68,9 +68,12 @@ class Kernel:
             raise DomainError(
                 f"expected {source.size} rows for {source!r}, got {len(rows)}"
             )
-        for row in rows:
-            if not _same_space(row.space, target):
-                raise DomainError("kernel row lives on a different space")
+        # Rows nearly always hold the target object itself, which the
+        # identity test alone confirms; only otherwise are spaces compared.
+        if not all(row.space is target for row in rows) and not all(
+            _same_space(row.space, target) for row in rows
+        ):
+            raise DomainError("kernel row lives on a different space")
         self.source = source
         self.target = target
         self.rows = rows

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ModelFormatError
 from .kernel import Kernel, const_kernel
@@ -57,8 +57,7 @@ from .trajectory import ChainModel
 _MAX_PREFIX_POINTS = 1 << 20
 
 
-@dataclass(frozen=True)
-class LoadedModel:
+class LoadedModel(NamedTuple):
     """A chain plus, for product files, the marginals it was built from."""
 
     chain: ChainModel
@@ -161,8 +160,9 @@ def _load_chain(data: Mapping) -> LoadedModel:
                 f"model has too many full trajectories; the loader caps at {_MAX_PREFIX_POINTS}"
             )
 
+    labels = _prefix_labels(spaces)
     steps = [
-        _step_kernel(by_depth[n], TupleSpace(spaces[: n + 1]), spaces[n + 1], n)
+        _step_kernel(by_depth[n], TupleSpace(spaces[: n + 1]), spaces[n + 1], n, labels)
         for n in range(max_depth)
     ]
     try:
@@ -217,7 +217,27 @@ def _dist_from_mapping(space: FiniteSpace, mapping: Mapping, where: str) -> Dist
         raise ModelFormatError(f"{where}: {exc}") from exc
 
 
-def _step_kernel(entry: Mapping, prefix_space, target: FiniteSpace, n: int) -> Kernel:
+def _prefix_labels(spaces: tuple):
+    """n -> the labels of the depth-n prefixes, in enumeration order (the
+    text `label_at` writes), for n asked in increasing order.  Each depth's
+    list extends the one before by a coordinate, and only the last depth
+    asked for is kept, so a chain with no "table" step builds none."""
+    depth, labels = 0, list(spaces[0].labels)
+
+    def at(n: int) -> list:
+        nonlocal depth, labels
+        while depth < n:
+            depth += 1
+            states = spaces[depth].labels
+            labels = [f"{head}|{state}" for head in labels for state in states]
+        return labels
+
+    return at
+
+
+def _step_kernel(
+    entry: Mapping, prefix_space, target: FiniteSpace, n: int, labels
+) -> Kernel:
     kind = entry.get("kind")
     where = f"step {n}"
     if kind == "const":
@@ -232,8 +252,7 @@ def _step_kernel(entry: Mapping, prefix_space, target: FiniteSpace, n: int) -> K
         # state i % |X_n| and the rows repeat with that period.
         return Kernel(prefix_space, target, by_last * (prefix_space.size // last_space.size))
     if kind == "table":
-        keys = map(prefix_space.label_at, range(prefix_space.size))
-        return Kernel(prefix_space, target, _keyed_rows(entry, kind, keys, target, where))
+        return Kernel(prefix_space, target, _keyed_rows(entry, kind, labels(n), target, where))
     raise ModelFormatError(f'{where}: unknown kind {kind!r}')
 
 

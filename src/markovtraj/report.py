@@ -19,8 +19,7 @@ on timing or identity, so a report is stable byte for byte across runs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, List, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .measure import dist_lines
 from .rational import format_rational
@@ -59,8 +58,7 @@ def canonical_table(space, table: Mapping) -> str:
     return " ".join(table_lines(space, table, "="))
 
 
-@dataclass(frozen=True)
-class CheckLine:
+class CheckLine(NamedTuple):
     check_id: str
     ok: bool
     lhs: str
@@ -71,10 +69,10 @@ class CheckLine:
         return f"CHECK {self.check_id} {status} {self.lhs} {self.rhs}"
 
 
-@dataclass
 class Report:
-    header: str
-    lines: List[CheckLine] = field(default_factory=list)
+    def __init__(self, header: str):
+        self.header = header
+        self.lines: list = []
 
     def add(self, check_id: str, ok: bool, lhs: str, rhs: str) -> None:
         self.lines.append(CheckLine(check_id, ok, lhs, rhs))

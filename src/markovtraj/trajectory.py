@@ -19,10 +19,15 @@ Implements:
     the trajectory law, read off the memoized rows by the index digits of
     the constrained coordinates, and a greedy construction of a common
     point for a nested sequence of cylinders whose contents stay above a
-    bound.
+    bound.  Past `markov_from`, the depth from which every step reads only
+    the last state, the law of the last state is a sufficient statistic:
+    both read the constraints past that depth from one backward pass over
+    it (_tails), at O(|X|^2) per depth instead of one row entry per
+    trajectory.
   * cond_exp / check_cond_exp / check_traj_split: conditional
-    expectation given the first b coordinates as an explicit table, and
-    exact checks of its defining identity and of the two-stage
+    expectation given the first b coordinates as an explicit table (of a
+    cylinder's indicator at b >= markov_from, read off the same backward
+    pass), and exact checks of its defining identity and of the two-stage
     decomposition of the trajectory law.  Each identity's two sides come
     from one function (cond_exp_sides, traj_split_sides), which the
     `verify` report renders too.
@@ -35,7 +40,7 @@ contiguous index block.  Several routines below lean on that.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, InvariantError, PreconditionError
@@ -58,6 +63,10 @@ class ChainModel:
     Partial-trajectory rows and kernels are memoized on the model, so
     repeated queries share all the work, and a kernel's rows are the very
     row objects that single-prefix queries read.
+
+    `markov_from` is the smallest m such that every step n >= m reads only
+    the last state x_n (0 for a chain of such steps, max_depth when the
+    last step reads more).
     """
 
     def __init__(self, spaces: Sequence, steps: Sequence[Kernel]):
@@ -79,9 +88,21 @@ class ChainModel:
             if step.target != self.spaces[n + 1]:
                 raise DomainError(f"step {n} does not map into the depth-{n + 1} space")
         self._prefix_spaces = [step.source for step in self.steps] + [TupleSpace(self.spaces)]
+        # Step n reads only the last state iff its row at prefix i depends
+        # on i % |X_n| alone (the last coordinate is the least significant),
+        # that is, iff its rows repeat with that period.  Shared rows make
+        # this one tuple compare.
+        markov_from = self.max_depth
+        while markov_from:
+            rows, width = self.steps[markov_from - 1].rows, self.spaces[markov_from - 1].size
+            if rows[width:] != rows[:-width]:
+                break
+            markov_from -= 1
+        self.markov_from = markov_from
         self._rows: dict = {}
         self._partial: dict = {}
         self._pair_spaces: dict = {}
+        self._lumped: dict = {}
 
     def prefix_space(self, depth: int) -> TupleSpace:
         """Space of prefixes (x_0, .., x_depth)."""
@@ -148,6 +169,21 @@ class ChainModel:
             self._partial[(a, b)] = kern
         return kern
 
+    def _lumped_step(self, n: int) -> tuple:
+        """(rows, lcm) of step n >= markov_from, by last state: rows[s] is
+        the (state, numerator) list of the step's row after a prefix ending
+        in state s, every row over the common denominator lcm."""
+        lumped = self._lumped.get(n)
+        if lumped is None:
+            rows = self.steps[n].rows[: self.spaces[n].size]
+            lcm = math.lcm(*(row._denom for row in rows))
+            lumped = (
+                [[(u, m * (lcm // row._denom)) for u, m in row._numerators] for row in rows],
+                lcm,
+            )
+            self._lumped[n] = lumped
+        return lumped
+
     def _pair_space(self, b: int) -> TupleSpace:
         """(depth-b prefix, full trajectory) pairs, the target of the split
         at depth b: one per b, shared by the splits from every depth a.  Its
@@ -169,6 +205,8 @@ class ChainModel:
 def _as_fn(f) -> Callable:
     if callable(f):
         return f
+    if isinstance(f, Cylinder):
+        return lambda trajectory: 1 if trajectory in f else 0
     if isinstance(f, Mapping):
         def lookup(prefix):
             try:
@@ -223,7 +261,6 @@ def sample_trajectory(model: ChainModel, prefix, rng) -> tuple:
 # ---- cylinders ----
 
 
-@dataclass(frozen=True, eq=False)
 class Cylinder:
     """A set of trajectories constrained on coordinates 0..depth.
 
@@ -237,20 +274,24 @@ class Cylinder:
     built only when read.  Equality is equality of the trajectory sets.
     """
 
-    space: TupleSpace
-    boxes: tuple
+    __slots__ = ("space", "boxes")
+
+    def __init__(self, space: TupleSpace, boxes: tuple):
+        sizes = [comp.size for comp in space.components]
+        for box in boxes:
+            for k, allowed in box:
+                if not (0 <= k < len(sizes) and allowed
+                        and all(0 <= s < sizes[k] for s in allowed)):
+                    raise DomainError(f"bad box constraint on coordinate {k}")
+        self.space = space
+        self.boxes = boxes
 
     @property
     def depth(self) -> int:
         return len(self.space.components) - 1
 
-    def __post_init__(self):
-        sizes = [comp.size for comp in self.space.components]
-        for box in self.boxes:
-            for k, allowed in box:
-                if not (0 <= k <= self.depth and allowed
-                        and all(0 <= s < sizes[k] for s in allowed)):
-                    raise DomainError(f"bad box constraint on coordinate {k}")
+    def __repr__(self) -> str:
+        return f"Cylinder({self.space!r}, {self.boxes!r})"
 
     def __contains__(self, trajectory) -> bool:
         comps = self.space.components
@@ -331,31 +372,75 @@ def _check_cylinder(model: ChainModel, cyl: Cylinder) -> None:
         raise DomainError("cylinder lives on a different prefix space")
 
 
-def _box_mass(model: ChainModel, cyl: Cylinder, a: int, index: int, depth: int) -> Rat:
+def _box_mass(
+    model: ChainModel, cyl: Cylinder, a: int, index: int, depth: int, tails=None, q: int = 1
+) -> Rat:
     """Weight that `partial_row(a, depth, index)` puts inside the cylinder.
 
     Coordinate k of the index j of a depth-`depth` prefix is
     j // stride_k % |X_k|.  Coordinates up to a are those of the starting
     prefix, so each box checks them once on the first index of its block;
-    every other constraint is one pass over the row entries still inside.
-    The boxes are disjoint, so their masses add up.
+    every other constraint up to `depth` is one pass over the row entries
+    still inside.  The boxes are disjoint, so their masses add up.
+
+    A cylinder deeper than `depth` needs its `tails` (see _tails): entry j
+    then counts with weight tails[box][j % |X_depth|] / q, the probability
+    that the chain meets the box's constraints past `depth` from a prefix
+    ending in that state.
     """
     row = model.partial_row(a, depth, index)
     space = model.prefix_space(depth)
     comps, strides = space.components, space._strides
+    width = comps[-1].size
     first = index * (space.size // model.prefix_space(a).size)
     total = 0
-    for box in cyl.boxes:
+    for b, box in enumerate(cyl.boxes):
         entries = row._numerators
         for k, allowed in box:
+            if k > depth:
+                break
             stride, size = strides[k], comps[k].size
             if k > a:
                 entries = [e for e in entries if e[0] // stride % size in allowed]
             elif first // stride % size not in allowed:
+                entries = ()
                 break
-        else:
+        if tails is None:
             total += sum(n for _, n in entries)
-    return Rat(total, row._denom)
+        else:
+            h = tails[b]
+            total += sum(n * h[j % width] for j, n in entries)
+    return Rat(total, row._denom * q)
+
+
+def _tails(model: ChainModel, boxes: Sequence, lo: int, hi: int) -> list:
+    """One backward pass over the law of the last state, per box.
+
+    Entry k - lo, for k in lo..hi, is (h, q): h[box][s] / q is the
+    probability that coordinates k+1..hi meet the box's constraints, from
+    any depth-k prefix ending in state s.  That is 1 at k = hi, and h_k(s)
+    is the sum over u of step_k(s, u) * [u allowed at k+1] * h_{k+1}(u),
+    which reads the step through its last state alone, so it needs
+    lo >= markov_from.  The numerators are integers over one q per depth,
+    the product of the step lcms past it, shared by every box.
+    """
+    constraints = [dict(box) for box in boxes]
+    h = [[1] * model.spaces[hi].size for _ in boxes]
+    q = 1
+    out = [(h, q)]
+    for k in range(hi - 1, lo - 1, -1):
+        rows, lcm = model._lumped_step(k)
+        q *= lcm
+        passed = []
+        for box, after in zip(constraints, h):
+            allowed = box.get(k + 1)
+            if allowed is not None:
+                after = [v if u in allowed else 0 for u, v in enumerate(after)]
+            passed.append([sum(m * after[u] for u, m in row) for row in rows])
+        h = passed
+        out.append((h, q))
+    out.reverse()
+    return out
 
 
 def cylinder(model: ChainModel, depth: int, prefixes: Iterable) -> Cylinder:
@@ -449,8 +534,22 @@ def content_at_depth(model: ChainModel, a: int, prefix, cyl: Cylinder, depth: in
 
 
 def cylinder_content(model: ChainModel, a: int, prefix, cyl: Cylinder) -> Rat:
-    """Probability that the chain started from `prefix` lands in the cylinder."""
-    return content_at_depth(model, a, prefix, cyl, max(a, cyl.depth))
+    """Probability that the chain started from `prefix` lands in the cylinder.
+
+    Past m = max(a, markov_from) the steps read the last state alone, so a
+    cylinder reaching past m is weighed on the memoized depth-m row, each
+    entry inside the boxes up to m counting with the probability of the
+    rest (see _tails): O(|X|^2) per depth past m, not one entry per
+    trajectory.  A cylinder no deeper than m is summed on the row at its
+    depth, as `content_at_depth` does.
+    """
+    _check_cylinder(model, cyl)
+    index = model.prefix_space(a).index_of(tuple(prefix))
+    lumped_from = max(a, model.markov_from)
+    if cyl.depth <= lumped_from:
+        return _box_mass(model, cyl, a, index, max(a, cyl.depth))
+    tails, q = _tails(model, cyl.boxes, lumped_from, cyl.depth)[0]
+    return _box_mass(model, cyl, a, index, lumped_from, tails, q)
 
 
 # ---- witness extraction ----
@@ -470,7 +569,9 @@ def extract_witness(
     order on ties.  The maximum over successor states is at least the
     step-weighted average, which is the current content, so the content
     stays >= eps until the cylinder depth is reached, where it becomes a
-    membership indicator.
+    membership indicator.  From markov_from on, a successor's content is
+    the sum, over the innermost boxes its prefix meets, of one backward
+    pass's h at its last state (see _tails); below, it is read off rows.
     """
     eps = Rat(*ratio_of(eps))
     if eps <= 0:
@@ -490,17 +591,38 @@ def extract_witness(
             raise PreconditionError(f"a cylinder has content below {eps}")
 
     innermost = cylinders[-1]
-    for depth in range(a, target_depth):
+    # One backward pass gives every score from depth lumped_from on.
+    lumped_from = max(a + 1, model.markov_from)
+    tails = (
+        _tails(model, innermost.boxes, lumped_from, target_depth)
+        if lumped_from <= target_depth else None
+    )
+    # (constraints, box number) of each box the chosen prefix still meets
+    alive = [
+        (dict(box), b) for b, box in enumerate(innermost.boxes)
+        if all(model.spaces[k].index_of(prefix[k]) in allowed for k, allowed in box if k <= a)
+    ]
+    for depth in range(a + 1, target_depth + 1):
         # Appending state s to prefix `index` gives prefix index * width + s.
-        width = model.spaces[depth + 1].size
-        best_index = None
-        best_content = None
-        for extended in range(index * width, (index + 1) * width):
-            content = _box_mass(model, innermost, depth + 1, extended, target_depth)
-            if best_content is None or content > best_content:
-                best_index = extended
-                best_content = content
-        index = best_index
+        width = model.spaces[depth].size
+        first = index * width
+        if depth < lumped_from:
+            # This depth's successors are weighed on their own rows.
+            scores = [
+                _box_mass(model, innermost, depth, j, lumped_from, *tails[0])
+                if tails else _box_mass(model, innermost, depth, j, target_depth)
+                for j in range(first, first + width)
+            ]
+        else:
+            # A box that leaves x_depth free allows every state.
+            h, _ = tails[depth - lumped_from]  # one denominator for the depth
+            scores = [
+                sum(h[b][s] for box, b in alive if s in box.get(depth, (s,)))
+                for s in range(width)
+            ]
+        best = max(range(width), key=scores.__getitem__)  # the first on ties
+        index = first + best
+        alive = [(box, b) for box, b in alive if best in box.get(depth, (best,))]
 
     for c in cylinders:
         if _box_mass(model, c, target_depth, index, target_depth) != 1:
@@ -514,11 +636,41 @@ def extract_witness(
 def cond_exp(model: ChainModel, b: int, f) -> dict:
     """Conditional expectation of f given the first b coordinates, as a table.
 
-    f assigns a rational of either sign to every full trajectory; the
-    returned table maps each depth-b prefix to the mean of f under the chain
-    continued from it, which is `expectation_table(model, b, D, f)`.
+    f assigns a rational of either sign to every full trajectory, or is a
+    Cylinder, which stands for its indicator; the returned table maps each
+    depth-b prefix to the mean of f under the chain continued from it,
+    which is `expectation_table(model, b, D, f)`.  For a cylinder and
+    b >= markov_from the steps past b read the last state alone, so the
+    value at p is the sum over the boxes p meets of the probability of the
+    rest of the box from p's last state (see _tails), and no row is built.
     """
+    if isinstance(f, Cylinder):
+        _check_cylinder(model, f)
+        if model.markov_from <= b <= model.max_depth:
+            return _cylinder_table(model, b, f)
     return expectation_table(model, b, model.max_depth, f)
+
+
+def _cylinder_table(model: ChainModel, b: int, cyl: Cylinder) -> dict:
+    """cond_exp of the cylinder's indicator at b >= markov_from."""
+    space = model.prefix_space(b)
+    comps, strides = space.components, space._strides
+    tails, q = _tails(model, cyl.boxes, b, max(b, cyl.depth))[0]
+    numerators = [0] * space.size
+    for box, h in zip(cyl.boxes, tails):
+        # The prefixes that meet the box: every allowed head of the first b
+        # coordinates, then every allowed last state.
+        allowed = dict(box)
+        heads = itertools.product(*(
+            [s * stride for s in sorted(allowed.get(k, range(comp.size)))]
+            for k, (comp, stride) in enumerate(zip(comps[:-1], strides))
+        ))
+        last = [(s, h[s]) for s in sorted(allowed.get(b, range(comps[-1].size)))]
+        for head in map(sum, heads):
+            for s, n in last:
+                numerators[head + s] += n
+    values = {n: Rat(n, q) for n in set(numerators)}
+    return {p: values[n] for p, n in zip(space.points(), numerators)}
 
 
 def cond_exp_sides(model: ChainModel, a: int, prefix, b: int, f, table) -> tuple:

@@ -165,7 +165,7 @@ def _content_checks(report: Report, chain: ChainModel, start, outer) -> None:
     coord = min(1, chain.max_depth)
     report.add_compared(
         "content-depth",
-        content_at_depth(chain, 0, start, outer, max(0, outer.depth)),
+        cylinder_content(chain, 0, start, outer),
         content_at_depth(chain, 0, start, outer, chain.max_depth),
         format_rational,
     )

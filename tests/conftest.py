@@ -6,6 +6,7 @@ for it.
 """
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import resource
@@ -122,6 +123,41 @@ def random_chain(rng: random.Random, depth: int | None = None) -> ChainModel:
         rows = [random_dist(rng, spaces[n + 1]) for _ in range(prefix_space.size)]
         steps.append(Kernel(prefix_space, spaces[n + 1], rows))
     return ChainModel(spaces, steps)
+
+
+def random_model_doc(rng: random.Random, depth: int | None = None) -> dict:
+    """Random model document whose steps mix the "table", "last-state" and
+    "const" kinds: 2-3 states per coordinate, depth 2-5 unless given.  A
+    "table" step past depth 0 almost surely reads more than the last state,
+    so the chain's markov_from falls anywhere in 0..depth."""
+    if depth is None:
+        depth = rng.randint(2, 5)
+    labels = [[f"s{j}" for j in range(rng.randint(2, 3))] for _ in range(depth + 1)]
+
+    def row(states: list) -> dict:
+        weights = [rng.randint(0, 4) for _ in states]
+        if not any(weights):
+            weights[rng.randrange(len(states))] = 1
+        total = sum(weights)
+        return {s: f"{w}/{total}" for s, w in zip(states, weights) if w}
+
+    steps = []
+    for n in range(depth):
+        kind = rng.choice(["table", "last-state", "const"])
+        step = {"n": n, "kind": kind}
+        if kind == "const":
+            step["row"] = row(labels[n + 1])
+        elif kind == "last-state":
+            step["rows"] = {s: row(labels[n + 1]) for s in labels[n]}
+        else:
+            prefixes = itertools.product(*labels[: n + 1])
+            step["rows"] = {"|".join(p): row(labels[n + 1]) for p in prefixes}
+        steps.append(step)
+    return {
+        "maxDepth": depth,
+        "spaces": [{"id": f"X{i}", "states": states} for i, states in enumerate(labels)],
+        "steps": steps,
+    }
 
 
 def random_prefix(rng: random.Random, chain: ChainModel, depth: int) -> tuple:

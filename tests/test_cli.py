@@ -367,6 +367,18 @@ def test_numeric_literals_take_ascii_digits_only(capsys, tmp_path):
                 main(list(argv))
             assert exc.value.code == 3, argv
             assert capsys.readouterr().out == "", argv
+    # Counts and seeds too: int() would draw 10 or 3 samples, or seed 1.
+    for option, value in (("--samples", "1_0"), ("--samples", "٣"), ("--samples", "+3"),
+                          ("--samples", "-3"), ("--samples", "1" * 19), ("--seed", arabic_one),
+                          ("--seed", "1_0"), ("--seed", "+1"), ("--seed", "1" * 19)):
+        argv = {"--samples": "3", "--seed": "1", option: value}
+        code, out, err = run(capsys, "sample", "--model", WEATHER, "--point", "S",
+                             *itertools.chain(*argv.items()))
+        assert (code, out) == (3, ""), (option, value)
+        assert option in err, (option, value)
+    code, out, _ = run(capsys, "sample", "--model", WEATHER, "--point", "S",
+                       "--samples", "3", "--seed", "-1")
+    assert code == 0 and sum(int(line.split()[1]) for line in out.splitlines()) == 3
 
 
 def test_condexp_tests_membership_without_lifting(capsys, monkeypatch):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import markovtraj.model_io
 from markovtraj import (
     Dist,
+    FiniteSpace,
     Kernel,
     LoadedModel,
     MarkovTrajError,
@@ -112,6 +114,31 @@ def test_table_rows_are_read_by_label(monkeypatch):
     monkeypatch.setattr(TupleSpace, "points", refuse)
     step = model_from_dict(keyed_doc("table")).chain.steps[1]
     assert [row.weight_at("a") for row in step.rows] == [0, Rat(1, 4), Rat(1, 2), Rat(3, 4)]
+
+
+def test_table_keys_extend_the_labels_of_the_depth_before():
+    spaces = (FiniteSpace("A", ["a", "b"]), FiniteSpace("B", ["x", "y", "z"]),
+              FiniteSpace("C", ["p", "q"]))
+    labels = markovtraj.model_io._prefix_labels(spaces)
+    for n in range(3):
+        space = TupleSpace(spaces[: n + 1])
+        assert labels(n) == [space.label_at(i) for i in range(space.size)]
+
+
+def test_only_table_steps_build_prefix_labels(monkeypatch):
+    asked = []
+    labels_of = markovtraj.model_io._prefix_labels
+
+    def spy(spaces):
+        labels = labels_of(spaces)
+        return lambda n: asked.append(n) or labels(n)
+
+    monkeypatch.setattr(markovtraj.model_io, "_prefix_labels", spy)
+    for name in ("weather", "coin"):
+        load_model(MODELS / f"{name}.json")
+    assert asked == []
+    load_model(MODELS / "drift.json")  # table, table, const
+    assert asked == [0, 1]
 
 
 def two_literal_doc() -> dict:

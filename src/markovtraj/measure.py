@@ -8,7 +8,12 @@ Implements:
     indices.
   * Dist: a probability distribution that stores only its support, as
     (index, integer numerator) pairs over one common denominator, with
-    point mass, integration, push-forward and finite products.
+    point mass, integration, push-forward, finite products and an exact
+    sampler.
+  * _integrals: the one integrator, shared by `Dist.integrate` and the
+    trajectory law's expectation tables.  A row's int values are summed as
+    integers times its numerators, and each distinct (numerator,
+    denominator) pair of the results becomes one Fraction.
   * dist_lines: the text of a distribution's entries, each label read by
     index from its space (`label_at`).
 
@@ -288,11 +293,12 @@ class Dist:
     numerators sum to the denominator.  Weights come in as exact
     rationals (see `ratio_of`): ints, `Fraction`s or "p/q" strings, never
     floats.  `support`, `weight_at` and `integrate` hand out `Fraction`s,
-    built from the numerators on each call; only the sampler's cumulative
-    numerators are kept, after the first draw.
+    built from the numerators on each call; only the sampler's draw table,
+    the cumulative numerators and the support points, is kept, after the
+    first draw.
     """
 
-    __slots__ = ("space", "_denom", "_numerators", "_cumulative")
+    __slots__ = ("space", "_denom", "_numerators", "_draws")
 
     def __init__(self, space, weights: Iterable):
         """Build from a dense weight sequence aligned with the enumeration."""
@@ -347,7 +353,7 @@ class Dist:
         self.space = space
         self._denom = denom
         self._numerators = numerators
-        self._cumulative = None
+        self._draws = None
 
     def support(self) -> tuple:
         """Nonzero (index, weight) pairs in enumeration order."""
@@ -365,29 +371,25 @@ class Dist:
 
     def integrate(self, f: Callable) -> Rat:
         """Sum of f(state) * weight(state); f takes rational values of either sign."""
-        # The products f * numerator are summed in integers, one slot per
-        # denominator of f's values, and divided once at the end.
-        point_at = self.space.point_at
-        by_denom: dict = {}
-        for i, n in self._numerators:
-            p, q = ratio_of(f(point_at(i)))
-            by_denom[q] = by_denom.get(q, 0) + p * n
-        return sum_of_ratios(by_denom, self._denom)
+        return _integrals(self.space, (self,), f)[0]
 
     def sample(self, rng):
         """Draw one point; exact, and deterministic given the rng state.
 
         A uniform integer below the common denominator is drawn and looked
         up among the cumulative numerators, so every state is hit with
-        exactly its rational probability.
+        exactly its rational probability.  The draw table, the cumulative
+        numerators and the support points, is built on the first draw.
         """
-        if self._cumulative is None:
-            self._cumulative = tuple(
-                itertools.accumulate(n for _, n in self._numerators)
+        draws = self._draws
+        if draws is None:
+            point_at = self.space.point_at
+            draws = self._draws = (
+                tuple(itertools.accumulate(n for _, n in self._numerators)),
+                tuple(point_at(i) for i, _ in self._numerators),
             )
-        draw = rng.randrange(self._denom)
-        k = bisect.bisect_right(self._cumulative, draw)
-        return self.space.point_at(self._numerators[k][0])
+        cumulative, points = draws
+        return points[bisect.bisect_right(cumulative, rng.randrange(self._denom))]
 
     def __eq__(self, other) -> bool:
         return (
@@ -416,6 +418,48 @@ def over_common_denominator(entries: Iterable) -> tuple:
             raise DomainError(f"negative weight {Rat(p, q)} at index {i}")
     denom = math.lcm(*(q for _, p, q in entries if p))
     return denom, [(i, p * (denom // q)) for i, p, q in entries if p]
+
+
+def _integrals(space, rows: Iterable, f: Callable) -> list:
+    """The integral of f against each of `rows`, distributions on `space`.
+
+    A row sums f's int values as plain integers times its numerators, over
+    its own denominator; any other value goes into one slot per
+    denominator of f's values (see ratio_of, which rejects floats, decimals
+    and None), and only such a row ends in `sum_of_ratios`.  Rows whose
+    integer sums are the same (numerator, denominator) share one Fraction.
+    A TupleSpace's points are joined from its head and tail listing, as
+    point_at joins them, so no call is made per entry and the space is
+    never listed in full.
+    """
+    if isinstance(space, TupleSpace):
+        _, width, heads, tails, _, _ = space._halves or space._listing()
+    else:
+        width, heads, tails = 1, space.points(), None
+    shared: dict = {}
+    out = []
+    for row in rows:
+        total = 0
+        by_denom = None
+        for j, n in row._numerators:
+            value = f(heads[j // width] + tails[j % width] if tails else heads[j])
+            if type(value) is int:
+                total += value * n
+            else:
+                if by_denom is None:
+                    by_denom = {}
+                p, q = ratio_of(value)
+                by_denom[q] = by_denom.get(q, 0) + p * n
+        if by_denom is not None:
+            by_denom[1] = by_denom.get(1, 0) + total
+            out.append(sum_of_ratios(by_denom, row._denom))
+            continue
+        key = (total, row._denom)
+        value = shared.get(key)
+        if value is None:
+            value = shared[key] = Rat(total, row._denom)
+        out.append(value)
+    return out
 
 
 def dist_lines(d, sep: str):

@@ -10,11 +10,14 @@ Implements:
     Queries from one prefix read its row alone, so they touch only the
     support it reaches.
   * expectation_table / traj_marginal / sample_trajectory: integration against,
-    marginals of, and exact seeded sampling from the trajectory law.
+    marginals of, and exact seeded sampling from the trajectory law.  A
+    table is one integer pass over the kernel's rows (measure._integrals),
+    and the sampler walks prefix indices, one `Dist.sample` draw per step.
   * Cylinder: a constraint on finitely many coordinates, stored as a
     disjoint union of boxes (one allowed state set per constrained
     coordinate), with lifting, intersection and disjoint union done box by
-    box; the prefixes it allows are enumerated only on request.
+    box; the prefixes it allows are enumerated only on request.  `in`
+    tests a trajectory's labels against per-box label sets.
   * cylinder_content and extract_witness: the content of a cylinder under
     the trajectory law, read off the memoized rows by the index digits of
     the constrained coordinates, and a greedy construction of a common
@@ -39,13 +42,14 @@ contiguous index block.  Several routines below lean on that.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, InvariantError, PreconditionError
 from .kernel import Kernel, _couple
-from .measure import Dist, SubsetOf, TupleSpace
+from .measure import Dist, SubsetOf, TupleSpace, _integrals
 from .rational import Rat, ratio_of, sum_of_ratios
 
 
@@ -226,12 +230,9 @@ def expectation_table(model: ChainModel, a: int, b: int, f) -> dict:
     """
     if not 0 <= a <= b <= model.max_depth:
         raise DomainError(f"need 0 <= a <= b <= {model.max_depth}")
-    fn = _as_fn(f)
     kern = model.partial_traj(a, b)
-    return {
-        p: kern.rows[i].integrate(fn)
-        for i, p in enumerate(model.prefix_space(a).points())
-    }
+    values = _integrals(kern.target, kern.rows, _as_fn(f))
+    return dict(zip(model.prefix_space(a).points(), values))
 
 
 def traj_marginal(model: ChainModel, a: int, prefix, b: int) -> Dist:
@@ -249,12 +250,14 @@ def sample_trajectory(model: ChainModel, prefix, rng) -> tuple:
     prefix = tuple(prefix)
     index = model.prefix_space(len(prefix) - 1).index_of(prefix)
     states = list(prefix)
+    steps, spaces = model.steps, model.spaces
     for n in range(len(prefix) - 1, model.max_depth):
-        # Appending state s to prefix `index` gives index * |X_{n+1}| + s.
-        row = model.steps[n].rows[index]
-        state = row.sample(rng)
+        # Appending state s to prefix `index` gives index * |X_{n+1}| + s;
+        # the drawn label's index is read from X_{n+1}'s own mapping.
+        state = steps[n].rows[index].sample(rng)
         states.append(state)
-        index = index * row.space.size + row.space.index_of(state)
+        space = spaces[n + 1]
+        index = index * len(space.labels) + space._index[state]
     return tuple(states)
 
 
@@ -274,7 +277,7 @@ class Cylinder:
     built only when read.  Equality is equality of the trajectory sets.
     """
 
-    __slots__ = ("space", "boxes")
+    __slots__ = ("space", "boxes", "_labels")
 
     def __init__(self, space: TupleSpace, boxes: tuple):
         sizes = [comp.size for comp in space.components]
@@ -285,6 +288,7 @@ class Cylinder:
                     raise DomainError(f"bad box constraint on coordinate {k}")
         self.space = space
         self.boxes = boxes
+        self._labels = None
 
     @property
     def depth(self) -> int:
@@ -294,17 +298,39 @@ class Cylinder:
         return f"Cylinder({self.space!r}, {self.boxes!r})"
 
     def __contains__(self, trajectory) -> bool:
-        comps = self.space.components
-        try:
-            for box in self.boxes:
-                for k, allowed in box:
-                    if comps[k].index_of(trajectory[k]) not in allowed:
-                        break
-                else:
-                    return True
-        except (DomainError, IndexError):
-            pass
+        # A coordinate that the trajectory does not reach, or that is not a
+        # state of its space, makes it no member, whatever the boxes still
+        # to come allow.
+        for box in self._labels or self._label_boxes():
+            for k, allowed, states in box:
+                try:
+                    coord = trajectory[k]
+                except IndexError:
+                    return False
+                try:
+                    if coord in allowed:
+                        continue
+                    if coord not in states:
+                        return False
+                except TypeError:  # unhashable, so not a state
+                    return False
+                break
+            else:
+                return True
         return False
+
+    def _label_boxes(self) -> tuple:
+        """The boxes by label, built on the first `in`: per constrained
+        coordinate k, (k, allowed labels, every label of X_k).  Boxes that
+        allow the same states at k share one set."""
+        comps = self.space.components
+        labels = functools.cache(lambda k, allowed: frozenset(map(comps[k].point_at, allowed)))
+        states = functools.cache(lambda k: frozenset(comps[k].points()))
+        self._labels = tuple(
+            tuple((k, labels(k, allowed), states(k)) for k, allowed in box)
+            for box in self.boxes
+        )
+        return self._labels
 
     def __len__(self) -> int:
         return _box_count(self.space, self.boxes)

@@ -52,13 +52,13 @@ def run_verify(loaded: LoadedModel) -> Report:
     chain = loaded.chain
     report = Report(loaded.header())
     kernel_text = _kernel_texts(chain)
-    cond_tables = _kernel_checks(report, chain, kernel_text)
+    f, cond_tables = _kernel_checks(report, chain, kernel_text)
     start = _canonical_start(chain)
     outer, _ = _best_constraint_cylinder(chain, start, min(1, chain.max_depth))
     _content_checks(report, chain, start, outer)
     _witness_check(report, chain, start, outer)
-    _condexp_checks(report, chain, cond_tables)
-    del cond_tables  # not held through the split checks
+    _condexp_checks(report, chain, f, cond_tables)
+    del f, cond_tables  # not held through the split checks
     _split_checks(report, chain)
     if loaded.marginals is not None:
         _product_checks(report, chain, loaded.marginals, kernel_text)
@@ -66,8 +66,12 @@ def run_verify(loaded: LoadedModel) -> Report:
 
 
 def _index_fraction(space):
-    """Canonical nonnegative test function: enumeration index over size."""
-    return lambda p: Rat(space.index_of(p), space.size)
+    """Canonical nonnegative test function: enumeration index over size.
+
+    Its values are built once, one per point, and read by `index_of`.
+    """
+    values = [Rat(i, space.size) for i in range(space.size)]
+    return lambda p: values[space.index_of(p)]
 
 
 def _depth_triples(depth: int):
@@ -102,9 +106,10 @@ def _add_against(report: Report, check_id: str, fresh, memoized, text: str, rend
     report.add(check_id, ok, text if ok else render(fresh), text)
 
 
-def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> dict:
-    """Add the kernel-comp, restrict and tower checks.  Returns the tower's
-    (b, D) tables by b: `cond_exp(chain, b, f)` for the index fraction f."""
+def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> tuple:
+    """Add the kernel-comp, restrict and tower checks.  Returns the index
+    fraction f of the depth-D prefixes and the tower's (b, D) tables by b,
+    `cond_exp(chain, b, f)`."""
     depth = chain.max_depth
     by_kernel = _fingerprinted(canonical_kernel)
     for a, b, c in _depth_triples(depth):
@@ -119,8 +124,9 @@ def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> 
                      restricted, chain.partial_traj(a, b), kernel_text(a, b), by_kernel)
     # One table per pair b <= c serves as the inner stage of every (a, b, c)
     # and as the direct side of every (b, ., c), and is rendered once.
+    fractions = [_index_fraction(chain.prefix_space(c)) for c in range(depth + 1)]
     tables = {
-        (b, c): expectation_table(chain, b, c, _index_fraction(chain.prefix_space(c)))
+        (b, c): expectation_table(chain, b, c, fractions[c])
         for b in range(depth + 1)
         for c in range(b, depth + 1)
     }
@@ -132,7 +138,7 @@ def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> 
                      expectation_table(chain, a, b, tables[b, c]), tables[a, c],
                      table_text(a, c),
                      _fingerprinted(canonical_table, chain.prefix_space(a)))
-    return {b: tables[b, depth] for b in range(depth + 1)}
+    return fractions[depth], {b: tables[b, depth] for b in range(depth + 1)}
 
 
 def _canonical_start(chain: ChainModel) -> tuple:
@@ -187,10 +193,9 @@ def _witness_check(report: Report, chain: ChainModel, start, outer) -> None:
     report.add_compared("witness-member", member, ONE, format_rational)
 
 
-def _condexp_checks(report: Report, chain: ChainModel, tables: dict) -> None:
+def _condexp_checks(report: Report, chain: ChainModel, f, tables: dict) -> None:
     """`tables[b]` is `cond_exp(chain, b, f)` for the index fraction f."""
     depth = chain.max_depth
-    f = _index_fraction(chain.prefix_space(depth))
     for b in range(depth + 1):
         render = _fingerprinted(canonical_table, chain.prefix_space(b))
         for a in range(b + 1):

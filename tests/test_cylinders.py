@@ -132,6 +132,52 @@ def test_membership_reads_only_the_constrained_coordinates(weather):
     assert cylinder_content(weather, 0, ("S",), empty) == 0
 
 
+def in_by_digits(cyl, point) -> bool:
+    """Membership by the index digits of the point's restriction."""
+    space = cyl.space
+    j = space.index_of(point[: cyl.depth + 1])
+    return any(
+        all(j // space._strides[k] % space.components[k].size in allowed for k, allowed in box)
+        for box in cyl.boxes
+    )
+
+
+def test_membership_matches_the_index_digits():
+    rng = random.Random(56)
+    for _ in range(40):
+        chain = random_chain(rng, depth=rng.randint(2, 4))
+        depth = chain.max_depth
+        one_box = cylinder_from_constraints(
+            chain, random_constraints(rng, chain, random_coords(rng, chain, 0)))
+        points = cylinder(chain, depth - 1,
+                          [random_prefix(rng, chain, depth - 1) for _ in range(4)])
+        x1, last = chain.spaces[1].labels, chain.spaces[depth].labels
+        union = disjoint_union_cylinders(chain, [
+            cylinder_from_constraints(chain, {1: x1[:1], depth: last[:1]}),
+            cylinder_from_constraints(chain, {1: x1[1:]}),
+        ])
+        empty = cylinder_from_constraints(chain, {depth: []})
+        for cyl in (one_box, points, union, empty):
+            for n in range(cyl.depth, depth + 1):
+                for p in chain.prefix_space(n).points():
+                    assert (p in cyl) == in_by_digits(cyl, p), (cyl, p)
+                    assert (list(p) in cyl) == (p in cyl)
+        assert not any(p in empty for p in chain.prefix_space(depth).points())
+
+
+def test_membership_of_what_is_not_a_trajectory(weather):
+    cyl = disjoint_union_cylinders(weather, [
+        cylinder_from_constraints(weather, {1: ["S"], 2: ["R"]}),
+        cylinder_from_constraints(weather, {1: ["R"]}),
+    ])
+    assert ("S", "S", "R") in cyl and ["R", "R"] in cyl
+    assert ("S", "Q", "R") not in cyl  # an unknown label
+    assert ("S", "S") not in cyl  # too short to reach coordinate 2
+    assert ("S", ["S"], "R") not in cyl  # unhashable coordinates
+    assert ("S", "S", {"R": 1}) not in cyl
+    assert [] not in cyl
+
+
 def test_cylinders_are_equal_when_their_sets_are(weather):
     sunny = cylinder_from_constraints(weather, {1: ["S"]})
     points = cylinder(weather, 1, [("R", "S"), ("S", "S")])

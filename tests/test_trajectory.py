@@ -378,14 +378,41 @@ def _reference_walk(chain: ChainModel, prefix: tuple, rng) -> tuple:
 
 def test_sample_trajectory_matches_a_reference_walk():
     rng = random.Random(88)
-    chains = [load_model(MODELS / "weather.json").chain, random_chain(rng, depth=8)]
+    chains = [
+        load_model(MODELS / "weather.json").chain,
+        random_chain(rng, depth=8),
+        load_model(MODELS / "coin.json").chain,  # a product
+        load_model(MODELS / "drift.json").chain,  # table steps
+    ]
     for chain in chains:
-        for a in (0, 2):
+        for a in (0, 1, 2):
             prefix = random_prefix(rng, chain, a)
             fast, slow = random.Random(a + 5), random.Random(a + 5)
             draws = [sample_trajectory(chain, prefix, fast) for _ in range(500)]
             assert draws == [_reference_walk(chain, prefix, slow) for _ in range(500)]
             assert fast.random() == slow.random()
+
+
+def test_sample_trajectory_draws_once_per_step(monkeypatch):
+    # The traced benchmark counts sampler draws by wrapping Dist.sample, so
+    # each drawn step must go through it, once.
+    draw = Dist.sample
+    calls = []
+
+    def counted(row, rng):
+        calls.append(row)
+        return draw(row, rng)
+
+    monkeypatch.setattr(Dist, "sample", counted)
+    rng = random.Random(4)
+    for chain in (load_model(MODELS / "weather.json").chain, random_chain(rng, depth=6)):
+        for a in range(chain.max_depth + 1):
+            prefix = random_prefix(rng, chain, a)
+            del calls[:]
+            traj = sample_trajectory(chain, prefix, rng)
+            assert len(calls) == chain.max_depth - a
+            # the row drawn at depth n is the step row of the prefix so far
+            assert calls == [chain.steps[n].row(traj[: n + 1]) for n in range(a, chain.max_depth)]
 
 
 def test_sample_trajectory_avoids_zero_weight_states():

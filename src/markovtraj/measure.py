@@ -294,8 +294,9 @@ class Dist:
     rationals (see `ratio_of`): ints, `Fraction`s or "p/q" strings, never
     floats.  `support`, `weight_at` and `integrate` hand out `Fraction`s,
     built from the numerators on each call; only the sampler's draw table,
-    the cumulative numerators and the support points, is kept, after the
-    first draw.
+    the denominator's bit length, the cumulative numerators and the support
+    points, is kept, after the first draw.  `sample` takes a
+    `random.Random`, or anything with its `getrandbits(k)`.
     """
 
     __slots__ = ("space", "_denom", "_numerators", "_draws")
@@ -378,18 +379,32 @@ class Dist:
 
         A uniform integer below the common denominator is drawn and looked
         up among the cumulative numerators, so every state is hit with
-        exactly its rational probability.  The draw table, the cumulative
-        numerators and the support points, is built on the first draw.
+        exactly its rational probability.  The integer is
+        `rng.getrandbits(k)`, k the denominator's bit length, redrawn while
+        it is not below the denominator.  That is the loop `randrange` runs
+        on CPython 3.11, so a `random.Random` gives the same points and is
+        left in the same state, a denominator of 1 included.  `rng` is a
+        `random.Random` or anything with its `getrandbits(k)`: that is the
+        generator's core primitive, while `randrange`'s reduction is
+        library code that Python does not promise to keep across versions.
+        The draw table, (k, cumulative numerators, support points), is
+        built on the first draw.
         """
         draws = self._draws
         if draws is None:
             point_at = self.space.point_at
             draws = self._draws = (
+                self._denom.bit_length(),
                 tuple(itertools.accumulate(n for _, n in self._numerators)),
                 tuple(point_at(i) for i, _ in self._numerators),
             )
-        cumulative, points = draws
-        return points[bisect.bisect_right(cumulative, rng.randrange(self._denom))]
+        bits, cumulative, points = draws
+        denom = self._denom
+        getrandbits = rng.getrandbits
+        r = getrandbits(bits)
+        while r >= denom:
+            r = getrandbits(bits)
+        return points[bisect.bisect_right(cumulative, r)]
 
     def __eq__(self, other) -> bool:
         return (

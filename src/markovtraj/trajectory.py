@@ -245,13 +245,22 @@ def sample_trajectory(model: ChainModel, prefix, rng) -> tuple:
     """Extend `prefix` to a full depth-D trajectory by sampling each step.
 
     Exact: each state is drawn with its rational probability.  The result
-    is a pure function of the rng state, which is advanced in place.
+    is a pure function of the rng state, which is advanced in place by one
+    `Dist.sample` draw per step (so `rng` is anything that method takes).
     """
     prefix = tuple(prefix)
-    index = model.prefix_space(len(prefix) - 1).index_of(prefix)
-    states = list(prefix)
+    start = len(prefix) - 1
+    space_of_prefix = model.prefix_space(start)  # DomainError if empty or too long
     steps, spaces = model.steps, model.spaces
-    for n in range(len(prefix) - 1, model.max_depth):
+    # The prefix's index, folded from its labels' indices (see the loop).
+    index = 0
+    try:
+        for space, state in zip(spaces, prefix):
+            index = index * len(space.labels) + space._index[state]
+    except (KeyError, TypeError):  # unknown or unhashable label
+        raise DomainError(f"{prefix!r} is not a point of {space_of_prefix!r}") from None
+    states = list(prefix)
+    for n in range(start, model.max_depth):
         # Appending state s to prefix `index` gives index * |X_{n+1}| + s;
         # the drawn label's index is read from X_{n+1}'s own mapping.
         state = steps[n].rows[index].sample(rng)

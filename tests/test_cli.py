@@ -122,7 +122,20 @@ PINNED_QUERIES = [
     ("weather12", ("witness", "--point", "S", "--cylinder", "4=R",
                    "--cylinder", "4=R,9=S|R,12=S", "--eps", "1/100"),
      "ea11320f017bc8e3c7269a78f0c47bf522c4a3f82cf36ba7f1ae2becb34c791a"),
+    # denominators of 33 to 65 bits: multi-word draws, about half rejected
+    ("wide", ("sample", "--seed", "13", "--samples", "2000"),
+     "88e26ae8e69628b5a8e31ce15acf49e2a4bbd6ffcc64b1c983c91bb201e2477c"),
 ]
+
+# A product whose weights have denominators past 2^32.
+WIDE_PRODUCT = {"kind": "product", "factors": [
+    {"H": "2147483648/4294967311", "T": "2147483663/4294967311"},
+    {"x": "3486784400/10460353203", "y": "3486784402/10460353203",
+     "z": "3486784401/10460353203"},
+    {"u": "549755813888/1099511627777", "v": "549755813889/1099511627777"},
+    {"p": "9223372036854775807/18446744073709551629",
+     "q": "9223372036854775822/18446744073709551629"},
+]}
 
 
 @pytest.mark.parametrize(
@@ -133,11 +146,19 @@ def test_query_output_is_pinned(capsys, tmp_path, model, argv, digest):
     if model == "drift":
         path = DRIFT
     else:
-        path = tmp_path / "weather12.json"
-        path.write_text(json.dumps(weather_doc(12)))
+        path = tmp_path / f"{model}.json"
+        path.write_text(json.dumps(WIDE_PRODUCT if model == "wide" else weather_doc(12)))
     code, out, err = run(capsys, *argv[:1], "--model", str(path), *argv[1:])
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_sample_rejects_a_bad_start(capsys):
+    for point in ("S|S|S|S|S", "S|X", ""):
+        code, out, err = run(
+            capsys, "sample", "--model", WEATHER, "--samples", "5", "--point", point
+        )
+        assert (code, out) == (3, ""), err
 
 
 def test_sample_needs_a_start_for_chain_files(capsys):

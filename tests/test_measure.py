@@ -1,3 +1,6 @@
+import bisect
+import itertools
+import math
 import random
 
 import pytest
@@ -376,3 +379,21 @@ def test_sample_frequencies_near_weights():
     n = 9000
     hits = sum(1 for _ in range(n) if d.sample(rng) == "a")
     assert abs(Rat(hits, n) - Rat(1, 3)) < Rat(1, 50)
+
+
+@pytest.mark.parametrize("denom", [1, 2, 3, 4, 12, 2**20, 2**20 + 1, 3**40])
+def test_sample_draws_as_randrange_does(denom):
+    # Dist.sample draws from getrandbits itself; with a random.Random it
+    # must give the points of a randrange draw below the denominator,
+    # looked up among the cumulative weights, and leave the same state.
+    space = FiniteSpace("X", ["a", "b", "c"])
+    middle = (denom - 1) // 2
+    d = Dist(space, [Rat(1, denom), Rat(middle, denom), Rat(denom - 1 - middle, denom)])
+    support = d.support()
+    assert math.lcm(*(w.denominator for _, w in support)) == denom
+    cumulative = list(itertools.accumulate(w * denom for _, w in support))
+    fast, slow = random.Random(denom), random.Random(denom)
+    for _ in range(1000):
+        k = bisect.bisect_right(cumulative, slow.randrange(denom))
+        assert d.sample(fast) == space.point_at(support[k][0])
+    assert fast.getstate() == slow.getstate()

@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import random
 import time
 from pathlib import Path
@@ -369,10 +371,16 @@ def test_sample_trajectory_deterministic(weather):
 
 
 def _reference_walk(chain: ChainModel, prefix: tuple, rng) -> tuple:
-    """One draw the plain way: the step row of the whole prefix, Dist.sample."""
+    """One draw the plain way: the step row of the whole prefix, then
+    randrange below its denominator, looked up among the cumulative
+    numerators of its support."""
     p = tuple(prefix)
     for n in range(len(p) - 1, chain.max_depth):
-        p = p + (chain.steps[n].row(p).sample(rng),)
+        row = chain.steps[n].row(p)
+        support = row.support()
+        cumulative = list(itertools.accumulate(w * row._denom for _, w in support))
+        k = bisect.bisect_right(cumulative, rng.randrange(row._denom))
+        p = p + (row.space.point_at(support[k][0]),)
     return p
 
 
@@ -413,6 +421,15 @@ def test_sample_trajectory_draws_once_per_step(monkeypatch):
             assert len(calls) == chain.max_depth - a
             # the row drawn at depth n is the step row of the prefix so far
             assert calls == [chain.steps[n].row(traj[: n + 1]) for n in range(a, chain.max_depth)]
+
+
+def test_sample_trajectory_rejects_a_bad_start(weather):
+    rng = random.Random(1)
+    state = rng.getstate()
+    for prefix in ((), ("S",) * (weather.max_depth + 2), ("S", "X"), ("S", ["R"])):
+        with pytest.raises(DomainError):
+            sample_trajectory(weather, prefix, rng)
+    assert rng.getstate() == state
 
 
 def test_sample_trajectory_avoids_zero_weight_states():

@@ -13,9 +13,11 @@ Verbs:
 Prefixes are written as labels joined by "|" (so "S|R" is x_0=S, x_1=R)
 and cylinder constraints as comma-separated coordinate clauses like
 "1=S,2=S|R", where "|" separates allowed states.  Coordinates, counts,
-seeds and rationals ("p/q" or "p") take ASCII digits only.  Exit codes: 0 success, 1 failed verify checks, 2 malformed
-model file, 3 bad request (usage error, unknown state, depth out of range,
-violated precondition), 4 internal invariant violation.
+seeds and rationals ("p/q" or "p") take ASCII digits only.  Exit codes:
+0 success, 1 failed verify checks, 2 malformed model file (or one too large
+to load in the memory available), 3 bad request (usage error, unknown
+state, depth out of range, violated precondition), 4 internal invariant
+violation.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .errors import (
     PreconditionError,
 )
 from .measure import dist_lines
-from .model_io import LoadedModel, load_model
+from .model_io import load_model
 from .rational import format_rational
 from .report import Report, table_lines
 from .trajectory import (
@@ -85,18 +87,14 @@ def _one_cylinder(chain, args):
     return cylinder_from_constraints(chain, _parse_cylinder_spec(args.cylinder[0]))
 
 
-def _load(args) -> LoadedModel:
-    return load_model(args.model)
-
-
 def _cmd_validate(args) -> int:
-    print(_load(args).header())
+    print(load_model(args.model).header())
     print("VALID")
     return 0
 
 
 def _cmd_marginal(args) -> int:
-    chain = _load(args).chain
+    chain = load_model(args.model).chain
     point = _parse_point(args.point)
     dist = traj_marginal(chain, len(point) - 1, point, args.at)
     sys.stdout.writelines(f"{line}\n" for line in dist_lines(dist, " "))
@@ -104,7 +102,7 @@ def _cmd_marginal(args) -> int:
 
 
 def _cmd_cylinder(args) -> int:
-    chain = _load(args).chain
+    chain = load_model(args.model).chain
     cyl = _one_cylinder(chain, args)
     if args.lift is not None:
         cyl = lift_cylinder(chain, cyl, args.lift)
@@ -114,7 +112,7 @@ def _cmd_cylinder(args) -> int:
 
 
 def _cmd_content(args) -> int:
-    chain = _load(args).chain
+    chain = load_model(args.model).chain
     point = _parse_point(args.point)
     cyl = _one_cylinder(chain, args)
     print(format_rational(cylinder_content(chain, len(point) - 1, point, cyl)))
@@ -124,7 +122,7 @@ def _cmd_content(args) -> int:
 def _cmd_sample(args) -> int:
     samples = _integer(args.samples, "--samples")
     seed = _integer(args.seed, "--seed", signed=True)
-    loaded = _load(args)
+    loaded = load_model(args.model)
     chain = loaded.chain
     rng = random.Random(seed)
     if args.point is not None:
@@ -149,7 +147,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    chain = _load(args).chain
+    chain = load_model(args.model).chain
     point = _parse_point(args.point)
     cylinders = [
         cylinder_from_constraints(chain, _parse_cylinder_spec(spec))
@@ -162,7 +160,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_condexp(args) -> int:
-    chain = _load(args).chain
+    chain = load_model(args.model).chain
     cyl = _one_cylinder(chain, args)
     table = cond_exp(chain, args.at, cyl)
     lines = table_lines(chain.prefix_space(args.at), table, " ")
@@ -171,7 +169,7 @@ def _cmd_condexp(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report: Report = run_verify(_load(args))
+    report: Report = run_verify(load_model(args.model))
     print(report.render())
     return report.exit_code
 

@@ -10,10 +10,12 @@ Implements:
     (index, integer numerator) pairs over one common denominator, with
     point mass, integration, push-forward, finite products and an exact
     sampler.
-  * _integrals: the one integrator, shared by `Dist.integrate` and the
-    trajectory law's expectation tables.  A row's int values are summed as
-    integers times its numerators, and each distinct (numerator,
-    denominator) pair of the results becomes one Fraction.
+  * _restrict: the one prefix restriction, by index (j -> j // (|space| /
+    |target|)); `pushforward_dist` is the point-level reference.
+  * _integrals: the one integrator, shared by `Dist.integrate`, the
+    expectation tables and the blocks of `cond_exp_sides`.  A row's int
+    values are summed as integers times its numerators, and each distinct
+    (numerator, denominator) pair of the results becomes one Fraction.
   * dist_lines: the text of a distribution's entries, each label read by
     index from its space (`label_at`).
 
@@ -372,7 +374,7 @@ class Dist:
 
     def integrate(self, f: Callable) -> Rat:
         """Sum of f(state) * weight(state); f takes rational values of either sign."""
-        return _integrals(self.space, (self,), f)[0]
+        return _integrals(self.space, ((self._numerators, self._denom),), f)[0]
 
     def sample(self, rng):
         """Draw one point; exact, and deterministic given the rng state.
@@ -436,7 +438,8 @@ def over_common_denominator(entries: Iterable) -> tuple:
 
 
 def _integrals(space, rows: Iterable, f: Callable) -> list:
-    """The integral of f against each of `rows`, distributions on `space`.
+    """The integral of f against each of `rows`, (numerators, denominator)
+    pairs on `space`: a Dist's own, or a block of its entries.
 
     A row sums f's int values as plain integers times its numerators, over
     its own denominator; any other value goes into one slot per
@@ -453,10 +456,10 @@ def _integrals(space, rows: Iterable, f: Callable) -> list:
         width, heads, tails = 1, space.points(), None
     shared: dict = {}
     out = []
-    for row in rows:
+    for numerators, denom in rows:
         total = 0
         by_denom = None
-        for j, n in row._numerators:
+        for j, n in numerators:
             value = f(heads[j // width] + tails[j % width] if tails else heads[j])
             if type(value) is int:
                 total += value * n
@@ -467,12 +470,12 @@ def _integrals(space, rows: Iterable, f: Callable) -> list:
                 by_denom[q] = by_denom.get(q, 0) + p * n
         if by_denom is not None:
             by_denom[1] = by_denom.get(1, 0) + total
-            out.append(sum_of_ratios(by_denom, row._denom))
+            out.append(sum_of_ratios(by_denom, denom))
             continue
-        key = (total, row._denom)
+        key = (total, denom)
         value = shared.get(key)
         if value is None:
-            value = shared[key] = Rat(total, row._denom)
+            value = shared[key] = Rat(total, denom)
         out.append(value)
     return out
 
@@ -507,6 +510,16 @@ def pushforward_dist(d: Dist, f: Callable, target) -> Dist:
         j = target.index_of(f(point_at(i)))
         acc[j] = acc.get(j, 0) + n
     return Dist._from_numerators(target, d._denom, sorted(acc.items()))
+
+
+def _restrict(d: Dist, target) -> Dist:
+    """Image of d under restriction to `target`, the space of its leading
+    coordinates: point j goes to j // (|space| / |target|), so the sorted
+    entries stay sorted and each target point's run adds up in one pass."""
+    ratio = d.space.size // target.size
+    blocks = itertools.groupby(d._numerators, lambda entry: entry[0] // ratio)
+    items = [(i, sum(n for _, n in run)) for i, run in blocks]
+    return Dist._from_numerators(target, d._denom, items)
 
 
 def product_dist(dists: Sequence[Dist]) -> Dist:

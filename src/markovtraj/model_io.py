@@ -71,14 +71,17 @@ class LoadedModel(NamedTuple):
 
 
 def load_model(path) -> LoadedModel:
+    """The model in a file; failing to read or build it, memory included, is a ModelFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle, object_pairs_hook=_unique_keys)
+            return model_from_dict(json.load(handle, object_pairs_hook=_unique_keys))
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
-    return model_from_dict(data)
+    except MemoryError:
+        pass  # raised below, once the partial model is freed
+    raise ModelFormatError("model is too large to load in the memory available")
 
 
 def _unique_keys(pairs: list) -> dict:

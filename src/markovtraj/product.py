@@ -9,10 +9,10 @@ Implements:
     chain is a point mass on the given prefix times the product of the
     remaining marginals.
   * check_product_split: a product over 0..b re-associates as the product
-    over 0..a coupled with the product over a+1..b, under the coordinate
-    flattening map.
+    over 0..a coupled with the product over a+1..b, by index on the depth-b
+    prefix space (kernel._couple).
   * check_product_projection: truncated products are projective under
-    prefix restriction.
+    prefix restriction, taken by index (measure._restrict).
   * check_const_chain_law: feeding the first marginal into the chain's
     (0, D) kernel recovers the full product.
 
@@ -26,8 +26,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DomainError
-from .kernel import Kernel, comp_measure, comp_prod_measure, const_kernel
-from .measure import Dist, TupleSpace, dirac, product_dist, pushforward_dist
+from .kernel import Kernel, _couple, comp_measure, const_kernel
+from .measure import Dist, TupleSpace, _restrict, dirac, product_dist
 from .trajectory import ChainModel
 
 
@@ -82,11 +82,10 @@ def check_partial_traj_const(
 def product_split_sides(marginals: Sequence[Dist], a: int, b: int) -> tuple:
     """Both sides of the re-association of a product across a cut after depth a.
 
-    The left side is the joint law of (head, tail), with head the product
-    over coordinates 0..a and tail the independent product over a+1..b,
-    flattened back to a single tuple; the right side is the product over
-    0..b.  For a == b the tail is the empty product and the head is the
-    left side.
+    The left side couples head, the product over coordinates 0..a, with the
+    independent tail product over a+1..b, onto the depth-b prefix space as
+    prefix i * |tail space| + j; the right side is the product over 0..b.
+    For a == b the tail is the empty product and the head is the left side.
     """
     if not 0 <= a <= b < len(marginals):
         raise DomainError(f"need 0 <= a <= b <= {len(marginals) - 1}")
@@ -95,11 +94,7 @@ def product_split_sides(marginals: Sequence[Dist], a: int, b: int) -> tuple:
     if a == b:
         return head, whole
     tail = product_dist(list(marginals[a + 1 : b + 1]))
-    paired = comp_prod_measure(head, const_kernel(head.space, tail))
-    flattened = pushforward_dist(
-        paired, lambda pair: pair[0] + pair[1], whole.space
-    )
-    return flattened, whole
+    return _couple(head, const_kernel(head.space, tail), whole.space), whole
 
 
 def check_product_split(marginals: Sequence[Dist], a: int, b: int) -> bool:
@@ -111,14 +106,14 @@ def check_product_split(marginals: Sequence[Dist], a: int, b: int) -> bool:
 def product_projection_sides(marginals: Sequence[Dist], a: int, b: int) -> tuple:
     """Both sides of the projectivity of truncated products.
 
-    The left side pushes the product over coordinates 0..b forward along
-    restriction to 0..a; the right side is the product over 0..a.
+    The left side restricts the product over coordinates 0..b to 0..a, by
+    index (see measure._restrict); the right side is the product over 0..a.
     """
     if not 0 <= a <= b < len(marginals):
         raise DomainError(f"need 0 <= a <= b <= {len(marginals) - 1}")
     longer = product_prefix_dist(marginals, b)
     shorter = product_prefix_dist(marginals, a)
-    return pushforward_dist(longer, lambda p: p[: a + 1], shorter.space), shorter
+    return _restrict(longer, shorter.space), shorter
 
 
 def check_product_projection(marginals: Sequence[Dist], a: int, b: int) -> bool:

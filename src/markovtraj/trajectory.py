@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import DomainError, InvariantError, PreconditionError
 from .kernel import Kernel, _couple
 from .measure import Dist, SubsetOf, TupleSpace, _integrals
-from .rational import Rat, ratio_of, sum_of_ratios
+from .rational import Rat, ratio_of
 
 
 class ChainModel:
@@ -231,7 +231,7 @@ def expectation_table(model: ChainModel, a: int, b: int, f) -> dict:
     if not 0 <= a <= b <= model.max_depth:
         raise DomainError(f"need 0 <= a <= b <= {model.max_depth}")
     kern = model.partial_traj(a, b)
-    values = _integrals(kern.target, kern.rows, _as_fn(f))
+    values = _integrals(kern.target, ((r._numerators, r._denom) for r in kern.rows), _as_fn(f))
     return dict(zip(model.prefix_space(a).points(), values))
 
 
@@ -347,16 +347,8 @@ class Cylinder:
     @property
     def base(self) -> SubsetOf:
         """The allowed depth-`depth` prefixes, enumerated box by box."""
-        comps, strides = self.space.components, self.space._strides
-        indices = []
-        for box in self.boxes:
-            allowed = dict(box)
-            digits = [
-                [s * stride for s in sorted(allowed.get(k, range(comp.size)))]
-                for k, (comp, stride) in enumerate(zip(comps, strides))
-            ]
-            indices.extend(map(sum, itertools.product(*digits)))
-        return SubsetOf(self.space, indices)
+        space = self.space
+        return SubsetOf(space, itertools.chain(*(_box_indices(space, box) for box in self.boxes)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cylinder):
@@ -388,6 +380,18 @@ def _box_meets(first: Iterable, second: Sequence) -> tuple:
     return tuple(
         met for a in first for b in second if (met := _box_meet(a, b)) is not None
     )
+
+
+def _box_indices(space: TupleSpace, box: tuple):
+    """The indices of the points of `space` inside the box, increasing: each
+    a sum of one allowed digit s * stride_k per coordinate k of the space.
+    Constraints on coordinates deeper than the space's are not read."""
+    allowed = dict(box)
+    digits = [
+        [s * stride for s in sorted(allowed.get(k, range(comp.size)))]
+        for k, (comp, stride) in enumerate(zip(space.components, space._strides))
+    ]
+    return map(sum, itertools.product(*digits))
 
 
 def _box_count(space: TupleSpace, boxes: Iterable) -> int:
@@ -689,21 +693,14 @@ def cond_exp(model: ChainModel, b: int, f) -> dict:
 def _cylinder_table(model: ChainModel, b: int, cyl: Cylinder) -> dict:
     """cond_exp of the cylinder's indicator at b >= markov_from."""
     space = model.prefix_space(b)
-    comps, strides = space.components, space._strides
+    width = model.spaces[b].size
     tails, q = _tails(model, cyl.boxes, b, max(b, cyl.depth))[0]
     numerators = [0] * space.size
     for box, h in zip(cyl.boxes, tails):
-        # The prefixes that meet the box: every allowed head of the first b
-        # coordinates, then every allowed last state.
-        allowed = dict(box)
-        heads = itertools.product(*(
-            [s * stride for s in sorted(allowed.get(k, range(comp.size)))]
-            for k, (comp, stride) in enumerate(zip(comps[:-1], strides))
-        ))
-        last = [(s, h[s]) for s in sorted(allowed.get(b, range(comps[-1].size)))]
-        for head in map(sum, heads):
-            for s, n in last:
-                numerators[head + s] += n
+        # A depth-b prefix j inside the box's constraints up to b meets the
+        # rest of it with weight h at its last state, j % |X_b|.
+        for j in _box_indices(space, box):
+            numerators[j] += h[j % width]
     values = {n: Rat(n, q) for n in set(numerators)}
     return {p: values[n] for p, n in zip(space.points(), numerators)}
 
@@ -720,28 +717,21 @@ def cond_exp_sides(model: ChainModel, a: int, prefix, b: int, f, table) -> tuple
     """
     if not 0 <= a <= b <= model.max_depth:
         raise DomainError(f"need 0 <= a <= b <= {model.max_depth}")
-    fn, value = _as_fn(f), _as_fn(table)
     law = traj_marginal(model, a, prefix, model.max_depth)
-    space_d = model.prefix_space(model.max_depth)
     space_b = model.prefix_space(b)
-    ratio = space_d.size // space_b.size
-    # Integer numerators over law's denominator, one slot per denominator
-    # of f's values, per block.
-    f_mass: dict = {}
-    mass: dict = {}
-    for j, n in law._numerators:
-        block = j // ratio  # index of the depth-b restriction
-        num, q = ratio_of(fn(space_d.point_at(j)))
-        sums = f_mass.setdefault(block, {})
-        sums[q] = sums.get(q, 0) + num * n
-        mass[block] = mass.get(block, 0) + n
-    lhs: dict = {}
-    rhs: dict = {}
-    for i, m in mass.items():
+    # The trajectories through depth-b prefix i are the run of law's sorted
+    # entries with j // ratio == i, each integrated as a row of its own.
+    ratio = law.space.size // space_b.size
+    runs = itertools.groupby(law._numerators, lambda entry: entry[0] // ratio)
+    blocks = [(i, list(run)) for i, run in runs]
+    integrals = _integrals(law.space, [(run, law._denom) for _, run in blocks], _as_fn(f))
+    value = _as_fn(table)
+    lhs, rhs = {}, {}
+    for (i, run), integral in zip(blocks, integrals):
         p = space_b.point_at(i)
-        lhs[p] = sum_of_ratios(f_mass[i], law._denom)
+        lhs[p] = integral
         t, q = ratio_of(value(p))
-        rhs[p] = Rat(m * t, law._denom * q)
+        rhs[p] = Rat(sum(n for _, n in run) * t, law._denom * q)
     return lhs, rhs
 
 

@@ -1,8 +1,9 @@
 """Exhaustive identity checks for a loaded model, rendered as a report.
 
-Every check builds the two values that the theory says must be equal,
-through the public operations, and adds one line that is PASS iff they
-are equal under `==`, the comparison the `check_*` functions make.  A
+Every check builds the two values that the theory says must be equal, with
+each prefix map done by index (`restrict` restricts each memoized (a, c)
+row by `measure._restrict`), and adds one line that is PASS iff they are
+equal under `==`, the comparison the `check_*` functions make.  A
 passing check renders one side only.  Where that side is one of the
 model's memoized kernels or tables (`kernel-comp`, `restrict`, `tower`
 and `product-form`), its fingerprint is rendered once per depth pair and
@@ -18,7 +19,8 @@ from __future__ import annotations
 import functools
 from typing import Callable
 
-from .kernel import comp_kernel, map_kernel
+from .kernel import Kernel, comp_kernel
+from .measure import _restrict
 from .model_io import LoadedModel
 from .product import (
     const_chain_law_sides,
@@ -117,9 +119,8 @@ def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> 
         _add_against(report, f"kernel-comp:{a},{b},{c}",
                      composed, chain.partial_traj(a, c), kernel_text(a, c), by_kernel)
     for a, b, c in _depth_triples(depth):
-        restricted = map_kernel(
-            chain.partial_traj(a, c), lambda p: p[: b + 1], chain.prefix_space(b)
-        )
+        longer, target = chain.partial_traj(a, c), chain.prefix_space(b)
+        restricted = Kernel(longer.source, target, [_restrict(row, target) for row in longer.rows])
         _add_against(report, f"restrict:{a},{b},{c}",
                      restricted, chain.partial_traj(a, b), kernel_text(a, b), by_kernel)
     # One table per pair b <= c serves as the inner stage of every (a, b, c)

@@ -83,13 +83,13 @@ def weather_doc(depth: int) -> dict:
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_capped(args, timeout: float) -> subprocess.CompletedProcess:
+def run_capped(args, timeout: float, mib: int = 512) -> subprocess.CompletedProcess:
     """`python *args` with this package importable, in a child process whose
-    address space is capped at 512 MiB; the cap applies to the child only."""
+    address space is capped at `mib` MiB; the cap applies to the child only."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
     def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
 
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True,

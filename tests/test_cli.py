@@ -221,9 +221,27 @@ def test_loader_cap_is_a_depth_19_two_state_chain(capsys, tmp_path):
     assert "caps at 1048576" in err
 
 
-def validate_in_capped_child(model, timeout: float):
+def validate_in_capped_child(model, timeout: float, mib: int = 512):
     """`markovtraj validate` on a model file, under conftest.run_capped."""
-    return run_capped(["-m", "markovtraj.cli", "validate", "--model", str(model)], timeout)
+    return run_capped(["-m", "markovtraj.cli", "validate", "--model", str(model)], timeout, mib)
+
+
+def test_a_model_too_large_for_memory_is_a_malformed_model(tmp_path):
+    # A valid one-state chain of depth 6,000: the loader builds one prefix
+    # space per depth, each as long as its depth, which runs out of a
+    # 192 MiB address space.  The MemoryError is reported as a malformed
+    # model (exit 2), not as a traceback with exit 1, which means a failed
+    # verify.  About 3 s on a 2-vCPU VM.
+    depth = 6000
+    model = tmp_path / "one-state.json"
+    model.write_text(json.dumps({
+        "maxDepth": depth,
+        "spaces": [{"id": "X", "states": ["a"]}],
+        "steps": [{"n": n, "kind": "const", "row": {"a": "1"}} for n in range(depth)],
+    }))
+    child = validate_in_capped_child(model, timeout=120, mib=192)
+    assert child.returncode == 2, child.stderr
+    assert child.stderr == "error: model is too large to load in the memory available\n"
 
 
 def test_huge_max_depth_is_a_malformed_model(tmp_path):

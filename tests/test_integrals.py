@@ -1,7 +1,8 @@
-"""Integrals against the trajectory law: `expectation_table`, `Dist.integrate`
-and `cond_exp` of a callable, against path enumeration.
+"""Integrals against the trajectory law: `expectation_table`, `Dist.integrate`,
+`cond_exp` of a callable and the blocks of `cond_exp_sides`, against path
+enumeration.
 
-Both integrate through one loop that sums int values of the integrand as
+All integrate through one loop that sums int values of the integrand as
 plain integers and any other exact value per denominator, so the integrands
 here mix ints, Fractions, "p/q" strings, negative values and bools within
 one row, and repeat their values so that rows share their Fractions.
@@ -15,6 +16,7 @@ import pytest
 from markovtraj import (
     DomainError,
     Rat,
+    check_cond_exp,
     cond_exp,
     cylinder,
     cylinder_from_constraints,
@@ -23,6 +25,8 @@ from markovtraj import (
     model_from_dict,
     uniform,
 )
+
+from markovtraj.trajectory import cond_exp_sides
 
 from conftest import (
     brute_force_prefix_law,
@@ -96,6 +100,36 @@ def test_an_inexact_value_after_integer_entries_is_rejected(bad):
         chain.partial_row(0, 1, 0).integrate(f)
     with pytest.raises(DomainError):
         uniform(chain.spaces[0]).integrate(lambda s: 1 if s == "S" else bad)
+    with pytest.raises(DomainError):
+        check_cond_exp(chain, 0, ("S",), 1, f)
+
+
+def test_cond_exp_sides_integrate_mixed_values_within_a_block():
+    # The depth-D trajectories through one depth-b prefix are one block of
+    # the (a, D) law, integrated as one row: here each block's entries mix
+    # ints, bools and Fractions.
+    rng = random.Random(2718)
+    for _ in range(20):
+        chain = random_chain(rng)
+        depth = chain.max_depth
+        space = chain.prefix_space(depth)
+        kinds = [
+            lambda: rng.randint(-3, 3),
+            lambda: rng.choice([True, False]),
+            lambda: Rat(rng.randint(-4, 4), rng.randint(2, 5)),
+        ]
+        values = [kinds[i % len(kinds)]() for i in range(space.size)]
+        f = lambda t: values[space.index_of(t)]
+        for b in range(depth):
+            for a in range(b + 1):
+                prefix = random_prefix(rng, chain, a)
+                lhs, rhs = cond_exp_sides(chain, a, prefix, b, f, cond_exp(chain, b, f))
+                expected: dict = {}
+                for t, w in brute_force_prefix_law(chain, prefix, depth).items():
+                    p = t[: b + 1]
+                    expected[p] = expected.get(p, Rat(0)) + w * Fraction(f(t))
+                assert lhs == expected
+                assert rhs == lhs
 
 
 def test_rows_with_equal_integer_sums_share_one_fraction():

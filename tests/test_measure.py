@@ -20,7 +20,9 @@ from markovtraj import (
     uniform,
 )
 
-from conftest import run_capped
+from markovtraj.measure import _restrict
+
+from conftest import random_chain, run_capped
 
 
 def w_space():
@@ -317,6 +319,41 @@ def test_pushforward():
     assert pushed == Dist(target, ["1/2", "1/2"])
     with pytest.raises(DomainError):
         pushforward_dist(uniform(space), lambda p: p, target)
+
+
+def test_index_restriction_is_the_prefix_pushforward():
+    # Restriction by index, j -> j // (|space| / |target|), against the
+    # point-level push-forward along p -> p[: b + 1]: every row of every
+    # (a, c) kernel, restricted to every depth b in a..c.
+    rng = random.Random(20260815)
+    rows = 0
+    for _ in range(100):
+        chain = random_chain(rng)
+        for a in range(chain.max_depth + 1):
+            for c in range(a, chain.max_depth + 1):
+                for b in range(a, c + 1):
+                    target = chain.prefix_space(b)
+                    for row in chain.partial_traj(a, c).rows:
+                        expected = pushforward_dist(row, lambda p: p[: b + 1], target)
+                        assert _restrict(row, target) == expected
+                        rows += 1
+    assert rows > 10_000
+    # Product prefix laws, on factors with zero-weight states, so whole
+    # blocks of the longer law are missing from its support.
+    for _ in range(50):
+        factors = []
+        for i in range(rng.randint(2, 5)):
+            space = FiniteSpace(f"X{i}", [f"s{j}" for j in range(rng.randint(2, 4))])
+            zero = rng.randrange(space.size)
+            weights = [0 if j == zero else rng.randint(0, 3) for j in range(space.size)]
+            weights[(zero + 1) % space.size] += 1
+            factors.append(Dist(space, [Rat(w, sum(weights)) for w in weights]))
+        for b in range(len(factors)):
+            longer = product_dist(factors[: b + 1])
+            for a in range(b + 1):
+                target = TupleSpace([d.space for d in factors[: a + 1]])
+                expected = pushforward_dist(longer, lambda p: p[: a + 1], target)
+                assert _restrict(longer, target) == expected == product_dist(factors[: a + 1])
 
 
 def test_product_dist_frozen_value():

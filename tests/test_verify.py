@@ -10,6 +10,7 @@ import markovtraj.trajectory
 import markovtraj.verify as verify
 from markovtraj import (
     ChainModel,
+    Dist,
     FiniteSpace,
     Kernel,
     LoadedModel,
@@ -93,7 +94,7 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
     # Four broken copies of verify's building blocks, one family each: only
     # that family's checks fail, each FAIL line shows the fingerprint of the
     # freshly built side first and of the reference (memoized) side second.
-    compose, restrict = verify.comp_kernel, verify.map_kernel
+    compose, restrict = verify.comp_kernel, verify._restrict
     integrate, split = verify.expectation_table, verify.traj_split_sides
     chain = load_model(WEATHER).chain
     kern = chain.partial_traj
@@ -115,8 +116,15 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
         two_stage, direct = split(ch, a, b)
         return _rotated(two_stage), direct
 
+    def mirrored(d, target):
+        # the restriction read back to front: point i moves to |target| - 1 - i
+        return Dist.from_support(
+            target, [(target.size - 1 - i, w) for i, w in restrict(d, target).support()]
+        )
+
     def restricted(a, b, c):
-        return _rotated(restrict(kern(a, c), lambda p: p[: b + 1], chain.prefix_space(b)))
+        target = chain.prefix_space(b)
+        return Kernel(kern(a, c).source, target, [mirrored(row, target) for row in kern(a, c).rows])
 
     def split_columns(a, b):
         two_stage, direct = split(chain, a, b)
@@ -126,7 +134,7 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
         ("kernel-comp", "comp_kernel", lambda first, second: _rotated(compose(first, second)),
          lambda a, b, c: (by_kernel(_rotated(compose(kern(a, b), kern(b, c)))),
                           by_kernel(kern(a, c)))),
-        ("restrict", "map_kernel", lambda k, f, target: _rotated(restrict(k, f, target)),
+        ("restrict", "_restrict", mirrored,
          lambda a, b, c: (by_kernel(restricted(a, b, c)), by_kernel(kern(a, b)))),
         ("tower", "expectation_table", staged,
          lambda a, b, c: (by_table(a, _perturbed(integrate(chain, a, b, table(b, c)))),
@@ -199,11 +207,14 @@ def test_tower_builds_one_table_per_depth_pair(monkeypatch):
 COINS6 = {"kind": "product", "factors": [{"H": "1/2", "T": "1/2"}] * 6}
 
 # sha256 of what `verify` prints (the report, then a newline) on models
-# beyond the shipped goldens: a deeper chain, unequal space sizes with zero
-# step weights, and a larger product.
+# beyond the shipped goldens: deeper chains, whose restrictions span blocks
+# of up to 2^10 prefixes, unequal space sizes with zero step weights, and a
+# larger product.
 PINNED_VERIFY = [
     ("weather8", lambda: model_from_dict(weather_doc(8)),
      "36a7111022585c32e9e26bcce95da7ef181b3a1625777dcfc004e16c8fbd1793"),
+    ("weather10", lambda: model_from_dict(weather_doc(10)),
+     "ad63e720a1bffa0dcf36518398a957244ac3ab3accf959c6b4fc65c6718f5e97"),
     ("random5", lambda: LoadedModel(random_chain(random.Random(4), depth=5)),
      "801b16d3b17ba82fada7a11b60855b7bfec066fd953a2c2007537fd05cd2c9b3"),
     ("coin6", lambda: model_from_dict(COINS6),

@@ -16,7 +16,6 @@ from .kernel import (
     Kernel,
     comp_kernel,
     comp_measure,
-    comp_prod_measure,
     const_kernel,
     map_kernel,
     prod_kernel,
@@ -40,7 +39,7 @@ from .product import (
     const_chain,
     product_prefix_dist,
 )
-from .rational import Rat, format_rational
+from .rational import Rat
 from .report import Report
 from .trajectory import (
     ChainModel,
@@ -86,7 +85,6 @@ __all__ = [
     "check_traj_split",
     "comp_kernel",
     "comp_measure",
-    "comp_prod_measure",
     "cond_exp",
     "const_chain",
     "const_kernel",
@@ -98,7 +96,6 @@ __all__ = [
     "disjoint_union_cylinders",
     "expectation_table",
     "extract_witness",
-    "format_rational",
     "intersect_cylinders",
     "lift_cylinder",
     "load_model",

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .measure import dist_lines
 from .model_io import load_model
-from .rational import format_rational
 from .report import Report, table_lines
 from .trajectory import (
     cond_exp,
@@ -115,7 +114,7 @@ def _cmd_content(args) -> int:
     chain = load_model(args.model).chain
     point = _parse_point(args.point)
     cyl = _one_cylinder(chain, args)
-    print(format_rational(cylinder_content(chain, len(point) - 1, point, cyl)))
+    print(cylinder_content(chain, len(point) - 1, point, cyl))
     return 0
 
 

@@ -7,9 +7,7 @@ Implements:
   * Constructor: const_kernel.
   * Algebra: map_kernel (push a kernel forward along a map), comp_kernel
     (sequential composition, written first-to-last), comp_measure (bind a
-    distribution through a kernel), prod_kernel (same-source pairing),
-    comp_prod_measure (couple a distribution with a step that reads it,
-    keeping the joint law on the pair space).
+    distribution through a kernel), prod_kernel (same-source pairing).
 
 Pair-shaped targets are two-component TupleSpace instances, so joint points
 are plain tuples (y, z) and all index arithmetic is the tuple space's.  The
@@ -140,13 +138,6 @@ def prod_kernel(k: Kernel, l: Kernel) -> Kernel:
         raise DomainError("pairing: kernels have different sources")
     rows = [product_dist([kr, lr]) for kr, lr in zip(k.rows, l.rows)]
     return Kernel(k.source, TupleSpace([k.target, l.target]), rows)
-
-
-def comp_prod_measure(d: Dist, k: Kernel) -> Dist:
-    """Joint law of (x, y) with x ~ d and y ~ k(x), on the pair space."""
-    if not _same_space(d.space, k.source):
-        raise DomainError("coupling: distribution space differs from kernel source")
-    return _couple(d, k, TupleSpace([d.space, k.target]))
 
 
 def _couple(d: Dist, k: Kernel, target) -> Dist:

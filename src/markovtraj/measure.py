@@ -143,41 +143,26 @@ class TupleSpace:
         return cut, tail_size
 
     def _listing(self) -> tuple:
-        """(cut, tail size, heads, tails, head -> position, tail -> position).
-
-        The one listing of the space, built on the first point_at or
-        points(): the head and tail points and a dict over each.  index_of
-        reads the dicts once they exist; before that it sums digits, so a
-        lookup alone lists nothing.  label_at lists nothing either.
+        """(cut, tail size, heads, tails): the one listing of the space, its
+        head and tail points, built on the first point_at or points().
+        index_of sums digits and label_at keeps texts, so neither lists it.
         """
         if self._halves is None:
             comps = self.components
             cut, tail_size = self._cut()
             heads = tuple(itertools.product(*(comp.points() for comp in comps[:cut])))
             tails = tuple(itertools.product(*(comp.points() for comp in comps[cut:])))
-            self._halves = (
-                cut,
-                tail_size,
-                heads,
-                tails,
-                {head: i for i, head in enumerate(heads)},
-                {tail: i for i, tail in enumerate(tails)},
-            )
+            self._halves = (cut, tail_size, heads, tails)
         return self._halves
 
     def points(self) -> tuple:
         if self._points is None:
-            _, _, heads, tails, _, _ = self._listing()
+            _, _, heads, tails = self._listing()
             self._points = tuple(head + tail for head in heads for tail in tails)
         return self._points
 
     def index_of(self, point) -> int:
-        if self._halves is not None and isinstance(point, tuple):
-            cut, tail_size, _, _, head_index, tail_index = self._halves
-            try:
-                return head_index[point[:cut]] * tail_size + tail_index[point[cut:]]
-            except (KeyError, TypeError):
-                pass  # not a point: the loop below raises the DomainError
+        """The sum of each coordinate's index times its stride."""
         if not isinstance(point, tuple) or len(point) != len(self.components):
             raise DomainError(f"{point!r} is not a point of {self!r}")
         index = 0
@@ -186,7 +171,7 @@ class TupleSpace:
         return index
 
     def point_at(self, index: int) -> tuple:
-        _, tail_size, heads, tails, _, _ = self._halves or self._listing()
+        _, tail_size, heads, tails = self._halves or self._listing()
         return heads[index // tail_size] + tails[index % tail_size]
 
     def label_at(self, index: int) -> str:
@@ -451,7 +436,7 @@ def _integrals(space, rows: Iterable, f: Callable) -> list:
     never listed in full.
     """
     if isinstance(space, TupleSpace):
-        _, width, heads, tails, _, _ = space._halves or space._listing()
+        _, width, heads, tails = space._halves or space._listing()
     else:
         width, heads, tails = 1, space.points(), None
     shared: dict = {}

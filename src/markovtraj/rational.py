@@ -71,7 +71,3 @@ def format_ratio(numerator: int, denominator: int) -> str:
         return str(numerator // g)
     return f"{numerator // g}/{denominator // g}"
 
-
-def format_rational(value) -> str:
-    """Render a rational as "p/q", or "p" when the denominator is 1."""
-    return str(value)

@@ -22,7 +22,6 @@ import hashlib
 from typing import Callable, Mapping, NamedTuple
 
 from .measure import dist_lines
-from .rational import format_rational
 
 
 def fingerprint(text: str) -> str:
@@ -37,7 +36,7 @@ def table_lines(space, table: Mapping, sep: str):
     the canonical form of tables.
     """
     return (
-        f"{space.label_at(i)}{sep}{format_rational(table[p])}"
+        f"{space.label_at(i)}{sep}{table[p]}"
         for i, p in enumerate(space.points())
         if p in table
     )

@@ -412,20 +412,21 @@ def _check_cylinder(model: ChainModel, cyl: Cylinder) -> None:
 
 
 def _box_mass(
-    model: ChainModel, cyl: Cylinder, a: int, index: int, depth: int, tails=None, q: int = 1
+    model: ChainModel, cyl: Cylinder, a: int, index: int, depth: int, tails, q: int
 ) -> Rat:
-    """Weight that `partial_row(a, depth, index)` puts inside the cylinder.
+    """Weight that the chain from the depth-a prefix numbered `index` puts
+    inside the cylinder, read off `partial_row(a, depth, index)`.
 
     Coordinate k of the index j of a depth-`depth` prefix is
     j // stride_k % |X_k|.  Coordinates up to a are those of the starting
     prefix, so each box checks them once on the first index of its block;
     every other constraint up to `depth` is one pass over the row entries
-    still inside.  The boxes are disjoint, so their masses add up.
-
-    A cylinder deeper than `depth` needs its `tails` (see _tails): entry j
-    then counts with weight tails[box][j % |X_depth|] / q, the probability
-    that the chain meets the box's constraints past `depth` from a prefix
-    ending in that state.
+    still inside.  An entry j left in counts with weight
+    tails[box][j % |X_depth|] / q, the probability that the chain meets the
+    box's constraints past `depth` from a prefix ending in that state (see
+    _tails); with nothing past `depth` that is 1, as
+    `_tails(model, cyl.boxes, depth, depth)[0]` gives.  The boxes are
+    disjoint, so their masses add up.
     """
     row = model.partial_row(a, depth, index)
     space = model.prefix_space(depth)
@@ -433,7 +434,7 @@ def _box_mass(
     width = comps[-1].size
     first = index * (space.size // model.prefix_space(a).size)
     total = 0
-    for b, box in enumerate(cyl.boxes):
+    for box, h in zip(cyl.boxes, tails):
         entries = row._numerators
         for k, allowed in box:
             if k > depth:
@@ -444,11 +445,7 @@ def _box_mass(
             elif first // stride % size not in allowed:
                 entries = ()
                 break
-        if tails is None:
-            total += sum(n for _, n in entries)
-        else:
-            h = tails[b]
-            total += sum(n * h[j % width] for j, n in entries)
+        total += sum(n * h[j % width] for j, n in entries)
     return Rat(total, row._denom * q)
 
 
@@ -560,35 +557,38 @@ def disjoint_union_cylinders(model: ChainModel, cylinders: Sequence[Cylinder]) -
 def content_at_depth(model: ChainModel, a: int, prefix, cyl: Cylinder, depth: int) -> Rat:
     """Probability of the cylinder, evaluated through the depth-`depth` law.
 
-    Any depth >= max(a, cyl.depth) gives the same value; `cylinder_content`
-    uses the smallest one, and this entry point exists so that independence
-    of the choice can be checked exactly.  The memoized depth-`depth` row
-    is summed over the entries inside the boxes (see _box_mass).
+    Any depth >= max(a, cyl.depth) gives the same value; this entry point
+    exists so that independence of the choice can be checked exactly.  The
+    memoized depth-`depth` row is summed over the entries inside the boxes
+    (see _box_mass).
     """
     if depth < max(a, cyl.depth):
         raise DomainError("evaluation depth must cover both the prefix and the cylinder")
     _check_cylinder(model, cyl)
     index = model.prefix_space(a).index_of(tuple(prefix))
-    return _box_mass(model, cyl, a, index, depth)
+    return _box_mass(model, cyl, a, index, depth, *_tails(model, cyl.boxes, depth, depth)[0])
 
 
 def cylinder_content(model: ChainModel, a: int, prefix, cyl: Cylinder) -> Rat:
-    """Probability that the chain started from `prefix` lands in the cylinder.
-
-    Past m = max(a, markov_from) the steps read the last state alone, so a
-    cylinder reaching past m is weighed on the memoized depth-m row, each
-    entry inside the boxes up to m counting with the probability of the
-    rest (see _tails): O(|X|^2) per depth past m, not one entry per
-    trajectory.  A cylinder no deeper than m is summed on the row at its
-    depth, as `content_at_depth` does.
-    """
+    """Probability that the chain started from `prefix` lands in the
+    cylinder, read by the one content rule (see _content)."""
     _check_cylinder(model, cyl)
-    index = model.prefix_space(a).index_of(tuple(prefix))
-    lumped_from = max(a, model.markov_from)
-    if cyl.depth <= lumped_from:
-        return _box_mass(model, cyl, a, index, max(a, cyl.depth))
-    tails, q = _tails(model, cyl.boxes, lumped_from, cyl.depth)[0]
-    return _box_mass(model, cyl, a, index, lumped_from, tails, q)
+    return _content(model, cyl, a, model.prefix_space(a).index_of(tuple(prefix)))
+
+
+def _content(model: ChainModel, cyl: Cylinder, a: int, index: int) -> Rat:
+    """Content of the cylinder from the depth-a prefix numbered `index`.
+
+    The cylinder is weighed on the memoized row at depth
+    m = max(a, min(cyl.depth, markov_from)), each entry inside the boxes up
+    to m counting with the probability of the rest past m (see _tails),
+    which is 1 when the cylinder is no deeper than m.  Past markov_from the
+    steps read the last state alone, so the rest costs O(|X|^2) per depth,
+    not one row entry per trajectory.
+    """
+    depth = max(a, min(cyl.depth, model.markov_from))
+    tails, q = _tails(model, cyl.boxes, depth, max(depth, cyl.depth))[0]
+    return _box_mass(model, cyl, a, index, depth, tails, q)
 
 
 # ---- witness extraction ----
@@ -608,9 +608,13 @@ def extract_witness(
     order on ties.  The maximum over successor states is at least the
     step-weighted average, which is the current content, so the content
     stays >= eps until the cylinder depth is reached, where it becomes a
-    membership indicator.  From markov_from on, a successor's content is
-    the sum, over the innermost boxes its prefix meets, of one backward
-    pass's h at its last state (see _tails); below, it is read off rows.
+    membership indicator.  One backward pass (see _tails) runs from depth
+    m = min(max(a + 1, markov_from), target depth).  From m on, a
+    successor's content is the sum, over the innermost boxes its prefix
+    meets, of the pass's h at its last state; below m, it is read off the
+    successor's depth-m row, weighted by the pass's h at m (see _box_mass).
+    The contents of the preconditions and of the final membership check
+    are read by the rule of `cylinder_content` (see _content).
     """
     eps = Rat(*ratio_of(eps))
     if eps <= 0:
@@ -626,16 +630,14 @@ def extract_witness(
         if len(met) != len(lift_cylinder(model, inner, met.depth)):
             raise PreconditionError("cylinders are not nested")
     for c in cylinders:
-        if cylinder_content(model, a, prefix, c) < eps:
+        _check_cylinder(model, c)
+        if _content(model, c, a, index) < eps:
             raise PreconditionError(f"a cylinder has content below {eps}")
 
     innermost = cylinders[-1]
     # One backward pass gives every score from depth lumped_from on.
-    lumped_from = max(a + 1, model.markov_from)
-    tails = (
-        _tails(model, innermost.boxes, lumped_from, target_depth)
-        if lumped_from <= target_depth else None
-    )
+    lumped_from = min(max(a + 1, model.markov_from), target_depth)
+    tails = _tails(model, innermost.boxes, lumped_from, target_depth)
     # (constraints, box number) of each box the chosen prefix still meets
     alive = [
         (dict(box), b) for b, box in enumerate(innermost.boxes)
@@ -649,7 +651,6 @@ def extract_witness(
             # This depth's successors are weighed on their own rows.
             scores = [
                 _box_mass(model, innermost, depth, j, lumped_from, *tails[0])
-                if tails else _box_mass(model, innermost, depth, j, target_depth)
                 for j in range(first, first + width)
             ]
         else:
@@ -664,7 +665,7 @@ def extract_witness(
         alive = [(box, b) for box, b in alive if best in box.get(depth, (best,))]
 
     for c in cylinders:
-        if _box_mass(model, c, target_depth, index, target_depth) != 1:
+        if _content(model, c, target_depth, index) != 1:
             raise InvariantError("constructed point escaped a cylinder")
     return model.prefix_space(target_depth).point_at(index)
 

@@ -28,7 +28,7 @@ from .product import (
     product_projection_sides,
     product_split_sides,
 )
-from .rational import ONE, ZERO, Rat, format_rational
+from .rational import ONE, ZERO, Rat
 from .report import (
     Report,
     canonical_dist,
@@ -70,10 +70,10 @@ def run_verify(loaded: LoadedModel) -> Report:
 def _index_fraction(space):
     """Canonical nonnegative test function: enumeration index over size.
 
-    Its values are built once, one per point, and read by `index_of`.
+    Its values are built once, in a dict over the listed points.
     """
-    values = [Rat(i, space.size) for i in range(space.size)]
-    return lambda p: values[space.index_of(p)]
+    size = space.size
+    return dict(zip(space.points(), (Rat(i, size) for i in range(size)))).__getitem__
 
 
 def _depth_triples(depth: int):
@@ -174,7 +174,7 @@ def _content_checks(report: Report, chain: ChainModel, start, outer) -> None:
         "content-depth",
         cylinder_content(chain, 0, start, outer),
         content_at_depth(chain, 0, start, outer, chain.max_depth),
-        format_rational,
+        str,
     )
     parts = [
         cylinder_from_constraints(chain, {coord: [s]})
@@ -182,7 +182,7 @@ def _content_checks(report: Report, chain: ChainModel, start, outer) -> None:
     ]
     total = sum((cylinder_content(chain, 0, start, c) for c in parts), ZERO)
     union = cylinder_content(chain, 0, start, disjoint_union_cylinders(chain, parts))
-    report.add_compared("content-additive", total, union, format_rational)
+    report.add_compared("content-additive", total, union, str)
 
 
 def _witness_check(report: Report, chain: ChainModel, start, outer) -> None:
@@ -191,7 +191,7 @@ def _witness_check(report: Report, chain: ChainModel, start, outer) -> None:
     )
     witness = extract_witness(chain, 0, start, [outer, inner], eps)
     member = ONE if witness in outer and witness in inner else ZERO
-    report.add_compared("witness-member", member, ONE, format_rational)
+    report.add_compared("witness-member", member, ONE, str)
 
 
 def _condexp_checks(report: Report, chain: ChainModel, f, tables: dict) -> None:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import markovtraj.trajectory
 from markovtraj import (
     ChainModel,
     Dist,
@@ -66,6 +67,18 @@ def weather_chain(depth: int = 3) -> ChainModel:
 @pytest.fixture
 def weather() -> ChainModel:
     return weather_chain()
+
+
+@pytest.fixture
+def greedy_takes_the_lowest(monkeypatch):
+    """Make the greedy of extract_witness take its lowest-scored successor:
+    its one call of `max` with a key becomes `min`, so the point it builds
+    can leave the cylinders."""
+
+    def choose(*args, key=None):
+        return max(*args) if key is None else min(*args, key=key)
+
+    monkeypatch.setattr(markovtraj.trajectory, "max", choose, raising=False)
 
 
 def weather_doc(depth: int) -> dict:

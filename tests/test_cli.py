@@ -284,6 +284,14 @@ def test_unsatisfiable_witness_exits_3(capsys):
     assert "content below" in err
 
 
+def test_a_point_off_the_cylinder_exits_4(capsys, greedy_takes_the_lowest):
+    code, out, err = run(
+        capsys, "witness", "--model", WEATHER, "--point", "S",
+        "--cylinder", "1=S", "--eps", "3/4",
+    )
+    assert (code, out, err) == (4, "", "error: constructed point escaped a cylinder\n")
+
+
 def test_domain_errors_exit_3(capsys):
     code, _, _ = run(capsys, "marginal", "--model", WEATHER, "--point", "Q", "--at", "1")
     assert code == 3

@@ -9,9 +9,9 @@ from markovtraj import (
     Kernel,
     Rat,
     SubsetOf,
+    TupleSpace,
     comp_kernel,
     comp_measure,
-    comp_prod_measure,
     const_kernel,
     dirac,
     map_kernel,
@@ -19,6 +19,7 @@ from markovtraj import (
     pushforward_dist,
     uniform,
 )
+from markovtraj.kernel import _couple
 
 from conftest import random_dist
 
@@ -96,9 +97,9 @@ def test_prod_kernel():
         prod_kernel(step, Kernel(FiniteSpace("X", ["a"]), W, [uniform(W)]))
 
 
-def test_comp_prod_measure():
+def test_couple_on_the_pair_space():
     step = weather_step()
-    joint = comp_prod_measure(uniform(W), step)
+    joint = _couple(uniform(W), step, TupleSpace([W, W]))
     # 1/2 * 3/4
     assert joint.weight_at(("S", "S")) == Rat(3, 8)
     second = pushforward_dist(joint, lambda pair: pair[1], W)
@@ -174,7 +175,7 @@ def test_coupling_mass_decomposes_into_sections():
         sa, sb = spaces_for(rng, 2)
         mu = random_dist(rng, sa)
         k = random_kernel(rng, sa, sb)
-        joint = comp_prod_measure(mu, k)
+        joint = _couple(mu, k, TupleSpace([sa, sb]))
         pair_space = joint.space
         picked = SubsetOf(
             pair_space,

@@ -118,8 +118,12 @@ def test_random_models_cover_both_routes():
 
 
 def test_content_matches_rows_and_paths():
+    # The content is read at depth max(a, min(cyl.depth, markov_from)); each
+    # ordering of cyl.depth against a and markov_from takes another branch
+    # of that rule: cyl.depth <= a, a < cyl.depth <= markov_from, and
+    # cyl.depth > max(a, markov_from), the lumped one.
     rng = random.Random(8102)
-    lumped = 0
+    orderings = [0, 0, 0]
     for chain in random_models(8102, 40):
         for a in range(chain.max_depth + 1):
             start = random_prefix(rng, chain, a)
@@ -127,8 +131,8 @@ def test_content_matches_rows_and_paths():
                 value = cylinder_content(chain, a, start, cyl)
                 assert value == content_at_depth(chain, a, start, cyl, chain.max_depth)
                 assert value == brute_force_mass(chain, start, cyl)
-                lumped += cyl.depth > max(a, chain.markov_from)
-    assert lumped > 100
+                orderings[(cyl.depth > a) + (cyl.depth > max(a, chain.markov_from))] += 1
+    assert min(orderings) > 100, orderings
 
 
 def test_witness_matches_the_row_route():

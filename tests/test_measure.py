@@ -159,7 +159,7 @@ def test_tuple_space_rejects_foreign_points():
             space.index_of(bad)
 
 
-def test_index_of_answers_from_the_halves_once_point_at_listed_them():
+def test_index_of_lists_nothing_and_inverts_point_at():
     space = TupleSpace([FiniteSpace(f"X{k}", ["a", "b", "c"]) for k in range(4)])
     # A lookup alone lists nothing.
     assert space.index_of(("c", "a", "b", "c")) == 59
@@ -168,8 +168,7 @@ def test_index_of_answers_from_the_halves_once_point_at_listed_them():
     for i in range(space.size):
         assert space.index_of(space.point_at(i)) == i
     assert space._halves is not None
-    # Every miss falls back to the loop: a DomainError, never a KeyError or
-    # TypeError.
+    # Every miss is a DomainError, never a KeyError or TypeError.
     for bad in (
         ("?", "a", "b", "c"),  # bad label in the head
         ("c", "a", "b", "?"),  # bad label in the tail

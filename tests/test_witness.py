@@ -1,9 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from markovtraj import (
     DomainError,
+    InvariantError,
     PreconditionError,
     Rat,
     cylinder,
@@ -11,9 +13,12 @@ from markovtraj import (
     cylinder_from_constraints,
     extract_witness,
     intersect_cylinders,
+    load_model,
 )
 
 from conftest import random_chain, random_nested_family, random_prefix
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def test_witness_frozen_example(weather):
@@ -59,6 +64,22 @@ def test_witness_requires_nesting(weather):
     right = cylinder_from_constraints(weather, {2: ["S"]})
     with pytest.raises(PreconditionError):
         extract_witness(weather, 0, ("S",), [left, right], Rat(1, 4))
+
+
+@pytest.mark.parametrize("model, start, constraints", [
+    # weather: markov_from = 0, so the successors are scored by the backward
+    # pass; drift: markov_from = 2, so those at depth 1 are scored on rows.
+    ("weather.json", ("S",), {1: ["S"]}),
+    ("drift.json", ("L",), {2: ["R"]}),
+])
+def test_a_point_off_the_cylinder_is_an_invariant_error(
+    greedy_takes_the_lowest, model, start, constraints
+):
+    chain = load_model(MODELS / model).chain
+    cyl = cylinder_from_constraints(chain, constraints)
+    eps = cylinder_content(chain, 0, start, cyl)
+    with pytest.raises(InvariantError, match="constructed point escaped a cylinder"):
+        extract_witness(chain, 0, start, [cyl], eps)
 
 
 def test_witness_on_random_nested_families():

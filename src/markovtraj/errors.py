@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto exit codes: malformed model files exit 2,
-domain/precondition violations exit 3, failed verification checks exit 1.
+domain/precondition violations exit 3, internal invariant violations exit
+4, failed verification checks exit 1.
 """
 
 

@@ -71,7 +71,8 @@ class LoadedModel(NamedTuple):
 
 
 def load_model(path) -> LoadedModel:
-    """The model in a file; failing to read or build it, memory included, is a ModelFormatError."""
+    """The model in a file; failing to read, decode or build it, memory
+    included, is a ModelFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return model_from_dict(json.load(handle, object_pairs_hook=_unique_keys))
@@ -79,6 +80,10 @@ def load_model(path) -> LoadedModel:
         raise ModelFormatError(f"cannot read model file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model file is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelFormatError("model file is nested too deeply") from exc
     except MemoryError:
         pass  # raised below, once the partial model is freed
     raise ModelFormatError("model is too large to load in the memory available")

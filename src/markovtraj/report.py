@@ -4,22 +4,20 @@ A report is a fixed header plus one line per check:
 
     CHECK <id> PASS|FAIL <lhs> <rhs>
 
-A check passes iff its two values are equal under the library's own `==`,
-the comparison the `check_*` functions make.  Each column is the value
-rendered by the check's render function: scalar checks print the rational,
-structural checks (distributions, kernels, tables) print a short
-fingerprint of a canonical text form.  Equal values render equal text,
-so a passing check renders one side and shows it in both columns:
-`add_compared` renders its left value, and a caller that already holds
-the text of one side (`verify`, for the model's memoized kernels and
-tables) passes that text to `add` and renders the other side only when
-the check fails.  Rendering depends only on the compared values, never
-on timing or identity, so a report is stable byte for byte across runs.
+Each column is a value rendered by the check's render function: scalar
+checks print the rational, structural checks (distributions, kernels,
+tables) print a short fingerprint of a canonical text form.  `verify`
+decides each line and writes its columns by one rule (see `verify._add`):
+a PASS shows one rendering in both columns, and a FAIL shows the freshly
+built side first and the reference side second.  A `Report` only keeps
+the rendered lines and counts the failures.  Rendering depends only on
+the compared values, never on timing or identity, so a report is stable
+byte for byte across runs.
 """
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping
 
 from .measure import dist_lines
 
@@ -57,50 +55,28 @@ def canonical_table(space, table: Mapping) -> str:
     return " ".join(table_lines(space, table, "="))
 
 
-class CheckLine(NamedTuple):
-    check_id: str
-    ok: bool
-    lhs: str
-    rhs: str
-
-    def render(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        return f"CHECK {self.check_id} {status} {self.lhs} {self.rhs}"
-
-
 class Report:
     def __init__(self, header: str):
         self.header = header
         self.lines: list = []
+        self.failed = 0
 
     def add(self, check_id: str, ok: bool, lhs: str, rhs: str) -> None:
-        self.lines.append(CheckLine(check_id, ok, lhs, rhs))
-
-    def add_compared(self, check_id: str, lhs, rhs, render: Callable) -> None:
-        """Add a check that passes iff lhs == rhs, with columns render(side).
-
-        A passing check renders lhs once for both columns; rhs is rendered
-        only when the check fails.
-        """
-        ok = lhs == rhs
-        text = render(lhs)
-        self.add(check_id, ok, text, text if ok else render(rhs))
+        self.lines.append(f"CHECK {check_id} {'PASS' if ok else 'FAIL'} {lhs} {rhs}")
+        if not ok:
+            self.failed += 1
 
     @property
     def ok(self) -> bool:
-        return all(line.ok for line in self.lines)
+        return not self.failed
 
     @property
     def exit_code(self) -> int:
         return 0 if self.ok else 1
 
     def render(self) -> str:
-        failed = sum(1 for line in self.lines if not line.ok)
-        if failed:
-            summary = f"RESULT FAIL failed={failed} checks={len(self.lines)}"
+        if self.failed:
+            summary = f"RESULT FAIL failed={self.failed} checks={len(self.lines)}"
         else:
             summary = f"RESULT PASS checks={len(self.lines)}"
-        parts = [self.header]
-        parts.extend(line.render() for line in self.lines)
-        parts.append(summary)
-        return "\n".join(parts)
+        return "\n".join([self.header, *self.lines, summary])

@@ -283,7 +283,8 @@ class Cylinder:
     trajectory belongs to the cylinder iff it lies in one of the boxes.
     Every operation works on the boxes, so its cost is the constraints, not
     the prefix space; `base`, the enumerated set of allowed prefixes, is
-    built only when read.  Equality is equality of the trajectory sets.
+    built only when read.  Equal cylinders share a prefix space and allow
+    the same prefixes.
     """
 
     __slots__ = ("space", "boxes", "_labels")
@@ -684,9 +685,10 @@ def cond_exp(model: ChainModel, b: int, f) -> dict:
     value at p is the sum over the boxes p meets of the probability of the
     rest of the box from p's last state (see _tails), and no row is built.
     """
+    model.prefix_space(b)  # a depth outside 0..D is a DomainError naming it
     if isinstance(f, Cylinder):
         _check_cylinder(model, f)
-        if model.markov_from <= b <= model.max_depth:
+        if model.markov_from <= b:
             return _cylinder_table(model, b, f)
     return expectation_table(model, b, model.max_depth, f)
 

@@ -3,14 +3,14 @@
 Every check builds the two values that the theory says must be equal, with
 each prefix map done by index (`restrict` restricts each memoized (a, c)
 row by `measure._restrict`), and adds one line that is PASS iff they are
-equal under `==`, the comparison the `check_*` functions make.  A
-passing check renders one side only.  Where that side is one of the
+equal under `==`, the comparison the `check_*` functions make.  Every
+line is written by one rule, `_add`: a PASS renders one side and shows
+it in both columns, and a FAIL shows the freshly built side first and
+the reference side second.  Where the reference side is one of the
 model's memoized kernels or tables (`kernel-comp`, `restrict`, `tower`
 and `product-form`), its fingerprint is rendered once per depth pair and
-shared by every check against it; the freshly built side is rendered
-only when the check fails, in its own column (the first, except in
-`product-form`, whose left side is the memoized kernel).  Every other
-check renders its left value (see `Report.add_compared`).  All depth
+shared by every check against it, and the fresh side is rendered only
+when the check fails.  All depth
 combinations of the model are covered, so the cost grows quickly with
 maxDepth; this is meant for the small models that ship in model files.
 """
@@ -98,14 +98,18 @@ def _kernel_texts(chain: ChainModel) -> Callable:
     )
 
 
-def _add_against(report: Report, check_id: str, fresh, memoized, text: str, render) -> None:
-    """Add the check `fresh == memoized`, where `text` renders `memoized`.
+def _add(report: Report, check_id: str, lhs, rhs, render: Callable, rhs_text=None) -> None:
+    """Add the check `lhs == rhs`, where lhs is the freshly built side.
 
-    A pass shows `text` in both columns; a FAIL renders `fresh` into the
-    first column and shows `text` in the second.
+    `rhs_text`, if given, is the rendering of rhs.  A PASS shows `rhs_text`,
+    or else `render(lhs)`, in both columns; a FAIL shows `render(lhs)` and
+    then `rhs_text` or `render(rhs)`.
     """
-    ok = fresh == memoized
-    report.add(check_id, ok, text if ok else render(fresh), text)
+    if lhs == rhs:
+        text = render(lhs) if rhs_text is None else rhs_text
+        report.add(check_id, True, text, text)
+    else:
+        report.add(check_id, False, render(lhs), render(rhs) if rhs_text is None else rhs_text)
 
 
 def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> tuple:
@@ -116,13 +120,13 @@ def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> 
     by_kernel = _fingerprinted(canonical_kernel)
     for a, b, c in _depth_triples(depth):
         composed = comp_kernel(chain.partial_traj(a, b), chain.partial_traj(b, c))
-        _add_against(report, f"kernel-comp:{a},{b},{c}",
-                     composed, chain.partial_traj(a, c), kernel_text(a, c), by_kernel)
+        _add(report, f"kernel-comp:{a},{b},{c}",
+             composed, chain.partial_traj(a, c), by_kernel, kernel_text(a, c))
     for a, b, c in _depth_triples(depth):
         longer, target = chain.partial_traj(a, c), chain.prefix_space(b)
         restricted = Kernel(longer.source, target, [_restrict(row, target) for row in longer.rows])
-        _add_against(report, f"restrict:{a},{b},{c}",
-                     restricted, chain.partial_traj(a, b), kernel_text(a, b), by_kernel)
+        _add(report, f"restrict:{a},{b},{c}",
+             restricted, chain.partial_traj(a, b), by_kernel, kernel_text(a, b))
     # One table per pair b <= c serves as the inner stage of every (a, b, c)
     # and as the direct side of every (b, ., c), and is rendered once.
     fractions = [_index_fraction(chain.prefix_space(c)) for c in range(depth + 1)]
@@ -135,10 +139,9 @@ def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> 
         lambda a, c: fingerprint(canonical_table(chain.prefix_space(a), tables[a, c]))
     )
     for a, b, c in _depth_triples(depth):
-        _add_against(report, f"tower:{a},{b},{c}",
-                     expectation_table(chain, a, b, tables[b, c]), tables[a, c],
-                     table_text(a, c),
-                     _fingerprinted(canonical_table, chain.prefix_space(a)))
+        _add(report, f"tower:{a},{b},{c}",
+             expectation_table(chain, a, b, tables[b, c]), tables[a, c],
+             _fingerprinted(canonical_table, chain.prefix_space(a)), table_text(a, c))
     return fractions[depth], {b: tables[b, depth] for b in range(depth + 1)}
 
 
@@ -170,19 +173,15 @@ def _content_checks(report: Report, chain: ChainModel, start, outer) -> None:
     """`outer` is the cylinder {x_coord = s} of largest content from `start`,
     for coord = min(1, D)."""
     coord = min(1, chain.max_depth)
-    report.add_compared(
-        "content-depth",
-        cylinder_content(chain, 0, start, outer),
-        content_at_depth(chain, 0, start, outer, chain.max_depth),
-        str,
-    )
+    _add(report, "content-depth", cylinder_content(chain, 0, start, outer),
+         content_at_depth(chain, 0, start, outer, chain.max_depth), str)
     parts = [
         cylinder_from_constraints(chain, {coord: [s]})
         for s in chain.spaces[coord].points()
     ]
     total = sum((cylinder_content(chain, 0, start, c) for c in parts), ZERO)
     union = cylinder_content(chain, 0, start, disjoint_union_cylinders(chain, parts))
-    report.add_compared("content-additive", total, union, str)
+    _add(report, "content-additive", total, union, str)
 
 
 def _witness_check(report: Report, chain: ChainModel, start, outer) -> None:
@@ -191,7 +190,7 @@ def _witness_check(report: Report, chain: ChainModel, start, outer) -> None:
     )
     witness = extract_witness(chain, 0, start, [outer, inner], eps)
     member = ONE if witness in outer and witness in inner else ZERO
-    report.add_compared("witness-member", member, ONE, str)
+    _add(report, "witness-member", member, ONE, str)
 
 
 def _condexp_checks(report: Report, chain: ChainModel, f, tables: dict) -> None:
@@ -202,7 +201,7 @@ def _condexp_checks(report: Report, chain: ChainModel, f, tables: dict) -> None:
         for a in range(b + 1):
             u = chain.prefix_space(a).point_at(0)
             lhs, rhs = cond_exp_sides(chain, a, u, b, f, tables[b])
-            report.add_compared(f"condexp:{a},{b}", lhs, rhs, render)
+            _add(report, f"condexp:{a},{b}", lhs, rhs, render)
 
 
 def _split_checks(report: Report, chain: ChainModel) -> None:
@@ -210,7 +209,7 @@ def _split_checks(report: Report, chain: ChainModel) -> None:
     for b in range(chain.max_depth + 1):
         for a in range(b + 1):
             two_stage, direct = traj_split_sides(chain, a, b)
-            report.add_compared(f"split:{a},{b}", two_stage, direct, by_kernel)
+            _add(report, f"split:{a},{b}", two_stage, direct, by_kernel)
 
 
 def _product_checks(report: Report, chain: ChainModel, marginals, kernel_text: Callable) -> None:
@@ -219,17 +218,13 @@ def _product_checks(report: Report, chain: ChainModel, marginals, kernel_text: C
     by_dist = _fingerprinted(canonical_dist)
     for a in range(depth + 1):
         for b in range(a, depth + 1):
-            # The memoized kernel is the left side here: a FAIL renders the
-            # literal product into the second column.
             kern, literal = partial_traj_const_sides(chain, marginals, a, b)
-            text = kernel_text(a, b)
-            ok = kern == literal
-            report.add(f"product-form:{a},{b}", ok, text, text if ok else by_kernel(literal))
+            _add(report, f"product-form:{a},{b}", literal, kern, by_kernel, kernel_text(a, b))
     law, product = const_chain_law_sides(chain, marginals)
-    report.add_compared("product-law", law, product, by_dist)
+    _add(report, "product-law", law, product, by_dist)
     for a in range(depth + 1):
         for b in range(a + 1, depth + 1):
             flattened, whole = product_split_sides(marginals, a, b)
-            report.add_compared(f"product-split:{a},{b}", flattened, whole, by_dist)
+            _add(report, f"product-split:{a},{b}", flattened, whole, by_dist)
             restricted, head = product_projection_sides(marginals, a, b)
-            report.add_compared(f"product-proj:{a},{b}", restricted, head, by_dist)
+            _add(report, f"product-proj:{a},{b}", restricted, head, by_dist)

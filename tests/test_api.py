@@ -1,5 +1,11 @@
-"""The public API, pinned: adding or removing a public name edits this list."""
+"""The public API, pinned: adding or removing a public name edits this list,
+and README's Library example must print what it shows."""
+import ast
+from pathlib import Path
+
 import markovtraj
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC = [
     "ChainModel",
@@ -64,3 +70,20 @@ def test_all_has_no_duplicates():
 def test_every_public_name_resolves():
     for name in markovtraj.__all__:
         assert getattr(markovtraj, name) is not None, name
+
+
+def test_readme_library_example_prints_what_it_shows():
+    # The first python block of README.md, run statement by statement: each
+    # expression is followed by a `# ...` line showing its repr.
+    block = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown = 0
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            assert lines[node.end_lineno] == f"# {value!r}"
+            shown += 1
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert shown == sum(line.startswith("# ") for line in lines) == 3

@@ -193,14 +193,25 @@ def test_verify_matches_golden_transcript(capsys, name):
     assert out == (GOLDEN / f"verify-{name}.txt").read_text(encoding="utf-8")
 
 
-def test_malformed_model_exits_2(capsys, tmp_path):
+def _row_sum_11_12() -> bytes:
     doc = json.loads(Path(WEATHER).read_text())
     doc["steps"][1]["rows"]["S"]["S"] = "2/3"  # row sums to 11/12
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("content,message", [
+    (_row_sum_11_12(), "expected 1"),
+    (b"\xff{}", "not UTF-8"),
+    (b"[" * 100_000, "nested too deeply"),
+    (b'{"a":' * 50_000, "nested too deeply"),
+], ids=["bad row sum", "not UTF-8", "100000 nested lists", "50000 nested objects"])
+def test_malformed_model_exits_2(capsys, tmp_path, content, message):
     broken = tmp_path / "broken.json"
-    broken.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "verify", "--model", str(broken))
-    assert code == 2
-    assert "expected 1" in err
+    broken.write_bytes(content)
+    code, out, err = run(capsys, "verify", "--model", str(broken))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
 
 
 def test_loader_cap_is_a_depth_19_two_state_chain(capsys, tmp_path):
@@ -297,6 +308,10 @@ def test_domain_errors_exit_3(capsys):
     assert code == 3
     code, _, _ = run(capsys, "marginal", "--model", WEATHER, "--point", "S", "--at", "9")
     assert code == 3
+    code, _, err = run(
+        capsys, "condexp", "--model", WEATHER, "--cylinder", "1=S", "--at", "99"
+    )
+    assert (code, err) == (3, "error: depth 99 outside 0..3\n")
     code, _, err = run(
         capsys, "content", "--model", WEATHER, "--point", "S", "--cylinder", "one=S"
     )

@@ -24,7 +24,9 @@ from markovtraj.verify import run_verify
 
 from conftest import random_chain, random_dist, weather_chain, weather_doc
 
-WEATHER = str(Path(__file__).resolve().parent.parent / "models" / "weather.json")
+MODELS = Path(__file__).resolve().parent.parent / "models"
+WEATHER = str(MODELS / "weather.json")
+COIN = str(MODELS / "coin.json")
 
 
 def test_verify_passes_on_a_729_trajectory_chain():
@@ -55,7 +57,7 @@ def test_a_passing_check_renders_one_side_once():
         return f"<{value}>"
 
     report = Report("HEADER")
-    report.add_compared("same", (1, 2), (1, 2), render)
+    verify._add(report, "same", (1, 2), (1, 2), render)
     assert rendered == [(1, 2)]
     assert report.render().splitlines() == [
         "HEADER",
@@ -67,9 +69,9 @@ def test_a_passing_check_renders_one_side_once():
 
 def test_a_failing_check_renders_both_sides_and_fails_the_report():
     report = Report("HEADER")
-    report.add_compared("first", 1, 1, str)
-    report.add_compared("second", 1, 2, str)
-    report.add_compared("third", 3, 3, str)
+    verify._add(report, "first", 1, 1, str)
+    verify._add(report, "second", 1, 2, str)
+    verify._add(report, "third", 3, 3, str)
     assert report.render().splitlines() == [
         "HEADER",
         "CHECK first PASS 1 1",
@@ -79,6 +81,28 @@ def test_a_failing_check_renders_both_sides_and_fails_the_report():
     ]
     assert not report.ok
     assert report.exit_code == 1
+
+
+def test_a_given_reference_text_is_shown_and_only_a_fail_renders():
+    # With the reference side's text given, a PASS renders nothing and a
+    # FAIL renders the fresh side once, into the first column.
+    rendered = []
+
+    def render(value):
+        rendered.append(value)
+        return f"<{value}>"
+
+    report = Report("HEADER")
+    verify._add(report, "same", 1, 1, render, "memo")
+    assert rendered == []
+    verify._add(report, "differ", 2, 1, render, "memo")
+    assert rendered == [2]
+    assert report.render().splitlines() == [
+        "HEADER",
+        "CHECK same PASS memo memo",
+        "CHECK differ FAIL <2> memo",
+        "RESULT FAIL failed=1 checks=2",
+    ]
 
 
 def _rotated(kern):
@@ -157,6 +181,36 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
             assert (c[3], c[4]) == columns(*depths)
         assert all(c[2] == "PASS" and c[3] == c[4] for c in checks if c not in failed)
         assert lines[-1] == f"RESULT FAIL failed={expected} checks={len(checks)}"
+
+
+def test_a_wrong_product_form_shows_the_literal_side_first(monkeypatch, capsys):
+    # A rotated literal kernel fails every product-form check; each FAIL line
+    # shows the rotated literal's fingerprint first and the memoized
+    # kernel's second, as in every other family.
+    sides = verify.partial_traj_const_sides
+
+    def rotated(chain, marginals, a, b):
+        kern, literal = sides(chain, marginals, a, b)
+        return kern, _rotated(literal)
+
+    def by_kernel(k):
+        return fingerprint(canonical_kernel(k))
+
+    loaded = load_model(COIN)
+    monkeypatch.setattr(verify, "partial_traj_const_sides", rotated)
+    code = main(["verify", "--model", COIN])
+    lines = capsys.readouterr().out.splitlines()
+    checks = [line.split() for line in lines[1:-1]]
+    failed = [c for c in checks if c[1].startswith("product-form:")]
+    assert code == 1
+    assert len(failed) == 15  # pairs a <= b of depth 4
+    for c in failed:
+        a, b = map(int, c[1].split(":")[1].split(","))
+        kern, literal = sides(loaded.chain, loaded.marginals, a, b)
+        assert c[2] == "FAIL"
+        assert (c[3], c[4]) == (by_kernel(_rotated(literal)), by_kernel(kern))
+    assert all(c[2] == "PASS" and c[3] == c[4] for c in checks if c not in failed)
+    assert lines[-1] == f"RESULT FAIL failed=15 checks={len(checks)}"
 
 
 def test_kernel_checks_render_each_memoized_kernel_once(monkeypatch):

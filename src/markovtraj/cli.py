@@ -16,8 +16,8 @@ and cylinder constraints as comma-separated coordinate clauses like
 seeds and rationals ("p/q" or "p") take ASCII digits only.  Exit codes:
 0 success, 1 failed verify checks, 2 malformed model file (or one too large
 to load in the memory available), 3 bad request (usage error, unknown
-state, depth out of range, violated precondition), 4 internal invariant
-violation.
+state, depth out of range, violated precondition, or a query that needs
+more memory than is available), 4 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -61,8 +61,10 @@ def _integer(text: str, what: str, signed: bool = False) -> int:
     return int(text)
 
 
-def _coordinate(text: str) -> int:
-    return _integer(text, "coordinate")
+def depth(text: str) -> int:
+    """The argparse type of --at and --lift, named so that a bad value
+    reads "invalid depth value"."""
+    return _integer(text, "depth")
 
 
 def _parse_cylinder_spec(spec: str) -> dict:
@@ -72,7 +74,7 @@ def _parse_cylinder_spec(spec: str) -> dict:
         coord_text, sep, states_text = clause.partition("=")
         if not sep or not coord_text or not states_text:
             raise DomainError(f"bad cylinder clause {clause!r}; want COORD=STATE[|STATE..]")
-        coord = _coordinate(coord_text)
+        coord = _integer(coord_text, "coordinate")
         if coord in constraints:
             raise DomainError(f"coordinate {coord} constrained twice")
         constraints[coord] = states_text.split("|")
@@ -200,11 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("marginal", _cmd_marginal, "law of the depth-b prefix from a start prefix")
     p.add_argument("--point", required=True, help='start prefix, e.g. "S|R"')
-    p.add_argument("--at", type=_coordinate, required=True, help="target depth b")
+    p.add_argument("--at", type=depth, required=True, help="target depth b")
 
     p = add("cylinder", _cmd_cylinder, "list the prefixes a cylinder allows")
     p.add_argument("--cylinder", action="append", required=True, help='e.g. "1=S,2=S|R"')
-    p.add_argument("--lift", type=_coordinate, help="describe the cylinder at this depth")
+    p.add_argument("--lift", type=depth, help="describe the cylinder at this depth")
 
     p = add("content", _cmd_content, "probability of a cylinder from a start prefix")
     p.add_argument("--point", required=True)
@@ -223,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("condexp", _cmd_condexp, "conditional cylinder probability table")
     p.add_argument("--cylinder", action="append", required=True)
-    p.add_argument("--at", type=_coordinate, required=True, help="condition on depths 0..b")
+    p.add_argument("--at", type=depth, required=True, help="condition on depths 0..b")
 
     add("verify", _cmd_verify, "run all identity checks and print a report")
     return parser
@@ -242,6 +244,10 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        pass  # reported below, once the partial answer is freed
+    print("error: the request needs more memory than is available", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto exit codes: malformed model files exit 2,
-domain/precondition violations exit 3, internal invariant violations exit
-4, failed verification checks exit 1.
+domain/precondition violations exit 3 (as does a query that runs out of
+memory, a MemoryError), internal invariant violations exit 4, failed
+verification checks exit 1.
 """
 
 

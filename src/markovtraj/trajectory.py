@@ -14,10 +14,12 @@ Implements:
     table is one integer pass over the kernel's rows (measure._integrals),
     and the sampler walks prefix indices, one `Dist.sample` draw per step.
   * Cylinder: a constraint on finitely many coordinates, stored as a
-    disjoint union of boxes (one allowed state set per constrained
-    coordinate), with lifting, intersection and disjoint union done box by
-    box; the prefixes it allows are enumerated only on request.  `in`
-    tests a trajectory's labels against per-box label sets.
+    disjoint union of boxes (one set of allowed state indices per
+    constrained coordinate, coordinates strictly increasing), with
+    lifting, intersection and disjoint union done box by box; the prefixes
+    it allows are enumerated only on request.  `in` looks each constrained
+    label up in its state space's index and tests it against the same
+    index sets that every other operation reads.
   * cylinder_content and extract_witness: the content of a cylinder under
     the trajectory law, read off the memoized rows by the index digits of
     the constrained coordinates, and a greedy construction of a common
@@ -42,14 +44,13 @@ contiguous index block.  Several routines below lean on that.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, InvariantError, PreconditionError
 from .kernel import Kernel, _couple
-from .measure import Dist, SubsetOf, TupleSpace, _integrals
+from .measure import Dist, FiniteSpace, SubsetOf, TupleSpace, _integrals
 from .rational import Rat, ratio_of
 
 
@@ -105,7 +106,6 @@ class ChainModel:
         self.markov_from = markov_from
         self._rows: dict = {}
         self._partial: dict = {}
-        self._pair_spaces: dict = {}
         self._lumped: dict = {}
 
     def prefix_space(self, depth: int) -> TupleSpace:
@@ -188,16 +188,6 @@ class ChainModel:
             self._lumped[n] = lumped
         return lumped
 
-    def _pair_space(self, b: int) -> TupleSpace:
-        """(depth-b prefix, full trajectory) pairs, the target of the split
-        at depth b: one per b, shared by the splits from every depth a.  Its
-        labels are read from the two prefix spaces (see measure._text_of)."""
-        pairs = self._pair_spaces.get(b)
-        if pairs is None:
-            pairs = TupleSpace([self.prefix_space(b), self.prefix_space(self.max_depth)])
-            self._pair_spaces[b] = pairs
-        return pairs
-
     def __repr__(self) -> str:
         sizes = "x".join(str(s.size) for s in self.spaces)
         return f"ChainModel(depth={self.max_depth}, sizes={sizes})"
@@ -276,29 +266,38 @@ def sample_trajectory(model: ChainModel, prefix, rng) -> tuple:
 class Cylinder:
     """A set of trajectories constrained on coordinates 0..depth.
 
-    Held as a finite union of pairwise-disjoint boxes on `space`, a prefix
-    space whose last coordinate is the depth.  A box is a tuple of
-    (coordinate, frozenset of allowed state indices) pairs, coordinates
-    increasing; a coordinate it does not list is unconstrained.  A
-    trajectory belongs to the cylinder iff it lies in one of the boxes.
-    Every operation works on the boxes, so its cost is the constraints, not
-    the prefix space; `base`, the enumerated set of allowed prefixes, is
-    built only when read.  Equal cylinders share a prefix space and allow
-    the same prefixes.
+    Held as a finite union of boxes on `space`, a prefix space of
+    FiniteSpace components whose last coordinate is the depth.  A box is a
+    tuple of (coordinate, frozenset of allowed state indices) pairs; a
+    coordinate it does not list is unconstrained.  The constructor checks
+    that every coordinate is one of the space's, strictly increasing within
+    a box, and allows a nonempty set of that coordinate's states, since
+    counting and content read one factor per coordinate in that order; a
+    violation is a DomainError.  The boxes must be pairwise disjoint, which
+    is left to the caller (disjoint_union_cylinders checks it).  A
+    trajectory belongs to the cylinder iff it lies in one of the boxes,
+    each box tried on its own.  Every operation works on the boxes, so its
+    cost is the constraints, not the prefix space; `base`, the enumerated
+    set of allowed prefixes, is built only when read.  Equal cylinders
+    share a prefix space and allow the same prefixes.
     """
 
-    __slots__ = ("space", "boxes", "_labels")
+    __slots__ = ("space", "boxes")
 
     def __init__(self, space: TupleSpace, boxes: tuple):
+        if not (isinstance(space, TupleSpace)
+                and all(isinstance(comp, FiniteSpace) for comp in space.components)):
+            raise DomainError("a cylinder lives on a prefix space of state spaces")
         sizes = [comp.size for comp in space.components]
         for box in boxes:
+            last = -1
             for k, allowed in box:
-                if not (0 <= k < len(sizes) and allowed
+                if not (last < k < len(sizes) and allowed
                         and all(0 <= s < sizes[k] for s in allowed)):
                     raise DomainError(f"bad box constraint on coordinate {k}")
+                last = k
         self.space = space
         self.boxes = boxes
-        self._labels = None
 
     @property
     def depth(self) -> int:
@@ -308,39 +307,21 @@ class Cylinder:
         return f"Cylinder({self.space!r}, {self.boxes!r})"
 
     def __contains__(self, trajectory) -> bool:
-        # A coordinate that the trajectory does not reach, or that is not a
-        # state of its space, makes it no member, whatever the boxes still
-        # to come allow.
-        for box in self._labels or self._label_boxes():
-            for k, allowed, states in box:
-                try:
-                    coord = trajectory[k]
-                except IndexError:
-                    return False
-                try:
-                    if coord in allowed:
-                        continue
-                    if coord not in states:
-                        return False
-                except TypeError:  # unhashable, so not a state
-                    return False
-                break
-            else:
-                return True
-        return False
-
-    def _label_boxes(self) -> tuple:
-        """The boxes by label, built on the first `in`: per constrained
-        coordinate k, (k, allowed labels, every label of X_k).  Boxes that
-        allow the same states at k share one set."""
+        # Each box is tried on its own: a coordinate that the trajectory
+        # does not reach, a label that is not a state of its space (unknown
+        # or unhashable), or an argument that cannot be indexed fails that
+        # box alone.
         comps = self.space.components
-        labels = functools.cache(lambda k, allowed: frozenset(map(comps[k].point_at, allowed)))
-        states = functools.cache(lambda k: frozenset(comps[k].points()))
-        self._labels = tuple(
-            tuple((k, labels(k, allowed), states(k)) for k, allowed in box)
-            for box in self.boxes
-        )
-        return self._labels
+        for box in self.boxes:
+            try:
+                for k, allowed in box:
+                    if comps[k]._index[trajectory[k]] not in allowed:
+                        break
+                else:
+                    return True
+            except (LookupError, TypeError):
+                pass
+        return False
 
     def __len__(self) -> int:
         return _box_count(self.space, self.boxes)
@@ -532,10 +513,10 @@ def lift_cylinder(model: ChainModel, cyl: Cylinder, depth: int) -> Cylinder:
 
 def intersect_cylinders(model: ChainModel, first: Cylinder, second: Cylinder) -> Cylinder:
     """Intersection, described at the deeper of the two depths."""
+    _check_cylinder(model, first)
+    _check_cylinder(model, second)
     depth = max(first.depth, second.depth)
-    a = lift_cylinder(model, first, depth)
-    b = lift_cylinder(model, second, depth)
-    return Cylinder(a.space, _box_meets(a.boxes, b.boxes))
+    return Cylinder(model.prefix_space(depth), _box_meets(first.boxes, second.boxes))
 
 
 def disjoint_union_cylinders(model: ChainModel, cylinders: Sequence[Cylinder]) -> Cylinder:
@@ -545,10 +526,10 @@ def disjoint_union_cylinders(model: ChainModel, cylinders: Sequence[Cylinder]) -
     depth = max(c.depth for c in cylinders)
     boxes: list = []
     for c in cylinders:
-        lifted = lift_cylinder(model, c, depth)
-        if _box_meets(lifted.boxes, boxes):
+        _check_cylinder(model, c)
+        if _box_meets(c.boxes, boxes):
             raise PreconditionError("cylinders overlap; union would double-count")
-        boxes.extend(lifted.boxes)
+        boxes.extend(c.boxes)
     return Cylinder(model.prefix_space(depth), tuple(boxes))
 
 
@@ -628,7 +609,7 @@ def extract_witness(
     for inner, outer in zip(cylinders[1:], cylinders):
         # inner is inside outer iff their intersection is as large as inner.
         met = intersect_cylinders(model, inner, outer)
-        if len(met) != len(lift_cylinder(model, inner, met.depth)):
+        if len(met) != _box_count(met.space, inner.boxes):
             raise PreconditionError("cylinders are not nested")
     for c in cylinders:
         _check_cylinder(model, c)
@@ -760,7 +741,7 @@ def traj_split_sides(model: ChainModel, a: int, b: int) -> tuple:
     first = model.partial_traj(a, b)
     rest = model.partial_traj(b, model.max_depth)
     whole = model.partial_traj(a, model.max_depth)
-    pairs = model._pair_space(b)
+    pairs = TupleSpace([model.prefix_space(b), model.prefix_space(model.max_depth)])
     size_d = model.prefix_space(model.max_depth).size
     ratio = size_d // model.prefix_space(b).size
     two_stage = [_couple(row, rest, pairs) for row in first.rows]

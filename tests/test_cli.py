@@ -3,6 +3,8 @@ import hashlib
 import io
 import itertools
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ from markovtraj.cli import build_parser, main
 
 from conftest import run_capped, weather_doc
 
-MODELS = Path(__file__).resolve().parent.parent / "models"
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 WEATHER = str(MODELS / "weather.json")
 COIN = str(MODELS / "coin.json")
@@ -25,6 +28,37 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_transcripts() -> list:
+    """(argv, shown stdout lines) of each `$ markovtraj ...` command in the
+    code blocks under README's "## Command line", `\\` continuations joined."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    transcripts = []
+    for block in section.split("```")[1::2]:
+        for chunk in re.split(r"^\$ ", block.replace("\\\n", ""), flags=re.M)[1:]:
+            command, *shown = chunk.rstrip("\n").splitlines()
+            program, *argv = shlex.split(command)
+            assert program == "markovtraj", command
+            transcripts.append((argv, shown))
+    return transcripts
+
+
+README_TRANSCRIPTS = readme_transcripts()
+
+
+@pytest.mark.parametrize(
+    "argv, shown", README_TRANSCRIPTS, ids=[argv[0] for argv, _ in README_TRANSCRIPTS]
+)
+def test_readme_command_line_transcripts(capsys, monkeypatch, argv, shown):
+    # Run from the repository root, where README's model paths resolve; a
+    # shown `...` line stands for any run of lines.
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    pattern = "".join(r"(?:.*\n)*" if line == "..." else re.escape(line) + "\n" for line in shown)
+    assert re.fullmatch(pattern, out), out
 
 
 def test_validate(capsys):
@@ -255,6 +289,19 @@ def test_a_model_too_large_for_memory_is_a_malformed_model(tmp_path):
     assert child.stderr == "error: model is too large to load in the memory available\n"
 
 
+def test_a_query_that_runs_out_of_memory_is_a_bad_request(tmp_path):
+    # verify on the depth-14 weather chain loads in a few MiB but needs
+    # about 200 MB, so under a 96 MiB address space it runs out of memory
+    # mid-query.  That is reported on one line with exit 3, not as a
+    # traceback with exit 1, which means a failed verify.  About 1 s on a
+    # 2-vCPU VM.
+    model = tmp_path / "weather14.json"
+    model.write_text(json.dumps(weather_doc(14)))
+    child = run_capped(["-m", "markovtraj.cli", "verify", "--model", str(model)], 120, 96)
+    assert (child.returncode, child.stdout) == (3, ""), child.stderr
+    assert child.stderr == "error: the request needs more memory than is available\n"
+
+
 def test_huge_max_depth_is_a_malformed_model(tmp_path):
     # Short files that ask for huge chains fail as malformed models, with
     # work bounded by the file, so a loader that builds per-depth objects
@@ -428,7 +475,10 @@ def test_numeric_literals_take_ascii_digits_only(capsys, tmp_path):
             with pytest.raises(SystemExit) as exc:
                 main(list(argv))
             assert exc.value.code == 3, argv
-            assert capsys.readouterr().out == "", argv
+            out, err = capsys.readouterr()
+            assert out == "", argv
+            # argparse names the option's type, which says what the value must be
+            assert f"invalid depth value: {depth!r}" in err, argv
     # Counts and seeds too: int() would draw 10 or 3 samples, or seed 1.
     for option, value in (("--samples", "1_0"), ("--samples", "٣"), ("--samples", "+3"),
                           ("--samples", "-3"), ("--samples", "1" * 19), ("--seed", arabic_one),

@@ -461,9 +461,42 @@ def test_cylinder_membership(weather):
     cyl = cylinder(weather, 1, [("S", "S")])
     assert ("S", "S", "R", "R") in cyl
     assert ("R", "S", "S", "S") not in cyl
+    # what cannot be indexed is no member, rather than a TypeError
+    assert 5 not in cyl
+    assert None not in cyl
 
 
-def test_cylinder_depth_must_match_its_space():
+def test_membership_tries_each_box_on_its_own(weather):
+    # ("S", "Q", "R") fails b1 on the unknown label Q and lies in b2, so it
+    # is a member of the union whichever box comes first.
+    b1 = cylinder_from_constraints(weather, {1: ["S"], 2: ["S"]})
+    b2 = cylinder_from_constraints(weather, {2: ["R"]})
+    forward = disjoint_union_cylinders(weather, [b1, b2])
+    backward = disjoint_union_cylinders(weather, [b2, b1])
+    assert forward == backward
+    assert ("S", "Q", "R") in forward
+    assert ("S", "Q", "R") in backward
+    assert ("S", "Q", "S") not in forward
+    assert ("S", "S") not in forward  # coordinate 2 missing, from every box
+
+
+def test_ring_operations_read_the_boxes_without_lifting(weather, monkeypatch):
+    import markovtraj.trajectory
+
+    def refuse(*args):
+        raise AssertionError("a ring operation lifted a cylinder")
+
+    monkeypatch.setattr(markovtraj.trajectory, "lift_cylinder", refuse)
+    outer = cylinder_from_constraints(weather, {1: ["S"]})
+    inner = cylinder_from_constraints(weather, {1: ["S"], 2: ["S"]})
+    met = intersect_cylinders(weather, outer, cylinder_from_constraints(weather, {2: ["S"]}))
+    assert met == inner
+    union = disjoint_union_cylinders(weather, [cylinder_from_constraints(weather, {1: ["R"]}), inner])
+    assert (union.depth, len(union)) == (2, 4 + 2)
+    assert extract_witness(weather, 0, ("S",), [outer, inner], "1/2") == ("S", "S", "S")
+
+
+def test_cylinder_depth_must_match_its_space(weather):
     w = FiniteSpace("W", ["S", "R"])
     space = TupleSpace([w, w])
     point = ((0, frozenset({0})), (1, frozenset({0})))
@@ -471,10 +504,25 @@ def test_cylinder_depth_must_match_its_space():
     cyl = Cylinder(space, (point,))
     assert cyl.depth == 1
     assert cyl.base == SubsetOf(space, [space.index_of(("S", "S"))])
-    # boxes must constrain coordinates of the space to nonempty sets of states
-    for box in (((2, frozenset({0})),), ((1, frozenset({2})),), ((1, frozenset()),)):
+    # In order, {x1=R, x3=S} has content 0 from S|S|S.  Out of order, the
+    # content would stop reading at coordinate 3 and give 3/4; and a box
+    # that constrains x1 twice, which allows nothing, would count 4
+    # prefixes and give content 3/4 from S.
+    deep = weather.prefix_space(3)
+    in_order = Cylinder(deep, (((1, frozenset({1})), (3, frozenset({0}))),))
+    assert cylinder_content(weather, 2, ("S", "S", "S"), in_order) == 0
+    # boxes must constrain coordinates of the space, strictly increasing, to
+    # nonempty sets of states, on a space of state spaces
+    for box_space, box in (
+        (space, ((2, frozenset({0})),)),
+        (space, ((1, frozenset({2})),)),
+        (space, ((1, frozenset()),)),
+        (deep, ((3, frozenset({0})), (1, frozenset({1})))),
+        (deep, ((1, frozenset({1})), (1, frozenset({0})))),
+        (TupleSpace([w, space]), ((0, frozenset({0})),)),
+    ):
         with pytest.raises(DomainError):
-            Cylinder(space, (box,))
+            Cylinder(box_space, (box,))
 
 
 def test_lift_preserves_the_set(weather):

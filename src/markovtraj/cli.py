@@ -13,16 +13,19 @@ Verbs:
 Prefixes are written as labels joined by "|" (so "S|R" is x_0=S, x_1=R)
 and cylinder constraints as comma-separated coordinate clauses like
 "1=S,2=S|R", where "|" separates allowed states.  Coordinates, counts,
-seeds and rationals ("p/q" or "p") take ASCII digits only.  Exit codes:
-0 success, 1 failed verify checks, 2 malformed model file (or one too large
-to load in the memory available), 3 bad request (usage error, unknown
-state, depth out of range, violated precondition, or a query that needs
-more memory than is available), 4 internal invariant violation.
+seeds and rationals ("p/q" or "p") take ASCII digits only; answers print
+exactly at any length.  Exit codes: 0 success, 1 failed verify checks, 2
+malformed model file (or one too large to load in the memory available,
+or holding a number past the interpreter's int/str digit limit), 3 bad
+request (usage error, unknown state, depth out of range, violated
+precondition, or a query that needs more memory than is available), 4
+internal invariant violation, 141 stdout closed by its reader (128 + SIGPIPE).
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import re
 import sys
@@ -88,22 +91,22 @@ def _one_cylinder(chain, args):
     return cylinder_from_constraints(chain, _parse_cylinder_spec(args.cylinder[0]))
 
 
-def _cmd_validate(args) -> int:
-    print(load_model(args.model).header())
+def _cmd_validate(loaded, args) -> int:
+    print(loaded.header())
     print("VALID")
     return 0
 
 
-def _cmd_marginal(args) -> int:
-    chain = load_model(args.model).chain
+def _cmd_marginal(loaded, args) -> int:
+    chain = loaded.chain
     point = _parse_point(args.point)
     dist = traj_marginal(chain, len(point) - 1, point, args.at)
     sys.stdout.writelines(f"{line}\n" for line in dist_lines(dist, " "))
     return 0
 
 
-def _cmd_cylinder(args) -> int:
-    chain = load_model(args.model).chain
+def _cmd_cylinder(loaded, args) -> int:
+    chain = loaded.chain
     cyl = _one_cylinder(chain, args)
     if args.lift is not None:
         cyl = lift_cylinder(chain, cyl, args.lift)
@@ -112,33 +115,25 @@ def _cmd_cylinder(args) -> int:
     return 0
 
 
-def _cmd_content(args) -> int:
-    chain = load_model(args.model).chain
+def _cmd_content(loaded, args) -> int:
+    chain = loaded.chain
     point = _parse_point(args.point)
     cyl = _one_cylinder(chain, args)
     print(cylinder_content(chain, len(point) - 1, point, cyl))
     return 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(loaded, args) -> int:
     samples = _integer(args.samples, "--samples")
     seed = _integer(args.seed, "--seed", signed=True)
-    loaded = load_model(args.model)
     chain = loaded.chain
     rng = random.Random(seed)
-    if args.point is not None:
-        start = _parse_point(args.point)
-        draw_start = None
-    elif loaded.marginals is not None:
-        start = None
-        draw_start = loaded.marginals[0]
-    else:
-        raise DomainError(
-            "a chain file does not say how to draw coordinate 0; give --point"
-        )
+    if args.point is None and loaded.marginals is None:
+        raise DomainError("a chain file does not say how to draw coordinate 0; give --point")
+    start = None if args.point is None else _parse_point(args.point)
     counts: dict = {}
     for _ in range(samples):
-        prefix = start if start is not None else (draw_start.sample(rng),)
+        prefix = start if start is not None else (loaded.marginals[0].sample(rng),)
         traj = sample_trajectory(chain, prefix, rng)
         counts[traj] = counts.get(traj, 0) + 1
     space = chain.prefix_space(chain.max_depth)
@@ -147,21 +142,18 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_witness(args) -> int:
-    chain = load_model(args.model).chain
+def _cmd_witness(loaded, args) -> int:
+    chain = loaded.chain
     point = _parse_point(args.point)
-    cylinders = [
-        cylinder_from_constraints(chain, _parse_cylinder_spec(spec))
-        for spec in args.cylinder
-    ]
+    cylinders = [cylinder_from_constraints(chain, _parse_cylinder_spec(s)) for s in args.cylinder]
     # extract_witness reads the "p/q" text by the model file's rule
     witness = extract_witness(chain, len(point) - 1, point, cylinders, args.eps)
     print(chain.prefix_space(len(witness) - 1).format_point(witness))
     return 0
 
 
-def _cmd_condexp(args) -> int:
-    chain = load_model(args.model).chain
+def _cmd_condexp(loaded, args) -> int:
+    chain = loaded.chain
     cyl = _one_cylinder(chain, args)
     table = cond_exp(chain, args.at, cyl)
     lines = table_lines(chain.prefix_space(args.at), table, " ")
@@ -169,8 +161,8 @@ def _cmd_condexp(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    report: Report = run_verify(load_model(args.model))
+def _cmd_verify(loaded, args) -> int:
+    report: Report = run_verify(loaded)
     print(report.render())
     return report.exit_code
 
@@ -233,8 +225,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The model loads under the interpreter's int/str digit limit; the verb
+    # runs without it, so that an exact answer prints at any length.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     try:
-        return args.func(args)
+        loaded = load_model(args.model)
+        if limit:
+            sys.set_int_max_str_digits(0)
+        code = args.func(loaded, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone: send what is left to os.devnull, so that the
+        # flush at exit cannot fail again, and exit as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ModelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -246,6 +251,9 @@ def main(argv=None) -> int:
         return 4
     except MemoryError:
         pass  # reported below, once the partial answer is freed
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     print("error: the request needs more memory than is available", file=sys.stderr)
     return 3
 

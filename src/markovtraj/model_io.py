@@ -42,7 +42,7 @@ import json
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from .errors import DomainError, ModelFormatError
+from .errors import DomainError, MarkovTrajError, ModelFormatError
 from .kernel import Kernel, const_kernel
 from .measure import Dist, FiniteSpace, TupleSpace, over_common_denominator
 from .product import const_chain
@@ -72,7 +72,8 @@ class LoadedModel(NamedTuple):
 
 def load_model(path) -> LoadedModel:
     """The model in a file; failing to read, decode or build it, memory
-    included, is a ModelFormatError."""
+    included, or a number past the interpreter's int/str digit limit, is a
+    ModelFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return model_from_dict(json.load(handle, object_pairs_hook=_unique_keys))
@@ -84,6 +85,10 @@ def load_model(path) -> LoadedModel:
         raise ModelFormatError(f"model file is not UTF-8 text: {exc}") from exc
     except RecursionError as exc:
         raise ModelFormatError("model file is nested too deeply") from exc
+    except MarkovTrajError:
+        raise
+    except ValueError as exc:  # an int <-> str conversion past the interpreter's limit
+        raise ModelFormatError("model file holds a number too long to read") from exc
     except MemoryError:
         pass  # raised below, once the partial model is freed
     raise ModelFormatError("model is too large to load in the memory available")

@@ -275,11 +275,12 @@ class Cylinder:
     counting and content read one factor per coordinate in that order; a
     violation is a DomainError.  The boxes must be pairwise disjoint, which
     is left to the caller (disjoint_union_cylinders checks it).  A
-    trajectory belongs to the cylinder iff it lies in one of the boxes,
-    each box tried on its own.  Every operation works on the boxes, so its
-    cost is the constraints, not the prefix space; `base`, the enumerated
-    set of allowed prefixes, is built only when read.  Equal cylinders
-    share a prefix space and allow the same prefixes.
+    trajectory, a tuple or list of labels, belongs to the cylinder iff it
+    lies in one of the boxes, each box tried on its own.  Every operation
+    works on the boxes, so its cost is the constraints, not the prefix
+    space; `base`, the enumerated set of allowed prefixes, is built only
+    when read.  Equal cylinders share a prefix space and allow the same
+    prefixes.
     """
 
     __slots__ = ("space", "boxes")
@@ -307,10 +308,11 @@ class Cylinder:
         return f"Cylinder({self.space!r}, {self.boxes!r})"
 
     def __contains__(self, trajectory) -> bool:
-        # Each box is tried on its own: a coordinate that the trajectory
-        # does not reach, a label that is not a state of its space (unknown
-        # or unhashable), or an argument that cannot be indexed fails that
-        # box alone.
+        # Only a tuple or list is a trajectory.  Each box is tried on its
+        # own: a coordinate the trajectory does not reach, or a label that is
+        # not a state of its space (unknown or unhashable), fails that box.
+        if not isinstance(trajectory, (tuple, list)):
+            return False
         comps = self.space.components
         for box in self.boxes:
             try:
@@ -397,7 +399,8 @@ def _box_mass(
     model: ChainModel, cyl: Cylinder, a: int, index: int, depth: int, tails, q: int
 ) -> Rat:
     """Weight that the chain from the depth-a prefix numbered `index` puts
-    inside the cylinder, read off `partial_row(a, depth, index)`.
+    inside the cylinder, read off `partial_row(a, depth, index)`, or at
+    depth == a off the prefix itself, one entry (index, 1) over 1, no row.
 
     Coordinate k of the index j of a depth-`depth` prefix is
     j // stride_k % |X_k|.  Coordinates up to a are those of the starting
@@ -410,14 +413,17 @@ def _box_mass(
     `_tails(model, cyl.boxes, depth, depth)[0]` gives.  The boxes are
     disjoint, so their masses add up.
     """
-    row = model.partial_row(a, depth, index)
+    numerators, denom = ((index, 1),), 1
+    if depth > a:
+        row = model.partial_row(a, depth, index)
+        numerators, denom = row._numerators, row._denom
     space = model.prefix_space(depth)
     comps, strides = space.components, space._strides
     width = comps[-1].size
     first = index * (space.size // model.prefix_space(a).size)
     total = 0
     for box, h in zip(cyl.boxes, tails):
-        entries = row._numerators
+        entries = numerators
         for k, allowed in box:
             if k > depth:
                 break
@@ -428,7 +434,7 @@ def _box_mass(
                 entries = ()
                 break
         total += sum(n * h[j % width] for j, n in entries)
-    return Rat(total, row._denom * q)
+    return Rat(total, denom * q)
 
 
 def _tails(model: ChainModel, boxes: Sequence, lo: int, hi: int) -> list:
@@ -590,21 +596,21 @@ def extract_witness(
     order on ties.  The maximum over successor states is at least the
     step-weighted average, which is the current content, so the content
     stays >= eps until the cylinder depth is reached, where it becomes a
-    membership indicator.  One backward pass (see _tails) runs from depth
-    m = min(max(a + 1, markov_from), target depth).  From m on, a
-    successor's content is the sum, over the innermost boxes its prefix
-    meets, of the pass's h at its last state; below m, it is read off the
-    successor's depth-m row, weighted by the pass's h at m (see _box_mass).
-    The contents of the preconditions and of the final membership check
-    are read by the rule of `cylinder_content` (see _content).
+    membership indicator.  Each successor, a prefix at depth n, scores its
+    content by the rule of `cylinder_content` (see _content) with the target
+    depth in place of the innermost cylinder's: it is weighed on its row at
+    m = max(n, min(target depth, markov_from)), which is the successor
+    itself from markov_from on, each entry counting with the probability of
+    the rest past m (see _box_mass).  One backward pass from
+    lumped_from = min(max(a + 1, markov_from), target depth) gives that rest
+    at every depth (see _tails).
     """
     eps = Rat(*ratio_of(eps))
     if eps <= 0:
         raise DomainError("the content bound must be positive")
     if not cylinders:
         raise DomainError("need at least one cylinder")
-    prefix = tuple(prefix)
-    index = model.prefix_space(a).index_of(prefix)
+    index = model.prefix_space(a).index_of(tuple(prefix))
     target_depth = max(a, max(c.depth for c in cylinders))
     for inner, outer in zip(cylinders[1:], cylinders):
         # inner is inside outer iff their intersection is as large as inner.
@@ -617,34 +623,16 @@ def extract_witness(
             raise PreconditionError(f"a cylinder has content below {eps}")
 
     innermost = cylinders[-1]
-    # One backward pass gives every score from depth lumped_from on.
     lumped_from = min(max(a + 1, model.markov_from), target_depth)
     tails = _tails(model, innermost.boxes, lumped_from, target_depth)
-    # (constraints, box number) of each box the chosen prefix still meets
-    alive = [
-        (dict(box), b) for b, box in enumerate(innermost.boxes)
-        if all(model.spaces[k].index_of(prefix[k]) in allowed for k, allowed in box if k <= a)
-    ]
     for depth in range(a + 1, target_depth + 1):
-        # Appending state s to prefix `index` gives prefix index * width + s.
+        m = max(depth, lumped_from)
+        h, q = tails[m - lumped_from]
+        # Appending state s to prefix `index` gives prefix index * width + s;
+        # on ties the first successor wins.
         width = model.spaces[depth].size
-        first = index * width
-        if depth < lumped_from:
-            # This depth's successors are weighed on their own rows.
-            scores = [
-                _box_mass(model, innermost, depth, j, lumped_from, *tails[0])
-                for j in range(first, first + width)
-            ]
-        else:
-            # A box that leaves x_depth free allows every state.
-            h, _ = tails[depth - lumped_from]  # one denominator for the depth
-            scores = [
-                sum(h[b][s] for box, b in alive if s in box.get(depth, (s,)))
-                for s in range(width)
-            ]
-        best = max(range(width), key=scores.__getitem__)  # the first on ties
-        index = first + best
-        alive = [(box, b) for box, b in alive if best in box.get(depth, (best,))]
+        successors = range(index * width, (index + 1) * width)
+        index = max(successors, key=lambda j: _box_mass(model, innermost, depth, j, m, h, q))
 
     for c in cylinders:
         if _content(model, c, target_depth, index) != 1:

@@ -156,17 +156,13 @@ def _best_constraint_cylinder(chain: ChainModel, start, coord: int, within=None)
     deterministic; the maximum is positive because the candidate contents
     sum to the content of `within` (or to 1).
     """
-    best = None
-    best_content = None
+    scored = []
     for s in chain.spaces[coord].points():
         cand = cylinder_from_constraints(chain, {coord: [s]})
         if within is not None:
             cand = intersect_cylinders(chain, within, cand)
-        content = cylinder_content(chain, 0, start, cand)
-        if best_content is None or content > best_content:
-            best = cand
-            best_content = content
-    return best, best_content
+        scored.append((cand, cylinder_content(chain, 0, start, cand)))
+    return max(scored, key=lambda pair: pair[1])  # the first on ties
 
 
 def _content_checks(report: Report, chain: ChainModel, start, outer) -> None:

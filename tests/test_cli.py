@@ -3,8 +3,11 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from markovtraj import Dist
 from markovtraj.cli import build_parser, main
 
-from conftest import run_capped, weather_doc
+from conftest import SRC, run_capped, weather_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -233,12 +236,24 @@ def _row_sum_11_12() -> bytes:
     return json.dumps(doc).encode()
 
 
+def _row_sum_past_the_digit_limit() -> bytes:
+    # 1/Q + 1/(Q+1) with Q = 10^4000: each literal reads, but the sum that
+    # the row-sum error names has more than 4,300 digits.
+    doc = json.loads(Path(WEATHER).read_text())
+    q = 10 ** 4000
+    doc["steps"][0]["rows"]["S"] = {"S": f"1/{q}", "R": f"1/{q + 1}"}
+    return json.dumps(doc).encode()
+
+
 @pytest.mark.parametrize("content,message", [
     (_row_sum_11_12(), "expected 1"),
     (b"\xff{}", "not UTF-8"),
     (b"[" * 100_000, "nested too deeply"),
     (b'{"a":' * 50_000, "nested too deeply"),
-], ids=["bad row sum", "not UTF-8", "100000 nested lists", "50000 nested objects"])
+    (b'{"maxDepth": ' + b"1" * 5000 + b"}", "number too long"),
+    (_row_sum_past_the_digit_limit(), "number too long"),
+], ids=["bad row sum", "not UTF-8", "100000 nested lists", "50000 nested objects",
+        "5000-digit integer", "8001-digit row sum"])
 def test_malformed_model_exits_2(capsys, tmp_path, content, message):
     broken = tmp_path / "broken.json"
     broken.write_bytes(content)
@@ -246,6 +261,58 @@ def test_malformed_model_exits_2(capsys, tmp_path, content, message):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+def test_exact_answers_print_at_any_length(capsys, tmp_path):
+    # Rows 1/Q and (Q-1)/Q with Q = 10^4000: each literal is within the
+    # interpreter's 4,300-digit int/str limit, the answers are not.
+    q = "1" + "0" * 4000
+    rows = {"S": f"1/{q}", "R": f"{'9' * 4000}/{q}"}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "maxDepth": 2,
+        "spaces": [{"id": "W", "states": ["S", "R"]}],
+        "steps": [{"n": n, "kind": "last-state", "rows": {"S": rows, "R": rows}}
+                  for n in range(2)],
+    }))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    q2 = "1" + "0" * 8000
+    square = "9" * 3999 + "8" + "0" * 3999 + "1"  # (Q - 1)^2
+    for argv, expected in (
+        (("marginal", "--point", "S", "--at", "2"),
+         f"S|S|S 1/{q2}\nS|S|R {'9' * 4000}/{q2}\n"
+         f"S|R|S {'9' * 4000}/{q2}\nS|R|R {square}/{q2}\n"),
+        (("content", "--point", "S", "--cylinder", "1=S,2=S"), f"1/{q2}\n"),
+        (("condexp", "--cylinder", "1=S,2=S", "--at", "1"),
+         f"S|S 1/{q}\nS|R 0\nR|S 1/{q}\nR|R 0\n"),
+    ):
+        assert run(capsys, *argv, "--model", str(path)) == (0, expected, ""), argv
+    code, out, err = run(capsys, "verify", "--model", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "RESULT PASS checks=45"
+    _, _, _, lhs, rhs = next(line for line in out.splitlines() if "content-depth" in line).split()
+    assert lhs == rhs and len(lhs) > 4300
+    # in-process callers keep their own limit
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_a_closed_pipe_exits_141(tmp_path):
+    # The reader takes one line of a 16,384-line answer and goes away: the
+    # CLI exits as a tool stopped by SIGPIPE would, with nothing on stderr
+    # (exit 1 would mean failed verify checks).
+    model = tmp_path / "weather14.json"
+    model.write_text(json.dumps(weather_doc(14)))
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "markovtraj.cli", "marginal", "--model", str(model),
+         "--point", "S", "--at", "14"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert child.stdout.readline().startswith(b"S|S|S")
+    child.stdout.close()
+    assert child.wait(timeout=60) == 141
+    assert child.stderr.read() == b""
+    child.stderr.close()
 
 
 def test_loader_cap_is_a_depth_19_two_state_chain(capsys, tmp_path):

@@ -176,6 +176,11 @@ def test_membership_of_what_is_not_a_trajectory(weather):
     assert ("S", ["S"], "R") not in cyl  # unhashable coordinates
     assert ("S", "S", {"R": 1}) not in cyl
     assert [] not in cyl
+    # only tuples and lists are trajectories
+    sunny = cylinder_from_constraints(weather, {1: ["S"]})
+    assert ("R", "S") in sunny and ["R", "S"] in sunny
+    assert "RS" not in sunny  # a string of one-letter labels
+    assert {1: "S"} not in sunny  # a dict keyed by coordinate
 
 
 def test_cylinders_are_equal_when_their_sets_are(weather):

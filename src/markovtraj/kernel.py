@@ -23,21 +23,16 @@ from .errors import DomainError
 from .measure import Dist, TupleSpace, product_dist, pushforward_dist
 
 
-def _same_space(a, b) -> bool:
-    return a is b or a == b
-
-
 def _mix(target, d: Dist, rows: Sequence[Dist]) -> Dist:
     """Mixture sum(w_i * rows[i]) over the weights w_i of d, on target.
 
     With d's weights n_i / D and row i's m_ij / E_i, the mixture has
     denominator D * L for L = lcm(E_i), and numerator at j the sum of
-    n_i * (L / E_i) * m_ij: one lcm for the row, all else integer.
+    n_i * (L / E_i) * m_ij: one lcm for the row, all else integer.  The
+    rows must live on target: callers pass a Kernel's rows, which its
+    constructor checked.
     """
     parts = [(n, rows[i]) for i, n in d._numerators]
-    for _, row in parts:
-        if not _same_space(row.space, target):
-            raise DomainError("mixture component lives on a different space")
     common = math.lcm(*(row._denom for _, row in parts))
     acc: dict = {}
     for n, row in parts:
@@ -66,11 +61,7 @@ class Kernel:
             raise DomainError(
                 f"expected {source.size} rows for {source!r}, got {len(rows)}"
             )
-        # Rows nearly always hold the target object itself, which the
-        # identity test alone confirms; only otherwise are spaces compared.
-        if not all(row.space is target for row in rows) and not all(
-            _same_space(row.space, target) for row in rows
-        ):
+        if any(row.space is not target and row.space != target for row in rows):
             raise DomainError("kernel row lives on a different space")
         self.source = source
         self.target = target
@@ -116,7 +107,7 @@ def comp_kernel(first: Kernel, second: Kernel) -> Kernel:
 
     Row at x is the mixture of second's rows weighted by first.row(x).
     """
-    if not _same_space(first.target, second.source):
+    if first.target != second.source:
         raise DomainError("composition: first.target differs from second.source")
     rows = [_mix(second.target, row, second.rows) for row in first.rows]
     return Kernel(first.source, second.target, rows)
@@ -124,7 +115,7 @@ def comp_kernel(first: Kernel, second: Kernel) -> Kernel:
 
 def comp_measure(d: Dist, k: Kernel) -> Dist:
     """Law of the kernel's output when the input is drawn from d."""
-    if not _same_space(d.space, k.source):
+    if d.space != k.source:
         raise DomainError("bind: distribution space differs from kernel source")
     return _mix(k.target, d, k.rows)
 
@@ -134,7 +125,7 @@ def prod_kernel(k: Kernel, l: Kernel) -> Kernel:
 
     The two coordinates are independent given the common input.
     """
-    if not _same_space(k.source, l.source):
+    if k.source != l.source:
         raise DomainError("pairing: kernels have different sources")
     rows = [product_dist([kr, lr]) for kr, lr in zip(k.rows, l.rows)]
     return Kernel(k.source, TupleSpace([k.target, l.target]), rows)

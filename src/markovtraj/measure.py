@@ -88,7 +88,7 @@ class FiniteSpace:
             return False
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteSpace) and self.labels == other.labels
+        return self is other or (isinstance(other, FiniteSpace) and self.labels == other.labels)
 
     def __hash__(self) -> int:
         return hash(("FiniteSpace", self.labels))
@@ -201,7 +201,9 @@ class TupleSpace:
             return False
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TupleSpace) and self.components == other.components
+        return self is other or (
+            isinstance(other, TupleSpace) and self.components == other.components
+        )
 
     def __hash__(self) -> int:
         return hash(("TupleSpace", self.components))

@@ -124,7 +124,21 @@ def _load_product(data: Mapping) -> LoadedModel:
             raise ModelFormatError(f"factor {i} must be a nonempty object")
         space = _make_space(f"X{i}", list(entry.keys()), f"factor {i}")
         marginals.append(_dist_from_mapping(space, entry, f"factor {i}"))
+    _check_size([d.space for d in marginals])
     return LoadedModel(const_chain(marginals), tuple(marginals))
+
+
+def _check_size(spaces) -> None:
+    """Refuse a model of more than _MAX_PREFIX_POINTS full trajectories,
+    before anything is built per depth: the product of the spaces' sizes,
+    stopped as soon as it passes the cap."""
+    total = 1
+    for space in spaces:
+        total *= space.size
+        if total > _MAX_PREFIX_POINTS:
+            raise ModelFormatError(
+                f"model has too many full trajectories; the loader caps at {_MAX_PREFIX_POINTS}"
+            )
 
 
 def _load_chain(data: Mapping) -> LoadedModel:
@@ -165,14 +179,7 @@ def _load_chain(data: Mapping) -> LoadedModel:
         )
     spaces = tuple(_space_from_entry(entry, i) for i, entry in enumerate(spaces_entry))
 
-    total = 1
-    for space in spaces:
-        total *= space.size
-        if total > _MAX_PREFIX_POINTS:
-            raise ModelFormatError(
-                f"model has too many full trajectories; the loader caps at {_MAX_PREFIX_POINTS}"
-            )
-
+    _check_size(spaces)
     labels = _prefix_labels(spaces)
     steps = [
         _step_kernel(by_depth[n], TupleSpace(spaces[: n + 1]), spaces[n + 1], n, labels)

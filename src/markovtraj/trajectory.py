@@ -271,8 +271,9 @@ class Cylinder:
     tuple of (coordinate, frozenset of allowed state indices) pairs; a
     coordinate it does not list is unconstrained.  The constructor checks
     that every coordinate is one of the space's, strictly increasing within
-    a box, and allows a nonempty set of that coordinate's states, since
-    counting and content read one factor per coordinate in that order; a
+    a box, and allows a nonempty frozenset of that coordinate's state
+    indices (ints), since counting and content read one factor per
+    coordinate in that order and meet boxes by set intersection; a
     violation is a DomainError.  The boxes must be pairwise disjoint, which
     is left to the caller (disjoint_union_cylinders checks it).  A
     trajectory, a tuple or list of labels, belongs to the cylinder iff it
@@ -293,8 +294,8 @@ class Cylinder:
         for box in boxes:
             last = -1
             for k, allowed in box:
-                if not (last < k < len(sizes) and allowed
-                        and all(0 <= s < sizes[k] for s in allowed)):
+                if not (last < k < len(sizes) and isinstance(allowed, frozenset) and allowed
+                        and all(isinstance(s, int) and 0 <= s < sizes[k] for s in allowed)):
                     raise DomainError(f"bad box constraint on coordinate {k}")
                 last = k
         self.space = space
@@ -550,6 +551,7 @@ def content_at_depth(model: ChainModel, a: int, prefix, cyl: Cylinder, depth: in
     memoized depth-`depth` row is summed over the entries inside the boxes
     (see _box_mass).
     """
+    model.prefix_space(depth)  # a depth outside 0..D is a DomainError naming it
     if depth < max(a, cyl.depth):
         raise DomainError("evaluation depth must cover both the prefix and the cylinder")
     _check_cylinder(model, cyl)

@@ -2,7 +2,8 @@
 
 The brute-force helpers here enumerate paths directly from the step rows,
 never through the kernel algebra under test, so they can serve as oracles
-for it.
+for it.  `forward_content` reads the model document alone, with no library
+code at all, and reaches depths that path enumeration cannot.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -244,3 +246,44 @@ def brute_force_content(chain: ChainModel, prefix: tuple, constraints: dict) -> 
         if all(traj[i] in allowed for i, allowed in constraints.items()):
             total += w
     return total
+
+
+def forward_content(doc: dict, prefix: tuple, constraints: dict) -> Fraction:
+    """Probability of {x_i in allowed_i} from `prefix`, a tuple of labels, by
+    a forward pass over the chain document `doc` alone: its labels, its step
+    kinds and its weights read as Fractions, with no library code.
+
+    The pass holds {window: probability} over the prefixes that meet every
+    constraint so far.  The window is the whole prefix while a later step
+    is "table", whose rows are keyed by it, and the last label after that,
+    so past the last "table" step the work per depth is one row per state,
+    not per path.
+    """
+    steps = {step["n"]: step for step in doc["steps"]}
+    a = len(prefix) - 1
+    depth = max(max(constraints), a)
+    if any(prefix[i] not in allowed for i, allowed in constraints.items() if i <= a):
+        return Fraction(0)
+    last_table = max((n for n in range(a, depth) if steps[n]["kind"] == "table"), default=-1)
+
+    def window(labels: tuple, k: int) -> tuple:
+        return labels if k <= last_table else labels[-1:]
+
+    law = {window(tuple(prefix), a): Fraction(1)}
+    for n in range(a, depth):
+        step = steps[n]
+        allowed = constraints.get(n + 1)
+        after: dict = {}
+        for labels, p in law.items():
+            if step["kind"] == "const":
+                row = step["row"]
+            elif step["kind"] == "last-state":
+                row = step["rows"][labels[-1]]
+            else:
+                row = step["rows"]["|".join(labels)]
+            for state, weight in row.items():
+                if allowed is None or state in allowed:
+                    key = window(labels + (state,), n + 1)
+                    after[key] = after.get(key, 0) + p * Fraction(weight)
+        law = after
+    return sum(law.values(), Fraction(0))

@@ -6,8 +6,10 @@ law of the last state instead of the memoized rows.  Every value here is
 compared, with exact equality, against the row route (`content_at_depth`,
 the greedy on row contents, `cond_exp` of the indicator as a function) and
 against the path-enumeration oracles of conftest, on random models that mix
-"table", "last-state" and "const" steps.
+"table", "last-state" and "const" steps; and, at depths past path
+enumeration, against conftest's forward pass over the model document.
 """
+import itertools
 import random
 from pathlib import Path
 
@@ -33,7 +35,9 @@ from markovtraj import (
 )
 
 from conftest import (
+    brute_force_content,
     brute_force_prefix_law,
+    forward_content,
     random_model_doc,
     random_nested_family,
     random_prefix,
@@ -196,3 +200,71 @@ def test_deep_queries_build_no_rows():
     # The row route reaches the same table through thousands of rows.
     assert table == cond_exp(chain, 8, lambda t: 1 if t in cyl else 0)
     assert len(chain._rows) > 1000
+
+
+# ---- past path enumeration: the forward pass over the document ----
+
+
+def test_forward_pass_matches_path_enumeration():
+    rng = random.Random(8105)
+    for _ in range(60):
+        doc = random_model_doc(rng, rng.randint(2, 6))
+        chain = model_from_dict(doc).chain
+        a = rng.randint(0, chain.max_depth)
+        start = random_prefix(rng, chain, a)
+        constraints = {
+            k: set(rng.sample(chain.spaces[k].labels, rng.randint(0, chain.spaces[k].size)))
+            for k in {rng.randint(0, chain.max_depth) for _ in range(rng.randint(1, 3))}
+        }
+        assert forward_content(doc, start, constraints) == brute_force_content(
+            chain, start, constraints
+        )
+
+
+def deep_two_state_doc(rng, depth: int) -> dict:
+    """A two-state document of the given depth: a head of 1-3 "table" steps,
+    then "last-state" steps, each row over a random denominator 2..13."""
+    states = ["S", "R"]
+
+    def row() -> dict:
+        q = rng.randint(2, 13)
+        p = rng.randint(1, q - 1)
+        return {"S": f"{p}/{q}", "R": f"{q - p}/{q}"}
+
+    head = rng.randint(1, 3)
+    steps = []
+    for n in range(depth):
+        if n < head:
+            prefixes = itertools.product(states, repeat=n + 1)
+            rows = {"|".join(p): row() for p in prefixes}
+            steps.append({"n": n, "kind": "table", "rows": rows})
+        else:
+            steps.append({"n": n, "kind": "last-state", "rows": {s: row() for s in states}})
+    return {"maxDepth": depth, "spaces": [{"id": "W", "states": states}], "steps": steps}
+
+
+def test_deep_contents_match_the_forward_pass():
+    # Depths 13-19 are past path enumeration, and their denominators are
+    # products of up to 19 step denominators; every constraint set reaches
+    # the deep half of the chain.
+    rng = random.Random(8106)
+    checked = 0
+    for depth in (13, 15, 17, 19):
+        doc = deep_two_state_doc(rng, depth)
+        chain = model_from_dict(doc).chain
+        b = max(chain.markov_from, 2)
+        for _ in range(3):
+            coords = {rng.randint(depth // 2, depth)}
+            coords |= {rng.randint(0, depth) for _ in range(rng.randint(0, 2))}
+            constraints = {k: set(rng.sample(["S", "R"], rng.randint(1, 2))) for k in coords}
+            cyl = cylinder_from_constraints(chain, constraints)
+            for a in range(3):
+                for start in itertools.product(["S", "R"], repeat=a + 1):
+                    assert cylinder_content(chain, a, start, cyl) == forward_content(
+                        doc, start, constraints
+                    )
+                    checked += 1
+            for point, value in cond_exp(chain, b, cyl).items():
+                assert value == forward_content(doc, point, constraints)
+                checked += 1
+    assert checked >= 200, checked

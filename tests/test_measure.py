@@ -55,6 +55,27 @@ def test_spaces_compare_structurally():
     assert FiniteSpace("X", ["a", "b"]) != FiniteSpace("X", ["b", "a"])
 
 
+class _Uncomparable(tuple):
+    def __eq__(self, other):
+        raise AssertionError("compared element by element")
+
+
+def test_spaces_compare_by_identity_first():
+    # A space equals itself without reading its labels or components, so a
+    # chain's shared prefix spaces compare in O(1); other spaces still
+    # compare by content.
+    space = w_space()
+    pair = TupleSpace([space, space])
+    space.labels = _Uncomparable(space.labels)
+    pair.components = _Uncomparable(pair.components)
+    assert space == space and not space != space
+    assert pair == pair and not pair != pair
+    with pytest.raises(AssertionError):
+        space == w_space()
+    with pytest.raises(AssertionError):
+        pair == TupleSpace([space, space])
+
+
 def test_tuple_space_enumeration_is_lexicographic():
     ab = FiniteSpace("A", ["a", "b"])
     xyz = FiniteSpace("B", ["x", "y", "z"])

@@ -360,7 +360,7 @@ def test_product_validation():
     rejects({"kind": "product", "factors": [{"H": "1/2"}]})  # sums to 1/2
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
     # 2^24 trajectories is past the loader cap, and so is 2^15001, a total
     # with more digits than int-to-str conversion allows, so the message
     # must not print it
@@ -375,6 +375,19 @@ def test_size_cap():
         }
         with pytest.raises(ModelFormatError, match="caps at 1048576"):
             model_from_dict(doc)
+    # The cap holds for product files too: 20 coins load, 21 do not.
+    coin = {"H": "1/2", "T": "1/2"}
+    loaded = model_from_dict({"kind": "product", "factors": [coin] * 20})
+    assert loaded.chain.prefix_space(19).size == 1 << 20
+    # Past the cap the loader refuses before it builds any per-depth space,
+    # which for 3,000 factors would take memory quadratic in their number.
+    def unreachable(marginals):
+        raise AssertionError("const_chain called on a model past the cap")
+
+    monkeypatch.setattr(markovtraj.model_io, "const_chain", unreachable)
+    for count in (21, 3000):
+        with pytest.raises(ModelFormatError, match="caps at 1048576"):
+            model_from_dict({"kind": "product", "factors": [coin] * count})
 
 
 # ---- fuzzing ----

@@ -512,11 +512,14 @@ def test_cylinder_depth_must_match_its_space(weather):
     in_order = Cylinder(deep, (((1, frozenset({1})), (3, frozenset({0}))),))
     assert cylinder_content(weather, 2, ("S", "S", "S"), in_order) == 0
     # boxes must constrain coordinates of the space, strictly increasing, to
-    # nonempty sets of states, on a space of state spaces
+    # nonempty frozensets of state indices, on a space of state spaces
     for box_space, box in (
         (space, ((2, frozenset({0})),)),
         (space, ((1, frozenset({2})),)),
         (space, ((1, frozenset()),)),
+        (space, ((1, [0]),)),
+        (space, ((1, "0"),)),
+        (space, ((1, frozenset({"S"})),)),
         (deep, ((3, frozenset({0})), (1, frozenset({1})))),
         (deep, ((1, frozenset({1})), (1, frozenset({0})))),
         (TupleSpace([w, space]), ((0, frozenset({0})),)),
@@ -596,6 +599,9 @@ def test_content_independent_of_depth(weather):
         assert content_at_depth(weather, 0, ("S",), cyl, depth) == value
     with pytest.raises(DomainError):
         content_at_depth(weather, 2, ("S", "S", "R"), cyl, 1)
+    # a depth past the model's is refused by name, not by an IndexError
+    with pytest.raises(DomainError, match=r"depth 4 outside 0\.\.3"):
+        content_at_depth(weather, 0, ("S",), cyl, 4)
 
 
 def test_content_matches_path_enumeration():

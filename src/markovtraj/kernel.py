@@ -56,12 +56,16 @@ class Kernel:
     __slots__ = ("source", "target", "rows")
 
     def __init__(self, source, target, rows: Sequence[Dist]):
-        rows = tuple(rows)
+        try:
+            rows = tuple(rows)
+            foreign = any(row.space is not target and row.space != target for row in rows)
+        except (TypeError, AttributeError):
+            raise DomainError("kernel rows must be a sequence of Dist") from None
         if len(rows) != source.size:
             raise DomainError(
                 f"expected {source.size} rows for {source!r}, got {len(rows)}"
             )
-        if any(row.space is not target and row.space != target for row in rows):
+        if foreign:
             raise DomainError("kernel row lives on a different space")
         self.source = source
         self.target = target

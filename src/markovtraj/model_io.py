@@ -43,8 +43,7 @@ from collections.abc import Mapping
 from typing import NamedTuple
 
 from .errors import DomainError, MarkovTrajError, ModelFormatError
-from .kernel import Kernel, const_kernel
-from .measure import Dist, FiniteSpace, TupleSpace, over_common_denominator
+from .measure import Dist, FiniteSpace, over_common_denominator
 from .product import const_chain
 from .rational import parse_ratio
 from .trajectory import ChainModel
@@ -181,10 +180,10 @@ def _load_chain(data: Mapping) -> LoadedModel:
 
     _check_size(spaces)
     labels = _prefix_labels(spaces)
-    steps = [
-        _step_kernel(by_depth[n], TupleSpace(spaces[: n + 1]), spaces[n + 1], n, labels)
-        for n in range(max_depth)
-    ]
+    steps, size = [], 1  # size: |P_n|, the number of depth-n prefixes
+    for n in range(max_depth):
+        size *= spaces[n].size
+        steps.append(_step_rows(by_depth[n], size, spaces[n], spaces[n + 1], n, labels))
     try:
         chain = ChainModel(spaces, steps)
     except DomainError as exc:
@@ -255,28 +254,29 @@ def _prefix_labels(spaces: tuple):
     return at
 
 
-def _step_kernel(
-    entry: Mapping, prefix_space, target: FiniteSpace, n: int, labels
-) -> Kernel:
+def _step_rows(
+    entry: Mapping, size: int, last: FiniteSpace, target: FiniteSpace, n: int, labels
+) -> tuple:
+    """Step n's `size` rows on `target`, one per depth-n prefix in order;
+    `last` is X_n.  A tuple, which the chain's Kernel keeps, not copies."""
     kind = entry.get("kind")
     where = f"step {n}"
     if kind == "const":
         row = entry.get("row")
         if not isinstance(row, Mapping):
             raise ModelFormatError(f'{where}: "const" needs a "row" object')
-        return const_kernel(prefix_space, _dist_from_mapping(target, row, where))
+        return (_dist_from_mapping(target, row, where),) * size
     if kind == "last-state":
-        last_space = prefix_space.components[-1]
-        by_last = _keyed_rows(entry, kind, last_space.labels, target, where)
+        by_last = _keyed_rows(entry, kind, last.labels, target, where)
         # The last coordinate is the least significant, so prefix i ends in
         # state i % |X_n| and the rows repeat with that period.
-        return Kernel(prefix_space, target, by_last * (prefix_space.size // last_space.size))
+        return by_last * (size // last.size)
     if kind == "table":
-        return Kernel(prefix_space, target, _keyed_rows(entry, kind, labels(n), target, where))
+        return _keyed_rows(entry, kind, labels(n), target, where)
     raise ModelFormatError(f'{where}: unknown kind {kind!r}')
 
 
-def _keyed_rows(entry: Mapping, kind: str, keys, target: FiniteSpace, where: str) -> list:
+def _keyed_rows(entry: Mapping, kind: str, keys, target: FiniteSpace, where: str) -> tuple:
     """One Dist per key, in key order, read from the step's "rows" object,
     which must hold a row object for every key and nothing else.  Rows
     written identically share one Dist, parsed at the first of them."""
@@ -301,4 +301,4 @@ def _keyed_rows(entry: Mapping, kind: str, keys, target: FiniteSpace, where: str
         dists.append(dist)
     if len(rows) > len(dists):
         raise ModelFormatError(f"{where}: {len(rows)} rows for {len(dists)} keys")
-    return dists
+    return tuple(dists)

@@ -23,11 +23,13 @@ compares the two sides returned by its *_sides function, which the
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import Sequence
 
 from .errors import DomainError
 from .kernel import Kernel, _couple, comp_measure, const_kernel
-from .measure import Dist, TupleSpace, _restrict, dirac, product_dist
+from .measure import Dist, _restrict, dirac, product_dist
 from .trajectory import ChainModel
 
 
@@ -36,12 +38,9 @@ def const_chain(marginals: Sequence[Dist]) -> ChainModel:
     marginals = tuple(marginals)
     if not marginals:
         raise DomainError("a constant chain needs at least one marginal")
-    spaces = [m.space for m in marginals]
-    steps = [
-        const_kernel(TupleSpace(spaces[: n + 1]), marginals[n + 1])
-        for n in range(len(marginals) - 1)
-    ]
-    return ChainModel(spaces, steps)
+    sizes = itertools.accumulate((m.space.size for m in marginals), operator.mul)
+    steps = [(d,) * size for d, size in zip(marginals[1:], sizes)]
+    return ChainModel([m.space for m in marginals], steps)
 
 
 def product_prefix_dist(marginals: Sequence[Dist], depth: int) -> Dist:

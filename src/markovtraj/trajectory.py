@@ -1,8 +1,8 @@
 """Finite-depth Markov chains and their trajectory measures, exactly.
 
 Implements:
-  * ChainModel: state spaces X_0..X_D plus one step kernel per depth, where
-    each step reads the whole prefix so far.
+  * ChainModel: state spaces X_0..X_D and, per depth, one step row per
+    prefix so far, wrapped as a kernel on the prefix space the chain builds.
   * partial_row / partial_traj: the law of the depth-b prefix from one
     depth-a prefix, extended one step at a time through the step kernels
     (and plain restriction when the target depth is not larger), and the
@@ -61,9 +61,12 @@ class ChainModel:
     ----------
     spaces : sequence of FiniteSpace
         State spaces X_0 .. X_D; the chain has max_depth D = len(spaces) - 1.
-    steps : sequence of Kernel
-        steps[n] maps the depth-n prefix space into X_{n+1}; there must be
-        exactly max_depth of them.
+    steps : sequence of sequences of Dist
+        steps[n] holds one row, a Dist on X_{n+1}, per depth-n prefix, in
+        the prefix space's enumeration order; there must be exactly
+        max_depth of them.  The chain builds its own prefix spaces and
+        wraps steps[n] as the Kernel `self.steps[n]` from `prefix_space(n)`
+        to X_{n+1}, which keeps a tuple of rows without copying it.
 
     Partial-trajectory rows and kernels are memoized on the model, so
     repeated queries share all the work, and a kernel's rows are the very
@@ -74,25 +77,21 @@ class ChainModel:
     last step reads more).
     """
 
-    def __init__(self, spaces: Sequence, steps: Sequence[Kernel]):
+    def __init__(self, spaces: Sequence[FiniteSpace], steps: Sequence[Sequence[Dist]]):
         self.spaces = tuple(spaces)
         if not self.spaces:
             raise DomainError("a chain needs at least the depth-0 space")
+        if not all(isinstance(space, FiniteSpace) for space in self.spaces):
+            raise DomainError("a chain's state spaces must be FiniteSpaces")
         self.max_depth = len(self.spaces) - 1
-        self.steps = tuple(steps)
-        if len(self.steps) != self.max_depth:
-            raise DomainError(
-                f"expected {self.max_depth} step kernels, got {len(self.steps)}"
-            )
-        # Each step reads the prefix space at its depth; adopt it rather
-        # than build an equal one.
-        for n, step in enumerate(self.steps):
-            source = step.source
-            if not isinstance(source, TupleSpace) or source.components != self.spaces[: n + 1]:
-                raise DomainError(f"step {n} does not read the depth-{n} prefix space")
-            if step.target != self.spaces[n + 1]:
-                raise DomainError(f"step {n} does not map into the depth-{n + 1} space")
-        self._prefix_spaces = [step.source for step in self.steps] + [TupleSpace(self.spaces)]
+        steps = tuple(steps)
+        if len(steps) != self.max_depth:
+            raise DomainError(f"expected {self.max_depth} steps, got {len(steps)}")
+        self._prefix_spaces = [TupleSpace(self.spaces[: n + 1]) for n in range(len(self.spaces))]
+        self.steps = tuple(
+            Kernel(self._prefix_spaces[n], self.spaces[n + 1], rows)
+            for n, rows in enumerate(steps)
+        )
         # Step n reads only the last state iff its row at prefix i depends
         # on i % |X_n| alone (the last coordinate is the least significant),
         # that is, iff its rows repeat with that period.  Shared rows make

@@ -23,9 +23,7 @@ from markovtraj import (
     ChainModel,
     Dist,
     FiniteSpace,
-    Kernel,
     Rat,
-    TupleSpace,
 )
 
 # ---- acceptance reporting ----
@@ -52,14 +50,9 @@ WEATHER_ROWS = {"S": ("3/4", "1/4"), "R": ("1/2", "1/2")}
 
 def last_state_chain(space: FiniteSpace, rows: dict, depth: int) -> ChainModel:
     """Chain whose step at every depth depends only on the last state."""
-    dists = {label: Dist(space, rows[label]) for label in space.points()}
-    steps = []
-    for n in range(depth):
-        prefix_space = TupleSpace([space] * (n + 1))
-        steps.append(
-            Kernel(prefix_space, space, [dists[p[-1]] for p in prefix_space.points()])
-        )
-    return ChainModel([space] * (depth + 1), steps)
+    # Prefix i ends in state i % |X|, so the rows repeat by last state.
+    by_last = [Dist(space, rows[label]) for label in space.points()]
+    return ChainModel([space] * (depth + 1), [by_last * space.size ** n for n in range(depth)])
 
 
 def weather_chain(depth: int = 3) -> ChainModel:
@@ -132,11 +125,10 @@ def random_chain(rng: random.Random, depth: int | None = None) -> ChainModel:
         FiniteSpace(f"X{i}", [f"s{j}" for j in range(rng.randint(2, 3))])
         for i in range(depth + 1)
     ]
-    steps = []
+    steps, size = [], 1  # size: the number of depth-n prefixes
     for n in range(depth):
-        prefix_space = TupleSpace(spaces[: n + 1])
-        rows = [random_dist(rng, spaces[n + 1]) for _ in range(prefix_space.size)]
-        steps.append(Kernel(prefix_space, spaces[n + 1], rows))
+        size *= spaces[n].size
+        steps.append([random_dist(rng, spaces[n + 1]) for _ in range(size)])
     return ChainModel(spaces, steps)
 
 

@@ -339,7 +339,7 @@ def validate_in_capped_child(model, timeout: float, mib: int = 512):
 
 
 def test_a_model_too_large_for_memory_is_a_malformed_model(tmp_path):
-    # A valid one-state chain of depth 6,000: the loader builds one prefix
+    # A valid one-state chain of depth 6,000: the chain builds one prefix
     # space per depth, each as long as its depth, which runs out of a
     # 192 MiB address space.  The MemoryError is reported as a malformed
     # model (exit 2), not as a traceback with exit 1, which means a failed

@@ -39,6 +39,11 @@ def test_kernel_validates_shape():
     other = FiniteSpace("X", ["a", "b"])
     with pytest.raises(DomainError):
         Kernel(W, W, [uniform(W), uniform(other)])
+    # Rows that are not a sequence of Dists: numbers, nothing, or a Kernel
+    # where its rows belong.
+    for rows in ([1, 2], None, weather_step()):
+        with pytest.raises(DomainError, match="must be a sequence of Dist"):
+            Kernel(W, W, rows)
 
 
 def test_const_kernel_shares_rows():

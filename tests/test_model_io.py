@@ -1,4 +1,7 @@
+import functools
 import json
+import operator
+import random
 import re
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from markovtraj import (
     model_from_dict,
 )
 
-from conftest import weather_doc
+from conftest import random_model_doc, weather_doc
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -452,3 +455,77 @@ def test_model_from_dict_only_raises_its_own_errors(node, value):
     except MarkovTrajError:
         return
     assert isinstance(loaded, LoadedModel)
+
+
+# Near misses that the fuzz above does not aim at, made to random documents.
+# It edits a decoded document, so a key repeated in the file text never
+# reaches load_model's duplicate-key hook; and it puts arbitrary values in
+# the shipped models, where these are one wrong value of the right shape.
+MUTATIONS = ("repeated key", "dropped key", "step n", "maxDepth", "non-ASCII digit", "| in label")
+MARK = "@mark@"  # a key, and a value, that no random document holds
+
+
+def _at(doc, path):
+    return functools.reduce(operator.getitem, path, doc)
+
+
+def _mutated(rng: random.Random, doc: dict, kind: str) -> str:
+    """The file text of `doc` with one mutation of the given kind."""
+    paths = list(_node_paths(doc))
+    objects = [path for path in paths if isinstance(_at(doc, path), dict)]
+    mark, replacement = json.dumps(MARK), None
+    if kind == "repeated key":
+        path = rng.choice(objects)
+        node = _at(doc, path)
+        key = rng.choice(list(node))
+        doc, replacement = _replaced(doc, path, {**node, MARK: node[key]}), json.dumps(key)
+    elif kind == "dropped key":
+        # Any key but a space's "id", which defaults to one of its own.
+        path, key = rng.choice([
+            (path, key) for path in objects for key in _at(doc, path)
+            if not (path[:1] == ("spaces",) and key == "id")
+        ])
+        node = {k: v for k, v in _at(doc, path).items() if k != key}
+        doc = _replaced(doc, path, node)
+    elif kind == "step n":
+        i = rng.randrange(len(doc["steps"]))
+        value = rng.choice([-1, doc["maxDepth"], i + 0.0, i + 0.5, True])
+        doc = _replaced(doc, ("steps", i, "n"), value)
+    elif kind == "maxDepth":
+        # 5,000 digits are past the interpreter's default int/str limit,
+        # so they go into the text, not through json.dumps.
+        replacement = rng.choice([str(10**18), "9" * 5000])
+        doc = _replaced(doc, ("maxDepth",), MARK)
+    elif kind == "non-ASCII digit":
+        path = rng.choice([p for p in paths if p[2:3] in (("row",), ("rows",)) and
+                           isinstance(_at(doc, p), str)])
+        weight = _at(doc, path)
+        at = rng.choice([k for k, ch in enumerate(weight) if ch.isdigit()])
+        digit = chr(rng.choice([0x0660, 0x06F0, 0x0966, 0xFF10]) + int(weight[at]))
+        doc = _replaced(doc, path, weight[:at] + digit + weight[at + 1:])
+    else:
+        i = rng.randrange(len(doc["spaces"]))
+        j = rng.randrange(len(doc["spaces"][i]["states"]))
+        label = doc["spaces"][i]["states"][j]
+        at = rng.randint(0, len(label))
+        doc = _replaced(doc, ("spaces", i, "states", j), label[:at] + "|" + label[at:])
+    text = json.dumps(doc, ensure_ascii=False)
+    return text if replacement is None else text.replace(mark, replacement)
+
+
+def test_load_model_rejects_one_mutation_of_a_random_document(tmp_path):
+    # 1,200 random documents, 200 per mutation: each loads as written and
+    # is a ModelFormatError after one mutation of its file text.  About
+    # 1.5 s on a 2-vCPU VM.
+    rng = random.Random(4)
+    path = tmp_path / "model.json"
+    for i in range(1200):
+        doc, kind = random_model_doc(rng), MUTATIONS[i % len(MUTATIONS)]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert isinstance(load_model(path), LoadedModel)
+        path.write_text(_mutated(rng, doc, kind), encoding="utf-8")
+        try:
+            load_model(path)
+        except ModelFormatError:
+            continue
+        pytest.fail(f"document {i} loaded after a {kind} mutation: {path.read_text()}")

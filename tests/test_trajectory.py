@@ -12,7 +12,6 @@ from markovtraj import (
     Dist,
     DomainError,
     FiniteSpace,
-    Kernel,
     PreconditionError,
     Rat,
     SubsetOf,
@@ -58,9 +57,20 @@ def test_chain_validates_steps():
     w = FiniteSpace("W", ["S", "R"])
     with pytest.raises(DomainError):
         ChainModel([w, w], [])  # one step missing
-    bad_source = Kernel(w, w, [uniform(w), uniform(w)])
     with pytest.raises(DomainError):
-        ChainModel([w, w], [bad_source])  # step must read the prefix space
+        ChainModel([w, w], [[uniform(w)] * 3])  # two depth-0 prefixes, three rows
+    other = FiniteSpace("X", ["a", "b"])
+    with pytest.raises(DomainError):
+        ChainModel([w, w], [[uniform(w), uniform(other)]])  # a row off X_1
+    with pytest.raises(DomainError):
+        ChainModel([w, w], [weather_chain(1).steps[0]])  # a Kernel, not its rows
+    # State spaces must be FiniteSpaces: a product of them, or a string,
+    # would fail only later, in the queries that read its labels.
+    pair = TupleSpace([w, w])
+    with pytest.raises(DomainError):
+        ChainModel([pair, pair], [[uniform(pair)] * 4])
+    with pytest.raises(DomainError):
+        ChainModel(["ab"], [])
 
 
 def test_prefix_helpers(weather):
@@ -215,14 +225,7 @@ def test_fast_paths_match_path_enumeration_on_deeper_chains():
 def three_state_chain(rng: random.Random, depth: int) -> ChainModel:
     """Random chain with three states at every depth."""
     spaces = [FiniteSpace(f"X{i}", ["a", "b", "c"]) for i in range(depth + 1)]
-    steps = [
-        Kernel(
-            TupleSpace(spaces[: n + 1]),
-            spaces[n + 1],
-            [random_dist(rng, spaces[n + 1]) for _ in range(3 ** (n + 1))],
-        )
-        for n in range(depth)
-    ]
+    steps = [[random_dist(rng, spaces[n + 1]) for _ in range(3 ** (n + 1))] for n in range(depth)]
     return ChainModel(spaces, steps)
 
 
@@ -435,9 +438,7 @@ def test_sample_trajectory_rejects_a_bad_start(weather):
 def test_sample_trajectory_avoids_zero_weight_states():
     # step 0 sends "a" to "b" with probability 1
     x = FiniteSpace("X", ["a", "b"])
-    p0 = TupleSpace([x])
-    step = Kernel(p0, x, [dirac(x, "b"), uniform(x)])
-    chain = ChainModel([x, x], [step])
+    chain = ChainModel([x, x], [[dirac(x, "b"), uniform(x)]])
     rng = random.Random(3)
     assert all(sample_trajectory(chain, ("a",), rng) == ("a", "b") for _ in range(50))
 

@@ -14,7 +14,6 @@ from markovtraj import (
     FiniteSpace,
     Kernel,
     LoadedModel,
-    TupleSpace,
     load_model,
     model_from_dict,
 )
@@ -35,14 +34,7 @@ def test_verify_passes_on_a_729_trajectory_chain():
     start = time.perf_counter()
     rng = random.Random(729)
     spaces = [FiniteSpace(f"X{i}", ["s0", "s1", "s2"]) for i in range(6)]
-    steps = [
-        Kernel(
-            TupleSpace(spaces[: n + 1]),
-            spaces[n + 1],
-            [random_dist(rng, spaces[n + 1]) for _ in range(3 ** (n + 1))],
-        )
-        for n in range(5)
-    ]
+    steps = [[random_dist(rng, spaces[n + 1]) for _ in range(3 ** (n + 1))] for n in range(5)]
     report = run_verify(LoadedModel(ChainModel(spaces, steps)))
     assert report.ok
     assert len(report.lines) == 3 * 56 + 3 + 2 * 21

@@ -63,7 +63,7 @@ class Kernel:
             raise DomainError("kernel rows must be a sequence of Dist") from None
         if len(rows) != source.size:
             raise DomainError(
-                f"expected {source.size} rows for {source!r}, got {len(rows)}"
+                f"expected {source.size} rows, one per point of the source, got {len(rows)}"
             )
         if foreign:
             raise DomainError("kernel row lives on a different space")

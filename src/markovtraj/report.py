@@ -7,7 +7,7 @@ A report is a fixed header plus one line per check:
 Each column is a value rendered by the check's render function: scalar
 checks print the rational, structural checks (distributions, kernels,
 tables) print a short fingerprint of a canonical text form.  `verify`
-decides each line and writes its columns by one rule (see `verify._add`):
+decides each line and writes its columns by one rule (see `verify._line`):
 a PASS shows one rendering in both columns, and a FAIL shows the freshly
 built side first and the reference side second.  A `Report` only keeps
 the rendered lines and counts the failures.  Rendering depends only on

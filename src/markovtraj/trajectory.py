@@ -88,10 +88,13 @@ class ChainModel:
         if len(steps) != self.max_depth:
             raise DomainError(f"expected {self.max_depth} steps, got {len(steps)}")
         self._prefix_spaces = [TupleSpace(self.spaces[: n + 1]) for n in range(len(self.spaces))]
-        self.steps = tuple(
-            Kernel(self._prefix_spaces[n], self.spaces[n + 1], rows)
-            for n, rows in enumerate(steps)
-        )
+        kernels = []
+        for n, rows in enumerate(steps):
+            try:
+                kernels.append(Kernel(self._prefix_spaces[n], self.spaces[n + 1], rows))
+            except DomainError as exc:
+                raise DomainError(f"step {n}: {exc}") from None
+        self.steps = tuple(kernels)
         # Step n reads only the last state iff its row at prefix i depends
         # on i % |X_n| alone (the last coordinate is the least significant),
         # that is, iff its rows repeat with that period.  Shared rows make
@@ -219,8 +222,16 @@ def expectation_table(model: ChainModel, a: int, b: int, f) -> dict:
     """
     if not 0 <= a <= b <= model.max_depth:
         raise DomainError(f"need 0 <= a <= b <= {model.max_depth}")
+    return _integrate_table(model, a, b, _as_fn(f))
+
+
+def _integrate_table(model: ChainModel, a: int, b: int, f: Callable, scale: int = 1) -> dict:
+    """{depth-a prefix: integral of f against its (a, b) row, divided by
+    the positive integer `scale`}, for a <= b: one pass of
+    `measure._integrals` over the kernel's rows, so an int-valued f over a
+    common denominator `scale` builds one Fraction per row."""
     kern = model.partial_traj(a, b)
-    values = _integrals(kern.target, ((r._numerators, r._denom) for r in kern.rows), _as_fn(f))
+    values = _integrals(kern.target, ((r._numerators, r._denom) for r in kern.rows), f, scale)
     return dict(zip(model.prefix_space(a).points(), values))
 
 

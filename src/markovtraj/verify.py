@@ -4,23 +4,31 @@ Every check builds the two values that the theory says must be equal, with
 each prefix map done by index (`restrict` restricts each memoized (a, c)
 row by `measure._restrict`), and adds one line that is PASS iff they are
 equal under `==`, the comparison the `check_*` functions make.  Every
-line is written by one rule, `_add`: a PASS renders one side and shows
+line is written by one rule, `_line`: a PASS renders one side and shows
 it in both columns, and a FAIL shows the freshly built side first and
 the reference side second.  Where the reference side is one of the
 model's memoized kernels or tables (`kernel-comp`, `restrict`, `tower`
 and `product-form`), its fingerprint is rendered once per depth pair and
 shared by every check against it, and the fresh side is rendered only
-when the check fails.  All depth
+when the check fails.  The reference text of `split:a,b` is joined from
+the entry texts of the memoized (a, D) rows, rendered once per a, and one
+list of head labels per b (`_split_texts`), so it too is rendered without
+a label lookup per entry; the split lines are added in their (b, a) order
+once every a is done.  The tower's tables integrate the integer index
+of each prefix and divide by the size of its space once per row, and each
+inner stage integrates a table's integer numerators over its one common
+denominator, so no entry goes through a Fraction.  All depth
 combinations of the model are covered, so the cost grows quickly with
 maxDepth; this is meant for the small models that ship in model files.
 """
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable
 
 from .kernel import Kernel, comp_kernel
-from .measure import _restrict
+from .measure import _restrict, dist_lines
 from .model_io import LoadedModel
 from .product import (
     const_chain_law_sides,
@@ -45,7 +53,7 @@ from .trajectory import (
     disjoint_union_cylinders,
     extract_witness,
     intersect_cylinders,
-    expectation_table,
+    _integrate_table,
     traj_split_sides,
 )
 
@@ -54,26 +62,17 @@ def run_verify(loaded: LoadedModel) -> Report:
     chain = loaded.chain
     report = Report(loaded.header())
     kernel_text = _kernel_texts(chain)
-    f, cond_tables = _kernel_checks(report, chain, kernel_text)
+    cond_tables = _kernel_checks(report, chain, kernel_text)
     start = _canonical_start(chain)
     outer, _ = _best_constraint_cylinder(chain, start, min(1, chain.max_depth))
     _content_checks(report, chain, start, outer)
     _witness_check(report, chain, start, outer)
-    _condexp_checks(report, chain, f, cond_tables)
-    del f, cond_tables  # not held through the split checks
+    _condexp_checks(report, chain, cond_tables)
+    del cond_tables  # not held through the split checks
     _split_checks(report, chain)
     if loaded.marginals is not None:
         _product_checks(report, chain, loaded.marginals, kernel_text)
     return report
-
-
-def _index_fraction(space):
-    """Canonical nonnegative test function: enumeration index over size.
-
-    Its values are built once, in a dict over the listed points.
-    """
-    size = space.size
-    return dict(zip(space.points(), (Rat(i, size) for i in range(size)))).__getitem__
 
 
 def _depth_triples(depth: int):
@@ -98,8 +97,9 @@ def _kernel_texts(chain: ChainModel) -> Callable:
     )
 
 
-def _add(report: Report, check_id: str, lhs, rhs, render: Callable, rhs_text=None) -> None:
-    """Add the check `lhs == rhs`, where lhs is the freshly built side.
+def _line(check_id: str, lhs, rhs, render: Callable, rhs_text=None) -> tuple:
+    """The line (check_id, ok, column 1, column 2) of the check `lhs == rhs`,
+    where lhs is the freshly built side.
 
     `rhs_text`, if given, is the rendering of rhs.  A PASS shows `rhs_text`,
     or else `render(lhs)`, in both columns; a FAIL shows `render(lhs)` and
@@ -107,15 +107,19 @@ def _add(report: Report, check_id: str, lhs, rhs, render: Callable, rhs_text=Non
     """
     if lhs == rhs:
         text = render(lhs) if rhs_text is None else rhs_text
-        report.add(check_id, True, text, text)
-    else:
-        report.add(check_id, False, render(lhs), render(rhs) if rhs_text is None else rhs_text)
+        return check_id, True, text, text
+    return check_id, False, render(lhs), render(rhs) if rhs_text is None else rhs_text
 
 
-def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> tuple:
-    """Add the kernel-comp, restrict and tower checks.  Returns the index
-    fraction f of the depth-D prefixes and the tower's (b, D) tables by b,
-    `cond_exp(chain, b, f)`."""
+def _add(report: Report, *check) -> None:
+    """Add the line `_line(*check)`."""
+    report.add(*_line(*check))
+
+
+def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> dict:
+    """Add the kernel-comp, restrict and tower checks.  Returns the tower's
+    (b, D) tables by b, `cond_exp(chain, b, f)` for f(p) = i / |P_D|, i
+    the index of the depth-D prefix p."""
     depth = chain.max_depth
     by_kernel = _fingerprinted(canonical_kernel)
     for a, b, c in _depth_triples(depth):
@@ -127,22 +131,36 @@ def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> 
         restricted = Kernel(longer.source, target, [_restrict(row, target) for row in longer.rows])
         _add(report, f"restrict:{a},{b},{c}",
              restricted, chain.partial_traj(a, b), by_kernel, kernel_text(a, b))
-    # One table per pair b <= c serves as the inner stage of every (a, b, c)
-    # and as the direct side of every (b, ., c), and is rendered once.
-    fractions = [_index_fraction(chain.prefix_space(c)) for c in range(depth + 1)]
+    # One table per pair b <= c, of the test function i / |P_c| on depth-c
+    # prefixes, serves as the inner stage of every (a, b, c) and as the
+    # direct side of every (b, ., c), and is rendered once.  Each table
+    # integrates the integer index i and divides by |P_c| once per row, and
+    # each inner stage integrates table (b, c)'s integer numerators over its
+    # one common denominator, so every row takes `_integrals`' integer path.
+    spaces = [chain.prefix_space(c) for c in range(depth + 1)]
+    indices = [dict(zip(space.points(), range(space.size))).__getitem__ for space in spaces]
     tables = {
-        (b, c): expectation_table(chain, b, c, fractions[c])
+        (b, c): _integrate_table(chain, b, c, indices[c], spaces[c].size)
         for b in range(depth + 1)
         for c in range(b, depth + 1)
     }
+    numerators = {pair: _integer_form(table) for pair, table in tables.items()}
     table_text = functools.cache(
-        lambda a, c: fingerprint(canonical_table(chain.prefix_space(a), tables[a, c]))
+        lambda a, c: fingerprint(canonical_table(spaces[a], tables[a, c]))
     )
     for a, b, c in _depth_triples(depth):
+        values, denom = numerators[b, c]
         _add(report, f"tower:{a},{b},{c}",
-             expectation_table(chain, a, b, tables[b, c]), tables[a, c],
-             _fingerprinted(canonical_table, chain.prefix_space(a)), table_text(a, c))
-    return fractions[depth], {b: tables[b, depth] for b in range(depth + 1)}
+             _integrate_table(chain, a, b, values.__getitem__, denom), tables[a, c],
+             _fingerprinted(canonical_table, spaces[a]), table_text(a, c))
+    return {b: tables[b, depth] for b in range(depth + 1)}
+
+
+def _integer_form(table: dict) -> tuple:
+    """({point: integer numerator}, L) for a table of rationals whose
+    denominators have the least common multiple L."""
+    denom = math.lcm(*(value.denominator for value in table.values()))
+    return {p: value.numerator * (denom // value.denominator) for p, value in table.items()}, denom
 
 
 def _canonical_start(chain: ChainModel) -> tuple:
@@ -189,9 +207,12 @@ def _witness_check(report: Report, chain: ChainModel, start, outer) -> None:
     _add(report, "witness-member", member, ONE, str)
 
 
-def _condexp_checks(report: Report, chain: ChainModel, f, tables: dict) -> None:
-    """`tables[b]` is `cond_exp(chain, b, f)` for the index fraction f."""
+def _condexp_checks(report: Report, chain: ChainModel, tables: dict) -> None:
+    """`tables[b]` is `cond_exp(chain, b, f)` for f(p) = i / |P_D|, i the
+    index of the depth-D prefix p."""
     depth = chain.max_depth
+    space = chain.prefix_space(depth)
+    f = dict(zip(space.points(), (Rat(i, space.size) for i in range(space.size)))).__getitem__
     for b in range(depth + 1):
         render = _fingerprinted(canonical_table, chain.prefix_space(b))
         for a in range(b + 1):
@@ -201,11 +222,48 @@ def _condexp_checks(report: Report, chain: ChainModel, f, tables: dict) -> None:
 
 
 def _split_checks(report: Report, chain: ChainModel) -> None:
+    """Add the split checks, in the order (b, a), once every a is done."""
     by_kernel = _fingerprinted(canonical_kernel)
+    lines = {}
+    for (a, b), text in _split_texts(chain):
+        two_stage, direct = traj_split_sides(chain, a, b)
+        lines[a, b] = _line(f"split:{a},{b}", two_stage, direct, by_kernel, fingerprint(text))
     for b in range(chain.max_depth + 1):
         for a in range(b + 1):
-            two_stage, direct = traj_split_sides(chain, a, b)
-            _add(report, f"split:{a},{b}", two_stage, direct, by_kernel)
+            report.add(*lines[a, b])
+
+
+def _split_texts(chain: ChainModel):
+    """((a, b), canonical_kernel text of the direct side of split:a,b), for
+    a <= b, with a in the outer loop.
+
+    The direct side's row i holds, for each entry (j, n) of the (a, D) row
+    i, the pair (j // ratio, j) with ratio = |P_D| / |P_b|, which the pair
+    space labels `label_b(j // ratio) + "|" + label_D(j)`.  So its text is
+    joined from the (a, D) rows' entry texts, rendered once per a and held
+    only while that a is processed, and one list of head labels per b over
+    P_D.
+    """
+    depth = chain.max_depth
+    size_d = chain.prefix_space(depth).size
+    heads = []
+    for b in range(depth + 1):
+        space_b = chain.prefix_space(b)
+        labels = [space_b.label_at(i) + "|" for i in range(space_b.size)]
+        ratio = size_d // space_b.size
+        heads.append([label for label in labels for _ in range(ratio)])
+    for a in range(depth + 1):
+        label_a = chain.prefix_space(a).label_at
+        rows = [
+            (f"{label_a(i)}:", [j for j, _ in row._numerators], list(dist_lines(row, "=")))
+            for i, row in enumerate(chain.partial_traj(a, depth).rows)
+        ]
+        for b in range(a, depth + 1):
+            head = heads[b]
+            yield (a, b), "; ".join(
+                prefix + " ".join([head[j] + entry for j, entry in zip(js, entries)])
+                for prefix, js, entries in rows
+            )
 
 
 def _product_checks(report: Report, chain: ChainModel, marginals, kernel_text: Callable) -> None:

@@ -15,6 +15,7 @@ import pytest
 
 from markovtraj import (
     DomainError,
+    FiniteSpace,
     Rat,
     check_cond_exp,
     cond_exp,
@@ -26,6 +27,7 @@ from markovtraj import (
     uniform,
 )
 
+from markovtraj.measure import _integrals
 from markovtraj.trajectory import cond_exp_sides
 
 from conftest import (
@@ -139,6 +141,34 @@ def test_rows_with_equal_integer_sums_share_one_fraction():
     assert table == brute_force_table(chain, 7, 8, f)
     # 256 rows, each 1/4 or 1/2: far fewer Fractions than rows
     assert len({id(v) for v in table.values()}) <= 4 < len(table)
+
+
+def test_a_scale_divides_each_integral():
+    # `_integrals(..., scale=s)` is the unscaled integral over s, on the int
+    # path (a row of int values) and the per-denominator path (a row with
+    # one Fraction or "p/q" string), for values of either sign.
+    rng = random.Random(1618)
+    for _ in range(20):
+        chain = random_chain(rng)
+        depth = chain.max_depth
+        space = chain.prefix_space(depth)
+        ints = [rng.randint(-3, 3) for _ in range(space.size)]
+        for f in (lambda p: ints[space.index_of(p)], mixed_integrand(rng, space)):
+            for a in range(depth + 1):
+                rows = [(r._numerators, r._denom) for r in chain.partial_traj(a, depth).rows]
+                plain = _integrals(space, rows, f)
+                for scale in (1, 3, 12):
+                    assert _integrals(space, rows, f, scale) == [v / scale for v in plain]
+    # Rows 0 and 2 sum their ints to one (total, denominator) key, 2 over 3,
+    # and share the one Fraction 2 / (3 * 5); row 1 is negative, and row 3
+    # holds a Fraction.
+    space = FiniteSpace("X", ["a", "b", "c", "d"])
+    f = {"a": 1, "b": 1, "c": -2, "d": Rat(-1, 4)}.__getitem__
+    rows = [(((0, 1), (1, 1)), 3), (((2, 2),), 3), (((1, 2),), 3), (((0, 1), (3, 2)), 3)]
+    scaled = _integrals(space, rows, f, 5)
+    assert scaled == [Rat(2, 15), Rat(-4, 15), Rat(2, 15), Rat(1, 30)]
+    assert scaled[0] is scaled[2]
+    assert scaled == [v / 5 for v in _integrals(space, rows, f)]
 
 
 def test_a_cylinder_and_its_indicator_give_one_table():

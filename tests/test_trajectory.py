@@ -73,6 +73,20 @@ def test_chain_validates_steps():
         ChainModel(["ab"], [])
 
 
+def test_a_malformed_step_is_named_by_its_number():
+    # Two rows suit step 0 (two depth-0 prefixes) but not step 1 (four): the
+    # message names the step and the row count, not the prefix space's repr,
+    # which at step n lists n + 1 state spaces.
+    w = FiniteSpace("W", ["S", "R"])
+    with pytest.raises(DomainError) as excinfo:
+        ChainModel([w] * 30, [[uniform(w)] * 2] * 29)
+    assert str(excinfo.value) == "step 1: expected 4 rows, one per point of the source, got 2"
+    other = FiniteSpace("X", ["a", "b"])
+    with pytest.raises(DomainError) as excinfo:
+        ChainModel([w, w, w], [[uniform(w)] * 2, [uniform(w)] * 3 + [uniform(other)]])
+    assert str(excinfo.value) == "step 1: kernel row lives on a different space"
+
+
 def test_prefix_helpers(weather):
     assert weather.prefix_space(0).size == 2
     assert weather.prefix_space(3).size == 16

@@ -14,8 +14,11 @@ from markovtraj import (
     FiniteSpace,
     Kernel,
     LoadedModel,
+    Rat,
+    expectation_table,
     load_model,
     model_from_dict,
+    uniform,
 )
 from markovtraj.cli import main
 from markovtraj.report import Report, canonical_kernel, canonical_table, fingerprint
@@ -111,7 +114,7 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
     # that family's checks fail, each FAIL line shows the fingerprint of the
     # freshly built side first and of the reference (memoized) side second.
     compose, restrict = verify.comp_kernel, verify._restrict
-    integrate, split = verify.expectation_table, verify.traj_split_sides
+    integrate, split = verify._integrate_table, verify.traj_split_sides
     chain = load_model(WEATHER).chain
     kern = chain.partial_traj
 
@@ -122,11 +125,19 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
         return fingerprint(canonical_table(chain.prefix_space(a), table))
 
     def table(b, c):
-        return integrate(chain, b, c, verify._index_fraction(chain.prefix_space(c)))
+        # the test function i / |P_c| at the depth-c prefix numbered i
+        space = chain.prefix_space(c)
+        f = {p: Rat(i, space.size) for i, p in enumerate(space.points())}
+        return expectation_table(chain, b, c, f)
 
-    def staged(ch, a, b, f):
-        # only the tower's inner stages integrate a table
-        return _perturbed(integrate(ch, a, b, f)) if isinstance(f, dict) else integrate(ch, a, b, f)
+    integrated = []
+
+    def staged(ch, a, b, f, scale=1):
+        # verify integrates the 10 tables of the pairs b <= c first; only the
+        # tower's inner stages, every call after those, are perturbed
+        integrated.append((a, b))
+        values = integrate(ch, a, b, f, scale)
+        return _perturbed(values) if len(integrated) > 10 else values
 
     def split_rotated(ch, a, b):
         two_stage, direct = split(ch, a, b)
@@ -152,8 +163,8 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
                           by_kernel(kern(a, c)))),
         ("restrict", "_restrict", mirrored,
          lambda a, b, c: (by_kernel(restricted(a, b, c)), by_kernel(kern(a, b)))),
-        ("tower", "expectation_table", staged,
-         lambda a, b, c: (by_table(a, _perturbed(integrate(chain, a, b, table(b, c)))),
+        ("tower", "_integrate_table", staged,
+         lambda a, b, c: (by_table(a, _perturbed(expectation_table(chain, a, b, table(b, c)))),
                           by_table(a, table(a, c)))),
         ("split", "traj_split_sides", split_rotated, split_columns),
     ]
@@ -231,21 +242,43 @@ def test_kernel_checks_render_each_memoized_kernel_once(monkeypatch):
     assert Counter(tables) == Counter(source for source, _ in pairs)
 
 
+def test_split_reference_text_is_the_direct_sides_canonical_text():
+    # The split checks write the direct side's text from the (a, D) rows'
+    # entry texts and per-b head labels; on 100 random chains, with 2 or 3
+    # states per coordinate, zero step weights and rows for every prefix,
+    # it is the text of the one kernel renderer for every pair a <= b.
+    rng = random.Random(20260815)
+    one = FiniteSpace("O", ["o"])
+    # One-state spaces too, where the pair space of two one-point prefix
+    # spaces writes both coordinates as one head.
+    singles = [
+        ChainModel([one, *spaces], [[uniform(spaces[0])], [uniform(spaces[1])] * spaces[0].size])
+        for spaces in ([one, one], [FiniteSpace("W", ["S", "R"]), one])
+    ]
+    for chain in [random_chain(rng) for _ in range(100)] + singles:
+        texts = dict(verify._split_texts(chain))
+        depth = chain.max_depth
+        assert sorted(texts) == [(a, b) for a in range(depth + 1) for b in range(a, depth + 1)]
+        for (a, b), text in texts.items():
+            _, direct = verify.traj_split_sides(chain, a, b)
+            assert text == canonical_kernel(direct)
+
+
 def test_tower_builds_one_table_per_depth_pair(monkeypatch):
     # depth 3: 10 pairs b <= c plus one staged table per each of the 20
     # triples a <= b <= c, where building three per triple would take 60.
     # The condexp checks read the tower's (b, 3) tables, so no `cond_exp`
     # call (which integrates through the name bound in `trajectory`) adds
     # one of the 4 tables it would rebuild.
-    integrate = verify.expectation_table
+    integrate = verify._integrate_table
     calls = []
 
-    def counted(chain, a, b, f):
+    def counted(chain, a, b, f, scale=1):
         calls.append((a, b))
-        return integrate(chain, a, b, f)
+        return integrate(chain, a, b, f, scale)
 
-    monkeypatch.setattr(verify, "expectation_table", counted)
-    monkeypatch.setattr(markovtraj.trajectory, "expectation_table", counted)
+    monkeypatch.setattr(verify, "_integrate_table", counted)
+    monkeypatch.setattr(markovtraj.trajectory, "_integrate_table", counted)
     assert run_verify(load_model(WEATHER)).ok
     assert len(calls) == 30
 

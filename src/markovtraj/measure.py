@@ -9,9 +9,14 @@ Implements:
   * Dist: a probability distribution that stores only its support, as
     (index, integer numerator) pairs over one common denominator, with
     point mass, integration, push-forward, finite products and an exact
-    sampler.
+    sampler.  Each Dist builds its draw table, (denominator, bit length,
+    cumulative numerators, support points), once, on its first draw, and
+    every draw reads it in one unpack.
   * _restrict: the one prefix restriction, by index (j -> j // (|space| /
-    |target|)); `pushforward_dist` is the point-level reference.
+    |target|)), one plain pass over the sorted entries that adds up each
+    target point's run; `pushforward_dist` is the point-level reference.
+  * product_dist: a left fold over the factors, one pass over the entries
+    of the product so far per factor.
   * _integrals: the one integrator, shared by `Dist.integrate`, the
     expectation tables and the blocks of `cond_exp_sides`.  A row's int
     values are summed as integers times its numerators, and each distinct
@@ -25,10 +30,10 @@ everything here is safe to share between threads.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError
@@ -283,9 +288,8 @@ class Dist:
     numerators sum to the denominator.  Weights come in as exact
     rationals (see `ratio_of`): ints, `Fraction`s or "p/q" strings, never
     floats.  `support`, `weight_at` and `integrate` hand out `Fraction`s,
-    built from the numerators on each call; only the sampler's draw table,
-    the denominator's bit length, the cumulative numerators and the support
-    points, is kept, after the first draw.  `sample` takes a
+    built from the numerators on each call; only the sampler's draw table
+    (see `_draw_table`) is kept, after the first draw.  `sample` takes a
     `random.Random`, or anything with its `getrandbits(k)`.
     """
 
@@ -355,7 +359,7 @@ class Dist:
         """Weight of a point of the space; 0 off the support."""
         i = self.space.index_of(point)
         numerators = self._numerators
-        k = bisect.bisect_left(numerators, (i,))
+        k = bisect_left(numerators, (i,))
         if k < len(numerators) and numerators[k][0] == i:
             return Rat(numerators[k][1], self._denom)
         return ZERO
@@ -377,24 +381,26 @@ class Dist:
         `random.Random` or anything with its `getrandbits(k)`: that is the
         generator's core primitive, while `randrange`'s reduction is
         library code that Python does not promise to keep across versions.
-        The draw table, (k, cumulative numerators, support points), is
-        built on the first draw.
+        Everything a draw reads, the denominator included, comes from the
+        draw table in one unpack (see `_draw_table`).
         """
-        draws = self._draws
-        if draws is None:
-            point_at = self.space.point_at
-            draws = self._draws = (
-                self._denom.bit_length(),
-                tuple(itertools.accumulate(n for _, n in self._numerators)),
-                tuple(point_at(i) for i, _ in self._numerators),
-            )
-        bits, cumulative, points = draws
-        denom = self._denom
-        getrandbits = rng.getrandbits
-        r = getrandbits(bits)
+        denom, bits, cumulative, points = self._draws or self._draw_table()
+        r = rng.getrandbits(bits)
         while r >= denom:
-            r = getrandbits(bits)
-        return points[bisect.bisect_right(cumulative, r)]
+            r = rng.getrandbits(bits)
+        return points[bisect_right(cumulative, r)]
+
+    def _draw_table(self) -> tuple:
+        """(denominator, its bit length k, cumulative numerators, support
+        points): what `sample` reads, built on the first draw and kept."""
+        point_at = self.space.point_at
+        self._draws = (
+            self._denom,
+            self._denom.bit_length(),
+            tuple(itertools.accumulate(n for _, n in self._numerators)),
+            tuple(point_at(i) for i, _ in self._numerators),
+        )
+        return self._draws
 
     def __eq__(self, other) -> bool:
         return (
@@ -506,8 +512,16 @@ def _restrict(d: Dist, target) -> Dist:
     coordinates: point j goes to j // (|space| / |target|), so the sorted
     entries stay sorted and each target point's run adds up in one pass."""
     ratio = d.space.size // target.size
-    blocks = itertools.groupby(d._numerators, lambda entry: entry[0] // ratio)
-    items = [(i, sum(n for _, n in run)) for i, run in blocks]
+    items = []
+    current, total = -1, 0
+    for j, n in d._numerators:
+        i = j // ratio
+        if i != current:
+            if total:
+                items.append((current, total))
+            current, total = i, 0
+        total += n
+    items.append((current, total))
     return Dist._from_numerators(target, d._denom, items)
 
 
@@ -520,18 +534,12 @@ def product_dist(dists: Sequence[Dist]) -> Dist:
     """
     if not dists:
         raise DomainError("product of zero distributions is not defined")
-    target = TupleSpace([d.space for d in dists])
-    strides = target._strides
-    denom = 1
-    for d in dists:
+    items, denom = dists[0]._numerators, dists[0]._denom
+    # A left fold: appending factor d's entry j to the product so far at
+    # index i gives index i * |d.space| + j, leftmost factor most
+    # significant, so the indices come out increasing.
+    for d in dists[1:]:
+        size, numerators = d.space.size, d._numerators
+        items = [(i * size + j, n * m) for i, n in items for j, m in numerators]
         denom *= d._denom
-    items = []
-    # Leftmost factor most significant, so the indices come out increasing.
-    for combo in itertools.product(*(d._numerators for d in dists)):
-        index = 0
-        weight = 1
-        for (i, n), stride in zip(combo, strides):
-            index += i * stride
-            weight *= n
-        items.append((index, weight))
-    return Dist._from_numerators(target, denom, items)
+    return Dist._from_numerators(TupleSpace([d.space for d in dists]), denom, items)

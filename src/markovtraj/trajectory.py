@@ -37,7 +37,8 @@ Implements:
     from one function (cond_exp_sides, traj_split_sides), which the
     `verify` report renders too.
 
-Prefixes are tuples of state labels; a prefix of depth n has n + 1 entries.
+Prefixes are tuples (or lists) of state labels; a prefix of depth n has
+n + 1 entries, and every prefix argument is looked up by _prefix_index.
 Prefix spaces enumerate lexicographically with coordinate 0 most
 significant, so all prefixes sharing a given initial segment form one
 contiguous index block.  Several routines below lean on that.
@@ -235,10 +236,35 @@ def _integrate_table(model: ChainModel, a: int, b: int, f: Callable, scale: int 
     return dict(zip(model.prefix_space(a).points(), values))
 
 
+def _prefix_index(model: ChainModel, prefix, a: int | None = None) -> int:
+    """The index of `prefix` among the depth-a prefixes (a = len(prefix) - 1
+    when not given): the one lookup of a prefix argument.
+
+    Only a tuple or list of labels is a prefix, the rule of
+    `Cylinder.__contains__`, so a string is not split into one-letter
+    labels; anything else, a depth outside 0..D, a length other than
+    a + 1 or a label that is not a state of its space is a DomainError.
+    The index is folded from the labels' indices, leftmost most
+    significant, as `TupleSpace.index_of` sums them.
+    """
+    if not isinstance(prefix, (tuple, list)):
+        raise DomainError(f"a prefix is a tuple or list of labels, not {prefix!r}")
+    depth = len(prefix) - 1 if a is None else a
+    if 0 <= depth <= model.max_depth and len(prefix) == depth + 1:
+        index = 0
+        try:
+            for space, state in zip(model.spaces, prefix):
+                index = index * len(space.labels) + space._index[state]
+            return index
+        except (KeyError, TypeError):  # unknown or unhashable label
+            pass
+    space = model.prefix_space(depth)  # a depth outside 0..D is named as such
+    raise DomainError(f"{tuple(prefix)!r} is not a point of {space!r}")
+
+
 def traj_marginal(model: ChainModel, a: int, prefix, b: int) -> Dist:
     """Law of the depth-b prefix when the chain is started from `prefix`."""
-    index = model.prefix_space(a).index_of(tuple(prefix))
-    return model.partial_row(a, b, index)
+    return model.partial_row(a, b, _prefix_index(model, prefix, a))
 
 
 def sample_trajectory(model: ChainModel, prefix, rng) -> tuple:
@@ -247,20 +273,12 @@ def sample_trajectory(model: ChainModel, prefix, rng) -> tuple:
     Exact: each state is drawn with its rational probability.  The result
     is a pure function of the rng state, which is advanced in place by one
     `Dist.sample` draw per step (so `rng` is anything that method takes).
+    `prefix` is a tuple or list of labels, of any depth 0..D.
     """
-    prefix = tuple(prefix)
-    start = len(prefix) - 1
-    space_of_prefix = model.prefix_space(start)  # DomainError if empty or too long
+    index = _prefix_index(model, prefix)
     steps, spaces = model.steps, model.spaces
-    # The prefix's index, folded from its labels' indices (see the loop).
-    index = 0
-    try:
-        for space, state in zip(spaces, prefix):
-            index = index * len(space.labels) + space._index[state]
-    except (KeyError, TypeError):  # unknown or unhashable label
-        raise DomainError(f"{prefix!r} is not a point of {space_of_prefix!r}") from None
     states = list(prefix)
-    for n in range(start, model.max_depth):
+    for n in range(len(prefix) - 1, model.max_depth):
         # Appending state s to prefix `index` gives index * |X_{n+1}| + s;
         # the drawn label's index is read from X_{n+1}'s own mapping.
         state = steps[n].rows[index].sample(rng)
@@ -485,7 +503,7 @@ def cylinder(model: ChainModel, depth: int, prefixes: Iterable) -> Cylinder:
     """
     space = model.prefix_space(depth)
     comps, strides = space.components, space._strides
-    indices = sorted({space.index_of(tuple(p)) for p in prefixes})
+    indices = sorted({_prefix_index(model, p, depth) for p in prefixes})
     boxes = tuple(
         tuple(
             (k, frozenset((i // stride % comp.size,)))
@@ -565,7 +583,7 @@ def content_at_depth(model: ChainModel, a: int, prefix, cyl: Cylinder, depth: in
     if depth < max(a, cyl.depth):
         raise DomainError("evaluation depth must cover both the prefix and the cylinder")
     _check_cylinder(model, cyl)
-    index = model.prefix_space(a).index_of(tuple(prefix))
+    index = _prefix_index(model, prefix, a)
     return _box_mass(model, cyl, a, index, depth, *_tails(model, cyl.boxes, depth, depth)[0])
 
 
@@ -573,7 +591,7 @@ def cylinder_content(model: ChainModel, a: int, prefix, cyl: Cylinder) -> Rat:
     """Probability that the chain started from `prefix` lands in the
     cylinder, read by the one content rule (see _content)."""
     _check_cylinder(model, cyl)
-    return _content(model, cyl, a, model.prefix_space(a).index_of(tuple(prefix)))
+    return _content(model, cyl, a, _prefix_index(model, prefix, a))
 
 
 def _content(model: ChainModel, cyl: Cylinder, a: int, index: int) -> Rat:
@@ -622,7 +640,7 @@ def extract_witness(
         raise DomainError("the content bound must be positive")
     if not cylinders:
         raise DomainError("need at least one cylinder")
-    index = model.prefix_space(a).index_of(tuple(prefix))
+    index = _prefix_index(model, prefix, a)
     target_depth = max(a, max(c.depth for c in cylinders))
     for inner, outer in zip(cylinders[1:], cylinders):
         # inner is inside outer iff their intersection is as large as inner.
@@ -706,16 +724,26 @@ def cond_exp_sides(model: ChainModel, a: int, prefix, b: int, f, table) -> tuple
     # The trajectories through depth-b prefix i are the run of law's sorted
     # entries with j // ratio == i, each integrated as a row of its own.
     ratio = law.space.size // space_b.size
-    runs = itertools.groupby(law._numerators, lambda entry: entry[0] // ratio)
-    blocks = [(i, list(run)) for i, run in runs]
-    integrals = _integrals(law.space, [(run, law._denom) for _, run in blocks], _as_fn(f))
+    denom = law._denom
+    heads, rows, totals = [], [], []
+    current = -1
+    for entry in law._numerators:
+        i = entry[0] // ratio
+        if i != current:
+            current, run = i, []
+            heads.append(i)
+            rows.append((run, denom))
+            totals.append(0)
+        run.append(entry)
+        totals[-1] += entry[1]
+    integrals = _integrals(law.space, rows, _as_fn(f))
     value = _as_fn(table)
     lhs, rhs = {}, {}
-    for (i, run), integral in zip(blocks, integrals):
+    for i, integral, total in zip(heads, integrals, totals):
         p = space_b.point_at(i)
         lhs[p] = integral
         t, q = ratio_of(value(p))
-        rhs[p] = Rat(sum(n for _, n in run) * t, law._denom * q)
+        rhs[p] = Rat(total * t, denom * q)
     return lhs, rhs
 
 

@@ -376,6 +376,67 @@ def test_index_restriction_is_the_prefix_pushforward():
                 assert _restrict(longer, target) == expected == product_dist(factors[: a + 1])
 
 
+def _random_support_dist(rng: random.Random, space) -> Dist:
+    """A Dist on `space` with a random support (gaps included); half of
+    them have numerators up to 2^66, so denominators above 2^64."""
+    chosen = rng.sample(range(space.size), rng.randint(1, min(space.size, 6)))
+    bound = rng.choice([4, 2**66])
+    parts = [rng.randint(1, bound) for _ in chosen]
+    return Dist.from_support(space, [(i, Rat(n, sum(parts))) for i, n in zip(chosen, parts)])
+
+
+def _random_component(rng: random.Random, name: str) -> FiniteSpace:
+    """A state space of 1 to 4 states, one-point spaces included."""
+    return FiniteSpace(name, [f"s{j}" for j in range(rng.choice([1, 1, 2, 3, 4]))])
+
+
+def test_restriction_equals_the_point_pushforward_on_random_tuple_spaces():
+    # Random laws on random 1-5 coordinate tuple spaces, one-point
+    # components included, restricted to every leading k coordinates.
+    rng = random.Random(20261020)
+    for _ in range(300):
+        comps = [_random_component(rng, f"X{i}") for i in range(rng.randint(1, 5))]
+        space = TupleSpace(comps)
+        d = _random_support_dist(rng, space)
+        for k in range(len(comps) + 1):
+            target = TupleSpace(comps[:k])
+            assert _restrict(d, target) == pushforward_dist(d, lambda p: p[:k], target)
+
+
+def _reference_product(factors: list) -> Dist:
+    """The product law by points: every combination of the factors'
+    support points, its weight the product of theirs."""
+    space = TupleSpace([d.space for d in factors])
+    weights = {}
+    for combo in itertools.product(*(d.support() for d in factors)):
+        point = tuple(d.space.point_at(i) for d, (i, _) in zip(factors, combo))
+        weights[space.index_of(point)] = math.prod(w for _, w in combo)
+    return Dist.from_support(space, weights.items())
+
+
+def test_product_dist_equals_the_point_product():
+    # 1-6 factors: random laws (denominators above 2^64 among them),
+    # Diracs, one-point spaces and a factor on a tuple space.
+    rng = random.Random(20261021)
+    big = 0
+    for _ in range(200):
+        factors = []
+        for i in range(rng.randint(1, 6)):
+            kind = rng.choice(["random", "random", "dirac", "tuple"])
+            space = _random_component(rng, f"X{i}")
+            if kind == "dirac":
+                factors.append(dirac(space, rng.choice(space.labels)))
+            elif kind == "tuple":
+                pair = TupleSpace([space, _random_component(rng, f"Y{i}")])
+                factors.append(_random_support_dist(rng, pair))
+            else:
+                factors.append(_random_support_dist(rng, space))
+        product = product_dist(factors)
+        assert product == _reference_product(factors)
+        big += product._denom > 2**64
+    assert big > 20
+
+
 def test_product_dist_frozen_value():
     space = w_space()
     d = product_dist([Dist(space, ["3/4", "1/4"]), Dist(space, ["1/2", "1/2"])])

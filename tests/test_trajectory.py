@@ -32,6 +32,7 @@ from markovtraj import (
     intersect_cylinders,
     lift_cylinder,
     load_model,
+    model_from_dict,
     sample_trajectory,
     traj_marginal,
     uniform,
@@ -42,10 +43,12 @@ from conftest import (
     brute_force_prefix_law,
     random_chain,
     random_dist,
+    random_model_doc,
     random_nested_family,
     random_prefix,
     weather_chain,
 )
+from markovtraj.trajectory import cond_exp_sides
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -401,21 +404,47 @@ def _reference_walk(chain: ChainModel, prefix: tuple, rng) -> tuple:
     return p
 
 
+class _BitsOnly:
+    """A generator with nothing but `getrandbits`, the one method a draw calls."""
+
+    __slots__ = ("getrandbits",)
+
+    def __init__(self, seed: int):
+        self.getrandbits = random.Random(seed).getrandbits
+
+
 def test_sample_trajectory_matches_a_reference_walk():
+    # The shipped chains and a deep random chain (500 trajectories per
+    # start), and 100 random model documents with markov_from anywhere in
+    # 0..D (50 per start), each started from a prefix at every depth: the
+    # trajectories are the reference walk's, the rng ends in the
+    # reference's state, a depth-D start draws nothing, and a bare
+    # getrandbits gives the same stream.
     rng = random.Random(88)
     chains = [
-        load_model(MODELS / "weather.json").chain,
-        random_chain(rng, depth=8),
-        load_model(MODELS / "coin.json").chain,  # a product
-        load_model(MODELS / "drift.json").chain,  # table steps
+        (load_model(MODELS / "weather.json").chain, 500),
+        (random_chain(rng, depth=8), 500),
+        (load_model(MODELS / "coin.json").chain, 500),  # a product
+        (load_model(MODELS / "drift.json").chain, 500),  # table steps
     ]
-    for chain in chains:
-        for a in (0, 1, 2):
+    chains += [(model_from_dict(random_model_doc(rng)).chain, 50) for _ in range(100)]
+    where = set()
+    for chain, count in chains:
+        depth = chain.max_depth
+        where.add(min(chain.markov_from, 1) + (chain.markov_from == depth))
+        for a in range(depth + 1):
             prefix = random_prefix(rng, chain, a)
-            fast, slow = random.Random(a + 5), random.Random(a + 5)
-            draws = [sample_trajectory(chain, prefix, fast) for _ in range(500)]
-            assert draws == [_reference_walk(chain, prefix, slow) for _ in range(500)]
-            assert fast.random() == slow.random()
+            seed = rng.randrange(1 << 30)
+            fast, slow = random.Random(seed), random.Random(seed)
+            draws = [sample_trajectory(chain, prefix, fast) for _ in range(count)]
+            assert draws == [_reference_walk(chain, prefix, slow) for _ in range(count)]
+            assert fast.getstate() == slow.getstate()
+            if a == depth:
+                assert draws == [prefix] * count
+                assert fast.getstate() == random.Random(seed).getstate()
+            bits = _BitsOnly(seed)
+            assert [sample_trajectory(chain, prefix, bits) for _ in range(count)] == draws
+    assert where == {0, 1, 2}  # markov_from = 0, inside 1..D-1, and = D
 
 
 def test_sample_trajectory_draws_once_per_step(monkeypatch):
@@ -430,7 +459,12 @@ def test_sample_trajectory_draws_once_per_step(monkeypatch):
 
     monkeypatch.setattr(Dist, "sample", counted)
     rng = random.Random(4)
-    for chain in (load_model(MODELS / "weather.json").chain, random_chain(rng, depth=6)):
+    chains = (
+        load_model(MODELS / "weather.json").chain,
+        load_model(MODELS / "drift.json").chain,  # 0 < markov_from < D
+        random_chain(rng, depth=6),
+    )
+    for chain in chains:
         for a in range(chain.max_depth + 1):
             prefix = random_prefix(rng, chain, a)
             del calls[:]
@@ -443,7 +477,8 @@ def test_sample_trajectory_draws_once_per_step(monkeypatch):
 def test_sample_trajectory_rejects_a_bad_start(weather):
     rng = random.Random(1)
     state = rng.getstate()
-    for prefix in ((), ("S",) * (weather.max_depth + 2), ("S", "X"), ("S", ["R"])):
+    bad = ((), ("S",) * (weather.max_depth + 2), ("S", "X"), ("S", ["R"]), "SR", "S")
+    for prefix in bad:
         with pytest.raises(DomainError):
             sample_trajectory(weather, prefix, rng)
     assert rng.getstate() == state
@@ -455,6 +490,34 @@ def test_sample_trajectory_avoids_zero_weight_states():
     chain = ChainModel([x, x], [[dirac(x, "b"), uniform(x)]])
     rng = random.Random(3)
     assert all(sample_trajectory(chain, ("a",), rng) == ("a", "b") for _ in range(50))
+
+
+def _prefix_entry_points(chain: ChainModel) -> dict:
+    """Each public query that takes a prefix, called with the given depth-1
+    prefix of the depth-3 weather chain."""
+    cyl = cylinder_from_constraints(chain, {3: ["R"]})
+    table = cond_exp(chain, 2, cyl)
+    return {
+        "traj_marginal": lambda p: traj_marginal(chain, 1, p, 2),
+        "cylinder_content": lambda p: cylinder_content(chain, 1, p, cyl),
+        "content_at_depth": lambda p: content_at_depth(chain, 1, p, cyl, 3),
+        "extract_witness": lambda p: extract_witness(chain, 1, p, [cyl], "1/100"),
+        "cond_exp_sides": lambda p: cond_exp_sides(chain, 1, p, 2, cyl, table),
+        "cylinder": lambda p: cylinder(chain, 1, [p]),
+        "sample_trajectory": lambda p: sample_trajectory(chain, p, random.Random(5)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_prefix_entry_points(weather_chain())))
+def test_prefix_arguments_take_only_a_tuple_or_list(entry):
+    # A prefix is a tuple or list of labels, the rule of `in` on a
+    # cylinder: "SR" is not split into ("S", "R"), and no other iterable
+    # or object is read as one.
+    call = _prefix_entry_points(load_model(MODELS / "weather.json").chain)[entry]
+    assert call(["S", "R"]) == call(("S", "R"))
+    for bad in ("SR", iter(("S", "R")), {0: "S", 1: "R"}, b"SR", None, 7):
+        with pytest.raises(DomainError):
+            call(bad)
 
 
 # ---- cylinders ----

@@ -20,8 +20,7 @@ Implements:
   * _integrals: the one integrator, shared by `Dist.integrate`, the
     expectation tables and the blocks of `cond_exp_sides`.  A row's int
     values are summed as integers times its numerators, and each distinct
-    (numerator, denominator) pair of the results becomes one Fraction,
-    divided by an optional integer scale in the same step.
+    (numerator, denominator) pair of the results becomes one Fraction.
   * dist_lines: the text of a distribution's entries, each label read by
     index from its space (`label_at`).
 
@@ -431,10 +430,9 @@ def over_common_denominator(entries: Iterable) -> tuple:
     return denom, [(i, p * (denom // q)) for i, p, q in entries if p]
 
 
-def _integrals(space, rows: Iterable, f: Callable, scale: int = 1) -> list:
+def _integrals(space, rows: Iterable, f: Callable) -> list:
     """The integral of f against each of `rows`, (numerators, denominator)
-    pairs on `space`: a Dist's own, or a block of its entries, divided by
-    the positive integer `scale`.
+    pairs on `space`: a Dist's own, or a block of its entries.
 
     A row sums f's int values as plain integers times its numerators, over
     its own denominator; any other value goes into one slot per
@@ -465,12 +463,12 @@ def _integrals(space, rows: Iterable, f: Callable, scale: int = 1) -> list:
                 by_denom[q] = by_denom.get(q, 0) + p * n
         if by_denom is not None:
             by_denom[1] = by_denom.get(1, 0) + total
-            out.append(sum_of_ratios(by_denom, denom * scale))
+            out.append(sum_of_ratios(by_denom, denom))
             continue
         key = (total, denom)
         value = shared.get(key)
         if value is None:
-            value = shared[key] = Rat(total, denom * scale)
+            value = shared[key] = Rat(total, denom)
         out.append(value)
     return out
 

@@ -30,7 +30,7 @@ from typing import Sequence
 from .errors import DomainError
 from .kernel import Kernel, _couple, comp_measure, const_kernel
 from .measure import Dist, _restrict, dirac, product_dist
-from .trajectory import ChainModel
+from .trajectory import ChainModel, _check_depth_pair, _check_int
 
 
 def const_chain(marginals: Sequence[Dist]) -> ChainModel:
@@ -45,6 +45,7 @@ def const_chain(marginals: Sequence[Dist]) -> ChainModel:
 
 def product_prefix_dist(marginals: Sequence[Dist], depth: int) -> Dist:
     """Product of the first depth+1 marginals, on the depth-`depth` prefix space."""
+    _check_int(depth)
     if not 0 <= depth < len(marginals):
         raise DomainError(f"depth {depth} outside 0..{len(marginals) - 1}")
     return product_dist(list(marginals[: depth + 1]))
@@ -59,8 +60,7 @@ def partial_traj_const_sides(
     depth-a prefix to the point mass on it times the product of marginals
     a+1 .. b.  Marginals on other spaces than the chain's raise DomainError.
     """
-    if not 0 <= a <= b <= chain.max_depth:
-        raise DomainError(f"need 0 <= a <= b <= {chain.max_depth}")
+    _check_depth_pair(a, b, chain.max_depth)
     rows = []
     for prefix in chain.prefix_space(a).points():
         factors = [dirac(space, s) for space, s in zip(chain.spaces, prefix)]
@@ -86,8 +86,7 @@ def product_split_sides(marginals: Sequence[Dist], a: int, b: int) -> tuple:
     prefix i * |tail space| + j; the right side is the product over 0..b.
     For a == b the tail is the empty product and the head is the left side.
     """
-    if not 0 <= a <= b < len(marginals):
-        raise DomainError(f"need 0 <= a <= b <= {len(marginals) - 1}")
+    _check_depth_pair(a, b, len(marginals) - 1)
     whole = product_prefix_dist(marginals, b)
     head = product_prefix_dist(marginals, a)
     if a == b:
@@ -108,8 +107,7 @@ def product_projection_sides(marginals: Sequence[Dist], a: int, b: int) -> tuple
     The left side restricts the product over coordinates 0..b to 0..a, by
     index (see measure._restrict); the right side is the product over 0..a.
     """
-    if not 0 <= a <= b < len(marginals):
-        raise DomainError(f"need 0 <= a <= b <= {len(marginals) - 1}")
+    _check_depth_pair(a, b, len(marginals) - 1)
     longer = product_prefix_dist(marginals, b)
     shorter = product_prefix_dist(marginals, a)
     return _restrict(longer, shorter.space), shorter

@@ -21,14 +21,16 @@ Implements:
     label up in its state space's index and tests it against the same
     index sets that every other operation reads.
   * cylinder_content and extract_witness: the content of a cylinder under
-    the trajectory law, read off the memoized rows by the index digits of
-    the constrained coordinates, and a greedy construction of a common
-    point for a nested sequence of cylinders whose contents stay above a
-    bound.  Past `markov_from`, the depth from which every step reads only
-    the last state, the law of the last state is a sufficient statistic:
-    both read the constraints past that depth from one backward pass over
+    the trajectory law, and a greedy construction of a common point for a
+    nested sequence of cylinders whose contents stay above a bound.  Both
+    compute by one scorer, the box route (_box_mass): the memoized row,
+    filtered by the index digits of the constrained coordinates.  Past
+    `markov_from`, the depth from which every step reads only the last
+    state, the law of the last state is a sufficient statistic: the box
+    route reads the constraints past that depth from one backward pass over
     it (_tails), at O(|X|^2) per depth instead of one row entry per
-    trajectory.
+    trajectory.  The references, `content_at_depth` and the witness's final
+    check, take the membership route instead: `t in cyl` on each prefix.
   * cond_exp / check_cond_exp / check_traj_split: conditional
     expectation given the first b coordinates as an explicit table (of a
     cylinder's indicator at b >= markov_from, read off the same backward
@@ -53,6 +55,21 @@ from .errors import DomainError, InvariantError, PreconditionError
 from .kernel import Kernel, _couple
 from .measure import Dist, FiniteSpace, SubsetOf, TupleSpace, _integrals
 from .rational import Rat, ratio_of
+
+
+def _check_int(value, what: str = "depth") -> None:
+    """The one type rule of a depth, coordinate or prefix index: an int
+    (not a bool, float or string), else a DomainError."""
+    if type(value) is not int:
+        raise DomainError(f"a {what} is an int, not {value!r}")
+
+
+def _check_depth_pair(a, b, top: int) -> None:
+    """The one guard of a depth pair: ints with 0 <= a <= b <= top."""
+    _check_int(a)
+    _check_int(b)
+    if not 0 <= a <= b <= top:
+        raise DomainError(f"need 0 <= a <= b <= {top}")
 
 
 class ChainModel:
@@ -113,13 +130,15 @@ class ChainModel:
 
     def prefix_space(self, depth: int) -> TupleSpace:
         """Space of prefixes (x_0, .., x_depth)."""
-        if not 0 <= depth <= self.max_depth:
+        if type(depth) is not int or not 0 <= depth <= self.max_depth:
+            _check_int(depth)
             raise DomainError(f"depth {depth} outside 0..{self.max_depth}")
         return self._prefix_spaces[depth]
 
     def advance_kernel(self, depth: int) -> Kernel:
         """One-step extension kernel: `partial_traj(depth, depth + 1)`."""
-        if not 0 <= depth < self.max_depth:
+        if type(depth) is not int or not 0 <= depth < self.max_depth:
+            _check_int(depth)
             raise DomainError(f"no step kernel at depth {depth}")
         return self.partial_traj(depth, depth + 1)
 
@@ -136,11 +155,14 @@ class ChainModel:
         """
         key = (a, b, index)
         row = self._rows.get(key)
-        if row is not None:
+        # The memo holds int keys only; a float equal to one falls through
+        # to the checks below.
+        if row is not None and type(a) is type(b) is type(index) is int:
             return row
         source = self.prefix_space(a)
         target = self.prefix_space(b)
-        if not 0 <= index < source.size:
+        if type(index) is not int or not 0 <= index < source.size:
+            _check_int(index, "prefix index")
             raise DomainError(f"prefix index {index} out of range for depth {a}")
         if b <= a:
             row = Dist._from_numerators(target, 1, ((index // (source.size // target.size), 1),))
@@ -166,7 +188,7 @@ class ChainModel:
         b <= a, otherwise the (a, b-1) row extended through steps[b-1].
         """
         kern = self._partial.get((a, b))
-        if kern is None:
+        if kern is None or type(a) is not int or type(b) is not int:  # see partial_row
             source = self.prefix_space(a)
             kern = Kernel(
                 source,
@@ -221,36 +243,39 @@ def expectation_table(model: ChainModel, a: int, b: int, f) -> dict:
     trajectory kernel started there}.  For a <= b <= c, integrating first
     from c to b and then to a agrees with integrating from c to a directly.
     """
-    if not 0 <= a <= b <= model.max_depth:
-        raise DomainError(f"need 0 <= a <= b <= {model.max_depth}")
+    _check_depth_pair(a, b, model.max_depth)
     return _integrate_table(model, a, b, _as_fn(f))
 
 
 def _integrate_table(model: ChainModel, a: int, b: int, f: Callable, scale: int = 1) -> dict:
     """{depth-a prefix: integral of f against its (a, b) row, divided by
     the positive integer `scale`}, for a <= b: one pass of
-    `measure._integrals` over the kernel's rows, so an int-valued f over a
-    common denominator `scale` builds one Fraction per row."""
+    `measure._integrals` over the kernel's rows, each with `scale` folded
+    into its denominator, so an int-valued f over a common denominator
+    `scale` builds one Fraction per row."""
     kern = model.partial_traj(a, b)
-    values = _integrals(kern.target, ((r._numerators, r._denom) for r in kern.rows), f, scale)
+    values = _integrals(kern.target, ((r._numerators, r._denom * scale) for r in kern.rows), f)
     return dict(zip(model.prefix_space(a).points(), values))
 
 
-def _prefix_index(model: ChainModel, prefix, a: int | None = None) -> int:
+_OWN_DEPTH = object()  # _prefix_index's default depth: the prefix's own
+
+
+def _prefix_index(model: ChainModel, prefix, a=_OWN_DEPTH) -> int:
     """The index of `prefix` among the depth-a prefixes (a = len(prefix) - 1
     when not given): the one lookup of a prefix argument.
 
     Only a tuple or list of labels is a prefix, the rule of
     `Cylinder.__contains__`, so a string is not split into one-letter
-    labels; anything else, a depth outside 0..D, a length other than
-    a + 1 or a label that is not a state of its space is a DomainError.
-    The index is folded from the labels' indices, leftmost most
-    significant, as `TupleSpace.index_of` sums them.
+    labels; anything else, a depth that is not an int in 0..D, a length
+    other than a + 1 or a label that is not a state of its space is a
+    DomainError.  The index is folded from the labels' indices, leftmost
+    most significant, as `TupleSpace.index_of` sums them.
     """
     if not isinstance(prefix, (tuple, list)):
         raise DomainError(f"a prefix is a tuple or list of labels, not {prefix!r}")
-    depth = len(prefix) - 1 if a is None else a
-    if 0 <= depth <= model.max_depth and len(prefix) == depth + 1:
+    depth = len(prefix) - 1 if a is _OWN_DEPTH else a
+    if type(depth) is int and 0 <= depth <= model.max_depth and len(prefix) == depth + 1:
         index = 0
         try:
             for space, state in zip(model.spaces, prefix):
@@ -258,7 +283,7 @@ def _prefix_index(model: ChainModel, prefix, a: int | None = None) -> int:
             return index
         except (KeyError, TypeError):  # unknown or unhashable label
             pass
-    space = model.prefix_space(depth)  # a depth outside 0..D is named as such
+    space = model.prefix_space(depth)  # a bad depth is named as such
     raise DomainError(f"{tuple(prefix)!r} is not a point of {space!r}")
 
 
@@ -424,45 +449,40 @@ def _check_cylinder(model: ChainModel, cyl: Cylinder) -> None:
         raise DomainError("cylinder lives on a different prefix space")
 
 
-def _box_mass(
-    model: ChainModel, cyl: Cylinder, a: int, index: int, depth: int, tails, q: int
-) -> Rat:
-    """Weight that the chain from the depth-a prefix numbered `index` puts
-    inside the cylinder, read off `partial_row(a, depth, index)`, or at
-    depth == a off the prefix itself, one entry (index, 1) over 1, no row.
+def _box_mass(model: ChainModel, boxes: Sequence, n: int, index: int, tails, lo: int) -> Rat:
+    """The box route: weight that the chain from the depth-n prefix numbered
+    `index` puts inside the (disjoint) boxes, given `tails = _tails(model,
+    boxes, lo, hi)` for some hi >= lo.
 
-    Coordinate k of the index j of a depth-`depth` prefix is
-    j // stride_k % |X_k|.  Coordinates up to a are those of the starting
-    prefix, so each box checks them once on the first index of its block;
-    every other constraint up to `depth` is one pass over the row entries
-    still inside.  An entry j left in counts with weight
-    tails[box][j % |X_depth|] / q, the probability that the chain meets the
-    box's constraints past `depth` from a prefix ending in that state (see
-    _tails); with nothing past `depth` that is 1, as
-    `_tails(model, cyl.boxes, depth, depth)[0]` gives.  The boxes are
+    It reads at m = max(n, lo): off `partial_row(n, m, index)`, or at
+    m == n off the prefix itself, one entry (index, 1) over 1, no row.
+    Coordinate k of the index j of a depth-m prefix is
+    j // stride_k % |X_k|, and each constraint up to m is one pass over
+    the row entries still inside (the entries of a row from one prefix
+    share its digits, so a constraint on them keeps all or none).  An
+    entry j left in counts with weight h[box][j % |X_m|] / q, where
+    h, q = tails[m - lo]: the probability that the chain meets the box's
+    constraints past m from a prefix ending in that state.  The boxes are
     disjoint, so their masses add up.
     """
+    m = max(n, lo)
+    hs, q = tails[m - lo]
     numerators, denom = ((index, 1),), 1
-    if depth > a:
-        row = model.partial_row(a, depth, index)
+    if m > n:
+        row = model.partial_row(n, m, index)
         numerators, denom = row._numerators, row._denom
-    space = model.prefix_space(depth)
+    space = model.prefix_space(m)
     comps, strides = space.components, space._strides
     width = comps[-1].size
-    first = index * (space.size // model.prefix_space(a).size)
     total = 0
-    for box, h in zip(cyl.boxes, tails):
+    for box, h in zip(boxes, hs):
         entries = numerators
         for k, allowed in box:
-            if k > depth:
+            if k > m:
                 break
             stride, size = strides[k], comps[k].size
-            if k > a:
-                entries = [e for e in entries if e[0] // stride % size in allowed]
-            elif first // stride % size not in allowed:
-                entries = ()
-                break
-        total += sum(n * h[j % width] for j, n in entries)
+            entries = [e for e in entries if e[0] // stride % size in allowed]
+        total += sum(w * h[j % width] for j, w in entries)
     return Rat(total, denom * q)
 
 
@@ -517,10 +537,17 @@ def cylinder(model: ChainModel, depth: int, prefixes: Iterable) -> Cylinder:
 def cylinder_from_constraints(model: ChainModel, constraints: Mapping[int, Iterable]) -> Cylinder:
     """Cylinder {x_i in allowed_i for each constrained coordinate i}: one box.
 
-    The cylinder's depth is the largest constrained coordinate.
+    The cylinder's depth is the largest constrained coordinate.  Each
+    coordinate is an int and each allowed set a collection of labels (a
+    list, tuple or set); a string is not split into one-letter labels.
     """
     if not constraints:
         raise DomainError("at least one coordinate must be constrained")
+    for i, states in constraints.items():
+        _check_int(i, "coordinate")
+        if isinstance(states, str):
+            raise DomainError(f"the allowed states of coordinate {i} are a collection "
+                              f"of labels, not the string {states!r}")
     depth = max(constraints)
     if min(constraints) < 0 or depth > model.max_depth:
         raise DomainError(f"constrained coordinates must lie in 0..{model.max_depth}")
@@ -539,6 +566,7 @@ def lift_cylinder(model: ChainModel, cyl: Cylinder, depth: int) -> Cylinder:
     unconstrained.
     """
     _check_cylinder(model, cyl)
+    _check_int(depth)
     if depth < cyl.depth:
         raise DomainError("cannot lift a cylinder to a smaller depth")
     if depth == cyl.depth:
@@ -575,16 +603,17 @@ def content_at_depth(model: ChainModel, a: int, prefix, cyl: Cylinder, depth: in
     """Probability of the cylinder, evaluated through the depth-`depth` law.
 
     Any depth >= max(a, cyl.depth) gives the same value; this entry point
-    exists so that independence of the choice can be checked exactly.  The
-    memoized depth-`depth` row is summed over the entries inside the boxes
-    (see _box_mass).
+    exists so that independence of the choice can be checked exactly.  It
+    takes the membership route: the indicator `t in cyl` integrated against
+    the depth-`depth` row, so it shares no code with the box route of
+    `cylinder_content` (see _box_mass) and `verify` checks one against the
+    other.
     """
     model.prefix_space(depth)  # a depth outside 0..D is a DomainError naming it
     if depth < max(a, cyl.depth):
         raise DomainError("evaluation depth must cover both the prefix and the cylinder")
     _check_cylinder(model, cyl)
-    index = _prefix_index(model, prefix, a)
-    return _box_mass(model, cyl, a, index, depth, *_tails(model, cyl.boxes, depth, depth)[0])
+    return traj_marginal(model, a, prefix, depth).integrate(_as_fn(cyl))
 
 
 def cylinder_content(model: ChainModel, a: int, prefix, cyl: Cylinder) -> Rat:
@@ -597,16 +626,16 @@ def cylinder_content(model: ChainModel, a: int, prefix, cyl: Cylinder) -> Rat:
 def _content(model: ChainModel, cyl: Cylinder, a: int, index: int) -> Rat:
     """Content of the cylinder from the depth-a prefix numbered `index`.
 
-    The cylinder is weighed on the memoized row at depth
-    m = max(a, min(cyl.depth, markov_from)), each entry inside the boxes up
-    to m counting with the probability of the rest past m (see _tails),
-    which is 1 when the cylinder is no deeper than m.  Past markov_from the
-    steps read the last state alone, so the rest costs O(|X|^2) per depth,
-    not one row entry per trajectory.
+    The box route (see _box_mass) at lo = max(a, min(cyl.depth,
+    markov_from)): the cylinder is weighed on the memoized row at lo, each
+    entry inside the boxes up to lo counting with the probability of the
+    rest past lo (see _tails), which is 1 when the cylinder is no deeper
+    than lo.  Past markov_from the steps read the last state alone, so the
+    rest costs O(|X|^2) per depth, not one row entry per trajectory.
     """
-    depth = max(a, min(cyl.depth, model.markov_from))
-    tails, q = _tails(model, cyl.boxes, depth, max(depth, cyl.depth))[0]
-    return _box_mass(model, cyl, a, index, depth, tails, q)
+    lo = max(a, min(cyl.depth, model.markov_from))
+    tails = _tails(model, cyl.boxes, lo, max(lo, cyl.depth))
+    return _box_mass(model, cyl.boxes, a, index, tails, lo)
 
 
 # ---- witness extraction ----
@@ -627,13 +656,14 @@ def extract_witness(
     step-weighted average, which is the current content, so the content
     stays >= eps until the cylinder depth is reached, where it becomes a
     membership indicator.  Each successor, a prefix at depth n, scores its
-    content by the rule of `cylinder_content` (see _content) with the target
-    depth in place of the innermost cylinder's: it is weighed on its row at
-    m = max(n, min(target depth, markov_from)), which is the successor
-    itself from markov_from on, each entry counting with the probability of
-    the rest past m (see _box_mass).  One backward pass from
-    lumped_from = min(max(a + 1, markov_from), target depth) gives that rest
-    at every depth (see _tails).
+    content by the box route of `cylinder_content` (see _box_mass) with the
+    target depth in place of the innermost cylinder's: it is weighed on its
+    row at m = max(n, lo), which is the successor itself from markov_from
+    on, each entry counting with the probability of the rest past m.  One
+    backward pass from lo = min(max(a + 1, markov_from), target depth)
+    gives that rest at every depth (see _tails).  The constructed point is
+    then checked by membership, `point in c` for every cylinder, which
+    reads none of the scores.
     """
     eps = Rat(*ratio_of(eps))
     if eps <= 0:
@@ -652,22 +682,20 @@ def extract_witness(
         if _content(model, c, a, index) < eps:
             raise PreconditionError(f"a cylinder has content below {eps}")
 
-    innermost = cylinders[-1]
-    lumped_from = min(max(a + 1, model.markov_from), target_depth)
-    tails = _tails(model, innermost.boxes, lumped_from, target_depth)
+    boxes = cylinders[-1].boxes
+    lo = min(max(a + 1, model.markov_from), target_depth)
+    tails = _tails(model, boxes, lo, target_depth)
     for depth in range(a + 1, target_depth + 1):
-        m = max(depth, lumped_from)
-        h, q = tails[m - lumped_from]
         # Appending state s to prefix `index` gives prefix index * width + s;
         # on ties the first successor wins.
         width = model.spaces[depth].size
         successors = range(index * width, (index + 1) * width)
-        index = max(successors, key=lambda j: _box_mass(model, innermost, depth, j, m, h, q))
+        index = max(successors, key=lambda j: _box_mass(model, boxes, depth, j, tails, lo))
 
-    for c in cylinders:
-        if _content(model, c, target_depth, index) != 1:
-            raise InvariantError("constructed point escaped a cylinder")
-    return model.prefix_space(target_depth).point_at(index)
+    point = model.prefix_space(target_depth).point_at(index)
+    if not all(point in c for c in cylinders):
+        raise InvariantError("constructed point escaped a cylinder")
+    return point
 
 
 # ---- conditional expectation ----
@@ -717,8 +745,7 @@ def cond_exp_sides(model: ChainModel, a: int, prefix, b: int, f, table) -> tuple
     determined by the first b coordinates, so the property holds iff the
     two tables are equal.
     """
-    if not 0 <= a <= b <= model.max_depth:
-        raise DomainError(f"need 0 <= a <= b <= {model.max_depth}")
+    _check_depth_pair(a, b, model.max_depth)
     law = traj_marginal(model, a, prefix, model.max_depth)
     space_b = model.prefix_space(b)
     # The trajectories through depth-b prefix i are the run of law's sorted
@@ -764,8 +791,7 @@ def traj_split_sides(model: ChainModel, a: int, b: int) -> tuple:
     restriction.  Rows store only their support, so the size of the pair
     space costs nothing.
     """
-    if not 0 <= a <= b <= model.max_depth:
-        raise DomainError(f"need 0 <= a <= b <= {model.max_depth}")
+    _check_depth_pair(a, b, model.max_depth)
     first = model.partial_traj(a, b)
     rest = model.partial_traj(b, model.max_depth)
     whole = model.partial_traj(a, model.max_depth)

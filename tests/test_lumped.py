@@ -3,11 +3,13 @@
 From depth `markov_from` on, cylinder contents, witness scores and
 cylinder conditional expectations are read off a backward pass over the
 law of the last state instead of the memoized rows.  Every value here is
-compared, with exact equality, against the row route (`content_at_depth`,
-the greedy on row contents, `cond_exp` of the indicator as a function) and
-against the path-enumeration oracles of conftest, on random models that mix
-"table", "last-state" and "const" steps; and, at depths past path
-enumeration, against conftest's forward pass over the model document.
+compared, with exact equality, against the membership route
+(`content_at_depth`, which integrates the indicator `t in cyl` against a
+row; the greedy on those contents; `cond_exp` of the indicator as a
+function) and against the path-enumeration oracles of conftest, on random
+models that mix "table", "last-state" and "const" steps; and, at depths
+past path enumeration, against conftest's forward pass over the model
+document.
 """
 import itertools
 import random

@@ -33,6 +33,7 @@ from markovtraj import (
     lift_cylinder,
     load_model,
     model_from_dict,
+    product_prefix_dist,
     sample_trajectory,
     traj_marginal,
     uniform,
@@ -48,7 +49,12 @@ from conftest import (
     random_prefix,
     weather_chain,
 )
-from markovtraj.trajectory import cond_exp_sides
+from markovtraj.product import (
+    partial_traj_const_sides,
+    product_projection_sides,
+    product_split_sides,
+)
+from markovtraj.trajectory import cond_exp_sides, traj_split_sides
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -520,6 +526,49 @@ def test_prefix_arguments_take_only_a_tuple_or_list(entry):
             call(bad)
 
 
+def _depth_entry_points(chain: ChainModel) -> dict:
+    """Each entry point that takes a depth or a prefix index, called on the
+    depth-3 weather chain with the given value in place of a valid 1."""
+    cyl = cylinder_from_constraints(chain, {1: ["R"]})
+    deep = cylinder_from_constraints(chain, {3: ["R"]})
+    marginals = [uniform(chain.spaces[0])] * 4
+    const = const_chain(marginals)
+    return {
+        "prefix_space": lambda d: chain.prefix_space(d),
+        "advance_kernel": lambda d: chain.advance_kernel(d),
+        "partial_row": lambda d: chain.partial_row(0, d, 0),
+        "partial_row index": lambda d: chain.partial_row(0, 1, d),
+        "partial_traj": lambda d: chain.partial_traj(0, d),
+        "traj_marginal": lambda d: traj_marginal(chain, 0, ("S",), d),
+        "traj_marginal start": lambda d: traj_marginal(chain, d, ("S", "R"), 2),
+        "cylinder_content": lambda d: cylinder_content(chain, d, ("S", "R"), cyl),
+        "content_at_depth": lambda d: content_at_depth(chain, 0, ("S",), cyl, d),
+        "extract_witness": lambda d: extract_witness(chain, d, ("S", "S"), [deep], "1/100"),
+        "lift_cylinder": lambda d: lift_cylinder(chain, cyl, d),
+        "cylinder": lambda d: cylinder(chain, d, [("S", "R")]),
+        "cond_exp": lambda d: cond_exp(chain, d, cyl),
+        "expectation_table": lambda d: expectation_table(chain, 0, d, lambda t: 1),
+        "cond_exp_sides": lambda d: cond_exp_sides(
+            chain, 0, ("S",), d, cyl, cond_exp(chain, 1, cyl)),
+        "traj_split_sides": lambda d: traj_split_sides(chain, 0, d),
+        "partial_traj_const_sides": lambda d: partial_traj_const_sides(const, marginals, 0, d),
+        "product_split_sides": lambda d: product_split_sides(marginals, 0, d),
+        "product_projection_sides": lambda d: product_projection_sides(marginals, 0, d),
+        "product_prefix_dist": lambda d: product_prefix_dist(marginals, d),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_depth_entry_points(weather_chain())))
+def test_a_depth_or_index_that_is_not_an_int_is_a_domain_error(entry):
+    # Each call is made with 1 first, so a float equal to it is rejected
+    # even where the answer for 1 is memoized.
+    call = _depth_entry_points(weather_chain())[entry]
+    call(1)
+    for bad in (1.0, "1", None, True):
+        with pytest.raises(DomainError):
+            call(bad)
+
+
 # ---- cylinders ----
 
 
@@ -533,6 +582,15 @@ def test_cylinder_from_constraints(weather):
         cylinder_from_constraints(weather, {4: ["S"]})
     with pytest.raises(DomainError):
         cylinder_from_constraints(weather, {1: ["Q"]})
+    # An allowed set is a list, tuple or set of labels, and a coordinate is
+    # an int: "SR" is not split into {S, R}.
+    both = cylinder_from_constraints(weather, {1: ["S", "R"]})
+    assert cylinder_from_constraints(weather, {1: ("S", "R")}) == both
+    assert cylinder_from_constraints(weather, {1: {"S", "R"}}) == both
+    for bad in ({1: "SR"}, {1: "S"}, {1: ["SR"]}, {"1": ["S"]}, {1.0: ["S"]},
+                {None: ["S"]}, {1: ["S"], "2": ["R"]}):
+        with pytest.raises(DomainError):
+            cylinder_from_constraints(weather, bad)
 
 
 def test_cylinder_membership(weather):

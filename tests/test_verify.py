@@ -283,6 +283,35 @@ def test_tower_builds_one_table_per_depth_pair(monkeypatch):
     assert len(calls) == 30
 
 
+def _failed_ids(report) -> list:
+    return [line.split()[1] for line in report.lines if line.split()[2] == "FAIL"]
+
+
+@pytest.mark.parametrize("name", ["weather", "drift", "coin"])
+def test_verify_catches_a_content_fault_on_every_shipped_model(monkeypatch, name):
+    # `cylinder_content` and the witness's scores read cylinders by the box
+    # route (`_box_mass`); `content_at_depth` and the witness's final check
+    # read them by membership.  So a box route that doubles every content
+    # fails exactly the content-depth line, and the witness still ends.
+    box_mass = markovtraj.trajectory._box_mass
+    monkeypatch.setattr(markovtraj.trajectory, "_box_mass", lambda *args: 2 * box_mass(*args))
+    assert _failed_ids(run_verify(load_model(str(MODELS / f"{name}.json")))) == ["content-depth"]
+
+
+def test_verify_catches_a_content_fault_on_row_reads(monkeypatch):
+    # On drift.json (markov_from = 2) the content-depth cylinder {x_1 = s}
+    # is read off the depth-1 row from the start, which only the membership
+    # side checks: doubling the box route where it reads a row fails there.
+    box_mass = markovtraj.trajectory._box_mass
+
+    def doubled_on_rows(model, boxes, n, index, tails, lo):
+        mass = box_mass(model, boxes, n, index, tails, lo)
+        return 2 * mass if lo > n else mass
+
+    monkeypatch.setattr(markovtraj.trajectory, "_box_mass", doubled_on_rows)
+    assert _failed_ids(run_verify(load_model(str(MODELS / "drift.json")))) == ["content-depth"]
+
+
 COINS6 = {"kind": "product", "factors": [{"H": "1/2", "T": "1/2"}] * 6}
 
 # sha256 of what `verify` prints (the report, then a newline) on models

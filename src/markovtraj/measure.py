@@ -3,7 +3,10 @@
 Implements:
   * FiniteSpace / TupleSpace: enumerated state spaces with a fixed, stable
     enumeration (tuple spaces are lexicographic, leftmost factor most
-    significant).
+    significant).  A TupleSpace is a factor tuple, a length and the
+    factors' cumulative sizes; the spaces of its leading coordinates
+    (`_head`) share both tuples, so a chain's whole tower of prefix spaces
+    holds one of each.
   * SubsetOf: a finite set of points of a space, held as enumeration
     indices.
   * Dist: a probability distribution that stores only its support, as
@@ -32,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Sequence
 
@@ -108,26 +112,44 @@ class TupleSpace:
     Points are tuples of component points; the leftmost coordinate is the
     most significant in the enumeration.  The empty product is the one-point
     space whose sole point is the empty tuple.
+
+    A space is a tuple of `factors`, its `length`, the number of leading
+    factors that are its coordinates (coordinate k < length is a point of
+    factors[k], read in O(1)), and the cumulative sizes (1, |X_0|,
+    |X_0|*|X_1|, ...) of the factors.  `_head(n)`, the space of the first n
+    coordinates, shares both tuples, so the prefix spaces of a chain are
+    the heads of one product of its state spaces and cost O(1) each.  The
+    stride of coordinate k, what one step of its state adds to the index,
+    is size // sizes[k + 1], so no stride table is stored.
     """
 
-    __slots__ = ("components", "_strides", "_size", "_points", "_halves", "_texts")
+    __slots__ = ("factors", "_sizes", "length", "size", "_points", "_halves", "_texts")
 
     def __init__(self, components: Sequence):
-        self.components = tuple(components)
-        strides = []
-        size = 1
-        for comp in reversed(self.components):
-            strides.append(size)
-            size *= comp.size
-        self._strides = tuple(reversed(strides))
-        self._size = size
+        factors = tuple(components)
+        sizes = itertools.accumulate((comp.size for comp in factors), operator.mul, initial=1)
+        self._set(factors, tuple(sizes), len(factors))
+
+    def _head(self, n: int) -> "TupleSpace":
+        """The space of the first n coordinates, sharing both tuples."""
+        head = object.__new__(TupleSpace)
+        head._set(self.factors, self._sizes, n)
+        return head
+
+    def _set(self, factors: tuple, sizes: tuple, length: int) -> None:
+        self.factors = factors
+        self._sizes = sizes
+        self.length = length
+        self.size = sizes[length]
         self._points = None
         self._halves = None
         self._texts = None
 
     @property
-    def size(self) -> int:
-        return self._size
+    def components(self) -> tuple:
+        """The spaces of the coordinates, factors[:length], sliced on each
+        read; code that reads one coordinate reads factors[k] instead."""
+        return self.factors[: self.length]
 
     def _cut(self) -> tuple:
         """(cut, tail size): a point is a head, the coordinates before `cut`,
@@ -139,13 +161,10 @@ class TupleSpace:
         position times the tail size plus the tail's position, and its text
         (format_point) is the head's text, "|", then the tail's.
         """
-        comps = self.components
-        cut = len(comps)
-        tail_size = 1
-        while cut and tail_size * tail_size < self._size:
+        size, sizes, cut = self.size, self._sizes, self.length
+        while cut and (size // sizes[cut]) ** 2 < size:
             cut -= 1
-            tail_size *= comps[cut].size
-        return cut, tail_size
+        return cut, size // sizes[cut]
 
     def _listing(self) -> tuple:
         """(cut, tail size, heads, tails): the one listing of the space, its
@@ -167,12 +186,13 @@ class TupleSpace:
         return self._points
 
     def index_of(self, point) -> int:
-        """The sum of each coordinate's index times its stride."""
-        if not isinstance(point, tuple) or len(point) != len(self.components):
+        """The sum of each coordinate's index times its stride, folded
+        leftmost first as index * |X_k| + (index of coordinate k)."""
+        if not isinstance(point, tuple) or len(point) != self.length:
             raise DomainError(f"{point!r} is not a point of {self!r}")
         index = 0
-        for comp, coord, stride in zip(self.components, point, self._strides):
-            index += comp.index_of(coord) * stride
+        for comp, coord in zip(self.factors, point):
+            index = index * comp.size + comp.index_of(coord)
         return index
 
     def point_at(self, index: int) -> tuple:
@@ -186,10 +206,10 @@ class TupleSpace:
         costs two lookups without listing the space.
         """
         if self._texts is None:
-            comps = self.components
             cut, tail_size = self._cut()
-            join = "|" if 0 < cut < len(comps) else ""
-            self._texts = (tail_size, _text_of(comps[:cut], join), _text_of(comps[cut:], ""))
+            n = self.length
+            join = "|" if 0 < cut < n else ""
+            self._texts = (tail_size, _text_of(self, 0, cut, join), _text_of(self, cut, n, ""))
         tail_size, head_text, tail_text = self._texts
         return head_text(index // tail_size) + tail_text(index % tail_size)
 
@@ -217,18 +237,20 @@ class TupleSpace:
         return f"TupleSpace({list(self.components)!r})"
 
 
-def _text_of(components: tuple, join: str) -> Callable:
-    """Index -> the text of that point of TupleSpace(components), then `join`:
-    the components' texts joined by "|" (format_point's rule), each written
-    when first asked for and kept, so rendering costs memory in the labels
-    it writes, not in the size of the space.  A single component's texts
-    are read from it, since a FiniteSpace holds its labels and a TupleSpace
-    keeps its own texts; so a split's pair space of two prefix spaces keeps
-    no second copy of theirs."""
-    if len(components) == 1:
-        label_at = components[0].label_at
+def _text_of(space: TupleSpace, lo: int, hi: int, join: str) -> Callable:
+    """Index -> the text of that point of the product of coordinates lo..hi-1
+    of `space`, then `join`: the components' texts joined by "|"
+    (format_point's rule), each written when first asked for and kept, so
+    rendering costs memory in the labels it writes, not in the size of the
+    space.  Coordinate k's state is index // (sizes[hi] / sizes[k + 1]) %
+    |X_k|.  A single component's texts are read from it, since a
+    FiniteSpace holds its labels and a TupleSpace keeps its own texts; so a
+    split's pair space of two prefix spaces keeps no second copy of theirs."""
+    if hi - lo == 1:
+        label_at = space.factors[lo].label_at
         return (lambda i: label_at(i) + join) if join else label_at
-    digits = tuple(zip(components, TupleSpace(components)._strides))
+    sizes = space._sizes
+    digits = tuple((space.factors[k], sizes[hi] // sizes[k + 1]) for k in range(lo, hi))
     return functools.cache(
         lambda i: "|".join(comp.label_at(i // stride % comp.size) for comp, stride in digits) + join
     )

@@ -14,7 +14,8 @@ A chain file looks like:
     }
 
 with one step per depth 0 .. maxDepth-1.  A single entry under "spaces" is
-reused at every depth; otherwise exactly maxDepth+1 entries are required.
+parsed once, and that one space is reused at every depth (its default id is
+X0); otherwise exactly maxDepth+1 entries are required.
 Step kinds:
 
   * "table": "rows" maps every depth-n prefix, written as labels joined by
@@ -170,13 +171,13 @@ def _load_chain(data: Mapping) -> LoadedModel:
     spaces_entry = data.get("spaces")
     if not isinstance(spaces_entry, list) or not spaces_entry:
         raise ModelFormatError('"spaces" must be a nonempty list')
-    if len(spaces_entry) == 1:
-        spaces_entry = spaces_entry * (max_depth + 1)
-    if len(spaces_entry) != max_depth + 1:
+    if len(spaces_entry) not in (1, max_depth + 1):
         raise ModelFormatError(
             f'"spaces" must have 1 or {max_depth + 1} entries, got {len(spaces_entry)}'
         )
+    # A single entry is parsed once, and that one space serves every depth.
     spaces = tuple(_space_from_entry(entry, i) for i, entry in enumerate(spaces_entry))
+    spaces *= (max_depth + 1) // len(spaces)
 
     _check_size(spaces)
     labels = _prefix_labels(spaces)

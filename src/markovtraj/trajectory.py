@@ -3,6 +3,8 @@
 Implements:
   * ChainModel: state spaces X_0..X_D and, per depth, one step row per
     prefix so far, wrapped as a kernel on the prefix space the chain builds.
+    The prefix spaces are the heads of one TupleSpace of X_0..X_D, so
+    building them costs O(1) per depth.
   * partial_row / partial_traj: the law of the depth-b prefix from one
     depth-a prefix, extended one step at a time through the step kernels
     (and plain restriction when the target depth is not larger), and the
@@ -86,6 +88,12 @@ class ChainModel:
         wraps steps[n] as the Kernel `self.steps[n]` from `prefix_space(n)`
         to X_{n+1}, which keeps a tuple of rows without copying it.
 
+    The prefix spaces are one TupleSpace of all the state spaces and its
+    heads: the depth-n prefix space is its first n + 1 coordinates
+    (`TupleSpace._head`), sharing that product's factor tuple and
+    cumulative sizes, so the tower costs O(1) per depth, and
+    `prefix_space(n)` equals TupleSpace(spaces[:n + 1]).
+
     Partial-trajectory rows and kernels are memoized on the model, so
     repeated queries share all the work, and a kernel's rows are the very
     row objects that single-prefix queries read.
@@ -105,7 +113,8 @@ class ChainModel:
         steps = tuple(steps)
         if len(steps) != self.max_depth:
             raise DomainError(f"expected {self.max_depth} steps, got {len(steps)}")
-        self._prefix_spaces = [TupleSpace(self.spaces[: n + 1]) for n in range(len(self.spaces))]
+        tower = TupleSpace(self.spaces)
+        self._prefix_spaces = [tower._head(n + 1) for n in range(len(self.spaces))]
         kernels = []
         for n, rows in enumerate(steps):
             try:
@@ -343,12 +352,12 @@ class Cylinder:
         if not (isinstance(space, TupleSpace)
                 and all(isinstance(comp, FiniteSpace) for comp in space.components)):
             raise DomainError("a cylinder lives on a prefix space of state spaces")
-        sizes = [comp.size for comp in space.components]
+        comps = space.components
         for box in boxes:
             last = -1
             for k, allowed in box:
-                if not (last < k < len(sizes) and isinstance(allowed, frozenset) and allowed
-                        and all(isinstance(s, int) and 0 <= s < sizes[k] for s in allowed)):
+                if not (last < k < len(comps) and isinstance(allowed, frozenset) and allowed
+                        and all(isinstance(s, int) and 0 <= s < comps[k].size for s in allowed)):
                     raise DomainError(f"bad box constraint on coordinate {k}")
                 last = k
         self.space = space
@@ -356,7 +365,7 @@ class Cylinder:
 
     @property
     def depth(self) -> int:
-        return len(self.space.components) - 1
+        return self.space.length - 1
 
     def __repr__(self) -> str:
         return f"Cylinder({self.space!r}, {self.boxes!r})"
@@ -367,7 +376,7 @@ class Cylinder:
         # not a state of its space (unknown or unhashable), fails that box.
         if not isinstance(trajectory, (tuple, list)):
             return False
-        comps = self.space.components
+        comps = self.space.factors
         for box in self.boxes:
             try:
                 for k, allowed in box:
@@ -422,19 +431,20 @@ def _box_meets(first: Iterable, second: Sequence) -> tuple:
 
 def _box_indices(space: TupleSpace, box: tuple):
     """The indices of the points of `space` inside the box, increasing: each
-    a sum of one allowed digit s * stride_k per coordinate k of the space.
-    Constraints on coordinates deeper than the space's are not read."""
+    a sum of one allowed digit s * stride_k per coordinate k of the space,
+    stride_k being the size of the coordinates after k.  Constraints on
+    coordinates deeper than the space's are not read."""
     allowed = dict(box)
-    digits = [
-        [s * stride for s in sorted(allowed.get(k, range(comp.size)))]
-        for k, (comp, stride) in enumerate(zip(space.components, space._strides))
-    ]
+    digits, stride = [], space.size
+    for k, comp in enumerate(space.components):
+        stride //= comp.size
+        digits.append([s * stride for s in sorted(allowed.get(k, range(comp.size)))])
     return map(sum, itertools.product(*digits))
 
 
 def _box_count(space: TupleSpace, boxes: Iterable) -> int:
     """Number of points of `space` inside the (disjoint) boxes."""
-    comps = space.components
+    comps = space.factors
     total = 0
     for box in boxes:
         count = space.size
@@ -457,7 +467,9 @@ def _box_mass(model: ChainModel, boxes: Sequence, n: int, index: int, tails, lo:
     It reads at m = max(n, lo): off `partial_row(n, m, index)`, or at
     m == n off the prefix itself, one entry (index, 1) over 1, no row.
     Coordinate k of the index j of a depth-m prefix is
-    j // stride_k % |X_k|, and each constraint up to m is one pass over
+    j // stride_k % |X_k|, where stride_k = |P_m| / |P_k| is the number of
+    depth-m prefixes per depth-k prefix, read off the two prefix spaces'
+    sizes; each constraint up to m is one pass over
     the row entries still inside (the entries of a row from one prefix
     share its digits, so a constraint on them keeps all or none).  An
     entry j left in counts with weight h[box][j % |X_m|] / q, where
@@ -471,17 +483,16 @@ def _box_mass(model: ChainModel, boxes: Sequence, n: int, index: int, tails, lo:
     if m > n:
         row = model.partial_row(n, m, index)
         numerators, denom = row._numerators, row._denom
-    space = model.prefix_space(m)
-    comps, strides = space.components, space._strides
-    width = comps[-1].size
+    prefixes, spaces = model._prefix_spaces, model.spaces
+    size, width = prefixes[m].size, spaces[m].size
     total = 0
     for box, h in zip(boxes, hs):
         entries = numerators
         for k, allowed in box:
             if k > m:
                 break
-            stride, size = strides[k], comps[k].size
-            entries = [e for e in entries if e[0] // stride % size in allowed]
+            stride, states = size // prefixes[k].size, spaces[k].size
+            entries = [e for e in entries if e[0] // stride % states in allowed]
         total += sum(w * h[j % width] for j, w in entries)
     return Rat(total, denom * q)
 
@@ -519,17 +530,14 @@ def _tails(model: ChainModel, boxes: Sequence, lo: int, hi: int) -> list:
 def cylinder(model: ChainModel, depth: int, prefixes: Iterable) -> Cylinder:
     """Cylinder of all trajectories whose depth-`depth` prefix is listed.
 
-    One point box per distinct prefix.
+    One point box per distinct prefix, in index order: coordinate k allows
+    the index of the prefix's label in X_k.
     """
     space = model.prefix_space(depth)
-    comps, strides = space.components, space._strides
-    indices = sorted({_prefix_index(model, p, depth) for p in prefixes})
+    by_index = {_prefix_index(model, p, depth): p for p in prefixes}
     boxes = tuple(
-        tuple(
-            (k, frozenset((i // stride % comp.size,)))
-            for k, (comp, stride) in enumerate(zip(comps, strides))
-        )
-        for i in indices
+        tuple((k, frozenset((model.spaces[k]._index[s],))) for k, s in enumerate(by_index[i]))
+        for i in sorted(by_index)
     )
     return Cylinder(space, boxes)
 

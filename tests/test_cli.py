@@ -339,17 +339,20 @@ def validate_in_capped_child(model, timeout: float, mib: int = 512):
 
 
 def test_a_model_too_large_for_memory_is_a_malformed_model(tmp_path):
-    # A valid one-state chain of depth 6,000: the chain builds one prefix
-    # space per depth, each as long as its depth, which runs out of a
-    # 192 MiB address space.  The MemoryError is reported as a malformed
-    # model (exit 2), not as a traceback with exit 1, which means a failed
-    # verify.  About 3 s on a 2-vCPU VM.
-    depth = 6000
-    model = tmp_path / "one-state.json"
+    # A valid two-state chain of depth 18 whose last step is a `table` of
+    # 2^18 rows, a 17 MB file: reading and checking its rows runs out of a
+    # 192 MiB address space, while it loads under 1 GiB (about 200 MB peak
+    # RSS).  The MemoryError is reported as a malformed model (exit 2), not
+    # as a traceback with exit 1, which means a failed verify.  About 2 s
+    # on a 2-vCPU VM.
+    depth = 18
+    row = {"a": "1/2", "b": "1/2"}
+    keys = ("|".join(p) for p in itertools.product("ab", repeat=depth))
+    steps = [{"n": n, "kind": "const", "row": row} for n in range(depth - 1)]
+    steps.append({"n": depth - 1, "kind": "table", "rows": dict.fromkeys(keys, row)})
+    model = tmp_path / "table.json"
     model.write_text(json.dumps({
-        "maxDepth": depth,
-        "spaces": [{"id": "X", "states": ["a"]}],
-        "steps": [{"n": n, "kind": "const", "row": {"a": "1"}} for n in range(depth)],
+        "maxDepth": depth, "spaces": [{"id": "X", "states": ["a", "b"]}], "steps": steps,
     }))
     child = validate_in_capped_child(model, timeout=120, mib=192)
     assert child.returncode == 2, child.stderr
@@ -383,21 +386,47 @@ def test_huge_max_depth_is_a_malformed_model(tmp_path):
         assert child.stderr.startswith("error: missing steps"), child.stderr
 
 
-def test_deep_one_state_chain_validates_in_bounded_memory(tmp_path):
-    # 4,000 prefix spaces of up to 4,001 coordinates: loading may keep
-    # per-space work linear in the depth, but nothing per coordinate of
-    # every space (about 8 million objects), which overran the cap.  The
-    # load takes about 2 s; the timeout leaves room for a slow machine.
-    depth = 4000
-    model = tmp_path / "deep.json"
+@pytest.fixture(scope="module")
+def deep_one_state_chain(tmp_path_factory):
+    """The model file of a valid one-state chain of depth 20,000."""
+    depth = 20000
+    model = tmp_path_factory.mktemp("deep") / "one-state.json"
     model.write_text(json.dumps({
         "maxDepth": depth,
         "spaces": [{"id": "X", "states": ["a"]}],
         "steps": [{"n": n, "kind": "const", "row": {"a": "1"}} for n in range(depth)],
     }))
-    child = validate_in_capped_child(model, timeout=20)
+    return model
+
+
+def test_deep_one_state_chain_validates_in_bounded_memory(deep_one_state_chain):
+    # 20,001 prefix spaces of up to 20,001 coordinates, each a head of the
+    # one product of the chain's state spaces: loading is linear in the
+    # depth and fits a 96 MiB address space (about 40 MB peak RSS and
+    # 0.4 s on a 2-vCPU VM).  A loader that keeps a component or stride
+    # tuple per depth holds 2 x 10^8 references and runs out.
+    child = validate_in_capped_child(deep_one_state_chain, timeout=20, mib=96)
     assert child.returncode == 0, child.stderr
     assert child.stdout.endswith("VALID\n"), child.stdout
+
+
+def test_deep_queries_answer_in_bounded_memory(deep_one_state_chain):
+    # content, witness and condexp on the depth-20,000 chain read only the
+    # coordinates they constrain, each in a child under a 256 MiB address
+    # space (about 40 MB peak RSS and under 1 s each on a 2-vCPU VM).
+    def query(verb, *argv):
+        child = run_capped(
+            ["-m", "markovtraj.cli", verb, "--model", str(deep_one_state_chain), *argv], 60, 256
+        )
+        assert child.returncode == 0, child.stderr
+        return child.stdout
+
+    assert query("content", "--point", "a", "--cylinder", "19999=a,20000=a") == "1\n"
+    witness = query("witness", "--point", "a", "--cylinder", "10000=a",
+                    "--cylinder", "10000=a,20000=a", "--eps", "1")
+    assert witness == "|".join(["a"] * 20001) + "\n"
+    condexp = query("condexp", "--cylinder", "20000=a", "--at", "19999")
+    assert condexp == "|".join(["a"] * 20000) + " 1\n"
 
 
 def test_unsatisfiable_witness_exits_3(capsys):

@@ -7,6 +7,7 @@ content with `conftest.brute_force_content`, which walks the step rows
 path by path.
 """
 import json
+import math
 import random
 
 import pytest
@@ -133,11 +134,13 @@ def test_membership_reads_only_the_constrained_coordinates(weather):
 
 
 def in_by_digits(cyl, point) -> bool:
-    """Membership by the index digits of the point's restriction."""
-    space = cyl.space
-    j = space.index_of(point[: cyl.depth + 1])
+    """Membership by the index digits of the point's restriction: coordinate
+    k's stride is the number of points of the coordinates after it."""
+    comps = cyl.space.components
+    j = cyl.space.index_of(point[: cyl.depth + 1])
     return any(
-        all(j // space._strides[k] % space.components[k].size in allowed for k, allowed in box)
+        all(j // math.prod(c.size for c in comps[k + 1 :]) % comps[k].size in allowed
+            for k, allowed in box)
         for box in cyl.boxes
     )
 

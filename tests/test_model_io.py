@@ -299,6 +299,18 @@ def test_spaces_validation():
     rejects(doc)
 
 
+def test_a_single_spaces_entry_is_one_space_at_every_depth():
+    doc = weather_doc(3)
+    doc["spaces"] = [{"states": ["S", "R"]}]
+    chain = model_from_dict(doc).chain
+    assert all(space is chain.spaces[0] for space in chain.spaces)
+    assert chain.spaces[0].space_id == "X0"
+    doc["spaces"] = [{"states": ["S", "R"]}] * 4
+    spaces = model_from_dict(doc).chain.spaces
+    assert [space.space_id for space in spaces] == ["X0", "X1", "X2", "X3"]
+    assert spaces[0] is not spaces[1] and spaces[0] == spaces[1]
+
+
 def test_steps_validation():
     doc = weather_doc(2)
     doc["steps"] = doc["steps"][:1]

@@ -110,6 +110,26 @@ def test_prefix_helpers(weather):
             traj_marginal(weather, 1, bad, 2)
 
 
+def test_prefix_spaces_are_heads_of_one_product():
+    # Every prefix space shares the factors of the chain's full product and
+    # equals a tuple space built afresh from the same state spaces, which
+    # the product-form checks (partial_traj_const_sides) rely on.
+    rng = random.Random(26)
+    for _ in range(20):
+        chain = random_chain(rng)
+        factors = chain.prefix_space(chain.max_depth).factors
+        for n in range(chain.max_depth + 1):
+            space, fresh = chain.prefix_space(n), TupleSpace(chain.spaces[: n + 1])
+            assert space == fresh and fresh == space and hash(space) == hash(fresh)
+            assert space.factors is factors and space.components == chain.spaces[: n + 1]
+            assert (space.length, space.size) == (n + 1, fresh.size)
+            assert space.points() == fresh.points()
+            for i, point in enumerate(fresh.points()):
+                assert space.index_of(point) == i and space.point_at(i) == point
+                assert space.label_at(i) == fresh.label_at(i) == fresh.format_point(point)
+        assert chain.prefix_space(0) != chain.prefix_space(1)
+
+
 # ---- partial trajectory kernels ----
 
 

@@ -16,7 +16,6 @@ from .kernel import (
     Kernel,
     comp_kernel,
     comp_measure,
-    const_kernel,
     map_kernel,
     prod_kernel,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "comp_measure",
     "cond_exp",
     "const_chain",
-    "const_kernel",
     "content_at_depth",
     "cylinder",
     "cylinder_content",

@@ -4,7 +4,6 @@ Implements:
   * Kernel: one distribution per source point; each row stores only its
     support, as integer numerators over one denominator, so a kernel costs
     memory in the sum of its rows' supports.
-  * Constructor: const_kernel.
   * Algebra: map_kernel (push a kernel forward along a map), comp_kernel
     (sequential composition, written first-to-last), comp_measure (bind a
     distribution through a kernel), prod_kernel (same-source pairing).
@@ -42,6 +41,18 @@ def _mix(target, d: Dist, rows: Sequence[Dist]) -> Dist:
     return Dist._from_numerators(target, d._denom * common, sorted(acc.items()))
 
 
+def _rows_on(target, rows: Sequence[Dist]) -> tuple:
+    """`rows` as a tuple of Dists on target, else a DomainError."""
+    try:
+        rows = tuple(rows)
+        foreign = any(row.space is not target and row.space != target for row in rows)
+    except (TypeError, AttributeError):
+        raise DomainError("kernel rows must be a sequence of Dist") from None
+    if foreign:
+        raise DomainError("kernel row lives on a different space")
+    return rows
+
+
 class Kernel:
     """A Markov kernel: a measurable-by-construction map source -> Dist(target).
 
@@ -56,17 +67,11 @@ class Kernel:
     __slots__ = ("source", "target", "rows")
 
     def __init__(self, source, target, rows: Sequence[Dist]):
-        try:
-            rows = tuple(rows)
-            foreign = any(row.space is not target and row.space != target for row in rows)
-        except (TypeError, AttributeError):
-            raise DomainError("kernel rows must be a sequence of Dist") from None
+        rows = _rows_on(target, rows)
         if len(rows) != source.size:
             raise DomainError(
                 f"expected {source.size} rows, one per point of the source, got {len(rows)}"
             )
-        if foreign:
-            raise DomainError("kernel row lives on a different space")
         self.source = source
         self.target = target
         self.rows = rows
@@ -88,14 +93,6 @@ class Kernel:
 
     def __repr__(self) -> str:
         return f"Kernel({self.source!r} -> {self.target!r}, {len(self.rows)} rows)"
-
-
-# ---- constructor ----
-
-
-def const_kernel(source, d: Dist) -> Kernel:
-    """Kernel ignoring its input: every row is the same distribution."""
-    return Kernel(source, d.space, (d,) * source.size)
 
 
 # ---- algebra ----
@@ -135,18 +132,20 @@ def prod_kernel(k: Kernel, l: Kernel) -> Kernel:
     return Kernel(k.source, TupleSpace([k.target, l.target]), rows)
 
 
-def _couple(d: Dist, k: Kernel, target) -> Dist:
-    """Joint law of (x, y), x ~ d and y ~ k(x), on a space indexed x*|Y| + y.
+def _couple(d: Dist, rows: Sequence[Dist], target) -> Dist:
+    """Joint law of (x, y), x ~ d and y ~ rows[x % len(rows)], on a space
+    indexed x*|Y| + y, where |Y| = |target| / |d.space|.
 
     That is the pair space, and also the prefix space one depth deeper when
-    d is a prefix law and k the step that appends y.  The entries come out
-    sorted and distinct, since x * |Y| + y increases with (x, y).
+    d is a prefix law and `rows` the chain's step that appends y.  The
+    entries come out sorted and distinct, since x * |Y| + y increases.
     """
-    y_size = k.target.size
-    rows = [(x, n, k.rows[x]) for x, n in d._numerators]
-    common = math.lcm(*(row._denom for _, _, row in rows))
+    y_size = target.size // d.space.size
+    period = len(rows)
+    parts = [(x, n, rows[x % period]) for x, n in d._numerators]
+    common = math.lcm(*(row._denom for _, _, row in parts))
     items = []
-    for x, n, row in rows:
+    for x, n, row in parts:
         base = x * y_size
         scale = n * (common // row._denom)
         items.extend([(base + y, scale * m) for y, m in row._numerators])

@@ -26,6 +26,8 @@ Step kinds:
     prefixes sharing a last state share the row.
   * "const": a single "row" distribution used for every prefix.
 
+The chain keeps each step's rows as the file gives them, not one per prefix.
+
 Distributions are objects {state label: rational string}; omitted states
 get weight 0 and the weights must sum to exactly 1.  A file may instead be
 a plain product:
@@ -181,10 +183,7 @@ def _load_chain(data: Mapping) -> LoadedModel:
 
     _check_size(spaces)
     labels = _prefix_labels(spaces)
-    steps, size = [], 1  # size: |P_n|, the number of depth-n prefixes
-    for n in range(max_depth):
-        size *= spaces[n].size
-        steps.append(_step_rows(by_depth[n], size, spaces[n], spaces[n + 1], n, labels))
+    steps = [_step_rows(by_depth[n], spaces[n], spaces[n + 1], n, labels) for n in range(max_depth)]
     try:
         chain = ChainModel(spaces, steps)
     except DomainError as exc:
@@ -255,23 +254,19 @@ def _prefix_labels(spaces: tuple):
     return at
 
 
-def _step_rows(
-    entry: Mapping, size: int, last: FiniteSpace, target: FiniteSpace, n: int, labels
-) -> tuple:
-    """Step n's `size` rows on `target`, one per depth-n prefix in order;
-    `last` is X_n.  A tuple, which the chain's Kernel keeps, not copies."""
+def _step_rows(entry: Mapping, last: FiniteSpace, target: FiniteSpace, n: int, labels) -> tuple:
+    """Step n's rows on `target` by period, as ChainModel reads them: one
+    for "const", one per state of `last`, X_n, for "last-state" (prefix i
+    ends in state i % |X_n|), one per depth-n prefix in order for "table"."""
     kind = entry.get("kind")
     where = f"step {n}"
     if kind == "const":
         row = entry.get("row")
         if not isinstance(row, Mapping):
             raise ModelFormatError(f'{where}: "const" needs a "row" object')
-        return (_dist_from_mapping(target, row, where),) * size
+        return (_dist_from_mapping(target, row, where),)
     if kind == "last-state":
-        by_last = _keyed_rows(entry, kind, last.labels, target, where)
-        # The last coordinate is the least significant, so prefix i ends in
-        # state i % |X_n| and the rows repeat with that period.
-        return by_last * (size // last.size)
+        return _keyed_rows(entry, kind, last.labels, target, where)
     if kind == "table":
         return _keyed_rows(entry, kind, labels(n), target, where)
     raise ModelFormatError(f'{where}: unknown kind {kind!r}')

@@ -23,24 +23,21 @@ compares the two sides returned by its *_sides function, which the
 """
 from __future__ import annotations
 
-import itertools
-import operator
 from typing import Sequence
 
 from .errors import DomainError
-from .kernel import Kernel, _couple, comp_measure, const_kernel
+from .kernel import Kernel, _couple, comp_measure
 from .measure import Dist, _restrict, dirac, product_dist
 from .trajectory import ChainModel, _check_depth_pair, _check_int
 
 
 def const_chain(marginals: Sequence[Dist]) -> ChainModel:
-    """Chain with state spaces taken from the marginals and constant steps."""
+    """Chain with state spaces taken from the marginals and constant steps:
+    step n is the one row marginals[n + 1], read by every prefix."""
     marginals = tuple(marginals)
     if not marginals:
         raise DomainError("a constant chain needs at least one marginal")
-    sizes = itertools.accumulate((m.space.size for m in marginals), operator.mul)
-    steps = [(d,) * size for d, size in zip(marginals[1:], sizes)]
-    return ChainModel([m.space for m in marginals], steps)
+    return ChainModel([m.space for m in marginals], [(d,) for d in marginals[1:]])
 
 
 def product_prefix_dist(marginals: Sequence[Dist], depth: int) -> Dist:
@@ -92,7 +89,7 @@ def product_split_sides(marginals: Sequence[Dist], a: int, b: int) -> tuple:
     if a == b:
         return head, whole
     tail = product_dist(list(marginals[a + 1 : b + 1]))
-    return _couple(head, const_kernel(head.space, tail), whole.space), whole
+    return _couple(head, (tail,), whole.space), whole
 
 
 def check_product_split(marginals: Sequence[Dist], a: int, b: int) -> bool:

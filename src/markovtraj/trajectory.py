@@ -1,12 +1,12 @@
 """Finite-depth Markov chains and their trajectory measures, exactly.
 
 Implements:
-  * ChainModel: state spaces X_0..X_D and, per depth, one step row per
-    prefix so far, wrapped as a kernel on the prefix space the chain builds.
-    The prefix spaces are the heads of one TupleSpace of X_0..X_D, so
-    building them costs O(1) per depth.
+  * ChainModel: state spaces X_0..X_D and, per depth, the step's rows by
+    period: the depth-n prefix numbered i reads row i % len(rows), so a
+    step that reads only the last state holds |X_n| rows, not |P_n|.  The
+    prefix spaces are the heads of one TupleSpace of X_0..X_D.
   * partial_row / partial_traj: the law of the depth-b prefix from one
-    depth-a prefix, extended one step at a time through the step kernels
+    depth-a prefix, extended one step at a time through the step rows
     (and plain restriction when the target depth is not larger), and the
     kernel from depth-a to depth-b prefixes assembled from those rows.
     Queries from one prefix read its row alone, so they touch only the
@@ -54,7 +54,7 @@ import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, InvariantError, PreconditionError
-from .kernel import Kernel, _couple
+from .kernel import Kernel, _couple, _rows_on
 from .measure import Dist, FiniteSpace, SubsetOf, TupleSpace, _integrals
 from .rational import Rat, ratio_of
 
@@ -82,11 +82,13 @@ class ChainModel:
     spaces : sequence of FiniteSpace
         State spaces X_0 .. X_D; the chain has max_depth D = len(spaces) - 1.
     steps : sequence of sequences of Dist
-        steps[n] holds one row, a Dist on X_{n+1}, per depth-n prefix, in
-        the prefix space's enumeration order; there must be exactly
-        max_depth of them.  The chain builds its own prefix spaces and
-        wraps steps[n] as the Kernel `self.steps[n]` from `prefix_space(n)`
-        to X_{n+1}, which keeps a tuple of rows without copying it.
+        steps[n] holds step n's rows, Dists on X_{n+1}, by period: the
+        depth-n prefix numbered i reads row i % len(steps[n]), so the count
+        must divide |P_n|: 1 for a step that ignores the prefix, |X_n| for
+        one that reads the last state (prefix i ends in state i % |X_n|),
+        |P_n| for a table.  There must be max_depth of them.  The tuple
+        `self.steps[n]` keeps them, cut to the first |X_n| if they repeat
+        with that period.
 
     The prefix spaces are one TupleSpace of all the state spaces and its
     heads: the depth-n prefix space is its first n + 1 coordinates
@@ -99,8 +101,8 @@ class ChainModel:
     row objects that single-prefix queries read.
 
     `markov_from` is the smallest m such that every step n >= m reads only
-    the last state x_n (0 for a chain of such steps, max_depth when the
-    last step reads more).
+    the last state x_n, that is, len(steps[n]) divides |X_n| (0 for a
+    chain of such steps, max_depth when the last step reads more).
     """
 
     def __init__(self, spaces: Sequence[FiniteSpace], steps: Sequence[Sequence[Dist]]):
@@ -115,24 +117,25 @@ class ChainModel:
             raise DomainError(f"expected {self.max_depth} steps, got {len(steps)}")
         tower = TupleSpace(self.spaces)
         self._prefix_spaces = [tower._head(n + 1) for n in range(len(self.spaces))]
-        kernels = []
+        self.markov_from = 0
+        rules = []
         for n, rows in enumerate(steps):
+            size, width = self._prefix_spaces[n].size, self.spaces[n].size
             try:
-                kernels.append(Kernel(self._prefix_spaces[n], self.spaces[n + 1], rows))
+                rows = _rows_on(self.spaces[n + 1], rows)
+                if not rows or size % len(rows):
+                    raise DomainError(f"the row count must divide the {size} "
+                                      f"depth-{n} prefixes, got {len(rows)}")
             except DomainError as exc:
                 raise DomainError(f"step {n}: {exc}") from None
-        self.steps = tuple(kernels)
-        # Step n reads only the last state iff its row at prefix i depends
-        # on i % |X_n| alone (the last coordinate is the least significant),
-        # that is, iff its rows repeat with that period.  Shared rows make
-        # this one tuple compare.
-        markov_from = self.max_depth
-        while markov_from:
-            rows, width = self.steps[markov_from - 1].rows, self.spaces[markov_from - 1].size
-            if rows[width:] != rows[:-width]:
-                break
-            markov_from -= 1
-        self.markov_from = markov_from
+            # Rows that repeat with period |X_n| read only the last state;
+            # shared rows make this one tuple compare.
+            if len(rows) % width == 0 and rows[width:] == rows[:-width]:
+                rows = rows[:width]
+            elif width % len(rows):
+                self.markov_from = n + 1
+            rules.append(rows)
+        self.steps = tuple(rules)
         self._rows: dict = {}
         self._partial: dict = {}
         self._lumped: dict = {}
@@ -158,9 +161,9 @@ class ChainModel:
         index of the prefix's block, index // (|P_a| / |P_b|); otherwise it
         is the (a, b-1) row extended through steps[b-1]: appending state s
         to prefix i gives prefix i * |X_b| + s, with weight the (a, b-1)
-        row's weight at i times the step row's weight at s, multiplied as
-        integer numerators over one common denominator.  Only the rows
-        from this one prefix are built, each memoized.
+        row's weight at i times the weight at s of prefix i's step row,
+        multiplied as integer numerators over one common denominator.  Only
+        the rows from this one prefix are built, each memoized.
         """
         key = (a, b, index)
         row = self._rows.get(key)
@@ -213,10 +216,11 @@ class ChainModel:
         in state s, every row over the common denominator lcm."""
         lumped = self._lumped.get(n)
         if lumped is None:
-            rows = self.steps[n].rows[: self.spaces[n].size]
+            rows = self.steps[n]
             lcm = math.lcm(*(row._denom for row in rows))
             lumped = (
-                [[(u, m * (lcm // row._denom)) for u, m in row._numerators] for row in rows],
+                [[(u, m * (lcm // row._denom)) for u, m in row._numerators] for row in rows]
+                * (self.spaces[n].size // len(rows)),
                 lcm,
             )
             self._lumped[n] = lumped
@@ -315,7 +319,7 @@ def sample_trajectory(model: ChainModel, prefix, rng) -> tuple:
     for n in range(len(prefix) - 1, model.max_depth):
         # Appending state s to prefix `index` gives index * |X_{n+1}| + s;
         # the drawn label's index is read from X_{n+1}'s own mapping.
-        state = steps[n].rows[index].sample(rng)
+        state = steps[n][index % len(steps[n])].sample(rng)
         states.append(state)
         space = spaces[n + 1]
         index = index * len(space.labels) + space._index[state]
@@ -404,10 +408,11 @@ class Cylinder:
             return False
         # Equal sets: the intersection is as large as each of them.
         met = _box_meets(self.boxes, other.boxes)
-        return len(self) == len(other) == _box_count(self.space, met)
+        count = _box_count(self.space, self.boxes)
+        return count == _box_count(other.space, other.boxes) == _box_count(self.space, met)
 
     def __hash__(self) -> int:
-        return hash(("Cylinder", self.space, len(self)))
+        return hash(("Cylinder", self.space, _box_count(self.space, self.boxes)))
 
 
 def _box_meet(first: tuple, second: tuple):
@@ -683,7 +688,7 @@ def extract_witness(
     for inner, outer in zip(cylinders[1:], cylinders):
         # inner is inside outer iff their intersection is as large as inner.
         met = intersect_cylinders(model, inner, outer)
-        if len(met) != _box_count(met.space, inner.boxes):
+        if _box_count(met.space, met.boxes) != _box_count(met.space, inner.boxes):
             raise PreconditionError("cylinders are not nested")
     for c in cylinders:
         _check_cylinder(model, c)
@@ -693,14 +698,16 @@ def extract_witness(
     boxes = cylinders[-1].boxes
     lo = min(max(a + 1, model.markov_from), target_depth)
     tails = _tails(model, boxes, lo, target_depth)
+    point = list(prefix)
     for depth in range(a + 1, target_depth + 1):
         # Appending state s to prefix `index` gives prefix index * width + s;
         # on ties the first successor wins.
         width = model.spaces[depth].size
         successors = range(index * width, (index + 1) * width)
         index = max(successors, key=lambda j: _box_mass(model, boxes, depth, j, tails, lo))
+        point.append(model.spaces[depth].labels[index % width])
 
-    point = model.prefix_space(target_depth).point_at(index)
+    point = tuple(point)
     if not all(point in c for c in cylinders):
         raise InvariantError("constructed point escaped a cylinder")
     return point
@@ -806,7 +813,7 @@ def traj_split_sides(model: ChainModel, a: int, b: int) -> tuple:
     pairs = TupleSpace([model.prefix_space(b), model.prefix_space(model.max_depth)])
     size_d = model.prefix_space(model.max_depth).size
     ratio = size_d // model.prefix_space(b).size
-    two_stage = [_couple(row, rest, pairs) for row in first.rows]
+    two_stage = [_couple(row, rest.rows, pairs) for row in first.rows]
     direct = [
         Dist._from_numerators(
             pairs, row._denom, [((j // ratio) * size_d + j, n) for j, n in row._numerators]

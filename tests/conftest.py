@@ -50,9 +50,8 @@ WEATHER_ROWS = {"S": ("3/4", "1/4"), "R": ("1/2", "1/2")}
 
 def last_state_chain(space: FiniteSpace, rows: dict, depth: int) -> ChainModel:
     """Chain whose step at every depth depends only on the last state."""
-    # Prefix i ends in state i % |X|, so the rows repeat by last state.
     by_last = [Dist(space, rows[label]) for label in space.points()]
-    return ChainModel([space] * (depth + 1), [by_last * space.size ** n for n in range(depth)])
+    return ChainModel([space] * (depth + 1), [by_last] * depth)
 
 
 def weather_chain(depth: int = 3) -> ChainModel:
@@ -167,15 +166,47 @@ def random_model_doc(rng: random.Random, depth: int | None = None) -> dict:
     }
 
 
+def doc_chain(doc: dict) -> ChainModel:
+    """The chain of a model document, built by ChainModel with no loader
+    and so no size cap: each step's rows as the document gives them, one
+    for "const", one per last state for "last-state" and one per prefix,
+    in enumeration order, for "table"."""
+    spaces = [FiniteSpace(e.get("id", f"X{i}"), e["states"]) for i, e in enumerate(doc["spaces"])]
+    spaces *= (doc["maxDepth"] + 1) // len(spaces)
+
+    def dist(space: FiniteSpace, row: dict) -> Dist:
+        return Dist(space, [row.get(label, 0) for label in space.labels])
+
+    steps = []
+    for step in sorted(doc["steps"], key=lambda entry: entry["n"]):
+        n, kind = step["n"], step["kind"]
+        if kind == "const":
+            rows = [step["row"]]
+        elif kind == "last-state":
+            rows = [step["rows"][state] for state in spaces[n].labels]
+        else:
+            prefixes = itertools.product(*(space.labels for space in spaces[: n + 1]))
+            rows = [step["rows"]["|".join(p)] for p in prefixes]
+        steps.append([dist(spaces[n + 1], row) for row in rows])
+    return ChainModel(spaces, steps)
+
+
 def random_prefix(rng: random.Random, chain: ChainModel, depth: int) -> tuple:
     return tuple(rng.choice(space.labels) for space in chain.spaces[: depth + 1])
+
+
+def step_row(chain: ChainModel, n: int, prefix: tuple) -> Dist:
+    """Step n's row at a depth-n prefix, by the rule of ChainModel: the
+    prefix numbered i reads chain.steps[n][i % len(chain.steps[n])]."""
+    rows = chain.steps[n]
+    return rows[chain.prefix_space(n).index_of(prefix) % len(rows)]
 
 
 def positive_extension(rng: random.Random, chain: ChainModel, prefix: tuple) -> tuple:
     """Extend to full depth through states of positive step weight."""
     p = tuple(prefix)
     for n in range(len(p) - 1, chain.max_depth):
-        row = chain.steps[n].row(p)
+        row = step_row(chain, n, p)
         choices = [row.space.point_at(i) for i, _ in row.support()]
         p = p + (rng.choice(choices),)
     return p
@@ -221,7 +252,7 @@ def brute_force_prefix_law(chain: ChainModel, prefix: tuple, b: int) -> dict:
     for n in range(a, b):
         nxt: dict = {}
         for p, w in acc.items():
-            row = chain.steps[n].row(p)
+            row = step_row(chain, n, p)
             for i, ws in row.support():
                 q = p + (row.space.point_at(i),)
                 nxt[q] = nxt.get(q, Rat(0)) + w * ws

@@ -33,7 +33,6 @@ PUBLIC = [
     "comp_measure",
     "cond_exp",
     "const_chain",
-    "const_kernel",
     "content_at_depth",
     "cylinder",
     "cylinder_content",

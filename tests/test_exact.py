@@ -21,10 +21,10 @@ from markovtraj import (
     Dist,
     DomainError,
     FiniteSpace,
+    Kernel,
     TupleSpace,
     comp_measure,
     cond_exp,
-    const_kernel,
     content_at_depth,
     cylinder_content,
     cylinder_from_constraints,
@@ -69,7 +69,7 @@ def test_equal_laws_have_equal_storage(weights, other_weights, k, rnd):
     # A uniform factor multiplies every denominator by k; projecting it away
     # and mixing k equal rows must reduce back to the same storage.
     projected = pushforward_dist(product_dist([uniform(pad), dense]), lambda p: p[1], space)
-    mixed = comp_measure(uniform(pad), const_kernel(pad, dense))
+    mixed = comp_measure(uniform(pad), Kernel(pad, space, (dense,) * pad.size))
     for law in (sparse, projected, mixed):
         assert law == dense
         assert hash(law) == hash(dense)

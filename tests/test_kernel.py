@@ -12,7 +12,6 @@ from markovtraj import (
     TupleSpace,
     comp_kernel,
     comp_measure,
-    const_kernel,
     dirac,
     map_kernel,
     prod_kernel,
@@ -46,13 +45,6 @@ def test_kernel_validates_shape():
             Kernel(W, W, rows)
 
 
-def test_const_kernel_shares_rows():
-    d = uniform(W)
-    k = const_kernel(W, d)
-    assert k.row("S") is d
-    assert k.row("R") is d
-
-
 # ---- algebra, frozen values ----
 
 
@@ -62,8 +54,8 @@ def test_map_kernel():
         weather_step(), lambda s: "dry" if s == "S" else "wet", target
     )
     assert relabel.row("S") == Dist(target, ["3/4", "1/4"])
-    # const_kernel's rows are one shared object; each is pushed on its own
-    const = const_kernel(W, Dist(W, ["1/3", "2/3"]))
+    # a kernel whose rows are one shared object; each is pushed on its own
+    const = Kernel(W, W, (Dist(W, ["1/3", "2/3"]),) * W.size)
     wet = lambda s: "dry" if s == "S" else "wet"
     pushed = map_kernel(const, wet, target)
     assert pushed == Kernel(W, target, [pushforward_dist(row, wet, target) for row in const.rows])
@@ -104,7 +96,7 @@ def test_prod_kernel():
 
 def test_couple_on_the_pair_space():
     step = weather_step()
-    joint = _couple(uniform(W), step, TupleSpace([W, W]))
+    joint = _couple(uniform(W), step.rows, TupleSpace([W, W]))
     # 1/2 * 3/4
     assert joint.weight_at(("S", "S")) == Rat(3, 8)
     second = pushforward_dist(joint, lambda pair: pair[1], W)
@@ -116,7 +108,7 @@ def test_couple_on_the_pair_space():
 def test_kernel_equality_is_structural():
     assert weather_step() == weather_step()
     # equal rows held by distinct objects
-    shared = const_kernel(W, uniform(W))
+    shared = Kernel(W, W, (uniform(W),) * W.size)
     assert shared == Kernel(W, W, [Dist(W, ["1/2", "1/2"]), uniform(W)])
     assert weather_step() != Kernel(W, W, [uniform(W), uniform(W)])
 
@@ -180,7 +172,7 @@ def test_coupling_mass_decomposes_into_sections():
         sa, sb = spaces_for(rng, 2)
         mu = random_dist(rng, sa)
         k = random_kernel(rng, sa, sb)
-        joint = _couple(mu, k, TupleSpace([sa, sb]))
+        joint = _couple(mu, k.rows, TupleSpace([sa, sb]))
         pair_space = joint.space
         picked = SubsetOf(
             pair_space,

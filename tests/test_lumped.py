@@ -9,7 +9,8 @@ row; the greedy on those contents; `cond_exp` of the indicator as a
 function) and against the path-enumeration oracles of conftest, on random
 models that mix "table", "last-state" and "const" steps; and, at depths
 past path enumeration, against conftest's forward pass over the model
-document.
+document, up to depth 200 on chains built by ChainModel past the loader's
+cap.
 """
 import itertools
 import random
@@ -39,6 +40,7 @@ from markovtraj import (
 from conftest import (
     brute_force_content,
     brute_force_prefix_law,
+    doc_chain,
     forward_content,
     random_model_doc,
     random_nested_family,
@@ -223,9 +225,10 @@ def test_forward_pass_matches_path_enumeration():
         )
 
 
-def deep_two_state_doc(rng, depth: int) -> dict:
-    """A two-state document of the given depth: a head of 1-3 "table" steps,
-    then "last-state" steps, each row over a random denominator 2..13."""
+def deep_two_state_doc(rng, depth: int, head: int | None = None) -> dict:
+    """A two-state document of the given depth: a head of `head` "table"
+    steps (1-3 at random if not given), then "last-state" steps, each row
+    over a random denominator 2..13."""
     states = ["S", "R"]
 
     def row() -> dict:
@@ -233,7 +236,8 @@ def deep_two_state_doc(rng, depth: int) -> dict:
         p = rng.randint(1, q - 1)
         return {"S": f"{p}/{q}", "R": f"{q - p}/{q}"}
 
-    head = rng.randint(1, 3)
+    if head is None:
+        head = rng.randint(1, 3)
     steps = []
     for n in range(depth):
         if n < head:
@@ -270,3 +274,69 @@ def test_deep_contents_match_the_forward_pass():
                 assert value == forward_content(doc, point, constraints)
                 checked += 1
     assert checked >= 200, checked
+
+
+# ---- depth 200: past the loader's cap, built by ChainModel from the document ----
+
+
+def deep_cases(seed: int):
+    """(rng, doc, chain): a document of depth 200 and its chain, one per
+    head of 1, 2 and 3 "table" steps, and the generator that made them."""
+    rng = random.Random(seed)
+    for head in (1, 2, 3):
+        doc = deep_two_state_doc(rng, 200, head)
+        yield rng, doc, doc_chain(doc)
+
+
+def deep_constraints(rng) -> dict:
+    """One state at a coordinate in 150..200, and up to two random sets."""
+    constraints = {rng.randint(150, 200): {rng.choice(["S", "R"])}}
+    for k in {rng.randint(0, 200) for _ in range(rng.randint(0, 2))}:
+        constraints.setdefault(k, set(rng.sample(["S", "R"], rng.randint(1, 2))))
+    return constraints
+
+
+def test_depth_200_contents_match_the_forward_pass():
+    for rng, doc, chain in deep_cases(2704):
+        for _ in range(2):
+            constraints = deep_constraints(rng)
+            cyl = cylinder_from_constraints(chain, constraints)
+            # more than 2^63 prefixes: equality and hash count them as ints
+            same = cylinder_from_constraints(chain, constraints)
+            assert cyl == same and hash(cyl) == hash(same)
+            for a in range(3):
+                for start in itertools.product(["S", "R"], repeat=a + 1):
+                    assert cylinder_content(chain, a, start, cyl) == forward_content(
+                        doc, start, constraints
+                    )
+
+
+def test_depth_200_cond_exp_matches_the_forward_pass():
+    for rng, doc, chain in deep_cases(2705):
+        b = max(chain.markov_from, 2)
+        constraints = deep_constraints(rng)
+        table = cond_exp(chain, b, cylinder_from_constraints(chain, constraints))
+        assert len(table) == 2 ** (b + 1)
+        for point, value in table.items():
+            assert value == forward_content(doc, point, constraints)
+
+
+def test_depth_200_witness_is_the_forward_greedy():
+    # The innermost cylinder constrains coordinate 200; each greedy step
+    # takes the first successor of largest forward-pass content.  One
+    # document, with the longest table head: the reference makes 400
+    # forward passes.
+    rng = random.Random(2706)
+    doc = deep_two_state_doc(rng, 200, 3)
+    chain = doc_chain(doc)
+    a = rng.randint(0, 2)
+    start = tuple(rng.choice(["S", "R"]) for _ in range(a + 1))
+    outer = {rng.randint(a + 1, 100): {rng.choice(["S", "R"])}}
+    inner = {**outer, 200: {rng.choice(["S", "R"])}}
+    cylinders = [cylinder_from_constraints(chain, c) for c in (outer, inner)]
+    point = extract_witness(chain, a, start, cylinders, forward_content(doc, start, inner))
+    expected = start
+    for _ in range(a + 1, 201):
+        scores = [forward_content(doc, expected + (s,), inner) for s in ("S", "R")]
+        expected += (("S", "R")[scores.index(max(scores))],)
+    assert point == expected

@@ -13,7 +13,6 @@ import markovtraj.model_io
 from markovtraj import (
     Dist,
     FiniteSpace,
-    Kernel,
     LoadedModel,
     MarkovTrajError,
     ModelFormatError,
@@ -51,20 +50,21 @@ def test_load_coin_file():
 def test_load_drift_file():
     chain = load_model(MODELS / "drift.json").chain
     assert [s.size for s in chain.spaces] == [2, 3, 2, 2]
-    # "table" rows are looked up per prefix
-    assert chain.steps[1].row(("L", "M")).weight_at("L") == Rat(1, 2)
-    assert chain.steps[1].row(("R", "M")).weight_at("L") == Rat(1, 3)
+    # "table" rows are held one per prefix, in the prefix space's order
+    index = chain.prefix_space(1).index_of
+    assert chain.steps[1][index(("L", "M"))].weight_at("L") == Rat(1, 2)
+    assert chain.steps[1][index(("R", "M"))].weight_at("L") == Rat(1, 3)
     # omitted states weigh zero
-    assert chain.steps[0].row(("R",)).weight_at("L") == 0
+    assert chain.steps[0][1].weight_at("L") == 0
 
 
 def test_shared_rows_after_expansion():
+    # every prefix shares its step's rows by period: weather's last-state
+    # steps hold one row per state, drift's const step holds one row
     chain = load_model(MODELS / "weather.json").chain
-    step = chain.steps[2]
-    assert step.row(("S", "S", "S")) is step.row(("R", "R", "S"))
+    assert [len(step) for step in chain.steps] == [2, 2, 2]
     drift = load_model(MODELS / "drift.json").chain
-    rows = set(map(id, drift.steps[2].rows))
-    assert len(rows) == 1  # const kind shares one distribution
+    assert [len(step) for step in drift.steps] == [2, 6, 1]
 
 
 def test_last_state_rows_are_read_by_index(monkeypatch):
@@ -88,9 +88,10 @@ def test_last_state_rows_are_read_by_index(monkeypatch):
         ],
     }
     step = model_from_dict(doc).chain.steps[1]
-    assert step.row(("b", "y")).weight_at("b") == 1
-    assert step.row(("a", "z")).weight_at("a") == Rat(1, 2)
-    assert step.row(("b", "x")).weight_at("a") == 1
+    assert len(step) == 3  # one row per state of X_1, in its order
+    assert step[1].weight_at("b") == 1
+    assert step[2].weight_at("a") == Rat(1, 2)
+    assert step[0].weight_at("a") == 1
 
 
 def keyed_doc(kind: str) -> dict:
@@ -116,7 +117,7 @@ def test_table_rows_are_read_by_label(monkeypatch):
     monkeypatch.setattr(TupleSpace, "index_of", refuse)
     monkeypatch.setattr(TupleSpace, "points", refuse)
     step = model_from_dict(keyed_doc("table")).chain.steps[1]
-    assert [row.weight_at("a") for row in step.rows] == [0, Rat(1, 4), Rat(1, 2), Rat(3, 4)]
+    assert [row.weight_at("a") for row in step] == [0, Rat(1, 4), Rat(1, 2), Rat(3, 4)]
 
 
 def test_table_keys_extend_the_labels_of_the_depth_before():
@@ -171,11 +172,11 @@ def test_table_rows_share_one_dist_per_literal(monkeypatch):
     step = chain.steps[1]
     # one Dist for the const row of step 0, one per distinct literal of step 1
     assert len(built) == 3
-    assert len({id(row) for row in step.rows}) == 2
-    assert step.rows[0] is step.rows[3] and step.rows[1] is step.rows[2]
+    assert len({id(row) for row in step}) == 2
+    assert step[0] is step[3] and step[1] is step[2]
     X = chain.spaces[2]
     x, y = Dist(X, [Rat(1, 4), Rat(3, 4)]), Dist(X, [Rat(1, 2), Rat(1, 2)])
-    assert step == Kernel(step.source, X, [x, y, y, x])
+    assert step == (x, y, y, x)
 
 
 def test_a_literal_is_parsed_once_per_step(monkeypatch):
@@ -195,7 +196,7 @@ def test_a_literal_is_parsed_once_per_step(monkeypatch):
     chain = model_from_dict(doc).chain
     assert built == [chain.spaces[1], chain.spaces[2]]
     for n in (0, 1):
-        rows = chain.steps[n].rows
+        rows = chain.steps[n]
         assert len({id(r) for r in rows}) == 1
         assert rows[0].space is chain.spaces[n + 1]
 

@@ -12,6 +12,7 @@ from markovtraj import (
     Dist,
     DomainError,
     FiniteSpace,
+    LoadedModel,
     PreconditionError,
     Rat,
     SubsetOf,
@@ -34,6 +35,7 @@ from markovtraj import (
     load_model,
     model_from_dict,
     product_prefix_dist,
+    run_verify,
     sample_trajectory,
     traj_marginal,
     uniform,
@@ -47,7 +49,9 @@ from conftest import (
     random_model_doc,
     random_nested_family,
     random_prefix,
+    step_row,
     weather_chain,
+    weather_doc,
 )
 from markovtraj.product import (
     partial_traj_const_sides,
@@ -68,11 +72,13 @@ def test_chain_validates_steps():
         ChainModel([w, w], [])  # one step missing
     with pytest.raises(DomainError):
         ChainModel([w, w], [[uniform(w)] * 3])  # two depth-0 prefixes, three rows
+    with pytest.raises(DomainError):
+        ChainModel([w, w], [[]])  # no rows
     other = FiniteSpace("X", ["a", "b"])
     with pytest.raises(DomainError):
         ChainModel([w, w], [[uniform(w), uniform(other)]])  # a row off X_1
     with pytest.raises(DomainError):
-        ChainModel([w, w], [weather_chain(1).steps[0]])  # a Kernel, not its rows
+        ChainModel([w, w], [weather_chain(1).partial_traj(0, 1)])  # a Kernel, not rows
     # State spaces must be FiniteSpaces: a product of them, or a string,
     # would fail only later, in the queries that read its labels.
     pair = TupleSpace([w, w])
@@ -83,17 +89,74 @@ def test_chain_validates_steps():
 
 
 def test_a_malformed_step_is_named_by_its_number():
-    # Two rows suit step 0 (two depth-0 prefixes) but not step 1 (four): the
-    # message names the step and the row count, not the prefix space's repr,
-    # which at step n lists n + 1 state spaces.
+    # Three rows divide no count of depth-1 prefixes (four): the message
+    # names the step and the row count, not the prefix space's repr, which
+    # at step n lists n + 1 state spaces.
     w = FiniteSpace("W", ["S", "R"])
     with pytest.raises(DomainError) as excinfo:
-        ChainModel([w] * 30, [[uniform(w)] * 2] * 29)
-    assert str(excinfo.value) == "step 1: expected 4 rows, one per point of the source, got 2"
+        ChainModel([w] * 30, [[uniform(w)] * 2] + [[uniform(w)] * 3] * 28)
+    assert str(excinfo.value) == "step 1: the row count must divide the 4 depth-1 prefixes, got 3"
     other = FiniteSpace("X", ["a", "b"])
     with pytest.raises(DomainError) as excinfo:
         ChainModel([w, w, w], [[uniform(w)] * 2, [uniform(w)] * 3 + [uniform(other)]])
     assert str(excinfo.value) == "step 1: kernel row lives on a different space"
+
+
+def test_a_last_state_chain_holds_one_row_per_state():
+    # 3^30 depth-29 prefixes, and each step held as its three rows.
+    x = FiniteSpace("X", ["a", "b", "c"])
+    by_last = [Dist(x, ["1/2", "1/2", "0"]), Dist(x, ["0", "1/3", "2/3"]), Dist(x, ["1", "0", "0"])]
+    chain = ChainModel([x] * 31, [by_last] * 30)
+    assert chain.markov_from == 0
+    assert all(step == tuple(by_last) for step in chain.steps)
+    # The law of x_30 from ("a",), by thirty plain products with the rows.
+    law = [Rat(1), Rat(0), Rat(0)]
+    for _ in range(30):
+        law = [sum(w * row.weight_at(u) for w, row in zip(law, by_last)) for u in x.labels]
+    for u, weight in zip(x.labels, law):
+        cyl = cylinder_from_constraints(chain, {30: [u]})
+        assert cylinder_content(chain, 0, ("a",), cyl) == weight
+    assert len(sample_trajectory(chain, ("a",), random.Random(30))) == 31
+
+
+def test_full_rows_and_rows_by_period_give_the_same_chain():
+    # Each model is built twice: from the rows by period that the loader
+    # gives (one for "const", |X_n| for "last-state", |P_n| for "table")
+    # and from those rows repeated to one per prefix.  The chain keeps full
+    # rows that repeat with period |X_n| as their first |X_n|, so both hold
+    # the same steps, except that a const step built from full rows keeps
+    # |X_n| copies of its row.  One document has a "table" step that reads
+    # only the last state.
+    rng = random.Random(2703)
+    reads_last = weather_doc(3)
+    by_state = reads_last["steps"][1]["rows"]
+    reads_last["steps"][1] = {"n": 1, "kind": "table", "rows": {
+        f"{x}|{y}": dict(by_state[y]) for x in "SR" for y in "SR"}}
+    models = [load_model(MODELS / f"{name}.json") for name in ("weather", "drift", "coin")]
+    models.append(model_from_dict(reads_last))
+    models += [model_from_dict(random_model_doc(rng, rng.randint(2, 4))) for _ in range(16)]
+    assert [len(step) for step in models[3].chain.steps] == [2, 2, 2]
+    for model in models:
+        by_period = model.chain
+        full = ChainModel(by_period.spaces, [
+            rows * (by_period.prefix_space(n).size // len(rows))
+            for n, rows in enumerate(by_period.steps)
+        ])
+        assert full.markov_from == by_period.markov_from
+        for n, (long, short) in enumerate(zip(full.steps, by_period.steps)):
+            assert long == short or len(short) == 1 and long == short * full.spaces[n].size
+        depth = full.max_depth
+        for a, b in itertools.product(range(depth + 1), repeat=2):
+            for i in range(full.prefix_space(a).size):
+                assert full.partial_row(a, b, i) == by_period.partial_row(a, b, i)
+        for a in range(depth + 1):
+            prefix, seed = random_prefix(rng, full, a), rng.randrange(1 << 30)
+            streams = [random.Random(seed), random.Random(seed)]
+            draws = [[sample_trajectory(chain, prefix, r) for _ in range(20)]
+                     for chain, r in zip((full, by_period), streams)]
+            assert draws[0] == draws[1]
+        assert (run_verify(LoadedModel(full, model.marginals)).render()
+                == run_verify(model).render())
 
 
 def test_prefix_helpers(weather):
@@ -151,9 +214,9 @@ def test_advance_kernel_appends_the_step_state():
         width = chain.spaces[n + 1].size
         kern = chain.advance_kernel(n)
         assert kern.target == chain.prefix_space(n + 1)
-        for i, step_row in enumerate(chain.steps[n].rows):
+        for i, prefix in enumerate(chain.prefix_space(n).points()):
             assert set(kern.rows[i].support()) == {
-                (i * width + s, w) for s, w in step_row.support()
+                (i * width + s, w) for s, w in step_row(chain, n, prefix).support()
             }
 
 
@@ -422,7 +485,7 @@ def _reference_walk(chain: ChainModel, prefix: tuple, rng) -> tuple:
     numerators of its support."""
     p = tuple(prefix)
     for n in range(len(p) - 1, chain.max_depth):
-        row = chain.steps[n].row(p)
+        row = step_row(chain, n, p)
         support = row.support()
         cumulative = list(itertools.accumulate(w * row._denom for _, w in support))
         k = bisect.bisect_right(cumulative, rng.randrange(row._denom))
@@ -497,7 +560,7 @@ def test_sample_trajectory_draws_once_per_step(monkeypatch):
             traj = sample_trajectory(chain, prefix, rng)
             assert len(calls) == chain.max_depth - a
             # the row drawn at depth n is the step row of the prefix so far
-            assert calls == [chain.steps[n].row(traj[: n + 1]) for n in range(a, chain.max_depth)]
+            assert calls == [step_row(chain, n, traj[: n + 1]) for n in range(a, chain.max_depth)]
 
 
 def test_sample_trajectory_rejects_a_bad_start(weather):

@@ -31,15 +31,18 @@ Implements:
     state, the law of the last state is a sufficient statistic: the box
     route reads the constraints past that depth from one backward pass over
     it (_tails), at O(|X|^2) per depth instead of one row entry per
-    trajectory.  The references, `content_at_depth` and the witness's final
-    check, take the membership route instead: `t in cyl` on each prefix.
+    trajectory.  `_tails` alone decides where the pass starts, at
+    lo = max(n, min(depth, markov_from)) for queries from depth n on
+    coordinates up to `depth`, and each query reads one pass.  The
+    references, `content_at_depth` and the witness's final check, take
+    the membership route instead: `t in cyl` on each prefix.
   * cond_exp / check_cond_exp / check_traj_split: conditional
     expectation given the first b coordinates as an explicit table (of a
-    cylinder's indicator at b >= markov_from, read off the same backward
-    pass), and exact checks of its defining identity and of the two-stage
-    decomposition of the trajectory law.  Each identity's two sides come
-    from one function (cond_exp_sides, traj_split_sides), which the
-    `verify` report renders too.
+    cylinder's indicator, read off the level at b of the same backward
+    pass when the pass starts at b), and exact checks of its defining
+    identity and of the two-stage decomposition of the trajectory law.
+    Each identity's two sides come from one function (cond_exp_sides,
+    traj_split_sides), which the `verify` report renders too.
 
 Prefixes are tuples (or lists) of state labels; a prefix of depth n has
 n + 1 entries, and every prefix argument is looked up by _prefix_index.
@@ -466,8 +469,9 @@ def _check_cylinder(model: ChainModel, cyl: Cylinder) -> None:
 
 def _box_mass(model: ChainModel, boxes: Sequence, n: int, index: int, tails, lo: int) -> Rat:
     """The box route: weight that the chain from the depth-n prefix numbered
-    `index` puts inside the (disjoint) boxes, given `tails = _tails(model,
-    boxes, lo, hi)` for some hi >= lo.
+    `index` puts inside the (disjoint) boxes, given the pass `lo, tails =
+    _tails(model, boxes, n0, depth)` of some n0 <= n whose levels reach
+    depth max(n, lo).
 
     It reads at m = max(n, lo): off `partial_row(n, m, index)`, or at
     m == n off the prefix itself, one entry (index, 1) over 1, no row.
@@ -502,21 +506,27 @@ def _box_mass(model: ChainModel, boxes: Sequence, n: int, index: int, tails, lo:
     return Rat(total, denom * q)
 
 
-def _tails(model: ChainModel, boxes: Sequence, lo: int, hi: int) -> list:
-    """One backward pass over the law of the last state, per box.
+def _tails(model: ChainModel, boxes: Sequence, n: int, depth: int) -> tuple:
+    """The one backward pass of the box route, per box, for the chain from
+    depth-n prefixes through boxes on coordinates 0..depth.
 
-    Entry k - lo, for k in lo..hi, is (h, q): h[box][s] / q is the
-    probability that coordinates k+1..hi meet the box's constraints, from
-    any depth-k prefix ending in state s.  That is 1 at k = hi, and h_k(s)
-    is the sum over u of step_k(s, u) * [u allowed at k+1] * h_{k+1}(u),
-    which reads the step through its last state alone, so it needs
-    lo >= markov_from.  The numerators are integers over one q per depth,
+    Returns (lo, levels).  The pass starts at the one start rule of the
+    lumped route, lo = max(n, min(depth, markov_from)), and runs from
+    hi = max(lo, depth) down to lo.  Entry k - lo of levels, for k in
+    lo..hi, is (h, q): h[box][s] / q is the probability that coordinates
+    k+1..hi meet the box's constraints, from any depth-k prefix ending in
+    state s.  That is 1 at k = hi, and h_k(s) is the sum over u of
+    step_k(s, u) * [u allowed at k+1] * h_{k+1}(u), which reads the step
+    through its last state alone; that holds because lo >= markov_from
+    whenever lo < hi.  The numerators are integers over one q per depth,
     the product of the step lcms past it, shared by every box.
     """
+    lo = max(n, min(depth, model.markov_from))
+    hi = max(lo, depth)
     constraints = [dict(box) for box in boxes]
     h = [[1] * model.spaces[hi].size for _ in boxes]
     q = 1
-    out = [(h, q)]
+    levels = [(h, q)]
     for k in range(hi - 1, lo - 1, -1):
         rows, lcm = model._lumped_step(k)
         q *= lcm
@@ -527,9 +537,9 @@ def _tails(model: ChainModel, boxes: Sequence, lo: int, hi: int) -> list:
                 after = [v if u in allowed else 0 for u, v in enumerate(after)]
             passed.append([sum(m * after[u] for u, m in row) for row in rows])
         h = passed
-        out.append((h, q))
-    out.reverse()
-    return out
+        levels.append((h, q))
+    levels.reverse()
+    return lo, levels
 
 
 def cylinder(model: ChainModel, depth: int, prefixes: Iterable) -> Cylinder:
@@ -631,23 +641,17 @@ def content_at_depth(model: ChainModel, a: int, prefix, cyl: Cylinder, depth: in
 
 def cylinder_content(model: ChainModel, a: int, prefix, cyl: Cylinder) -> Rat:
     """Probability that the chain started from `prefix` lands in the
-    cylinder, read by the one content rule (see _content)."""
-    _check_cylinder(model, cyl)
-    return _content(model, cyl, a, _prefix_index(model, prefix, a))
+    cylinder, by the box route (see _box_mass) on one backward pass.
 
-
-def _content(model: ChainModel, cyl: Cylinder, a: int, index: int) -> Rat:
-    """Content of the cylinder from the depth-a prefix numbered `index`.
-
-    The box route (see _box_mass) at lo = max(a, min(cyl.depth,
-    markov_from)): the cylinder is weighed on the memoized row at lo, each
-    entry inside the boxes up to lo counting with the probability of the
-    rest past lo (see _tails), which is 1 when the cylinder is no deeper
-    than lo.  Past markov_from the steps read the last state alone, so the
-    rest costs O(|X|^2) per depth, not one row entry per trajectory.
+    The cylinder is weighed on the memoized row at the pass's start lo
+    (see _tails), each entry inside the boxes up to lo counting with the
+    probability of the rest past lo, which is 1 when the cylinder is no
+    deeper than lo.  Past markov_from the steps read the last state alone,
+    so the rest costs O(|X|^2) per depth, not one row entry per trajectory.
     """
-    lo = max(a, min(cyl.depth, model.markov_from))
-    tails = _tails(model, cyl.boxes, lo, max(lo, cyl.depth))
+    _check_cylinder(model, cyl)
+    index = _prefix_index(model, prefix, a)
+    lo, tails = _tails(model, cyl.boxes, a, cyl.depth)
     return _box_mass(model, cyl.boxes, a, index, tails, lo)
 
 
@@ -668,15 +672,14 @@ def extract_witness(
     order on ties.  The maximum over successor states is at least the
     step-weighted average, which is the current content, so the content
     stays >= eps until the cylinder depth is reached, where it becomes a
-    membership indicator.  Each successor, a prefix at depth n, scores its
-    content by the box route of `cylinder_content` (see _box_mass) with the
-    target depth in place of the innermost cylinder's: it is weighed on its
-    row at m = max(n, lo), which is the successor itself from markov_from
-    on, each entry counting with the probability of the rest past m.  One
-    backward pass from lo = min(max(a + 1, markov_from), target depth)
-    gives that rest at every depth (see _tails).  The constructed point is
-    then checked by membership, `point in c` for every cylinder, which
-    reads none of the scores.
+    membership indicator.  Nesting is tested on the boxes, and it makes
+    the innermost content the least, so that is the one content read.  It
+    and every successor's score come from one backward pass for the
+    innermost cylinder down to the target depth (see _tails): each is the
+    box route of `cylinder_content` (see _box_mass), weighed on its row at
+    the pass's start or at its own depth, whichever is deeper.  The
+    constructed point is then checked by membership, `point in c` for
+    every cylinder, which reads none of the scores.
     """
     eps = Rat(*ratio_of(eps))
     if eps <= 0:
@@ -684,20 +687,21 @@ def extract_witness(
     if not cylinders:
         raise DomainError("need at least one cylinder")
     index = _prefix_index(model, prefix, a)
-    target_depth = max(a, max(c.depth for c in cylinders))
-    for inner, outer in zip(cylinders[1:], cylinders):
-        # inner is inside outer iff their intersection is as large as inner.
-        met = intersect_cylinders(model, inner, outer)
-        if _box_count(met.space, met.boxes) != _box_count(met.space, inner.boxes):
-            raise PreconditionError("cylinders are not nested")
     for c in cylinders:
         _check_cylinder(model, c)
-        if _content(model, c, a, index) < eps:
-            raise PreconditionError(f"a cylinder has content below {eps}")
+    target_depth = max(a, max(c.depth for c in cylinders))
+    space = model.prefix_space(target_depth)
+    for inner, outer in zip(cylinders[1:], cylinders):
+        # inner is inside outer iff their intersection is as large as inner.
+        met = _box_meets(inner.boxes, outer.boxes)
+        if _box_count(space, met) != _box_count(space, inner.boxes):
+            raise PreconditionError("cylinders are not nested")
 
     boxes = cylinders[-1].boxes
-    lo = min(max(a + 1, model.markov_from), target_depth)
-    tails = _tails(model, boxes, lo, target_depth)
+    lo, tails = _tails(model, boxes, a, target_depth)
+    if _box_mass(model, boxes, a, index, tails, lo) < eps:
+        raise PreconditionError(f"a cylinder has content below {eps}")
+
     point = list(prefix)
     for depth in range(a + 1, target_depth + 1):
         # Appending state s to prefix `index` gives prefix index * width + s;
@@ -722,26 +726,28 @@ def cond_exp(model: ChainModel, b: int, f) -> dict:
     f assigns a rational of either sign to every full trajectory, or is a
     Cylinder, which stands for its indicator; the returned table maps each
     depth-b prefix to the mean of f under the chain continued from it,
-    which is `expectation_table(model, b, D, f)`.  For a cylinder and
-    b >= markov_from the steps past b read the last state alone, so the
-    value at p is the sum over the boxes p meets of the probability of the
-    rest of the box from p's last state (see _tails), and no row is built.
+    which is `expectation_table(model, b, D, f)`.  For a cylinder whose
+    backward pass (see _tails) starts at b, that is b >= min(cyl.depth,
+    markov_from), the value at p is the sum over the boxes p meets of the
+    probability of the rest of the box from p's last state, read off the
+    pass's level at b, and no row is built (see _cylinder_table).
     """
     model.prefix_space(b)  # a depth outside 0..D is a DomainError naming it
     if isinstance(f, Cylinder):
         _check_cylinder(model, f)
-        if model.markov_from <= b:
-            return _cylinder_table(model, b, f)
+        lo, tails = _tails(model, f.boxes, b, f.depth)
+        if lo == b:
+            return _cylinder_table(model, b, f.boxes, *tails[0])
     return expectation_table(model, b, model.max_depth, f)
 
 
-def _cylinder_table(model: ChainModel, b: int, cyl: Cylinder) -> dict:
-    """cond_exp of the cylinder's indicator at b >= markov_from."""
+def _cylinder_table(model: ChainModel, b: int, boxes: Sequence, hs: list, q: int) -> dict:
+    """cond_exp of the indicator of the boxes at b, given (hs, q), the level
+    at b of their backward pass (see _tails) when it starts at b."""
     space = model.prefix_space(b)
     width = model.spaces[b].size
-    tails, q = _tails(model, cyl.boxes, b, max(b, cyl.depth))[0]
     numerators = [0] * space.size
-    for box, h in zip(cyl.boxes, tails):
+    for box, h in zip(boxes, hs):
         # A depth-b prefix j inside the box's constraints up to b meets the
         # rest of it with weight h at its last state, j % |X_b|.
         for j in _box_indices(space, box):

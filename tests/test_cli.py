@@ -110,6 +110,12 @@ def test_condexp(capsys):
     )
     assert code == 0
     assert out == "S|S 3/4\nS|R 1/2\nR|S 3/4\nR|R 1/2\n"
+    # a cylinder no deeper than --at, on a chain that still reads history
+    code, out, _ = run(
+        capsys, "condexp", "--model", DRIFT, "--at", "1", "--cylinder", "1=L"
+    )
+    assert code == 0
+    assert out == "L|L 1\nL|M 0\nL|R 0\nR|L 1\nR|M 0\nR|R 0\n"
 
 
 def test_sample_is_seed_deterministic(capsys):

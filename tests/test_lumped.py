@@ -42,6 +42,7 @@ from conftest import (
     brute_force_prefix_law,
     doc_chain,
     forward_content,
+    random_chain,
     random_model_doc,
     random_nested_family,
     random_prefix,
@@ -204,6 +205,38 @@ def test_deep_queries_build_no_rows():
     # The row route reaches the same table through thousands of rows.
     assert table == cond_exp(chain, 8, lambda t: 1 if t in cyl else 0)
     assert len(chain._rows) > 1000
+    # drift reads history up to depth 2 (markov_from = 2); from a depth-2
+    # prefix the witness's pass starts at the prefix itself, so neither its
+    # content nor its successors read a row.
+    drift = load_model(MODELS / "drift.json").chain
+    start = ("L", "M", "L")
+    outer = cylinder_from_constraints(drift, {2: ["L"]})
+    inner = cylinder_from_constraints(drift, {2: ["L"], 3: ["R"]})
+    eps = cylinder_content(drift, 2, start, inner)
+    drift._rows.clear()
+    assert extract_witness(drift, 2, start, [outer, inner], eps) == start + ("R",)
+    assert not drift._rows
+
+
+def test_shallow_cylinder_cond_exp_builds_no_rows():
+    # A cylinder no deeper than b is decided by the first b coordinates, so
+    # its backward pass starts at b on any chain: cond_exp reads no row even
+    # where the steps still read history (b < markov_from).
+    drift = load_model(MODELS / "drift.json").chain
+    table = random_chain(random.Random(2809), 4)
+    cases = [
+        (drift, 1, {1: ["L"]}),
+        (table, 2, {0: ["s0"], 2: ["s1"]}),
+        (table, 3, {1: ["s0", "s1"], 3: ["s1"]}),
+        (table, 3, {2: ["s0"]}),
+    ]
+    for chain, b, constraints in cases:
+        assert b < chain.markov_from
+        cyl = cylinder_from_constraints(chain, constraints)
+        chain._rows.clear()
+        values = cond_exp(chain, b, cyl)
+        assert not chain._rows
+        assert values == cond_exp(chain, b, lambda t, c=cyl: 1 if t in c else 0)
 
 
 # ---- past path enumeration: the forward pass over the document ----

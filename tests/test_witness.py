@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import markovtraj.trajectory
 from markovtraj import (
     DomainError,
     InvariantError,
@@ -14,9 +15,16 @@ from markovtraj import (
     extract_witness,
     intersect_cylinders,
     load_model,
+    model_from_dict,
 )
 
-from conftest import random_chain, random_nested_family, random_prefix
+from conftest import (
+    positive_extension,
+    random_chain,
+    random_model_doc,
+    random_nested_family,
+    random_prefix,
+)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -57,6 +65,67 @@ def test_witness_requires_contents_above_bound(weather):
     # content from (S) is 3/4
     with pytest.raises(PreconditionError):
         extract_witness(weather, 0, ("S",), [outer], Rat(13, 16))
+
+
+def test_witness_precondition_is_the_innermost_content():
+    # Nesting makes the innermost content the least, so it alone decides
+    # the precondition: eps equal to it passes and eps just above it fails,
+    # also when the outer contents are strictly larger.
+    rng = random.Random(2808)
+    larger = 0
+    for _ in range(60):
+        chain = model_from_dict(random_model_doc(rng)).chain
+        a = rng.randint(0, chain.max_depth)
+        start = random_prefix(rng, chain, a)
+        family = random_nested_family(rng, chain, start)
+        contents = [cylinder_content(chain, a, start, c) for c in family]
+        least = contents[-1]
+        assert least == min(contents) > 0
+        larger += least < contents[0]
+        point = extract_witness(chain, a, start, family, least)
+        assert all(point in c for c in family)
+        with pytest.raises(PreconditionError):
+            extract_witness(chain, a, start, family, least + Rat(1, 10 ** 12))
+    assert larger >= 10, larger
+
+
+def tables_chain():
+    """A chain whose every step is a table (markov_from = max_depth)."""
+    chain = random_chain(random.Random(2810), 3)
+    assert chain.markov_from == chain.max_depth
+    return chain
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("make_chain", [
+    # markov_from 0, 2 and 3 = max_depth
+    lambda: load_model(MODELS / "weather.json").chain,
+    lambda: load_model(MODELS / "drift.json").chain,
+    tables_chain,
+], ids=["weather", "drift", "table"])
+def test_witness_reads_one_backward_pass(monkeypatch, make_chain, count):
+    # The preconditions and every successor's score come from one pass of
+    # `_tails`, however many cylinders the family holds.
+    chain = make_chain()
+    start = (chain.spaces[0].labels[0],)
+    traj = positive_extension(random.Random(count), chain, start)
+    coords = (1, 2, chain.max_depth)[:count]
+    family = [
+        cylinder_from_constraints(chain, {k: [traj[k]] for k in coords[: i + 1]})
+        for i in range(count)
+    ]
+    eps = cylinder_content(chain, 0, start, family[-1])
+    passes = []
+    tails = markovtraj.trajectory._tails
+
+    def counted(*args):
+        passes.append(args)
+        return tails(*args)
+
+    monkeypatch.setattr(markovtraj.trajectory, "_tails", counted)
+    point = extract_witness(chain, 0, start, family, eps)
+    assert all(point in c for c in family)
+    assert len(passes) == 1
 
 
 def test_witness_requires_nesting(weather):

@@ -19,7 +19,9 @@ malformed model file (or one too large to load in the memory available,
 or holding a number past the interpreter's int/str digit limit), 3 bad
 request (usage error, unknown state, depth out of range, violated
 precondition, or a query that needs more memory than is available), 4
-internal invariant violation, 141 stdout closed by its reader (128 + SIGPIPE).
+internal error (a violated internal invariant, or any other unexpected
+exception, printed with its traceback), 141 stdout closed by its reader
+(128 + SIGPIPE).
 """
 from __future__ import annotations
 
@@ -251,6 +253,15 @@ def main(argv=None) -> int:
         return 4
     except MemoryError:
         pass  # reported below, once the partial answer is freed
+    except Exception as exc:
+        # A fault in the library: exit 4, not the interpreter's 1, which
+        # means a failed verify check.  traceback is imported here, so that
+        # a run without a fault does not load it.
+        import traceback
+
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

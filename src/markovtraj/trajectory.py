@@ -139,6 +139,11 @@ class ChainModel:
                 self.markov_from = n + 1
             rules.append(rows)
         self.steps = tuple(rules)
+        # What sample_trajectory reads per step n: its rows, and the size
+        # and label -> index map of X_{n+1}.
+        self._walk = tuple(
+            (rows, space.size, space._index) for rows, space in zip(self.steps, self.spaces[1:])
+        )
         self._rows: dict = {}
         self._partial: dict = {}
         self._lumped: dict = {}
@@ -317,15 +322,13 @@ def sample_trajectory(model: ChainModel, prefix, rng) -> tuple:
     `prefix` is a tuple or list of labels, of any depth 0..D.
     """
     index = _prefix_index(model, prefix)
-    steps, spaces = model.steps, model.spaces
     states = list(prefix)
-    for n in range(len(prefix) - 1, model.max_depth):
+    for rows, size, index_of in model._walk[len(prefix) - 1:]:
         # Appending state s to prefix `index` gives index * |X_{n+1}| + s;
         # the drawn label's index is read from X_{n+1}'s own mapping.
-        state = steps[n][index % len(steps[n])].sample(rng)
+        state = rows[index % len(rows)].sample(rng)
         states.append(state)
-        space = spaces[n + 1]
-        index = index * len(space.labels) + space._index[state]
+        index = index * size + index_of[state]
     return tuple(states)
 
 

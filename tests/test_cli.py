@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from markovtraj import Dist
 from markovtraj.cli import build_parser, main
+from markovtraj.report import Report
 
 from conftest import SRC, run_capped, weather_doc
 
@@ -450,6 +451,29 @@ def test_a_point_off_the_cylinder_exits_4(capsys, greedy_takes_the_lowest):
         "--cylinder", "1=S", "--eps", "3/4",
     )
     assert (code, out, err) == (4, "", "error: constructed point escaped a cylinder\n")
+
+
+def test_an_unexpected_exception_exits_4(capsys, monkeypatch):
+    # Exit 1 means a failed verify check; any fault of the library exits 4
+    # with its traceback and one error line.
+    def broken(loaded):
+        raise IndexError("tuple index out of range")
+
+    monkeypatch.setattr("markovtraj.cli.run_verify", broken)
+    code, out, err = run(capsys, "verify", "--model", COIN)
+    assert (code, out) == (4, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("\nerror: internal error: IndexError: tuple index out of range\n")
+
+    def failing(loaded):
+        report = Report("model=coin")
+        report.add("content-depth", False, "1/2", "1/3")
+        return report
+
+    monkeypatch.setattr("markovtraj.cli.run_verify", failing)
+    code, out, err = run(capsys, "verify", "--model", COIN)
+    assert (code, err) == (1, "")
+    assert "FAIL" in out
 
 
 def test_domain_errors_exit_3(capsys):

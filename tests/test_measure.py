@@ -20,7 +20,7 @@ from markovtraj import (
     uniform,
 )
 
-from markovtraj.measure import _restrict
+from markovtraj.measure import _TABLE_BITS, _restrict
 
 from conftest import random_chain, run_capped
 
@@ -314,6 +314,32 @@ def test_from_support_stores_only_the_support():
     assert int(child.stdout) < 1 << 20, child.stdout
 
 
+DEEP_DRAW = """
+import random
+from markovtraj import ChainModel, Dist, FiniteSpace, Rat, traj_marginal
+w = FiniteSpace("W", ["S", "R"])
+rows = [Dist(w, [Rat(3, 4), Rat(1, 4)]), Dist(w, [Rat(1, 2), Rat(1, 2)])]
+chain = ChainModel([w] * 201, [rows] * 200)
+rng = random.Random(1)
+for a in (199, 197):
+    row = traj_marginal(chain, a, ("S",) * (a + 1), 200)
+    point = row.sample(rng)
+    assert len(point) == 201 and point[: a + 1] == ("S",) * (a + 1), point
+    print(row._denom.bit_length(), row.weight_at(point) > 0)
+"""
+
+
+def test_a_draw_from_a_deep_row_lists_nothing():
+    # The depth-200 weather chain has 2^201 trajectories; a draw from the
+    # row of a depth-199 prefix (denominator 4, read from the table) and
+    # of a depth-197 prefix (denominator 64, by bisection) reads its
+    # support points from their digits.  Listing the heads and tails of
+    # the prefix space ended in MemoryError; the child is capped at 512 MiB.
+    child = run_capped(["-c", DEEP_DRAW], timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["3", "True", "7", "True"]
+
+
 def test_integrate_frozen_value():
     space = FiniteSpace("X", ["a", "b", "c", "d"])
     d = uniform(space)
@@ -504,14 +530,26 @@ def test_sample_frequencies_near_weights():
     assert abs(Rat(hits, n) - Rat(1, 3)) < Rat(1, 50)
 
 
-@pytest.mark.parametrize("denom", [1, 2, 3, 4, 12, 2**20, 2**20 + 1, 3**40])
+TABLE = 1 << _TABLE_BITS  # the first denominator whose draws bisect
+
+
+@pytest.mark.parametrize("denom", [1, 2, 3, 4, 12, TABLE - 1, TABLE, TABLE + 1,
+                                   2**20, 2**20 + 1, 3**40, "gaps"])
 def test_sample_draws_as_randrange_does(denom):
     # Dist.sample draws from getrandbits itself; with a random.Random it
     # must give the points of a randrange draw below the denominator,
-    # looked up among the cumulative weights, and leave the same state.
-    space = FiniteSpace("X", ["a", "b", "c"])
-    middle = (denom - 1) // 2
-    d = Dist(space, [Rat(1, denom), Rat(middle, denom), Rat(denom - 1 - middle, denom)])
+    # looked up among the cumulative weights, and leave the same state,
+    # whether it reads its table (up to TABLE - 1) or bisects (from TABLE).
+    if denom == "gaps":
+        # support at indices 1, 3 and 4 of five points, so table entries
+        # must map to support points, not to positions in the space
+        space, denom = FiniteSpace("Y", ["v", "w", "x", "y", "z"]), TABLE - 1
+        d = Dist.from_support(space, [(1, Rat(1, denom)), (3, Rat(2, denom)),
+                                      (4, Rat(denom - 3, denom))])
+    else:
+        space = FiniteSpace("X", ["a", "b", "c"])
+        middle = (denom - 1) // 2
+        d = Dist(space, [Rat(1, denom), Rat(middle, denom), Rat(denom - 1 - middle, denom)])
     support = d.support()
     assert math.lcm(*(w.denominator for _, w in support)) == denom
     cumulative = list(itertools.accumulate(w * denom for _, w in support))
@@ -520,3 +558,6 @@ def test_sample_draws_as_randrange_does(denom):
         k = bisect.bisect_right(cumulative, slow.randrange(denom))
         assert d.sample(fast) == space.point_at(support[k][0])
     assert fast.getstate() == slow.getstate()
+    _, _, points, bisected = d._draws
+    assert (bisected is None) == (denom < TABLE)  # the table, or bisection
+    assert len(points) == (denom if denom < TABLE else len(support))

@@ -19,14 +19,15 @@ X0); otherwise exactly maxDepth+1 entries are required.
 Step kinds:
 
   * "table": "rows" maps every depth-n prefix, written as labels joined by
-    "|", to a distribution over next states.  Each distinct row literal is
-    parsed once per step: prefixes whose rows are written identically share
-    one Dist.
+    "|", to a distribution over next states.
   * "last-state": "rows" maps each possible last state to a distribution;
     prefixes sharing a last state share the row.
   * "const": a single "row" distribution used for every prefix.
 
 The chain keeps each step's rows as the file gives them, not one per prefix.
+Each distinct row literal of a file is parsed once per label list of its
+target (see _RowMemo): rows written identically share one Dist wherever
+they are read on the same space, in one step or across steps.
 
 Distributions are objects {state label: rational string}; omitted states
 get weight 0 and the weights must sum to exactly 1.  A file may instead be
@@ -182,8 +183,11 @@ def _load_chain(data: Mapping) -> LoadedModel:
     spaces *= (max_depth + 1) // len(spaces)
 
     _check_size(spaces)
-    labels = _prefix_labels(spaces)
-    steps = [_step_rows(by_depth[n], spaces[n], spaces[n + 1], n, labels) for n in range(max_depth)]
+    labels, memo = _prefix_labels(spaces), _RowMemo()
+    steps = [
+        _step_rows(by_depth[n], spaces[n], spaces[n + 1], n, labels, memo)
+        for n in range(max_depth)
+    ]
     try:
         chain = ChainModel(spaces, steps)
     except DomainError as exc:
@@ -195,6 +199,8 @@ def _space_from_entry(entry, position: int) -> FiniteSpace:
     if not isinstance(entry, Mapping):
         raise ModelFormatError(f"space {position} must be an object")
     space_id = entry.get("id", f"X{position}")
+    if not isinstance(space_id, str):
+        raise ModelFormatError(f'space {position}: "id" must be a string')
     states = entry.get("states")
     if not isinstance(states, list) or not states:
         raise ModelFormatError(f'space {position} needs a nonempty "states" list')
@@ -208,7 +214,7 @@ def _make_space(space_id, states, where: str) -> FiniteSpace:
         if "|" in s:
             raise ModelFormatError(f'{where}: state labels may not contain "|"')
     try:
-        return FiniteSpace(str(space_id), states)
+        return FiniteSpace(space_id, states)
     except DomainError as exc:
         raise ModelFormatError(f"{where}: {exc}") from exc
 
@@ -254,7 +260,51 @@ def _prefix_labels(spaces: tuple):
     return at
 
 
-def _step_rows(entry: Mapping, last: FiniteSpace, target: FiniteSpace, n: int, labels) -> tuple:
+class _RowMemo:
+    """The rows of one chain file: each distinct literal parsed once per
+    label list of its target.
+
+    A literal is a row's (label, weight) pairs in file order.  Once a parse
+    accepts it, its (denominator, numerators) are kept under (target
+    labels, literal), and its Dist under the literal once per target space
+    object: steps on one space share one Dist, and another space with the
+    same labels gets its own wrap of the same numbers.  A literal is never
+    reused across label lists, and a rejected one is never kept, so a bad
+    row is reported at the first key that holds it.
+    """
+
+    __slots__ = ("_accepted", "_dists")
+
+    def __init__(self):
+        self._accepted: dict = {}
+        self._dists: dict = {}
+
+    def on(self, target: FiniteSpace) -> dict:
+        """literal -> its Dist on `target`, for this space object."""
+        return self._dists.setdefault(id(target), {})
+
+    def dist(self, target: FiniteSpace, row: Mapping, where: str) -> Dist:
+        """`row` read as a Dist on `target`."""
+        literal = tuple(row.items())
+        known = self.on(target)
+        try:
+            dist = known.get(literal)
+        except TypeError:  # an unhashable weight, which the parse rejects
+            return _dist_from_mapping(target, row, where)
+        if dist is None:
+            key = (target.labels, literal)
+            accepted = self._accepted.get(key)
+            if accepted is None:
+                dist = _dist_from_mapping(target, row, where)
+                self._accepted[key] = (dist._denom, dist._numerators)
+            else:
+                dist = Dist._from_numerators(target, *accepted)
+            known[literal] = dist
+        return dist
+
+
+def _step_rows(entry: Mapping, last: FiniteSpace, target: FiniteSpace, n: int, labels,
+               memo: _RowMemo) -> tuple:
     """Step n's rows on `target` by period, as ChainModel reads them: one
     for "const", one per state of `last`, X_n, for "last-state" (prefix i
     ends in state i % |X_n|), one per depth-n prefix in order for "table"."""
@@ -264,36 +314,35 @@ def _step_rows(entry: Mapping, last: FiniteSpace, target: FiniteSpace, n: int, l
         row = entry.get("row")
         if not isinstance(row, Mapping):
             raise ModelFormatError(f'{where}: "const" needs a "row" object')
-        return (_dist_from_mapping(target, row, where),)
+        return (memo.dist(target, row, where),)
     if kind == "last-state":
-        return _keyed_rows(entry, kind, last.labels, target, where)
+        return _keyed_rows(entry, kind, last.labels, target, where, memo)
     if kind == "table":
-        return _keyed_rows(entry, kind, labels(n), target, where)
+        return _keyed_rows(entry, kind, labels(n), target, where, memo)
     raise ModelFormatError(f'{where}: unknown kind {kind!r}')
 
 
-def _keyed_rows(entry: Mapping, kind: str, keys, target: FiniteSpace, where: str) -> tuple:
+def _keyed_rows(entry: Mapping, kind: str, keys, target: FiniteSpace, where: str,
+                memo: _RowMemo) -> tuple:
     """One Dist per key, in key order, read from the step's "rows" object,
     which must hold a row object for every key and nothing else.  Rows
-    written identically share one Dist, parsed at the first of them."""
+    written identically share one Dist, here and in every other step of the
+    file on the same target (see _RowMemo), parsed at the first of them."""
     rows = entry.get("rows")
     if not isinstance(rows, Mapping):
         raise ModelFormatError(f'{where}: "{kind}" needs a "rows" object')
     dists = []
-    parsed: dict = {}  # a row's (label, text) pairs -> its accepted Dist
+    known = memo.on(target)
     for key in keys:
         row = rows.get(key)
-        if not isinstance(row, Mapping):
+        if type(row) is not dict and not isinstance(row, Mapping):
             raise ModelFormatError(f"{where}: row {key!r} is missing or not an object")
-        literal = tuple(row.items())
         try:
-            dist = parsed.get(literal)
+            dist = known.get(tuple(row.items()))
         except TypeError:  # an unhashable weight, which the parse rejects
-            literal = dist = None
+            dist = None
         if dist is None:
-            dist = _dist_from_mapping(target, row, f"{where}, row {key!r}")
-            if literal is not None:
-                parsed[literal] = dist
+            dist = memo.dist(target, row, f"{where}, row {key!r}")
         dists.append(dist)
     if len(rows) > len(dists):
         raise ModelFormatError(f"{where}: {len(rows)} rows for {len(dists)} keys")

@@ -243,6 +243,12 @@ def _row_sum_11_12() -> bytes:
     return json.dumps(doc).encode()
 
 
+def _space_id_not_a_string() -> bytes:
+    doc = json.loads(Path(WEATHER).read_text())
+    doc["spaces"][0]["id"] = None  # str() would load it as 'None'
+    return json.dumps(doc).encode()
+
+
 def _row_sum_past_the_digit_limit() -> bytes:
     # 1/Q + 1/(Q+1) with Q = 10^4000: each literal reads, but the sum that
     # the row-sum error names has more than 4,300 digits.
@@ -259,8 +265,9 @@ def _row_sum_past_the_digit_limit() -> bytes:
     (b'{"a":' * 50_000, "nested too deeply"),
     (b'{"maxDepth": ' + b"1" * 5000 + b"}", "number too long"),
     (_row_sum_past_the_digit_limit(), "number too long"),
+    (_space_id_not_a_string(), 'space 0: "id" must be a string'),
 ], ids=["bad row sum", "not UTF-8", "100000 nested lists", "50000 nested objects",
-        "5000-digit integer", "8001-digit row sum"])
+        "5000-digit integer", "8001-digit row sum", "space id not a string"])
 def test_malformed_model_exits_2(capsys, tmp_path, content, message):
     broken = tmp_path / "broken.json"
     broken.write_bytes(content)

@@ -4,6 +4,7 @@ import operator
 import random
 import re
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from markovtraj import (
     model_from_dict,
 )
 
-from conftest import random_model_doc, weather_doc
+from conftest import doc_chain, random_model_doc, weather_doc
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -179,26 +180,150 @@ def test_table_rows_share_one_dist_per_literal(monkeypatch):
     assert step == (x, y, y, x)
 
 
-def test_a_literal_is_parsed_once_per_step(monkeypatch):
-    # the same row text over two targets gives one Dist on each target
+def count_parses(monkeypatch) -> list:
+    """Patch model_io._dist_from_mapping, which parses one row object, to
+    log the labels of its target and the row's literal."""
+    parsed = []
+    original = markovtraj.model_io._dist_from_mapping
+
+    def counting(space, mapping, where):
+        parsed.append((space.labels, tuple(mapping.items())))
+        return original(space, mapping, where)
+
+    monkeypatch.setattr(markovtraj.model_io, "_dist_from_mapping", counting)
+    return parsed
+
+
+def test_a_literal_is_parsed_once_per_label_list(monkeypatch):
+    # X1, X2 and X3 are separate spaces with the labels [a, b]: the row text
+    # is parsed once for them and once for Z, and each target gets its own
+    # Dist, shared by every row of the step
     row = {"a": "1/2", "b": "1/2"}
     doc = {
-        "maxDepth": 2,
-        "spaces": [{"states": ["a", "b"]}, {"states": ["a", "b"]},
-                   {"id": "Z", "states": ["a", "b", "c"]}],
+        "maxDepth": 4,
+        "spaces": [{"states": ["a", "b"]}, {"states": ["a", "b"]}, {"states": ["a", "b"]},
+                   {"states": ["a", "b"]}, {"id": "Z", "states": ["a", "b", "c"]}],
         "steps": [
             {"n": 0, "kind": "table", "rows": {"a": row, "b": row}},
             {"n": 1, "kind": "table",
              "rows": {key: dict(row) for key in ("a|a", "a|b", "b|a", "b|b")}},
+            {"n": 2, "kind": "last-state", "rows": {"a": dict(row), "b": dict(row)}},
+            {"n": 3, "kind": "const", "row": dict(row)},
         ],
     }
-    built = count_dists(monkeypatch)
+    parsed, built = count_parses(monkeypatch), count_dists(monkeypatch)
     chain = model_from_dict(doc).chain
-    assert built == [chain.spaces[1], chain.spaces[2]]
-    for n in (0, 1):
+    literal = tuple(row.items())
+    assert parsed == [(("a", "b"), literal), (("a", "b", "c"), literal)]
+    assert built == list(chain.spaces[1:])
+    for n in range(4):
         rows = chain.steps[n]
         assert len({id(r) for r in rows}) == 1
         assert rows[0].space is chain.spaces[n + 1]
+    assert chain.steps[0][0] == chain.steps[2][0] and chain.steps[0][0] is not chain.steps[2][0]
+
+
+def test_steps_on_one_space_share_their_dists(monkeypatch):
+    # a homogeneous chain repeats one kernel: each of its two literals is
+    # parsed once, and every step holds the same two Dists
+    parsed = count_parses(monkeypatch)
+    chain = model_from_dict(json.loads(json.dumps(weather_doc(10)))).chain
+    assert len(parsed) == 2
+    W = chain.spaces[0]
+    assert chain.steps[0] == (Dist(W, [Rat(3, 4), Rat(1, 4)]), Dist(W, [Rat(1, 2), Rat(1, 2)]))
+    for n in range(10):
+        assert len(chain.steps[n]) == 2
+        for k in range(2):
+            assert chain.steps[n][k] is chain.steps[0][k]
+
+
+def _frozen(node):
+    """A document with every object read through a read-only Mapping."""
+    if isinstance(node, dict):
+        return MappingProxyType({key: _frozen(value) for key, value in node.items()})
+    if isinstance(node, list):
+        return [_frozen(value) for value in node]
+    return node
+
+
+def test_mapping_documents_load_as_dicts_do():
+    for doc in (weather_doc(4), keyed_doc("table"), keyed_doc("last-state"),
+                json.loads((MODELS / "drift.json").read_text())):
+        assert model_from_dict(_frozen(doc)).chain.steps == model_from_dict(doc).chain.steps
+
+
+def test_a_literal_is_read_on_each_label_order():
+    # one literal under targets labelled [S, R] and [R, S]: each target
+    # reads its own weights, equal to a Dist built by hand
+    row = {"S": "1/4", "R": "3/4"}
+    doc = {
+        "maxDepth": 2,
+        "spaces": [{"states": ["S", "R"]}, {"states": ["R", "S"]}, {"states": ["S", "R"]}],
+        "steps": [
+            {"n": 0, "kind": "const", "row": row},
+            {"n": 1, "kind": "last-state", "rows": {"R": dict(row), "S": dict(row)}},
+        ],
+    }
+    chain = model_from_dict(doc).chain
+    X1, X2 = chain.spaces[1], chain.spaces[2]
+    assert chain.steps[0] == (Dist(X1, [Rat(3, 4), Rat(1, 4)]),)
+    assert chain.steps[1] == (Dist(X2, [Rat(1, 4), Rat(3, 4)]),) * 2
+    assert chain.steps[0][0].weight_at("S") == chain.steps[1][0].weight_at("S") == Rat(1, 4)
+
+
+def test_a_literal_accepted_on_one_target_is_checked_on_the_next():
+    # the row names b, which X2 lacks: step 1 fails at its first key
+    row = {"a": "1/2", "b": "1/2"}
+    doc = {
+        "maxDepth": 2,
+        "spaces": [{"states": ["a", "b"]}, {"states": ["a", "b"]}, {"states": ["a", "c"]}],
+        "steps": [
+            {"n": 0, "kind": "table", "rows": {"a": row, "b": dict(row)}},
+            {"n": 1, "kind": "table",
+             "rows": {key: dict(row) for key in ("a|a", "a|b", "b|a", "b|b")}},
+        ],
+    }
+    with pytest.raises(ModelFormatError, match=re.escape("step 1, row 'a|a': unknown state 'b'")):
+        model_from_dict(doc)
+
+
+def _literal_copies(rng: random.Random, doc: dict) -> dict:
+    """`doc` with about half its rows replaced by a copy of a row from any
+    step on the same target labels, a quarter of them in reverse order."""
+    labels = [tuple(space["states"]) for space in doc["spaces"]]
+    holders = []  # (object holding a row, its key, the target's labels)
+    for step in doc["steps"]:
+        target = labels[step["n"] + 1]
+        if step["kind"] == "const":
+            holders.append((step, "row", target))
+        else:
+            holders += [(step["rows"], key, target) for key in step["rows"]]
+    pool: dict = {}
+    for holder, key, target in holders:
+        pool.setdefault(target, []).append(holder[key])
+    for holder, key, target in holders:
+        if rng.random() < 0.5:
+            items = list(rng.choice(pool[target]).items())
+            holder[key] = dict(items[::-1] if rng.random() < 0.25 else items)
+    return json.loads(json.dumps(doc))
+
+
+def test_shared_literals_load_as_rows_parsed_one_by_one(monkeypatch):
+    # 200 random documents whose steps share literals: the rows equal those
+    # of a chain that parses every key on its own, on the chain's spaces,
+    # and each distinct (labels, literal) pair is parsed once
+    rng = random.Random(30)
+    parsed = count_parses(monkeypatch)
+    for _ in range(200):
+        doc = _literal_copies(rng, random_model_doc(rng))
+        parsed.clear()
+        chain = model_from_dict(doc).chain
+        reference = doc_chain(doc)
+        assert chain.markov_from == reference.markov_from
+        for n, rows in enumerate(chain.steps):
+            assert rows == reference.steps[n]
+            assert all(row.space is chain.spaces[n + 1] for row in rows)
+        assert len(parsed) == len(set(parsed))
 
 
 SHARED_ROW_ERRORS = {
@@ -223,6 +348,12 @@ def test_a_repeated_bad_row_fails_at_its_first_key(row, error):
     doc = two_literal_doc()
     doc["steps"][1]["rows"]["b|b"] = row
     rejects_at(doc, "b|b")
+    # a bad literal repeated in steps 2 and 5 is named at step 2
+    doc = json.loads(json.dumps(weather_doc(6)).replace('"S"', '"a"').replace('"R"', '"b"'))
+    for n in (2, 5):
+        doc["steps"][n]["rows"]["b"] = json.loads(json.dumps(row))
+    with pytest.raises(ModelFormatError, match=re.escape(f"step 2, row 'b': {error}")):
+        model_from_dict(doc)
 
 
 MALFORMED_ROWS = {
@@ -298,6 +429,20 @@ def test_spaces_validation():
     doc = weather_doc(2)
     doc["spaces"] = [{"states": ["S", 3]}]
     rejects(doc)
+
+
+@pytest.mark.parametrize("space_id", [None, ["x"], True, 3, {"id": "W"}],
+                         ids=["null", "list", "true", "number", "object"])
+def test_a_space_id_must_be_a_string(space_id):
+    # str() would load these as 'None', "['x']", 'True', ...
+    doc = weather_doc(2)
+    doc["spaces"] = [{"id": space_id, "states": ["S", "R"]}]
+    with pytest.raises(ModelFormatError, match='^space 0: "id" must be a string$'):
+        model_from_dict(doc)
+    doc["spaces"] = [{"states": ["S", "R"]}, {"id": "", "states": ["S", "R"]},
+                     {"id": space_id, "states": ["S", "R"]}]
+    with pytest.raises(ModelFormatError, match='^space 2: "id" must be a string$'):
+        model_from_dict(doc)
 
 
 def test_a_single_spaces_entry_is_one_space_at_every_depth():
@@ -474,7 +619,8 @@ def test_model_from_dict_only_raises_its_own_errors(node, value):
 # It edits a decoded document, so a key repeated in the file text never
 # reaches load_model's duplicate-key hook; and it puts arbitrary values in
 # the shipped models, where these are one wrong value of the right shape.
-MUTATIONS = ("repeated key", "dropped key", "step n", "maxDepth", "non-ASCII digit", "| in label")
+MUTATIONS = ("repeated key", "dropped key", "step n", "maxDepth", "non-ASCII digit", "| in label",
+             "space id")
 MARK = "@mark@"  # a key, and a value, that no random document holds
 
 
@@ -516,6 +662,10 @@ def _mutated(rng: random.Random, doc: dict, kind: str) -> str:
         at = rng.choice([k for k, ch in enumerate(weight) if ch.isdigit()])
         digit = chr(rng.choice([0x0660, 0x06F0, 0x0966, 0xFF10]) + int(weight[at]))
         doc = _replaced(doc, path, weight[:at] + digit + weight[at + 1:])
+    elif kind == "space id":
+        i = rng.randrange(len(doc["spaces"]))
+        value = rng.choice([None, [doc["spaces"][i]["id"]], True, i])
+        doc = _replaced(doc, ("spaces", i, "id"), value)
     else:
         i = rng.randrange(len(doc["spaces"]))
         j = rng.randrange(len(doc["spaces"][i]["states"]))
@@ -527,12 +677,12 @@ def _mutated(rng: random.Random, doc: dict, kind: str) -> str:
 
 
 def test_load_model_rejects_one_mutation_of_a_random_document(tmp_path):
-    # 1,200 random documents, 200 per mutation: each loads as written and
+    # 1,400 random documents, 200 per mutation: each loads as written and
     # is a ModelFormatError after one mutation of its file text.  About
-    # 1.5 s on a 2-vCPU VM.
+    # 1.7 s on a 2-vCPU VM.
     rng = random.Random(4)
     path = tmp_path / "model.json"
-    for i in range(1200):
+    for i in range(1400):
         doc, kind = random_model_doc(rng), MUTATIONS[i % len(MUTATIONS)]
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert isinstance(load_model(path), LoadedModel)

@@ -23,9 +23,10 @@ Implements:
   * product_dist: a left fold over the factors, one pass over the entries
     of the product so far per factor.
   * _integrals: the one integrator, shared by `Dist.integrate`, the
-    expectation tables and the blocks of `cond_exp_sides`.  A row's int
-    values are summed as integers times its numerators, and each distinct
-    (numerator, denominator) pair of the results becomes one Fraction.
+    expectation tables and the condexp blocks, of f as a callable on points
+    or as int values by point number.  A row's int values are summed as
+    integers times its numerators, and each distinct (numerator,
+    denominator) pair of the results becomes one Fraction.
   * dist_lines: the text of a distribution's entries, each label read by
     index from its space (`label_at`).
 
@@ -500,25 +501,39 @@ def over_common_denominator(entries: Iterable) -> tuple:
     return denom, [(i, p * (denom // q)) for i, p, q in entries if p]
 
 
-def _integrals(space, rows: Iterable, f: Callable) -> list:
+def _integrals(space, rows: Iterable, f) -> list:
     """The integral of f against each of `rows`, (numerators, denominator)
     pairs on `space`: a Dist's own, or a block of its entries.
 
-    A row sums f's int values as plain integers times its numerators, over
-    its own denominator; any other value goes into one slot per
-    denominator of f's values (see ratio_of, which rejects floats, decimals
-    and None), and only such a row ends in `sum_of_ratios`.  Rows whose
-    integer sums are the same (numerator, denominator) share one Fraction.
-    A TupleSpace's points are joined from its head and tail listing, as
-    point_at joins them, so no call is made per entry and the space is
-    never listed in full.
+    f is a callable on the points of `space`, or a list of ints by point
+    number, f[j] the value at point j.  A list is read by index, so no
+    point is built and the space is not listed.  A callable's int
+    values are summed as plain integers times a row's numerators, over its
+    own denominator; any other value goes into one slot per denominator of
+    f's values (see ratio_of, which rejects floats, decimals and None), and
+    only such a row ends in `sum_of_ratios`.  Rows whose integer sums are
+    the same (numerator, denominator) share one Fraction.  A TupleSpace's
+    points are joined from its head and tail listing, as point_at joins
+    them, so no call is made per entry and the space is never listed in
+    full.
     """
+    shared: dict = {}
+    out = []
+    if isinstance(f, list):
+        for numerators, denom in rows:
+            total = 0
+            for j, n in numerators:
+                total += f[j] * n
+            key = (total, denom)
+            value = shared.get(key)
+            if value is None:
+                value = shared[key] = Rat(total, denom)
+            out.append(value)
+        return out
     if isinstance(space, TupleSpace):
         _, width, heads, tails = space._halves or space._listing()
     else:
         width, heads, tails = 1, space.points(), None
-    shared: dict = {}
-    out = []
     for numerators, denom in rows:
         total = 0
         by_denom = None

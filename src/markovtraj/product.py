@@ -7,7 +7,8 @@ Implements:
   * product_prefix_dist: truncated products on prefix spaces.
   * check_partial_traj_const: the partial-trajectory kernel of a constant
     chain is a point mass on the given prefix times the product of the
-    remaining marginals.
+    remaining marginals, built as one tail product whose entries each row
+    shifts by its prefix number.
   * check_product_split: a product over 0..b re-associates as the product
     over 0..a coupled with the product over a+1..b, by index on the depth-b
     prefix space (kernel._couple).
@@ -27,7 +28,7 @@ from typing import Sequence
 
 from .errors import DomainError
 from .kernel import Kernel, _couple, comp_measure
-from .measure import Dist, _restrict, dirac, product_dist
+from .measure import Dist, _restrict, product_dist
 from .trajectory import ChainModel, _check_depth_pair, _check_int
 
 
@@ -55,16 +56,26 @@ def partial_traj_const_sides(
 
     The left side is the (a, b) kernel of `chain`; the right side maps each
     depth-a prefix to the point mass on it times the product of marginals
-    a+1 .. b.  Marginals on other spaces than the chain's raise DomainError.
+    a+1 .. b.  That tail product is built once: with T its space, the
+    depth-a prefix i followed by tail point t is the depth-b prefix
+    i * |T| + t, so row i is the tail's entries shifted by i * |T|, over the
+    tail's denominator.  Marginals on other spaces than the chain's raise
+    DomainError.
     """
     _check_depth_pair(a, b, chain.max_depth)
-    rows = []
-    for prefix in chain.prefix_space(a).points():
-        factors = [dirac(space, s) for space, s in zip(chain.spaces, prefix)]
-        factors.extend(marginals[a + 1 : b + 1])
-        rows.append(product_dist(factors))
-    literal = Kernel(chain.prefix_space(a), chain.prefix_space(b), rows)
-    return chain.partial_traj(a, b), literal
+    source, target = chain.prefix_space(a), chain.prefix_space(b)
+    if a == b:
+        width, denom, entries = 1, 1, ((0, 1),)  # the empty product
+    else:
+        tail = product_dist(list(marginals[a + 1 : b + 1]))
+        if tail.space.components != target.factors[a + 1 : b + 1]:
+            raise DomainError("the marginals a+1 .. b live on other spaces than the chain's")
+        width, denom, entries = tail.space.size, tail._denom, tail._numerators
+    rows = [
+        Dist._from_numerators(target, denom, [(i * width + t, n) for t, n in entries])
+        for i in range(source.size)
+    ]
+    return chain.partial_traj(a, b), Kernel(source, target, rows)
 
 
 def check_partial_traj_const(

@@ -50,9 +50,14 @@ def canonical_kernel(k) -> str:
     return "; ".join(rows)
 
 
-def canonical_table(space, table: Mapping) -> str:
-    """Canonical form of a {point: rational} table, in enumeration order."""
-    return " ".join(table_lines(space, table, "="))
+def canonical_table(space, table) -> str:
+    """Canonical form of a table by point number: a list with one rational
+    per point of `space`, or a {point number: rational} dict in increasing
+    order of its keys.  Labels are read by index (`label_at`), so the
+    text is that of the table keyed by point, in enumeration order."""
+    label_at = space.label_at
+    entries = table.items() if isinstance(table, dict) else enumerate(table)
+    return " ".join([f"{label_at(i)}={value}" for i, value in entries])
 
 
 class Report:

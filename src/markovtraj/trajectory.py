@@ -13,8 +13,9 @@ Implements:
     support it reaches.
   * expectation_table / traj_marginal / sample_trajectory: integration against,
     marginals of, and exact seeded sampling from the trajectory law.  A
-    table is one integer pass over the kernel's rows (measure._integrals),
-    and the sampler walks prefix indices, one `Dist.sample` draw per step.
+    table is one integer pass over the kernel's rows (measure._integrals;
+    _row_integrals keeps it by prefix number), and the sampler walks
+    prefix indices, one `Dist.sample` draw per step.
   * Cylinder: a constraint on finitely many coordinates, stored as a
     disjoint union of boxes (one set of allowed state indices per
     constrained coordinate, coordinates strictly increasing), with
@@ -42,7 +43,9 @@ Implements:
     pass when the pass starts at b), and exact checks of its defining
     identity and of the two-stage decomposition of the trajectory law.
     Each identity's two sides come from one function (cond_exp_sides,
-    traj_split_sides), which the `verify` report renders too.
+    traj_split_sides), which the `verify` report renders too; `verify`
+    reads the conditional expectation's sides by prefix number from
+    _cond_exp_blocks, which cond_exp_sides keys by point.
 
 Prefixes are tuples (or lists) of state labels; a prefix of depth n has
 n + 1 entries, and every prefix argument is looked up by _prefix_index.
@@ -265,18 +268,18 @@ def expectation_table(model: ChainModel, a: int, b: int, f) -> dict:
     from c to b and then to a agrees with integrating from c to a directly.
     """
     _check_depth_pair(a, b, model.max_depth)
-    return _integrate_table(model, a, b, _as_fn(f))
+    return dict(zip(model.prefix_space(a).points(), _row_integrals(model, a, b, _as_fn(f))))
 
 
-def _integrate_table(model: ChainModel, a: int, b: int, f: Callable, scale: int = 1) -> dict:
-    """{depth-a prefix: integral of f against its (a, b) row, divided by
-    the positive integer `scale`}, for a <= b: one pass of
+def _row_integrals(model: ChainModel, a: int, b: int, f, scale: int = 1) -> list:
+    """The integral of f against each (a, b) row, by depth-a prefix number,
+    divided by the positive integer `scale`, for a <= b: one pass of
     `measure._integrals` over the kernel's rows, each with `scale` folded
     into its denominator, so an int-valued f over a common denominator
-    `scale` builds one Fraction per row."""
+    `scale` builds one Fraction per row.  f is a callable on depth-b
+    prefixes or a list of ints by depth-b prefix number."""
     kern = model.partial_traj(a, b)
-    values = _integrals(kern.target, ((r._numerators, r._denom * scale) for r in kern.rows), f)
-    return dict(zip(model.prefix_space(a).points(), values))
+    return _integrals(kern.target, ((r._numerators, r._denom * scale) for r in kern.rows), f)
 
 
 _OWN_DEPTH = object()  # _prefix_index's default depth: the prefix's own
@@ -767,14 +770,36 @@ def cond_exp_sides(model: ChainModel, a: int, prefix, b: int, f, table) -> tuple
     through p on the left, and to the probability of p times table[p] on
     the right.  Events fixing the depth-b prefix generate every event
     determined by the first b coordinates, so the property holds iff the
-    two tables are equal.
+    two tables are equal.  The sides are `_cond_exp_blocks`, keyed by point.
     """
     _check_depth_pair(a, b, model.max_depth)
-    law = traj_marginal(model, a, prefix, model.max_depth)
-    space_b = model.prefix_space(b)
+    index = _prefix_index(model, prefix, a)
+    point_at = model.prefix_space(b).point_at
+    value = _as_fn(table)
+    blocks = _cond_exp_blocks(model, a, index, b, _as_fn(f), 1, lambda i: value(point_at(i)))
+    lhs, rhs = {}, {}
+    for i, left, right in blocks:
+        p = point_at(i)
+        lhs[p] = left
+        rhs[p] = right
+    return lhs, rhs
+
+
+def _cond_exp_blocks(
+    model: ChainModel, a: int, index: int, b: int, f, scale: int, table: Callable
+) -> list:
+    """(i, lhs, rhs) for each depth-b prefix number i reachable from the
+    depth-a prefix numbered `index`, a <= b, in increasing order of i.
+
+    lhs is the integral of f / `scale` over the trajectories through i, f
+    a callable on depth-D prefixes or a list of ints by depth-D prefix
+    number (see measure._integrals); rhs is the probability of i times
+    table(i), an exact rational.  No point is built from an index.
+    """
+    law = model.partial_row(a, model.max_depth, index)
     # The trajectories through depth-b prefix i are the run of law's sorted
     # entries with j // ratio == i, each integrated as a row of its own.
-    ratio = law.space.size // space_b.size
+    ratio = law.space.size // model.prefix_space(b).size
     denom = law._denom
     heads, rows, totals = [], [], []
     current = -1
@@ -783,19 +808,16 @@ def cond_exp_sides(model: ChainModel, a: int, prefix, b: int, f, table) -> tuple
         if i != current:
             current, run = i, []
             heads.append(i)
-            rows.append((run, denom))
+            rows.append((run, denom * scale))
             totals.append(0)
         run.append(entry)
         totals[-1] += entry[1]
-    integrals = _integrals(law.space, rows, _as_fn(f))
-    value = _as_fn(table)
-    lhs, rhs = {}, {}
+    integrals = _integrals(law.space, rows, f)
+    blocks = []
     for i, integral, total in zip(heads, integrals, totals):
-        p = space_b.point_at(i)
-        lhs[p] = integral
-        t, q = ratio_of(value(p))
-        rhs[p] = Rat(total * t, denom * q)
-    return lhs, rhs
+        t, q = ratio_of(table(i))
+        blocks.append((i, integral, Rat(total * t, denom * q)))
+    return blocks
 
 
 def check_cond_exp(model: ChainModel, a: int, prefix, b: int, f) -> bool:

@@ -8,18 +8,26 @@ line is written by one rule, `_line`: a PASS renders one side and shows
 it in both columns, and a FAIL shows the freshly built side first and
 the reference side second.  Where the reference side is one of the
 model's memoized kernels or tables (`kernel-comp`, `restrict`, `tower`
-and `product-form`), its fingerprint is rendered once per depth pair and
-shared by every check against it, and the fresh side is rendered only
-when the check fails.  The reference text of `split:a,b` is joined from
-the entry texts of the memoized (a, D) rows, rendered once per a, and one
-list of head labels per b (`_split_texts`), so it too is rendered without
-a label lookup per entry; the split lines are added in their (b, a) order
-once every a is done.  The tower's tables integrate the integer index
-of each prefix and divide by the size of its space once per row, and each
-inner stage integrates a table's integer numerators over its one common
-denominator, so no entry goes through a Fraction.  All depth
-combinations of the model are covered, so the cost grows quickly with
-maxDepth; this is meant for the small models that ship in model files.
+and `product-form`), or the product over coordinates 0..d (`product-law`,
+`product-split` and `product-proj`), its fingerprint is rendered once per
+depth pair or depth and shared by every check against it, and the fresh
+side is rendered only when the check fails.  The reference text of
+`split:a,b` is joined from the entry texts of the memoized (a, D) rows,
+rendered once per a, and one list of head labels per b (`_split_texts`),
+so it too is rendered without a label lookup per entry; the split lines
+are added in their (b, a) order once every a is done.
+
+The tower and condexp checks work by prefix number.  Each tower table is
+a list by depth-b prefix number that integrates the integer vector
+0, 1, .., |P_c| - 1 of depth-c prefix numbers and divides by |P_c| once
+per row, and each inner stage integrates a table's integer numerators
+over its one common denominator, so every row is one integer sum read by
+index (`trajectory._row_integrals`).  `condexp:a,b` compares the sides of
+`trajectory._cond_exp_blocks`, the routine behind `cond_exp_sides`, as
+{depth-b prefix number: rational} dicts; tables render by `label_at`, so
+no prefix tuple is built.  All depth combinations of the model are
+covered, so the cost grows quickly with maxDepth; this is meant for the
+small models that ship in model files.
 """
 from __future__ import annotations
 
@@ -33,10 +41,11 @@ from .model_io import LoadedModel
 from .product import (
     const_chain_law_sides,
     partial_traj_const_sides,
+    product_prefix_dist,
     product_projection_sides,
     product_split_sides,
 )
-from .rational import ONE, ZERO, Rat
+from .rational import ONE, ZERO
 from .report import (
     Report,
     canonical_dist,
@@ -46,14 +55,14 @@ from .report import (
 )
 from .trajectory import (
     ChainModel,
-    cond_exp_sides,
     content_at_depth,
     cylinder_content,
     cylinder_from_constraints,
     disjoint_union_cylinders,
     extract_witness,
     intersect_cylinders,
-    _integrate_table,
+    _cond_exp_blocks,
+    _row_integrals,
     traj_split_sides,
 )
 
@@ -118,8 +127,9 @@ def _add(report: Report, *check) -> None:
 
 def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> dict:
     """Add the kernel-comp, restrict and tower checks.  Returns the tower's
-    (b, D) tables by b, `cond_exp(chain, b, f)` for f(p) = i / |P_D|, i
-    the index of the depth-D prefix p."""
+    (b, D) tables by b, each `cond_exp(chain, b, f)` as a list by depth-b
+    prefix number, for f(p) = i / |P_D|, i the number of the depth-D
+    prefix p."""
     depth = chain.max_depth
     by_kernel = _fingerprinted(canonical_kernel)
     for a, b, c in _depth_triples(depth):
@@ -133,17 +143,17 @@ def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> 
              restricted, chain.partial_traj(a, b), by_kernel, kernel_text(a, b))
     # One table per pair b <= c, of the test function i / |P_c| on depth-c
     # prefixes, serves as the inner stage of every (a, b, c) and as the
-    # direct side of every (b, ., c), and is rendered once.  Each table
-    # integrates the integer index i and divides by |P_c| once per row, and
-    # each inner stage integrates table (b, c)'s integer numerators over its
-    # one common denominator, so every row takes `_integrals`' integer path.
+    # direct side of every (b, ., c), and is rendered once.  Tables are
+    # lists by prefix number: each integrates the integer vector
+    # 0, 1, .., |P_c| - 1 over the scale |P_c|, and each inner stage
+    # integrates table (b, c)'s integer numerators over its one common
+    # denominator, so every row is one integer sum read by index.
     spaces = [chain.prefix_space(c) for c in range(depth + 1)]
-    indices = [dict(zip(space.points(), range(space.size))).__getitem__ for space in spaces]
-    tables = {
-        (b, c): _integrate_table(chain, b, c, indices[c], spaces[c].size)
-        for b in range(depth + 1)
-        for c in range(b, depth + 1)
-    }
+    tables = {}
+    for c in range(depth + 1):
+        identity = list(range(spaces[c].size))
+        for b in range(c + 1):
+            tables[b, c] = _row_integrals(chain, b, c, identity, spaces[c].size)
     numerators = {pair: _integer_form(table) for pair, table in tables.items()}
     table_text = functools.cache(
         lambda a, c: fingerprint(canonical_table(spaces[a], tables[a, c]))
@@ -151,16 +161,16 @@ def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> 
     for a, b, c in _depth_triples(depth):
         values, denom = numerators[b, c]
         _add(report, f"tower:{a},{b},{c}",
-             _integrate_table(chain, a, b, values.__getitem__, denom), tables[a, c],
+             _row_integrals(chain, a, b, values, denom), tables[a, c],
              _fingerprinted(canonical_table, spaces[a]), table_text(a, c))
     return {b: tables[b, depth] for b in range(depth + 1)}
 
 
-def _integer_form(table: dict) -> tuple:
-    """({point: integer numerator}, L) for a table of rationals whose
-    denominators have the least common multiple L."""
-    denom = math.lcm(*(value.denominator for value in table.values()))
-    return {p: value.numerator * (denom // value.denominator) for p, value in table.items()}, denom
+def _integer_form(table: list) -> tuple:
+    """([integer numerator], L) for a list of rationals whose denominators
+    have the least common multiple L."""
+    denom = math.lcm(*(value.denominator for value in table))
+    return [value.numerator * (denom // value.denominator) for value in table], denom
 
 
 def _canonical_start(chain: ChainModel) -> tuple:
@@ -208,16 +218,20 @@ def _witness_check(report: Report, chain: ChainModel, start, outer) -> None:
 
 
 def _condexp_checks(report: Report, chain: ChainModel, tables: dict) -> None:
-    """`tables[b]` is `cond_exp(chain, b, f)` for f(p) = i / |P_D|, i the
-    index of the depth-D prefix p."""
+    """`tables[b]` is `cond_exp(chain, b, f)` by prefix number, for
+    f(p) = i / |P_D|, i the number of the depth-D prefix p.  Each check
+    starts from depth-a prefix 0 and compares `_cond_exp_blocks`' sides as
+    {depth-b prefix number: rational} dicts."""
     depth = chain.max_depth
-    space = chain.prefix_space(depth)
-    f = dict(zip(space.points(), (Rat(i, space.size) for i in range(space.size)))).__getitem__
+    size = chain.prefix_space(depth).size
+    identity = list(range(size))
     for b in range(depth + 1):
         render = _fingerprinted(canonical_table, chain.prefix_space(b))
+        table = tables[b].__getitem__
         for a in range(b + 1):
-            u = chain.prefix_space(a).point_at(0)
-            lhs, rhs = cond_exp_sides(chain, a, u, b, f, tables[b])
+            blocks = _cond_exp_blocks(chain, a, 0, b, identity, size, table)
+            lhs = {i: left for i, left, _ in blocks}
+            rhs = {i: right for i, _, right in blocks}
             _add(report, f"condexp:{a},{b}", lhs, rhs, render)
 
 
@@ -267,18 +281,22 @@ def _split_texts(chain: ChainModel):
 
 
 def _product_checks(report: Report, chain: ChainModel, marginals, kernel_text: Callable) -> None:
+    """Add the product checks.  The reference side of `product-law`,
+    `product-split:a,b` and `product-proj:a,b` is `product_prefix_dist` at
+    depth D, b and a, whose text is rendered once per depth."""
     depth = chain.max_depth
     by_kernel = _fingerprinted(canonical_kernel)
     by_dist = _fingerprinted(canonical_dist)
+    product_text = functools.cache(lambda d: by_dist(product_prefix_dist(marginals, d)))
     for a in range(depth + 1):
         for b in range(a, depth + 1):
             kern, literal = partial_traj_const_sides(chain, marginals, a, b)
             _add(report, f"product-form:{a},{b}", literal, kern, by_kernel, kernel_text(a, b))
     law, product = const_chain_law_sides(chain, marginals)
-    _add(report, "product-law", law, product, by_dist)
+    _add(report, "product-law", law, product, by_dist, product_text(depth))
     for a in range(depth + 1):
         for b in range(a + 1, depth + 1):
             flattened, whole = product_split_sides(marginals, a, b)
-            _add(report, f"product-split:{a},{b}", flattened, whole, by_dist)
+            _add(report, f"product-split:{a},{b}", flattened, whole, by_dist, product_text(b))
             restricted, head = product_projection_sides(marginals, a, b)
-            _add(report, f"product-proj:{a},{b}", restricted, head, by_dist)
+            _add(report, f"product-proj:{a},{b}", restricted, head, by_dist, product_text(a))

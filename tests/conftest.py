@@ -131,6 +131,21 @@ def random_chain(rng: random.Random, depth: int | None = None) -> ChainModel:
     return ChainModel(spaces, steps)
 
 
+def random_factor_list(rng: random.Random) -> list:
+    """Random marginals of a product: depth 1-4, 2-3 states per coordinate,
+    each space its own; zero weights are allowed, all-zero becomes a point
+    mass on the first state."""
+    marginals = []
+    for i in range(rng.randint(1, 4) + 1):
+        space = FiniteSpace(f"X{i}", [f"s{j}" for j in range(rng.randint(2, 3))])
+        weights = [rng.randint(0, 4) for _ in range(space.size)]
+        if not any(weights):
+            weights[0] = 1
+        total = sum(weights)
+        marginals.append(Dist(space, [Rat(w, total) for w in weights]))
+    return marginals
+
+
 def random_model_doc(rng: random.Random, depth: int | None = None) -> dict:
     """Random model document whose steps mix the "table", "last-state" and
     "const" kinds: 2-3 states per coordinate, depth 2-5 unless given.  A

@@ -14,7 +14,6 @@ import time
 from pathlib import Path
 
 from markovtraj import (
-    Dist,
     Rat,
     check_traj_split,
     check_cond_exp,
@@ -40,6 +39,7 @@ from markovtraj.measure import FiniteSpace
 
 from conftest import (
     random_chain,
+    random_factor_list,
     random_nested_family,
     random_prefix,
     record_acceptance,
@@ -265,15 +265,8 @@ def test_7_product_measures():
     failures = 0
     lists = 0
     for _ in range(50):
-        depth = rng.randint(1, 4)
-        marginals = []
-        for i in range(depth + 1):
-            space = FiniteSpace(f"X{i}", [f"s{j}" for j in range(rng.randint(2, 3))])
-            weights = [rng.randint(0, 4) for _ in range(space.size)]
-            if not any(weights):
-                weights[0] = 1
-            total = sum(weights)
-            marginals.append(Dist(space, [Rat(w, total) for w in weights]))
+        marginals = random_factor_list(rng)
+        depth = len(marginals) - 1
         chain = const_chain(marginals)
         if not check_const_chain_law(chain, marginals):
             failures += 1

@@ -230,9 +230,13 @@ def test_verify_output_is_stable(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("name", ["weather", "coin", "drift"])
+@pytest.mark.parametrize("name", ["weather", "coin", "drift", "tri"])
 def test_verify_matches_golden_transcript(capsys, name):
-    code, out, _ = run(capsys, "verify", "--model", str(MODELS / f"{name}.json"))
+    # tri.json, kept beside its golden file, is a product of unequal
+    # three-state marginals, so a tail product taken in the wrong order
+    # changes its report; the shipped coin factors are all equal.
+    model = GOLDEN / "tri.json" if name == "tri" else MODELS / f"{name}.json"
+    code, out, _ = run(capsys, "verify", "--model", str(model))
     assert code == 0
     assert out == (GOLDEN / f"verify-{name}.txt").read_text(encoding="utf-8")
 

@@ -30,7 +30,7 @@ from markovtraj import (
 )
 
 from markovtraj.measure import _integrals
-from markovtraj.trajectory import _integrate_table, cond_exp_sides
+from markovtraj.trajectory import _row_integrals, cond_exp_sides
 
 from conftest import (
     brute_force_prefix_law,
@@ -146,7 +146,7 @@ def test_rows_with_equal_integer_sums_share_one_fraction():
 
 
 def test_a_scale_divides_each_integral():
-    # `_integrate_table(..., scale=s)` is the unscaled integral over s, on
+    # `_row_integrals(..., scale=s)` is the unscaled integral over s, on
     # the int path (a row of int values) and the per-denominator path (a row
     # with one Fraction or "p/q" string), for values of either sign.
     rng = random.Random(1618)
@@ -160,8 +160,8 @@ def test_a_scale_divides_each_integral():
                 rows = [(r._numerators, r._denom) for r in chain.partial_traj(a, depth).rows]
                 plain = _integrals(space, rows, f)
                 for scale in (1, 3, 12):
-                    scaled = _integrate_table(chain, a, depth, f, scale)
-                    assert list(scaled.values()) == [v / scale for v in plain]
+                    scaled = _row_integrals(chain, a, depth, f, scale)
+                    assert scaled == [v / scale for v in plain]
     # Rows 0 and 2 sum their ints to one (total, denominator) key, 3 over 3,
     # and share the one Fraction 3 / (3 * 5); row 1 is negative, and row 3
     # holds a Fraction.
@@ -176,10 +176,10 @@ def test_a_scale_divides_each_integral():
     chain = ChainModel([first, space], [rows])
     values = {"a": 1, "b": 1, "c": -2, "d": Rat(-1, 4)}
     f = lambda p: values[p[1]]
-    scaled = list(_integrate_table(chain, 0, 1, f, 5).values())
+    scaled = _row_integrals(chain, 0, 1, f, 5)
     assert scaled == [Rat(1, 5), Rat(-1, 5), Rat(1, 5), Rat(1, 30)]
     assert scaled[0] is scaled[2]
-    assert scaled == [v / 5 for v in _integrate_table(chain, 0, 1, f).values()]
+    assert scaled == [v / 5 for v in _row_integrals(chain, 0, 1, f)]
 
 
 def test_a_cylinder_and_its_indicator_give_one_table():

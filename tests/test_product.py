@@ -15,8 +15,10 @@ from markovtraj import (
     product_prefix_dist,
     uniform,
 )
+from markovtraj.measure import dirac, product_dist
+from markovtraj.product import partial_traj_const_sides
 
-from conftest import random_dist
+from conftest import random_dist, random_factor_list
 
 
 def coin_marginals(depth):
@@ -81,6 +83,38 @@ def test_check_partial_traj_const():
                 assert check_partial_traj_const(chain, marginals, a, b)
     with pytest.raises(DomainError):
         check_partial_traj_const(chain, marginals, 1, 0)
+
+
+def _dirac_product_rows(chain, marginals, a, b):
+    """The (a, b) rows of the constant-chain form, one product per depth-a
+    prefix: a point mass on each of its coordinates, then marginals
+    a+1 .. b."""
+    rows = []
+    for prefix in chain.prefix_space(a).points():
+        factors = [dirac(space, s) for space, s in zip(chain.spaces, prefix)]
+        factors.extend(marginals[a + 1 : b + 1])
+        rows.append(product_dist(factors))
+    return rows
+
+
+def test_product_form_rows_are_the_dirac_products():
+    # The literal side shifts one tail product per row; on the 50 factor
+    # lists of the product-measures acceptance criterion it equals the
+    # per-prefix product of point masses and marginals, row for row.
+    rng = random.Random(7)
+    for _ in range(50):
+        marginals = random_factor_list(rng)
+        chain = const_chain(marginals)
+        for a in range(chain.max_depth + 1):
+            for b in range(a, chain.max_depth + 1):
+                _, literal = partial_traj_const_sides(chain, marginals, a, b)
+                assert list(literal.rows) == _dirac_product_rows(chain, marginals, a, b)
+    # marginals on other spaces than the chain's, or too few of them
+    chain = const_chain(marginals)
+    others = [random_dist(rng, FiniteSpace("Y", ["y0", "y1"])) for _ in marginals]
+    for wrong in (others, marginals[:-1]):
+        with pytest.raises(DomainError):
+            partial_traj_const_sides(chain, wrong, 0, chain.max_depth)
 
 
 def test_check_product_split():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import markovtraj.measure
 import markovtraj.trajectory
 import markovtraj.verify as verify
 from markovtraj import (
@@ -21,14 +22,31 @@ from markovtraj import (
     uniform,
 )
 from markovtraj.cli import main
-from markovtraj.report import Report, canonical_kernel, canonical_table, fingerprint
+from markovtraj.measure import _restrict
+from markovtraj.report import (
+    Report,
+    canonical_dist,
+    canonical_kernel,
+    canonical_table,
+    fingerprint,
+    table_lines,
+)
+from markovtraj.trajectory import cond_exp_sides
 from markovtraj.verify import run_verify
 
-from conftest import random_chain, random_dist, weather_chain, weather_doc
+from conftest import (
+    doc_chain,
+    random_chain,
+    random_dist,
+    random_model_doc,
+    weather_chain,
+    weather_doc,
+)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 WEATHER = str(MODELS / "weather.json")
 COIN = str(MODELS / "coin.json")
+TRI = str(Path(__file__).resolve().parent / "golden" / "tri.json")
 
 
 def test_verify_passes_on_a_729_trajectory_chain():
@@ -105,30 +123,55 @@ def _rotated(kern):
 
 
 def _perturbed(table):
+    """The table with 1 added to its first value; a list by prefix number
+    or a dict."""
+    if isinstance(table, list):
+        return [table[0] + 1, *table[1:]]
     first = next(iter(table))
     return {**table, first: table[first] + 1}
 
 
+def _mirrored(d, target=None):
+    """d (or its restriction to `target`, by index) read back to front:
+    point i moves to |space| - 1 - i."""
+    target = d.space if target is None else target
+    return Dist.from_support(
+        target, [(target.size - 1 - i, w) for i, w in _restrict(d, target).support()]
+    )
+
+
 def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, capsys):
-    # Four broken copies of verify's building blocks, one family each: only
+    # Eight broken copies of verify's building blocks, one family each: only
     # that family's checks fail, each FAIL line shows the fingerprint of the
     # freshly built side first and of the reference (memoized) side second.
-    compose, restrict = verify.comp_kernel, verify._restrict
-    integrate, split = verify._integrate_table, verify.traj_split_sides
+    # The expected columns are built by the point-keyed public routes
+    # (`expectation_table`, `cond_exp_sides`) and rendered by `table_lines`,
+    # the CLI's renderer, not by verify's index route.
+    compose = verify.comp_kernel
+    integrate, split = verify._row_integrals, verify.traj_split_sides
+    blocks, const_sides = verify._cond_exp_blocks, verify.partial_traj_const_sides
+    split_product, project = verify.product_split_sides, verify.product_projection_sides
     chain = load_model(WEATHER).chain
+    tri = load_model(TRI)
     kern = chain.partial_traj
 
     def by_kernel(k):
         return fingerprint(canonical_kernel(k))
 
-    def by_table(a, table):
-        return fingerprint(canonical_table(chain.prefix_space(a), table))
+    def by_dist(d):
+        return fingerprint(canonical_dist(d))
 
-    def table(b, c):
+    def by_table(a, table):
+        # a {point: rational} table of every depth-a prefix, or of some
+        return fingerprint(" ".join(table_lines(chain.prefix_space(a), table, "=")))
+
+    def test_function(c):
         # the test function i / |P_c| at the depth-c prefix numbered i
         space = chain.prefix_space(c)
-        f = {p: Rat(i, space.size) for i, p in enumerate(space.points())}
-        return expectation_table(chain, b, c, f)
+        return {p: Rat(i, space.size) for i, p in enumerate(space.points())}
+
+    def table(b, c):
+        return expectation_table(chain, b, c, test_function(c))
 
     integrated = []
 
@@ -139,43 +182,76 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
         values = integrate(ch, a, b, f, scale)
         return _perturbed(values) if len(integrated) > 10 else values
 
+    def blocks_perturbed(*args):
+        (i, lhs, rhs), *rest = blocks(*args)
+        return [(i, lhs + 1, rhs), *rest]
+
+    def condexp_columns(a, b):
+        f = test_function(3)
+        start = chain.prefix_space(a).point_at(0)
+        lhs, rhs = cond_exp_sides(chain, a, start, b, f, table(b, 3))
+        return by_table(b, _perturbed(lhs)), by_table(b, rhs)
+
     def split_rotated(ch, a, b):
         two_stage, direct = split(ch, a, b)
         return _rotated(two_stage), direct
 
-    def mirrored(d, target):
-        # the restriction read back to front: point i moves to |target| - 1 - i
-        return Dist.from_support(
-            target, [(target.size - 1 - i, w) for i, w in restrict(d, target).support()]
-        )
-
     def restricted(a, b, c):
         target = chain.prefix_space(b)
-        return Kernel(kern(a, c).source, target, [mirrored(row, target) for row in kern(a, c).rows])
+        return Kernel(kern(a, c).source, target, [_mirrored(row, target) for row in kern(a, c).rows])
 
     def split_columns(a, b):
         two_stage, direct = split(chain, a, b)
         return by_kernel(_rotated(two_stage)), by_kernel(direct)
 
-    cases = [  # family, name replaced, broken copy, expected (column 1, column 2)
-        ("kernel-comp", "comp_kernel", lambda first, second: _rotated(compose(first, second)),
+    def const_rotated(ch, marginals, a, b):
+        kernel, literal = const_sides(ch, marginals, a, b)
+        return kernel, _rotated(literal)
+
+    def const_columns(a, b):
+        kernel, literal = const_sides(tri.chain, tri.marginals, a, b)
+        return by_kernel(_rotated(literal)), by_kernel(kernel)
+
+    def fresh_mirrored(sides):
+        def broken(marginals, a, b):
+            fresh, reference = sides(marginals, a, b)
+            return _mirrored(fresh), reference
+        return broken
+
+    def product_columns(sides):
+        def columns(a, b):
+            fresh, reference = sides(tri.marginals, a, b)
+            return by_dist(_mirrored(fresh)), by_dist(reference)
+        return columns
+
+    cases = [  # family, model, name replaced, broken copy, expected (column 1, column 2)
+        ("kernel-comp", WEATHER, "comp_kernel", lambda first, second: _rotated(compose(first, second)),
          lambda a, b, c: (by_kernel(_rotated(compose(kern(a, b), kern(b, c)))),
                           by_kernel(kern(a, c)))),
-        ("restrict", "_restrict", mirrored,
+        ("restrict", WEATHER, "_restrict", _mirrored,
          lambda a, b, c: (by_kernel(restricted(a, b, c)), by_kernel(kern(a, b)))),
-        ("tower", "_integrate_table", staged,
+        ("tower", WEATHER, "_row_integrals", staged,
          lambda a, b, c: (by_table(a, _perturbed(expectation_table(chain, a, b, table(b, c)))),
                           by_table(a, table(a, c)))),
-        ("split", "traj_split_sides", split_rotated, split_columns),
+        ("condexp", WEATHER, "_cond_exp_blocks", blocks_perturbed, condexp_columns),
+        ("split", WEATHER, "traj_split_sides", split_rotated, split_columns),
+        ("product-form", TRI, "partial_traj_const_sides", const_rotated, const_columns),
+        ("product-split", TRI, "product_split_sides", fresh_mirrored(split_product),
+         product_columns(split_product)),
+        ("product-proj", TRI, "product_projection_sides", fresh_mirrored(project),
+         product_columns(project)),
     ]
-    for family, name, broken, columns in cases:
+    for family, model, name, broken, columns in cases:
         monkeypatch.setattr(verify, name, broken)
-        code = main(["verify", "--model", WEATHER])
+        code = main(["verify", "--model", model])
         monkeypatch.undo()
         lines = capsys.readouterr().out.splitlines()
         checks = [line.split() for line in lines[1:-1]]
         failed = [c for c in checks if c[1].startswith(f"{family}:")]
-        expected = 10 if family == "split" else 20  # pairs a <= b, triples a <= b <= c
+        expected = {  # depth 3: triples a <= b <= c, pairs a <= b, pairs a < b
+            "kernel-comp": 20, "restrict": 20, "tower": 20,
+            "product-split": 6, "product-proj": 6,
+        }.get(family, 10)
         assert code == 1
         assert len(failed) == expected
         for c in failed:
@@ -228,6 +304,7 @@ def test_kernel_checks_render_each_memoized_kernel_once(monkeypatch):
         return render_kernel(k)
 
     def counted_table(space, table):
+        assert isinstance(table, list)  # the tower's tables are by prefix number
         tables.append(space)
         return render_table(space, table)
 
@@ -270,17 +347,92 @@ def test_tower_builds_one_table_per_depth_pair(monkeypatch):
     # The condexp checks read the tower's (b, 3) tables, so no `cond_exp`
     # call (which integrates through the name bound in `trajectory`) adds
     # one of the 4 tables it would rebuild.
-    integrate = verify._integrate_table
+    integrate = verify._row_integrals
     calls = []
 
     def counted(chain, a, b, f, scale=1):
         calls.append((a, b))
         return integrate(chain, a, b, f, scale)
 
-    monkeypatch.setattr(verify, "_integrate_table", counted)
-    monkeypatch.setattr(markovtraj.trajectory, "_integrate_table", counted)
+    monkeypatch.setattr(verify, "_row_integrals", counted)
+    monkeypatch.setattr(markovtraj.trajectory, "_row_integrals", counted)
     assert run_verify(load_model(WEATHER)).ok
     assert len(calls) == 30
+
+
+def test_product_checks_render_each_product_once(monkeypatch):
+    # depth 3: the product-law, product-split and product-proj checks
+    # compare against the products over coordinates 0..d, and each of the
+    # 4 depths d is rendered once, where rendering per check would take 13.
+    loaded = load_model(TRI)
+    render = verify.canonical_dist
+    spaces = []
+
+    def counted(d):
+        spaces.append(d.space)
+        return render(d)
+
+    monkeypatch.setattr(verify, "canonical_dist", counted)
+    report = Report("HEADER")
+    verify._product_checks(report, loaded.chain, loaded.marginals, verify._kernel_texts(loaded.chain))
+    assert report.ok and len(report.lines) == 10 + 1 + 2 * 6
+    assert Counter(spaces) == Counter(loaded.chain.prefix_space(d) for d in range(4))
+
+
+def _verify_pool() -> list:
+    """Random chains of depth 2-5 with 2 or 3 states per coordinate: 20 of
+    `conftest.random_chain`, rows for every prefix, and 20 built from
+    `conftest.random_model_doc`, whose steps mix the row kinds."""
+    rng = random.Random(20260815)
+    return [random_chain(rng) for _ in range(20)] + [
+        doc_chain(random_model_doc(rng)) for _ in range(20)
+    ]
+
+
+def test_index_tables_and_condexp_blocks_equal_the_point_keyed_routes():
+    # verify's tower tables (`_row_integrals` of the integer vector of
+    # prefix numbers over |P_c|) are `expectation_table` of i / |P_c| read
+    # in point order, and `_cond_exp_blocks` on them is `cond_exp_sides`
+    # keyed by prefix number, from the first, the last and a random
+    # depth-a prefix.
+    rng = random.Random(31)
+    for chain in _verify_pool():
+        depth = chain.max_depth
+        spaces = [chain.prefix_space(c) for c in range(depth + 1)]
+        tables = {}
+        for c in range(depth + 1):
+            size = spaces[c].size
+            f = lambda p, c=c: Rat(spaces[c].index_of(p), spaces[c].size)
+            for b in range(c + 1):
+                tables[b, c] = verify._row_integrals(chain, b, c, list(range(size)), size)
+                expected = expectation_table(chain, b, c, f)
+                assert tables[b, c] == [expected[p] for p in spaces[b].points()]
+        size = spaces[depth].size
+        f = lambda p: Rat(spaces[depth].index_of(p), size)
+        for b in range(depth + 1):
+            reference = expectation_table(chain, b, depth, f)
+            for a in range(b + 1):
+                for index in {0, spaces[a].size - 1, rng.randrange(spaces[a].size)}:
+                    blocks = verify._cond_exp_blocks(
+                        chain, a, index, b, list(range(size)), size, tables[b, depth].__getitem__
+                    )
+                    start = spaces[a].point_at(index)
+                    lhs, rhs = cond_exp_sides(chain, a, start, b, f, reference)
+                    assert blocks == [(spaces[b].index_of(p), lhs[p], rhs[p]) for p in lhs]
+
+
+@pytest.mark.parametrize("model", [WEATHER, COIN, TRI], ids=["weather", "coin", "tri"])
+def test_verify_lists_no_prefix_space_outside_the_membership_route(monkeypatch, model):
+    # Every family reads prefixes by number and labels by `label_at`; only
+    # the content checks' membership reference (`content_at_depth`) builds
+    # prefix tuples, which lists its space's heads and tails.
+    def listed(space):
+        raise AssertionError(f"{space!r} was listed")
+
+    monkeypatch.setattr(verify, "_content_checks", lambda *args: None)
+    monkeypatch.setattr(markovtraj.measure.TupleSpace, "_listing", listed)
+    report = run_verify(load_model(model))
+    assert report.ok and not any(line.split()[1].startswith("content-") for line in report.lines)
 
 
 def _failed_ids(report) -> list:

@@ -171,8 +171,9 @@ class TupleSpace:
 
     def _listing(self) -> tuple:
         """(cut, tail size, heads, tails): the one listing of the space, its
-        head and tail points, built on the first point_at or points().
-        index_of sums digits and label_at keeps texts, so neither lists it.
+        head and tail points, built on the first points() or callable
+        integrand.  index_of sums digits, point_at reads them and label_at
+        keeps texts, so none of them lists it.
         """
         if self._halves is None:
             comps = self.components
@@ -199,8 +200,11 @@ class TupleSpace:
         return index
 
     def point_at(self, index: int) -> tuple:
-        _, tail_size, heads, tails = self._halves or self._listing()
-        return heads[index // tail_size] + tails[index % tail_size]
+        """The point numbered `index`, read off its digits (`_points_of`), so
+        nothing is listed at any size.  The index is taken as a sequence
+        takes one (`range(size)[index]`), so an index past the end is an
+        IndexError, not a point of another number."""
+        return _points_of(self, (range(self.size)[index],))[0]
 
     def label_at(self, index: int) -> str:
         """The text of the point numbered `index`: format_point(point_at(index)).
@@ -513,9 +517,8 @@ def _integrals(space, rows: Iterable, f) -> list:
     f's values (see ratio_of, which rejects floats, decimals and None), and
     only such a row ends in `sum_of_ratios`.  Rows whose integer sums are
     the same (numerator, denominator) share one Fraction.  A TupleSpace's
-    points are joined from its head and tail listing, as point_at joins
-    them, so no call is made per entry and the space is never listed in
-    full.
+    points are joined from its head and tail listing, so no call is made
+    per entry and the space is never listed in full.
     """
     shared: dict = {}
     out = []

@@ -23,11 +23,14 @@ Implements:
     it allows are enumerated only on request.  `in` looks each constrained
     label up in its state space's index and tests it against the same
     index sets that every other operation reads.
-  * cylinder_content and extract_witness: the content of a cylinder under
-    the trajectory law, and a greedy construction of a common point for a
-    nested sequence of cylinders whose contents stay above a bound.  Both
-    compute by one scorer, the box route (_box_mass): the memoized row,
-    filtered by the index digits of the constrained coordinates.  Past
+  * cylinder_content, extract_witness and cond_exp of a cylinder: the
+    content of a cylinder under the trajectory law, a greedy construction
+    of a common point for a nested sequence of cylinders whose contents
+    stay above a bound, and the cylinder's conditional probability given
+    the first b coordinates.  All three compute by one scorer, the box
+    route (_box_masses): for a contiguous range of depth-n prefix numbers,
+    integer numerators over one denominator, each read off the memoized
+    row filtered by the index digits of the constrained coordinates.  Past
     `markov_from`, the depth from which every step reads only the last
     state, the law of the last state is a sufficient statistic: the box
     route reads the constraints past that depth from one backward pass over
@@ -39,9 +42,9 @@ Implements:
     the membership route instead: `t in cyl` on each prefix.
   * cond_exp / check_cond_exp / check_traj_split: conditional
     expectation given the first b coordinates as an explicit table (of a
-    cylinder's indicator, read off the level at b of the same backward
-    pass when the pass starts at b), and exact checks of its defining
-    identity and of the two-stage decomposition of the trajectory law.
+    cylinder's indicator, by the box route on every depth-b prefix), and
+    exact checks of its defining identity and of the two-stage
+    decomposition of the trajectory law.
     Each identity's two sides come from one function (cond_exp_sides,
     traj_split_sides), which the `verify` report renders too; `verify`
     reads the conditional expectation's sides by prefix number from
@@ -473,43 +476,52 @@ def _check_cylinder(model: ChainModel, cyl: Cylinder) -> None:
         raise DomainError("cylinder lives on a different prefix space")
 
 
-def _box_mass(model: ChainModel, boxes: Sequence, n: int, index: int, tails, lo: int) -> Rat:
-    """The box route: weight that the chain from the depth-n prefix numbered
-    `index` puts inside the (disjoint) boxes, given the pass `lo, tails =
+def _box_masses(model: ChainModel, boxes: Sequence, n: int, indices, tails, lo: int) -> tuple:
+    """The box route, the one scorer of cylinder queries: the weight that
+    the chain from each depth-n prefix numbered in the contiguous range
+    `indices` puts inside the (disjoint) boxes, as (integer numerators by
+    position in `indices`, one denominator), given the pass `lo, tails =
     _tails(model, boxes, n0, depth)` of some n0 <= n whose levels reach
     depth max(n, lo).
 
-    It reads at m = max(n, lo): off `partial_row(n, m, index)`, or at
-    m == n off the prefix itself, one entry (index, 1) over 1, no row.
-    Coordinate k of the index j of a depth-m prefix is
-    j // stride_k % |X_k|, where stride_k = |P_m| / |P_k| is the number of
-    depth-m prefixes per depth-k prefix, read off the two prefix spaces'
-    sizes; each constraint up to m is one pass over
-    the row entries still inside (the entries of a row from one prefix
-    share its digits, so a constraint on them keeps all or none).  An
-    entry j left in counts with weight h[box][j % |X_m|] / q, where
-    h, q = tails[m - lo]: the probability that the chain meets the box's
-    constraints past m from a prefix ending in that state.  The boxes are
-    disjoint, so their masses add up.
+    Each prefix reads at m = max(n, lo): its memoized row
+    `partial_row(n, m, i)`, or at m == n the prefix itself, one entry j = i
+    of weight 1, kept as the plain int.  Coordinate k of the index j of a
+    depth-m prefix is j // stride_k % |X_k|, where stride_k = |P_m| / |P_k|
+    is the number of depth-m prefixes per depth-k prefix; each constraint
+    up to m is one pass over the entries still inside.  An entry j left in
+    counts with weight h[box][j % |X_m|] / q, where h, q = tails[m - lo]:
+    the probability that the chain meets the box's constraints past m from
+    a prefix ending in that state.  The boxes are disjoint, so their masses
+    add up.  Rows over different denominators are brought to their lcm.
     """
     m = max(n, lo)
     hs, q = tails[m - lo]
-    numerators, denom = ((index, 1),), 1
-    if m > n:
-        row = model.partial_row(n, m, index)
-        numerators, denom = row._numerators, row._denom
     prefixes, spaces = model._prefix_spaces, model.spaces
-    size, width = prefixes[m].size, spaces[m].size
-    total = 0
-    for box, h in zip(boxes, hs):
-        entries = numerators
-        for k, allowed in box:
-            if k > m:
-                break
-            stride, states = size // prefixes[k].size, spaces[k].size
-            entries = [e for e in entries if e[0] // stride % states in allowed]
-        total += sum(w * h[j % width] for j, w in entries)
-    return Rat(total, denom * q)
+    size, width, start = prefixes[m].size, spaces[m].size, indices.start
+    tests = [[(size // prefixes[k].size, spaces[k].size, allowed) for k, allowed in box if k <= m]
+             for box in boxes]
+    if m == n:
+        numerators = [0] * len(indices)
+        for box, h in zip(tests, hs):
+            inside = indices
+            for stride, states, allowed in box:
+                inside = [j for j in inside if j // stride % states in allowed]
+            for j in inside:
+                numerators[j - start] += h[j % width]
+        return numerators, q
+    rows = [model.partial_row(n, m, i) for i in indices]
+    denom = math.lcm(*(row._denom for row in rows))
+    numerators = []
+    for row in rows:
+        total = 0
+        for box, h in zip(tests, hs):
+            entries = row._numerators
+            for stride, states, allowed in box:
+                entries = [e for e in entries if e[0] // stride % states in allowed]
+            total += sum(w * h[j % width] for j, w in entries)
+        numerators.append(total * (denom // row._denom))
+    return numerators, denom * q
 
 
 def _tails(model: ChainModel, boxes: Sequence, n: int, depth: int) -> tuple:
@@ -635,8 +647,8 @@ def content_at_depth(model: ChainModel, a: int, prefix, cyl: Cylinder, depth: in
     exists so that independence of the choice can be checked exactly.  It
     takes the membership route: the indicator `t in cyl` integrated against
     the depth-`depth` row, so it shares no code with the box route of
-    `cylinder_content` (see _box_mass) and `verify` checks one against the
-    other.
+    `cylinder_content` (see _box_masses) and `verify` checks one against
+    the other.
     """
     model.prefix_space(depth)  # a depth outside 0..D is a DomainError naming it
     if depth < max(a, cyl.depth):
@@ -647,7 +659,7 @@ def content_at_depth(model: ChainModel, a: int, prefix, cyl: Cylinder, depth: in
 
 def cylinder_content(model: ChainModel, a: int, prefix, cyl: Cylinder) -> Rat:
     """Probability that the chain started from `prefix` lands in the
-    cylinder, by the box route (see _box_mass) on one backward pass.
+    cylinder, by the box route (see _box_masses) on one backward pass.
 
     The cylinder is weighed on the memoized row at the pass's start lo
     (see _tails), each entry inside the boxes up to lo counting with the
@@ -658,7 +670,8 @@ def cylinder_content(model: ChainModel, a: int, prefix, cyl: Cylinder) -> Rat:
     _check_cylinder(model, cyl)
     index = _prefix_index(model, prefix, a)
     lo, tails = _tails(model, cyl.boxes, a, cyl.depth)
-    return _box_mass(model, cyl.boxes, a, index, tails, lo)
+    (numerator,), denom = _box_masses(model, cyl.boxes, a, range(index, index + 1), tails, lo)
+    return Rat(numerator, denom)
 
 
 # ---- witness extraction ----
@@ -681,11 +694,14 @@ def extract_witness(
     membership indicator.  Nesting is tested on the boxes, and it makes
     the innermost content the least, so that is the one content read.  It
     and every successor's score come from one backward pass for the
-    innermost cylinder down to the target depth (see _tails): each is the
-    box route of `cylinder_content` (see _box_mass), weighed on its row at
-    the pass's start or at its own depth, whichever is deeper.  The
-    constructed point is then checked by membership, `point in c` for
-    every cylinder, which reads none of the scores.
+    innermost cylinder down to the target depth (see _tails), by the box
+    route of `cylinder_content` (see _box_masses), weighed on rows at the
+    pass's start or on the prefixes themselves, whichever is deeper.  The
+    successors of one prefix are scored in one call, as integer numerators
+    over one denominator, so the greedy compares integers and builds no
+    fraction per step.  The constructed point is then checked by
+    membership, `point in c` for every cylinder, which reads none of the
+    scores.
     """
     eps = Rat(*ratio_of(eps))
     if eps <= 0:
@@ -705,22 +721,24 @@ def extract_witness(
 
     boxes = cylinders[-1].boxes
     lo, tails = _tails(model, boxes, a, target_depth)
-    if _box_mass(model, boxes, a, index, tails, lo) < eps:
+    (numerator,), denom = _box_masses(model, boxes, a, range(index, index + 1), tails, lo)
+    if Rat(numerator, denom) < eps:
         raise PreconditionError(f"a cylinder has content below {eps}")
 
     point = list(prefix)
     for depth in range(a + 1, target_depth + 1):
-        # Appending state s to prefix `index` gives prefix index * width + s;
-        # on ties the first successor wins.
+        # Appending state s to prefix `index` gives prefix index * width + s.
+        # The successors' scores share one denominator, so the first largest
+        # numerator wins.
         width = model.spaces[depth].size
-        successors = range(index * width, (index + 1) * width)
-        index = max(successors, key=lambda j: _box_mass(model, boxes, depth, j, tails, lo))
+        index *= width
+        scores, _ = _box_masses(model, boxes, depth, range(index, index + width), tails, lo)
+        index += max(range(width), key=scores.__getitem__)
         point.append(model.spaces[depth].labels[index % width])
 
-    point = tuple(point)
     if not all(point in c for c in cylinders):
         raise InvariantError("constructed point escaped a cylinder")
-    return point
+    return tuple(point)
 
 
 # ---- conditional expectation ----
@@ -732,33 +750,20 @@ def cond_exp(model: ChainModel, b: int, f) -> dict:
     f assigns a rational of either sign to every full trajectory, or is a
     Cylinder, which stands for its indicator; the returned table maps each
     depth-b prefix to the mean of f under the chain continued from it,
-    which is `expectation_table(model, b, D, f)`.  For a cylinder whose
-    backward pass (see _tails) starts at b, that is b >= min(cyl.depth,
-    markov_from), the value at p is the sum over the boxes p meets of the
-    probability of the rest of the box from p's last state, read off the
-    pass's level at b, and no row is built (see _cylinder_table).
+    which is `expectation_table(model, b, D, f)`.  A cylinder is scored
+    on every depth-b prefix by the box route (see _box_masses), in one
+    call on one backward pass (see _tails) from lo = max(b,
+    min(cyl.depth, markov_from)): each prefix reads its row up to lo, or
+    itself when lo == b, and the probability of the rest of the boxes past
+    lo from the last state there.  So no row deeper than lo is built.
     """
-    model.prefix_space(b)  # a depth outside 0..D is a DomainError naming it
-    if isinstance(f, Cylinder):
-        _check_cylinder(model, f)
-        lo, tails = _tails(model, f.boxes, b, f.depth)
-        if lo == b:
-            return _cylinder_table(model, b, f.boxes, *tails[0])
-    return expectation_table(model, b, model.max_depth, f)
-
-
-def _cylinder_table(model: ChainModel, b: int, boxes: Sequence, hs: list, q: int) -> dict:
-    """cond_exp of the indicator of the boxes at b, given (hs, q), the level
-    at b of their backward pass (see _tails) when it starts at b."""
-    space = model.prefix_space(b)
-    width = model.spaces[b].size
-    numerators = [0] * space.size
-    for box, h in zip(boxes, hs):
-        # A depth-b prefix j inside the box's constraints up to b meets the
-        # rest of it with weight h at its last state, j % |X_b|.
-        for j in _box_indices(space, box):
-            numerators[j] += h[j % width]
-    values = {n: Rat(n, q) for n in set(numerators)}
+    space = model.prefix_space(b)  # a depth outside 0..D is a DomainError naming it
+    if not isinstance(f, Cylinder):
+        return expectation_table(model, b, model.max_depth, f)
+    _check_cylinder(model, f)
+    lo, tails = _tails(model, f.boxes, b, f.depth)
+    numerators, denom = _box_masses(model, f.boxes, b, range(space.size), tails, lo)
+    values = {n: Rat(n, denom) for n in set(numerators)}
     return {p: values[n] for p, n in zip(space.points(), numerators)}
 
 
@@ -777,11 +782,8 @@ def cond_exp_sides(model: ChainModel, a: int, prefix, b: int, f, table) -> tuple
     point_at = model.prefix_space(b).point_at
     value = _as_fn(table)
     blocks = _cond_exp_blocks(model, a, index, b, _as_fn(f), 1, lambda i: value(point_at(i)))
-    lhs, rhs = {}, {}
-    for i, left, right in blocks:
-        p = point_at(i)
-        lhs[p] = left
-        rhs[p] = right
+    lhs = {point_at(i): left for i, left, _ in blocks}
+    rhs = {point_at(i): right for i, _, right in blocks}
     return lhs, rhs
 
 

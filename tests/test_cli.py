@@ -241,6 +241,18 @@ def test_verify_matches_golden_transcript(capsys, name):
     assert out == (GOLDEN / f"verify-{name}.txt").read_text(encoding="utf-8")
 
 
+def test_condexp_matches_golden_transcript(capsys):
+    # drift.json reads history up to depth 2 (markov_from = 2), so the
+    # cylinder's backward pass starts past b = 0 and 1, on rows, and at b = 2.
+    out = ""
+    for b in ("0", "1", "2"):
+        code, text, _ = run(capsys, "condexp", "--model", DRIFT,
+                            "--cylinder", "1=L|M,2=R", "--at", b)
+        assert code == 0
+        out += text
+    assert out == (GOLDEN / "condexp-drift.txt").read_text(encoding="utf-8")
+
+
 def _row_sum_11_12() -> bytes:
     doc = json.loads(Path(WEATHER).read_text())
     doc["steps"][1]["rows"]["S"]["S"] = "2/3"  # row sums to 11/12

@@ -30,6 +30,7 @@ from markovtraj import (
     cylinder_content,
     cylinder_from_constraints,
     disjoint_union_cylinders,
+    expectation_table,
     extract_witness,
     intersect_cylinders,
     load_model,
@@ -237,6 +238,26 @@ def test_shallow_cylinder_cond_exp_builds_no_rows():
         values = cond_exp(chain, b, cyl)
         assert not chain._rows
         assert values == cond_exp(chain, b, lambda t, c=cyl: 1 if t in c else 0)
+
+
+def test_cylinder_cond_exp_reads_rows_only_to_the_pass_start():
+    # cond_exp of a cylinder scores every depth-b prefix by the box route:
+    # on rows up to lo = max(b, min(cyl.depth, markov_from)), the start of
+    # its backward pass, and on the pass past it, never on (b, D) rows.
+    rng = random.Random(3201)
+    chains = [random_chain(rng) for _ in range(15)] + random_models(3202, 25)
+    for chain in chains:
+        depth = chain.max_depth
+        for cyl in random_cylinders(rng, chain):
+            for b in range(depth + 1):
+                chain._rows.clear()
+                chain._partial.clear()
+                table = cond_exp(chain, b, cyl)
+                lo = max(b, min(cyl.depth, chain.markov_from))
+                assert all(key[1] <= lo for key in [*chain._rows, *chain._partial])
+                assert table == expectation_table(
+                    chain, b, depth, lambda t, c=cyl: 1 if t in c else 0
+                )
 
 
 # ---- past path enumeration: the forward pass over the document ----

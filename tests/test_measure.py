@@ -22,7 +22,7 @@ from markovtraj import (
 
 from markovtraj.measure import _TABLE_BITS, _restrict
 
-from conftest import random_chain, run_capped
+from conftest import doc_chain, random_chain, run_capped, weather_doc
 
 
 def w_space():
@@ -104,7 +104,7 @@ def test_tuple_space_index_roundtrip(data):
     index = data.draw(st.integers(0, space.size - 1))
     point = space.point_at(index)
     assert space.index_of(point) == index
-    # once the enumeration is built, point_at reads it
+    # point_at agrees with the enumeration, built or not
     assert space.points()[index] == point == space.point_at(index)
 
 
@@ -193,7 +193,8 @@ def test_index_of_lists_nothing_and_inverts_point_at():
     assert space.point_at(59) == ("c", "a", "b", "c")
     for i in range(space.size):
         assert space.index_of(space.point_at(i)) == i
-    assert space._halves is not None
+    # point_at reads the index's digits, so it lists nothing either.
+    assert space._halves is None and space._points is None
     # Every miss is a DomainError, never a KeyError or TypeError.
     for bad in (
         ("?", "a", "b", "c"),  # bad label in the head
@@ -209,6 +210,26 @@ def test_index_of_lists_nothing_and_inverts_point_at():
         with pytest.raises(DomainError):
             space.index_of(bad)
         assert bad not in space
+
+
+def test_point_at_reads_digits_on_a_deep_tower(monkeypatch):
+    # The depth-200 prefix space of a two-state chain has 2^201 points, far
+    # more heads and tails than memory holds, so point_at must not list it.
+    def listed(space):
+        raise AssertionError(f"{space!r} was listed")
+
+    monkeypatch.setattr(TupleSpace, "_listing", listed)
+    space = doc_chain(weather_doc(200)).prefix_space(200)
+    rng = random.Random(200)
+    indices = [0, 1, space.size // 3, space.size - 1]
+    for i in indices + [rng.randrange(space.size) for _ in range(20)]:
+        point = space.point_at(i)
+        assert len(point) == 201 and space.index_of(point) == i
+    assert space.point_at(space.size - 1) == space.point_at(-1) == ("R",) * 201
+    # An index past the end is an IndexError, not a point of another number.
+    for bad in (space.size, 2 * space.size, -space.size - 1):
+        with pytest.raises(IndexError):
+            space.point_at(bad)
 
 
 def test_a_space_of_two_tuple_spaces_reads_their_texts():

@@ -439,14 +439,20 @@ def _failed_ids(report) -> list:
     return [line.split()[1] for line in report.lines if line.split()[2] == "FAIL"]
 
 
+def _doubled(numerators: list, denom: int) -> tuple:
+    return [2 * n for n in numerators], denom
+
+
 @pytest.mark.parametrize("name", ["weather", "drift", "coin"])
 def test_verify_catches_a_content_fault_on_every_shipped_model(monkeypatch, name):
-    # `cylinder_content` and the witness's scores read cylinders by the box
-    # route (`_box_mass`); `content_at_depth` and the witness's final check
-    # read them by membership.  So a box route that doubles every content
-    # fails exactly the content-depth line, and the witness still ends.
-    box_mass = markovtraj.trajectory._box_mass
-    monkeypatch.setattr(markovtraj.trajectory, "_box_mass", lambda *args: 2 * box_mass(*args))
+    # `cylinder_content`, `cond_exp` of a cylinder and the witness's scores
+    # read cylinders by the box route (`_box_masses`); `content_at_depth`
+    # and the witness's final check read them by membership.  So a box
+    # route that doubles every content fails exactly the content-depth
+    # line, and the witness still ends.
+    box_masses = markovtraj.trajectory._box_masses
+    monkeypatch.setattr(markovtraj.trajectory, "_box_masses",
+                        lambda *args: _doubled(*box_masses(*args)))
     assert _failed_ids(run_verify(load_model(str(MODELS / f"{name}.json")))) == ["content-depth"]
 
 
@@ -454,13 +460,13 @@ def test_verify_catches_a_content_fault_on_row_reads(monkeypatch):
     # On drift.json (markov_from = 2) the content-depth cylinder {x_1 = s}
     # is read off the depth-1 row from the start, which only the membership
     # side checks: doubling the box route where it reads a row fails there.
-    box_mass = markovtraj.trajectory._box_mass
+    box_masses = markovtraj.trajectory._box_masses
 
-    def doubled_on_rows(model, boxes, n, index, tails, lo):
-        mass = box_mass(model, boxes, n, index, tails, lo)
-        return 2 * mass if lo > n else mass
+    def doubled_on_rows(model, boxes, n, indices, tails, lo):
+        masses = box_masses(model, boxes, n, indices, tails, lo)
+        return _doubled(*masses) if lo > n else masses
 
-    monkeypatch.setattr(markovtraj.trajectory, "_box_mass", doubled_on_rows)
+    monkeypatch.setattr(markovtraj.trajectory, "_box_masses", doubled_on_rows)
     assert _failed_ids(run_verify(load_model(str(MODELS / "drift.json")))) == ["content-depth"]
 
 

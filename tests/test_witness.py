@@ -19,11 +19,13 @@ from markovtraj import (
 )
 
 from conftest import (
+    doc_chain,
     positive_extension,
     random_chain,
     random_model_doc,
     random_nested_family,
     random_prefix,
+    weather_doc,
 )
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -166,3 +168,26 @@ def test_witness_on_random_nested_families():
         assert witness[: a + 1] == start
         for c in family:
             assert witness[: c.depth + 1] in set(c.base.points())
+
+
+def test_witness_builds_a_bounded_number_of_fractions(monkeypatch):
+    # The successors at each depth are compared by integer numerators over
+    # one denominator, so the fractions built (the bound, the content from
+    # the start) do not grow with the depth of the walk.
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Rat(*args)
+
+    monkeypatch.setattr(markovtraj.trajectory, "Rat", counted)
+    counts = []
+    for depth in (100, 200):
+        chain = doc_chain(weather_doc(depth))
+        outer = cylinder_from_constraints(chain, {depth // 2: ["S"]})
+        inner = cylinder_from_constraints(chain, {depth // 2: ["S"], depth: ["S"]})
+        built.clear()
+        point = extract_witness(chain, 0, ("S",), [outer, inner], "1/1000")
+        assert len(point) == depth + 1 and point in inner
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 2

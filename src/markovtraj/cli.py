@@ -12,9 +12,13 @@ Verbs:
 
 Prefixes are written as labels joined by "|" (so "S|R" is x_0=S, x_1=R)
 and cylinder constraints as comma-separated coordinate clauses like
-"1=S,2=S|R", where "|" separates allowed states.  Coordinates, counts,
-seeds and rationals ("p/q" or "p") take ASCII digits only; answers print
-exactly at any length.  Exit codes: 0 success, 1 failed verify checks, 2
+"1=S,2=S|R", where "|" separates allowed states.  Every listing comes in
+enumeration order and is written from prefix numbers, each label read by
+`label_at`: marginal's by `measure.dist_lines`, condexp's and sample's by
+`report.table_lines`, and cylinder's from its box's increasing run of
+numbers, so no set of prefixes is built.  Coordinates, counts, seeds and
+rationals ("p/q" or "p") take ASCII digits only; answers print exactly
+at any length.  Exit codes: 0 success, 1 failed verify checks, 2
 malformed model file (or one too large to load in the memory available,
 or holding a number past the interpreter's int/str digit limit), 3 bad
 request (usage error, unknown state, depth out of range, violated
@@ -42,6 +46,7 @@ from .measure import dist_lines
 from .model_io import load_model
 from .report import Report, table_lines
 from .trajectory import (
+    _box_indices,
     cond_exp,
     cylinder_content,
     cylinder_from_constraints,
@@ -112,8 +117,10 @@ def _cmd_cylinder(loaded, args) -> int:
     cyl = _one_cylinder(chain, args)
     if args.lift is not None:
         cyl = lift_cylinder(chain, cyl, args.lift)
-    base = cyl.base
-    sys.stdout.writelines(f"{base.space.label_at(i)}\n" for i in sorted(base.indices))
+    # A --cylinder spec is one box, whose prefix numbers come increasing.
+    label_at = cyl.space.label_at
+    for box in cyl.boxes:
+        sys.stdout.writelines(f"{label_at(i)}\n" for i in _box_indices(cyl.space, box))
     return 0
 
 
@@ -139,8 +146,8 @@ def _cmd_sample(loaded, args) -> int:
         traj = sample_trajectory(chain, prefix, rng)
         counts[traj] = counts.get(traj, 0) + 1
     space = chain.prefix_space(chain.max_depth)
-    for index, traj in sorted((space.index_of(t), t) for t in counts):
-        print(f"{space.label_at(index)} {counts[traj]}")
+    entries = sorted((space.index_of(t), count) for t, count in counts.items())
+    sys.stdout.writelines(f"{line}\n" for line in table_lines(space, entries, " "))
     return 0
 
 
@@ -157,8 +164,8 @@ def _cmd_witness(loaded, args) -> int:
 def _cmd_condexp(loaded, args) -> int:
     chain = loaded.chain
     cyl = _one_cylinder(chain, args)
-    table = cond_exp(chain, args.at, cyl)
-    lines = table_lines(chain.prefix_space(args.at), table, " ")
+    table = cond_exp(chain, args.at, cyl)  # keyed in enumeration order
+    lines = table_lines(chain.prefix_space(args.at), enumerate(table.values()), " ")
     sys.stdout.writelines(f"{line}\n" for line in lines)
     return 0
 

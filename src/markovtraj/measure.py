@@ -296,7 +296,7 @@ class SubsetOf:
         self.indices = indices
 
     def points(self) -> tuple:
-        return tuple(self.space.point_at(i) for i in sorted(self.indices))
+        return _points_of(self.space, sorted(self.indices))
 
     def __contains__(self, point) -> bool:
         try:

@@ -13,11 +13,15 @@ built side first and the reference side second.  A `Report` only keeps
 the rendered lines and counts the failures.  Rendering depends only on
 the compared values, never on timing or identity, so a report is stable
 byte for byte across runs.
+
+Every canonical form and table line is written by prefix number, each
+label read by `label_at`: distributions by `measure.dist_lines`, tables
+by `table_lines`, the one renderer of table lines, which the command
+line's `condexp` and `sample` listings share.
 """
 from __future__ import annotations
 
 import hashlib
-from typing import Mapping
 
 from .measure import dist_lines
 
@@ -27,17 +31,16 @@ def fingerprint(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-def table_lines(space, table: Mapping, sep: str):
-    """Each entry of a {point: rational} table as `label<sep>value`.
+def table_lines(space, entries, sep: str):
+    """Each (prefix number, value) pair of `entries` as `label<sep>value`,
+    in the order given, the label read by number (`label_at`).
 
-    Entries come in enumeration order; this renders `condexp` output and
-    the canonical form of tables.
+    The one renderer of table lines: `condexp` and `sample` write their
+    listings through it and `canonical_table` joins it, so no point of
+    `space` is built or looked up.
     """
-    return (
-        f"{space.label_at(i)}{sep}{table[p]}"
-        for i, p in enumerate(space.points())
-        if p in table
-    )
+    label_at = space.label_at
+    return (f"{label_at(i)}{sep}{value}" for i, value in entries)
 
 
 def canonical_dist(d) -> str:
@@ -53,11 +56,11 @@ def canonical_kernel(k) -> str:
 def canonical_table(space, table) -> str:
     """Canonical form of a table by point number: a list with one rational
     per point of `space`, or a {point number: rational} dict in increasing
-    order of its keys.  Labels are read by index (`label_at`), so the
-    text is that of the table keyed by point, in enumeration order."""
-    label_at = space.label_at
+    order of its keys, written as the "="-lines of `table_lines` joined by
+    spaces; so the text is that of the table keyed by point, in
+    enumeration order."""
     entries = table.items() if isinstance(table, dict) else enumerate(table)
-    return " ".join([f"{label_at(i)}={value}" for i, value in entries])
+    return " ".join(table_lines(space, entries, "="))
 
 
 class Report:

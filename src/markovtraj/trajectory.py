@@ -750,12 +750,14 @@ def cond_exp(model: ChainModel, b: int, f) -> dict:
     f assigns a rational of either sign to every full trajectory, or is a
     Cylinder, which stands for its indicator; the returned table maps each
     depth-b prefix to the mean of f under the chain continued from it,
-    which is `expectation_table(model, b, D, f)`.  A cylinder is scored
-    on every depth-b prefix by the box route (see _box_masses), in one
-    call on one backward pass (see _tails) from lo = max(b,
-    min(cyl.depth, markov_from)): each prefix reads its row up to lo, or
-    itself when lo == b, and the probability of the rest of the boxes past
-    lo from the last state there.  So no row deeper than lo is built.
+    which is `expectation_table(model, b, D, f)`.  Its keys come in
+    enumeration order, so its i-th value is that of the prefix numbered i.
+    A cylinder is scored on every depth-b prefix by the box route (see
+    _box_masses), in one call on one backward pass (see _tails) from lo =
+    max(b, min(cyl.depth, markov_from)): each prefix reads its row up to
+    lo, or itself when lo == b, and the probability of the rest of the
+    boxes past lo from the last state there.  So no row deeper than lo is
+    built.
     """
     space = model.prefix_space(b)  # a depth outside 0..D is a DomainError naming it
     if not isinstance(f, Cylinder):

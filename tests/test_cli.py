@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovtraj import Dist
+from markovtraj import Cylinder, Dist, TupleSpace
 from markovtraj.cli import build_parser, main
 from markovtraj.report import Report
 
@@ -187,6 +187,11 @@ WIDE_PRODUCT = {"kind": "product", "factors": [
     ids=[f"{model}-{argv[0]}" for model, argv, _ in PINNED_QUERIES],
 )
 def test_query_output_is_pinned(capsys, tmp_path, model, argv, digest):
+    assert pinned_query_digest(capsys, tmp_path, model, argv) == digest
+
+
+def pinned_query_digest(capsys, tmp_path, model, argv) -> str:
+    """sha256 of the stdout of one PINNED_QUERIES query, which must exit 0."""
     if model == "drift":
         path = DRIFT
     else:
@@ -194,7 +199,45 @@ def test_query_output_is_pinned(capsys, tmp_path, model, argv, digest):
         path.write_text(json.dumps(WIDE_PRODUCT if model == "wide" else weather_doc(12)))
     code, out, err = run(capsys, *argv[:1], "--model", str(path), *argv[1:])
     assert code == 0, err
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+PINNED_CYLINDERS = [query for query in PINNED_QUERIES if query[1][0] == "cylinder"]
+
+
+@pytest.mark.parametrize("model,argv,digest", PINNED_CYLINDERS,
+                         ids=[model for model, _, _ in PINNED_CYLINDERS])
+def test_the_cylinder_verb_builds_no_set_of_prefixes(
+    capsys, monkeypatch, tmp_path, model, argv, digest
+):
+    # `cylinder` writes the increasing run of its box's prefix numbers, so
+    # it never builds the enumerated set of allowed prefixes.
+    def base(self):
+        raise AssertionError("Cylinder.base was built")
+
+    monkeypatch.setattr(Cylinder, "base", property(base))
+    assert pinned_query_digest(capsys, tmp_path, model, argv) == digest
+
+
+PINNED_CONDEXPS = [query for query in PINNED_QUERIES if query[1][0] == "condexp"]
+
+
+@pytest.mark.parametrize("model,argv,digest", PINNED_CONDEXPS,
+                         ids=[model for model, _, _ in PINNED_CONDEXPS])
+def test_condexp_lists_its_prefix_space_once(
+    capsys, monkeypatch, tmp_path, model, argv, digest
+):
+    # cond_exp keys its table by point, in enumeration order, and condexp
+    # writes it by position, so only cond_exp lists the depth-b space.
+    points, listed = TupleSpace.points, []
+
+    def counted(space):
+        listed.append(space)
+        return points(space)
+
+    monkeypatch.setattr(TupleSpace, "points", counted)
+    assert pinned_query_digest(capsys, tmp_path, model, argv) == digest
+    assert len(listed) == 1
 
 
 def test_sample_rejects_a_bad_start(capsys):
@@ -251,6 +294,18 @@ def test_condexp_matches_golden_transcript(capsys):
         assert code == 0
         out += text
     assert out == (GOLDEN / "condexp-drift.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("cylinder-drift", ("cylinder", "--cylinder", "1=L|M,2=R", "--lift", "3")),
+    ("sample-drift", ("sample", "--point", "L", "--seed", "7", "--samples", "500")),
+], ids=["cylinder", "sample"])
+def test_listing_matches_golden_transcript(capsys, name, argv):
+    # drift.json's unequal spaces: a lifted cylinder's listing and a seeded
+    # sample's counts, each in enumeration order.
+    code, out, err = run(capsys, *argv[:1], "--model", DRIFT, *argv[1:])
+    assert code == 0, err
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 def _row_sum_11_12() -> bytes:
@@ -400,6 +455,24 @@ def test_a_query_that_runs_out_of_memory_is_a_bad_request(tmp_path):
     child = run_capped(["-m", "markovtraj.cli", "verify", "--model", str(model)], 120, 96)
     assert (child.returncode, child.stdout) == (3, ""), child.stderr
     assert child.stderr == "error: the request needs more memory than is available\n"
+
+
+def test_a_deep_cylinder_listing_streams_in_bounded_memory(capsys, tmp_path):
+    # The 2^19 prefixes that `cylinder --cylinder 3=S --lift 19` allows on
+    # the depth-19 weather chain are written one label at a time from the
+    # box's increasing run of prefix numbers, under a 40 MiB address space:
+    # midway between the 20 MiB this listing needs and the 61 MiB that one
+    # building and sorting the set of allowed prefix numbers needs (2-vCPU
+    # VM, Python 3.11.7).  About 2 s on that VM.
+    model = tmp_path / "weather19.json"
+    model.write_text(json.dumps(weather_doc(19)))
+    argv = ["cylinder", "--model", str(model), "--cylinder", "3=S", "--lift", "19"]
+    child = run_capped(["-m", "markovtraj.cli", *argv], 120, 40)
+    assert child.returncode == 0, child.stderr
+    assert len(child.stdout.splitlines()) == 2 ** 19
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert child.stdout == out
 
 
 def test_huge_max_depth_is_a_malformed_model(tmp_path):

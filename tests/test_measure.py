@@ -20,6 +20,7 @@ from markovtraj import (
     uniform,
 )
 
+import markovtraj.measure
 from markovtraj.measure import _TABLE_BITS, _restrict
 
 from conftest import doc_chain, random_chain, run_capped, weather_doc
@@ -255,6 +256,24 @@ def test_subset_membership():
     assert "S" not in sub
     assert len(sub) == 1
     assert sub.points() == ("R",)
+
+
+def test_subset_points_read_one_digit_table(monkeypatch):
+    # The points of a subset of a tuple space are read off their numbers in
+    # increasing order, in one pass over one (component, stride) table
+    # (`_digits`), not one table per point.
+    space = TupleSpace([w_space(), FiniteSpace("T", ["a", "b", "c"]), w_space()])
+    numbers = [11, 0, 7, 4, 5]
+    expected = tuple(space.point_at(i) for i in sorted(numbers))
+    digits, calls = markovtraj.measure._digits, []
+
+    def counted(*args):
+        calls.append(args)
+        return digits(*args)
+
+    monkeypatch.setattr(markovtraj.measure, "_digits", counted)
+    assert SubsetOf(space, numbers).points() == expected
+    assert len(calls) == 1
 
 
 def test_subset_rejects_bad_indices():

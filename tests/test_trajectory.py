@@ -878,6 +878,33 @@ def test_cond_exp_matches_path_enumeration():
         assert table[p] == sum((w * f[t] for t, w in law.items()), Rat(0))
 
 
+def test_cond_exp_keys_come_in_enumeration_order():
+    # `condexp` writes cond_exp's table by position, so its keys are the
+    # depth-b prefixes in points() order, for a cylinder (one box or many)
+    # and for a callable, on the acceptance tests' pool of random chains.
+    rng = random.Random(20260815)
+    for chain in [random_chain(rng) for _ in range(100)]:
+        depth = chain.max_depth
+        coords = rng.sample(range(depth + 1), rng.randint(1, depth + 1))
+        constraints = {
+            k: rng.sample(chain.spaces[k].labels, rng.randint(1, chain.spaces[k].size))
+            for k in coords
+        }
+        k = rng.randint(0, depth)
+        points = chain.prefix_space(k).points()
+        f = {t: Rat(rng.randint(-9, 9), rng.randint(1, 6))
+             for t in chain.prefix_space(depth).points()}
+        integrands = [
+            cylinder_from_constraints(chain, constraints),
+            cylinder(chain, k, rng.sample(points, rng.randint(1, len(points)))),
+            f.__getitem__,
+        ]
+        for b in range(depth + 1):
+            order = list(chain.prefix_space(b).points())
+            for g in integrands:
+                assert list(cond_exp(chain, b, g)) == order
+
+
 def test_check_cond_exp(weather):
     space_d = weather.prefix_space(3)
     f = lambda traj: Rat(space_d.index_of(traj), 7)

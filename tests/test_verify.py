@@ -16,6 +16,7 @@ from markovtraj import (
     Kernel,
     LoadedModel,
     Rat,
+    TupleSpace,
     expectation_table,
     load_model,
     model_from_dict,
@@ -46,7 +47,54 @@ from conftest import (
 MODELS = Path(__file__).resolve().parent.parent / "models"
 WEATHER = str(MODELS / "weather.json")
 COIN = str(MODELS / "coin.json")
+DRIFT = str(MODELS / "drift.json")
 TRI = str(Path(__file__).resolve().parent / "golden" / "tri.json")
+
+
+def point_keyed_table_lines(space, table, sep):
+    """The point-keyed rule that `report.table_lines` replaced, kept as its
+    reference: each entry of a {point: rational} table as `label<sep>value`,
+    in enumeration order, found by walking `space.points()`."""
+    return (
+        f"{space.label_at(i)}{sep}{table[p]}"
+        for i, p in enumerate(space.points())
+        if p in table
+    )
+
+
+def _table_spaces() -> list:
+    # weather's depth-3 prefix space; drift's unequal spaces repeated to
+    # depth 12, where both the head and the tail of a point (see
+    # TupleSpace._cut) hold several coordinates; and a split's pair space
+    # of two prefix spaces, whose texts are the components' own.
+    drift = load_model(DRIFT).chain
+    return [
+        ("weather", load_model(WEATHER).chain.prefix_space(3)),
+        ("drift12", TupleSpace([drift.spaces[k % 4] for k in range(13)])),
+        ("pair", TupleSpace([drift.prefix_space(1), drift.prefix_space(3)])),
+    ]
+
+
+@pytest.mark.parametrize("name,space", _table_spaces(), ids=[n for n, _ in _table_spaces()])
+def test_table_lines_match_the_point_keyed_rule(name, space):
+    # On random full and partial tables, the renderer by prefix number and
+    # the canonical form that joins it write what the point-keyed rule
+    # writes for the same table keyed by point.
+    rng = random.Random(f"table-lines-{name}")
+    for trial in range(8):
+        if trial < 2:
+            numbers = range(space.size)
+        else:
+            numbers = sorted(rng.sample(range(space.size), min(space.size, rng.choice([0, 1, 5, 40]))))
+        table = {i: Rat(rng.randint(-9, 9), rng.randint(1, 9)) for i in numbers}
+        by_point = {space.point_at(i): value for i, value in table.items()}
+        for sep in (" ", "="):
+            assert (list(table_lines(space, table.items(), sep))
+                    == list(point_keyed_table_lines(space, by_point, sep)))
+        text = " ".join(point_keyed_table_lines(space, by_point, "="))
+        assert canonical_table(space, table) == text
+        if trial < 2:
+            assert canonical_table(space, list(table.values())) == text
 
 
 def test_verify_passes_on_a_729_trajectory_chain():
@@ -145,8 +193,9 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
     # that family's checks fail, each FAIL line shows the fingerprint of the
     # freshly built side first and of the reference (memoized) side second.
     # The expected columns are built by the point-keyed public routes
-    # (`expectation_table`, `cond_exp_sides`) and rendered by `table_lines`,
-    # the CLI's renderer, not by verify's index route.
+    # (`expectation_table`, `cond_exp_sides`) and rendered by the
+    # point-keyed rule (`point_keyed_table_lines`), not by verify's index
+    # route.
     compose = verify.comp_kernel
     integrate, split = verify._row_integrals, verify.traj_split_sides
     blocks, const_sides = verify._cond_exp_blocks, verify.partial_traj_const_sides
@@ -163,7 +212,7 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
 
     def by_table(a, table):
         # a {point: rational} table of every depth-a prefix, or of some
-        return fingerprint(" ".join(table_lines(chain.prefix_space(a), table, "=")))
+        return fingerprint(" ".join(point_keyed_table_lines(chain.prefix_space(a), table, "=")))
 
     def test_function(c):
         # the test function i / |P_c| at the depth-c prefix numbered i

@@ -200,11 +200,16 @@ class TupleSpace:
         return index
 
     def point_at(self, index: int) -> tuple:
-        """The point numbered `index`, read off its digits (`_points_of`), so
-        nothing is listed at any size.  The index is taken as a sequence
-        takes one (`range(size)[index]`), so an index past the end is an
-        IndexError, not a point of another number."""
-        return _points_of(self, (range(self.size)[index],))[0]
+        """The point numbered `index`, read off its digits by `%` and `//`
+        from the last coordinate, so nothing is listed at any size.  The
+        index is taken as a sequence takes one (`range(size)[index]`), so an
+        index past the end is an IndexError, not a point of another number."""
+        index = range(self.size)[index]
+        coords = []
+        for comp in reversed(self.components):
+            index, digit = divmod(index, comp.size)
+            coords.append(comp.point_at(digit))
+        return tuple(reversed(coords))
 
     def label_at(self, index: int) -> str:
         """The text of the point numbered `index`: format_point(point_at(index)).

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, InvariantError, PreconditionError
@@ -297,7 +298,9 @@ def _prefix_index(model: ChainModel, prefix, a=_OWN_DEPTH) -> int:
     labels; anything else, a depth that is not an int in 0..D, a length
     other than a + 1 or a label that is not a state of its space is a
     DomainError.  The index is folded from the labels' indices, leftmost
-    most significant, as `TupleSpace.index_of` sums them.
+    most significant, as `TupleSpace.index_of` sums them; a prefix the fold
+    rejects is looked up again by `index_of`, whose error names a bad
+    label with its own space rather than printing the prefix space.
     """
     if not isinstance(prefix, (tuple, list)):
         raise DomainError(f"a prefix is a tuple or list of labels, not {prefix!r}")
@@ -310,8 +313,7 @@ def _prefix_index(model: ChainModel, prefix, a=_OWN_DEPTH) -> int:
             return index
         except (KeyError, TypeError):  # unknown or unhashable label
             pass
-    space = model.prefix_space(depth)  # a bad depth is named as such
-    raise DomainError(f"{tuple(prefix)!r} is not a point of {space!r}")
+    return model.prefix_space(depth).index_of(tuple(prefix))
 
 
 def traj_marginal(model: ChainModel, a: int, prefix, b: int) -> Dist:
@@ -405,7 +407,13 @@ class Cylinder:
         return False
 
     def __len__(self) -> int:
-        return _box_count(self.space, self.boxes)
+        """The number of allowed prefixes, `_box_count`.  `len()` cannot
+        return more than sys.maxsize, so a larger count is a DomainError
+        that names it."""
+        count = _box_count(self.space, self.boxes)
+        if count > sys.maxsize:
+            raise DomainError(f"the cylinder holds {count} prefixes, more than len() returns")
+        return count
 
     @property
     def base(self) -> SubsetOf:

@@ -72,10 +72,12 @@ def run_verify(loaded: LoadedModel) -> Report:
     report = Report(loaded.header())
     kernel_text = _kernel_texts(chain)
     cond_tables = _kernel_checks(report, chain, kernel_text)
-    start = _canonical_start(chain)
-    outer, _ = _best_constraint_cylinder(chain, start, min(1, chain.max_depth))
-    _content_checks(report, chain, start, outer)
-    _witness_check(report, chain, start, outer)
+    start = (chain.spaces[0].labels[0],)
+    parts = _state_cylinders(chain, min(1, chain.max_depth))
+    scores = [cylinder_content(chain, 0, start, c) for c in parts]
+    best = scores.index(max(scores))  # the first of largest content
+    _content_checks(report, chain, start, parts, scores, best)
+    _witness_check(report, chain, start, parts[best])
     _condexp_checks(report, chain, cond_tables)
     del cond_tables  # not held through the split checks
     _split_checks(report, chain)
@@ -173,45 +175,33 @@ def _integer_form(table: list) -> tuple:
     return [value.numerator * (denom // value.denominator) for value in table], denom
 
 
-def _canonical_start(chain: ChainModel) -> tuple:
-    return (chain.spaces[0].labels[0],)
+def _state_cylinders(chain: ChainModel, coord: int) -> list:
+    """The cylinders {x_coord = s}, one per state s in enumeration order."""
+    return [cylinder_from_constraints(chain, {coord: [s]}) for s in chain.spaces[coord].points()]
 
 
-def _best_constraint_cylinder(chain: ChainModel, start, coord: int, within=None):
-    """Cylinder {x_coord = s} (intersected with `within`) of largest content.
-
-    Ties go to the first state in enumeration order, so the choice is
-    deterministic; the maximum is positive because the candidate contents
-    sum to the content of `within` (or to 1).
-    """
-    scored = []
-    for s in chain.spaces[coord].points():
-        cand = cylinder_from_constraints(chain, {coord: [s]})
-        if within is not None:
-            cand = intersect_cylinders(chain, within, cand)
-        scored.append((cand, cylinder_content(chain, 0, start, cand)))
-    return max(scored, key=lambda pair: pair[1])  # the first on ties
-
-
-def _content_checks(report: Report, chain: ChainModel, start, outer) -> None:
-    """`outer` is the cylinder {x_coord = s} of largest content from `start`,
-    for coord = min(1, D)."""
-    coord = min(1, chain.max_depth)
-    _add(report, "content-depth", cylinder_content(chain, 0, start, outer),
-         content_at_depth(chain, 0, start, outer, chain.max_depth), str)
-    parts = [
-        cylinder_from_constraints(chain, {coord: [s]})
-        for s in chain.spaces[coord].points()
-    ]
-    total = sum((cylinder_content(chain, 0, start, c) for c in parts), ZERO)
+def _content_checks(report: Report, chain: ChainModel, start, parts, scores, best) -> None:
+    """`parts` are the cylinders {x_coord = s}, coord = min(1, D), `scores`
+    their contents from `start`, and `parts[best]` the first of largest
+    content.  content-depth checks that one's score by membership, and
+    content-additive the scores' sum against the content of their union."""
+    _add(report, "content-depth", scores[best],
+         content_at_depth(chain, 0, start, parts[best], chain.max_depth), str)
     union = cylinder_content(chain, 0, start, disjoint_union_cylinders(chain, parts))
-    _add(report, "content-additive", total, union, str)
+    _add(report, "content-additive", sum(scores, ZERO), union, str)
 
 
 def _witness_check(report: Report, chain: ChainModel, start, outer) -> None:
-    inner, eps = _best_constraint_cylinder(
-        chain, start, min(2, chain.max_depth), within=outer
-    )
+    """`inner` is the first of largest content among the cylinders
+    outer ∩ {x_coord = t}, coord = min(2, D), each scored once, and ε is
+    its content, which is positive because the candidates split `outer`."""
+    candidates = [
+        intersect_cylinders(chain, outer, c)
+        for c in _state_cylinders(chain, min(2, chain.max_depth))
+    ]
+    scores = [cylinder_content(chain, 0, start, c) for c in candidates]
+    eps = max(scores)
+    inner = candidates[scores.index(eps)]
     witness = extract_witness(chain, 0, start, [outer, inner], eps)
     member = ONE if witness in outer and witness in inner else ZERO
     _add(report, "witness-member", member, ONE, str)

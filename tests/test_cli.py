@@ -593,6 +593,16 @@ def test_domain_errors_exit_3(capsys):
     assert "--samples" in err
 
 
+def test_a_bad_label_in_a_deep_prefix_is_named_alone(capsys, tmp_path):
+    # A bad 20th label of a depth-19 prefix is named with its space, not by
+    # printing the prefix space's twenty components.
+    path = tmp_path / "weather19.json"
+    path.write_text(json.dumps(weather_doc(19)))
+    point = "|".join(["S", "R"] * 9 + ["S", "Q"])
+    code, out, err = run(capsys, "marginal", "--model", str(path), "--point", point, "--at", "19")
+    assert (code, out, err) == (3, "", "error: 'Q' is not a state of space 'W'\n")
+
+
 def test_bad_cylinder_specs(capsys):
     # int() refuses a 5000-digit coordinate with ValueError
     for spec in ("", "1", "1=", "=S", "1=S,1=R", "9" * 5000 + "=S"):

@@ -9,10 +9,12 @@ path by path.
 import json
 import math
 import random
+import sys
 
 import pytest
 
 from markovtraj import (
+    DomainError,
     PreconditionError,
     Rat,
     content_at_depth,
@@ -27,6 +29,7 @@ from markovtraj import (
 
 from conftest import (
     brute_force_content,
+    doc_chain,
     positive_extension,
     random_chain,
     random_prefix,
@@ -143,6 +146,20 @@ def in_by_digits(cyl, point) -> bool:
             for k, allowed in box)
         for box in cyl.boxes
     )
+
+
+def test_len_answers_up_to_maxsize_and_names_a_larger_count():
+    # len() cannot return more than sys.maxsize = 2^63 - 1 here: {x_d = S}
+    # on the two-state weather chain holds 2^d prefixes, so depth 62 is
+    # answered exactly and depths 63 and 200 are a DomainError naming the
+    # count, not an OverflowError.
+    assert sys.maxsize == 2**63 - 1
+    chain = doc_chain(weather_doc(200))
+    assert len(cylinder_from_constraints(chain, {62: ["S"]})) == 2**62
+    for depth in (63, 200):
+        cyl = cylinder_from_constraints(chain, {depth: ["S"]})
+        with pytest.raises(DomainError, match=f"holds {2**depth} prefixes"):
+            len(cyl)
 
 
 def test_membership_matches_the_index_digits():

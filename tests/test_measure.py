@@ -2,6 +2,7 @@ import bisect
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from markovtraj import (
     SubsetOf,
     TupleSpace,
     dirac,
+    load_model,
     product_dist,
     pushforward_dist,
     uniform,
@@ -24,6 +26,8 @@ import markovtraj.measure
 from markovtraj.measure import _TABLE_BITS, _restrict
 
 from conftest import doc_chain, random_chain, run_capped, weather_doc
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def w_space():
@@ -231,6 +235,35 @@ def test_point_at_reads_digits_on_a_deep_tower(monkeypatch):
     for bad in (space.size, 2 * space.size, -space.size - 1):
         with pytest.raises(IndexError):
             space.point_at(bad)
+
+
+def _digit_spaces() -> list:
+    # drift's unequal spaces repeated to depth 12, and a pair space of two
+    # of its prefix spaces, whose coordinates are themselves tuple spaces.
+    drift = load_model(str(MODELS / "drift.json")).chain
+    return [
+        TupleSpace([drift.spaces[k % 4] for k in range(13)]),
+        TupleSpace([drift.prefix_space(1), drift.prefix_space(3)]),
+    ]
+
+
+@pytest.mark.parametrize("space", _digit_spaces(), ids=["drift12", "pair"])
+def test_point_at_reads_the_listed_point_with_no_digit_table(monkeypatch, space):
+    # point_at reads an index's digits by % and // from the last
+    # coordinate: it equals points() at every index and builds no
+    # (component, stride) table (`_digits`), however often it is called.
+    points = space.points()
+    assert [space.point_at(i) for i in range(space.size)] == list(points)
+    assert space.point_at(-1) == points[-1]
+
+    def refused(*args):
+        raise AssertionError("point_at built a digit table")
+
+    monkeypatch.setattr(markovtraj.measure, "_digits", refused)
+    rng = random.Random(space.size)
+    for _ in range(1000):
+        i = rng.randrange(space.size)
+        assert space.point_at(i) == points[i]
 
 
 def test_a_space_of_two_tuple_spaces_reads_their_texts():

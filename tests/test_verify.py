@@ -484,6 +484,22 @@ def test_verify_lists_no_prefix_space_outside_the_membership_route(monkeypatch, 
     assert report.ok and not any(line.split()[1].startswith("content-") for line in report.lines)
 
 
+@pytest.mark.parametrize("name,calls", [("weather", 5), ("drift", 6), ("coin", 5)])
+def test_verify_scores_each_content_cylinder_once(monkeypatch, name, calls):
+    # The parts {x_c1 = s}, c1 = min(1, D), are scored once, and their union
+    # once; the witness candidates outer ∩ {x_c2 = t}, c2 = min(2, D), once
+    # each: |X_c1| + 1 + |X_c2| calls of `cylinder_content` per run.
+    content, seen = verify.cylinder_content, []
+
+    def counted(*args):
+        seen.append(args)
+        return content(*args)
+
+    monkeypatch.setattr(verify, "cylinder_content", counted)
+    assert run_verify(load_model(str(MODELS / f"{name}.json"))).ok
+    assert len(seen) == calls
+
+
 def _failed_ids(report) -> list:
     return [line.split()[1] for line in report.lines if line.split()[2] == "FAIL"]
 

@@ -46,9 +46,13 @@ Implements:
     exact checks of its defining identity and of the two-stage
     decomposition of the trajectory law.
     Each identity's two sides come from one function (cond_exp_sides,
-    traj_split_sides), which the `verify` report renders too; `verify`
-    reads the conditional expectation's sides by prefix number from
-    _cond_exp_blocks, which cond_exp_sides keys by point.
+    traj_split_sides); `verify` reads the conditional expectation's sides
+    by prefix number from _cond_exp_blocks, which cond_exp_sides keys by
+    point, and decides the split on the flat lists below.
+  * _flat_kernel: a memoized (a, c) kernel as one list of integer
+    numerators by depth-c prefix number over one denominator, row i
+    filling the block of prefixes that extend prefix i; `verify` decides
+    its kernel-comp, restrict and split checks on such lists.
 
 Prefixes are tuples (or lists) of state labels; a prefix of depth n has
 n + 1 entries, and every prefix argument is looked up by _prefix_index.
@@ -297,15 +301,21 @@ def _prefix_index(model: ChainModel, prefix, a=_OWN_DEPTH) -> int:
     `Cylinder.__contains__`, so a string is not split into one-letter
     labels; anything else, a depth that is not an int in 0..D, a length
     other than a + 1 or a label that is not a state of its space is a
-    DomainError.  The index is folded from the labels' indices, leftmost
-    most significant, as `TupleSpace.index_of` sums them; a prefix the fold
-    rejects is looked up again by `index_of`, whose error names a bad
-    label with its own space rather than printing the prefix space.
+    DomainError.  A wrong length is reported with the prefix, its length
+    and the expected one.  The index is folded from the labels' indices,
+    leftmost most significant, as `TupleSpace.index_of` sums them; a prefix
+    the fold rejects is looked up again by `index_of`, whose error names a
+    bad label with its own space rather than printing the prefix space.
     """
     if not isinstance(prefix, (tuple, list)):
         raise DomainError(f"a prefix is a tuple or list of labels, not {prefix!r}")
     depth = len(prefix) - 1 if a is _OWN_DEPTH else a
-    if type(depth) is int and 0 <= depth <= model.max_depth and len(prefix) == depth + 1:
+    if type(depth) is int and 0 <= depth <= model.max_depth:
+        if len(prefix) != depth + 1:
+            raise DomainError(
+                f"prefix {tuple(prefix)!r} has length {len(prefix)}, "
+                f"expected {depth + 1} for depth {depth}"
+            )
         index = 0
         try:
             for space, state in zip(model.spaces, prefix):
@@ -838,6 +848,36 @@ def check_cond_exp(model: ChainModel, a: int, prefix, b: int, f) -> bool:
     return lhs == rhs
 
 
+def _flat_kernel(model: ChainModel, a: int, c: int) -> tuple:
+    """(values, L): the memoized (a, c) kernel, a <= c, as one list of
+    integer numerators by depth-c prefix number over one denominator L, the
+    lcm of its rows' denominators.
+
+    Row i lives only in its prefix block [i * r, (i + 1) * r), for
+    r = |P_c| / |P_a|: the prefixes that extend prefix i.  So the list is
+    the rows' numerators, each scaled to L, at their own indices, with 0
+    where a row has no mass.  Each row's sorted entries are checked against
+    its block; a row that leaves it is an InvariantError naming a, c and i.
+    """
+    kern = model.partial_traj(a, c)
+    rows = kern.rows
+    run = kern.target.size // len(rows)
+    denom = math.lcm(*(row._denom for row in rows))
+    values = [0] * kern.target.size
+    lo = 0
+    for i, row in enumerate(rows):
+        entries = row._numerators
+        if entries[0][0] < lo or entries[-1][0] >= lo + run:
+            raise InvariantError(
+                f"row {i} of the ({a}, {c}) kernel leaves its prefix block [{lo}, {lo + run})"
+            )
+        scale = denom // row._denom
+        for j, n in entries:
+            values[j] = n * scale
+        lo += run
+    return values, denom
+
+
 def traj_split_sides(model: ChainModel, a: int, b: int) -> tuple:
     """Both sides of the split of the trajectory law at depth b.
 
@@ -847,7 +887,10 @@ def traj_split_sides(model: ChainModel, a: int, b: int) -> tuple:
     kernel and continues it with the (b, D) kernel; the right side draws
     the full trajectory from the (a, D) kernel and pairs it with its
     restriction.  Rows store only their support, so the size of the pair
-    space costs nothing.
+    space costs nothing.  `verify` decides its split:a,b line on flat
+    lists instead: both sides put the pair (i, j) only where i is j's
+    restriction to depth b, so they compare as the (a, D) kernel and the
+    composition of (a, b) with (b, D), the kernel-comp:a,b,D comparison.
     """
     _check_depth_pair(a, b, model.max_depth)
     first = model.partial_traj(a, b)

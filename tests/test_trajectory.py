@@ -44,6 +44,7 @@ from markovtraj import (
 from conftest import (
     brute_force_content,
     brute_force_prefix_law,
+    doc_chain,
     random_chain,
     random_dist,
     random_model_doc,
@@ -607,6 +608,29 @@ def test_prefix_arguments_take_only_a_tuple_or_list(entry):
     for bad in ("SR", iter(("S", "R")), {0: "S", 1: "R"}, b"SR", None, 7):
         with pytest.raises(DomainError):
             call(bad)
+
+
+def test_a_prefix_of_the_wrong_length_is_named_with_its_lengths():
+    # A prefix whose length is not a + 1 for an explicit depth a is
+    # reported by the prefix, its length and the expected length, never by
+    # the prefix space, whose text grows with the depth.
+    drift = load_model(MODELS / "drift.json").chain
+    with pytest.raises(DomainError) as info:
+        traj_marginal(drift, 1, ("L",), 2)
+    assert str(info.value) == "prefix ('L',) has length 1, expected 2 for depth 1"
+    weather = _prefix_entry_points(weather_chain())
+    for name, call in weather.items():
+        if name != "sample_trajectory":  # a prefix of any depth extends
+            with pytest.raises(DomainError) as info:
+                call(["S", "R", "S"])
+            assert str(info.value) == "prefix ('S', 'R', 'S') has length 3, expected 2 for depth 1"
+    deep = doc_chain(weather_doc(19))
+    cyl = cylinder_from_constraints(deep, {19: ["R"]})
+    for call in (lambda p: traj_marginal(deep, 18, p, 19),
+                 lambda p: cylinder_content(deep, 18, p, cyl)):
+        with pytest.raises(DomainError) as info:
+            call(("S", "R", "S"))
+        assert str(info.value) == "prefix ('S', 'R', 'S') has length 3, expected 19 for depth 18"
 
 
 def _depth_entry_points(chain: ChainModel) -> dict:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import markovtraj.cli
 import markovtraj.measure
 import markovtraj.trajectory
 import markovtraj.verify as verify
@@ -23,6 +24,7 @@ from markovtraj import (
     uniform,
 )
 from markovtraj.cli import main
+from markovtraj.kernel import comp_kernel
 from markovtraj.measure import _restrict
 from markovtraj.report import (
     Report,
@@ -32,7 +34,7 @@ from markovtraj.report import (
     fingerprint,
     table_lines,
 )
-from markovtraj.trajectory import cond_exp_sides
+from markovtraj.trajectory import cond_exp_sides, traj_split_sides
 from markovtraj.verify import run_verify
 
 from conftest import (
@@ -179,25 +181,50 @@ def _perturbed(table):
     return {**table, first: table[first] + 1}
 
 
-def _mirrored(d, target=None):
-    """d (or its restriction to `target`, by index) read back to front:
-    point i moves to |space| - 1 - i."""
-    target = d.space if target is None else target
-    return Dist.from_support(
-        target, [(target.size - 1 - i, w) for i, w in _restrict(d, target).support()]
-    )
+def _mirrored(d):
+    """d read back to front: point i moves to |space| - 1 - i."""
+    return Dist.from_support(d.space, [(d.space.size - 1 - i, w) for i, w in d.support()])
+
+
+def _flipped(kern, size=None, coord=lambda p: p, place=lambda j: j):
+    """What reversing verify's flat list of `kern` does: row i is row
+    n - 1 - i with the point numbered j in the list moved to size - 1 - j.
+    `coord` reads the number j of a target index and `place` writes it
+    back; a split's pair space numbers its pair (j // ratio, j) by j."""
+    size = kern.target.size if size is None else size
+    rows = [
+        Dist.from_support(kern.target, [(place(size - 1 - coord(p)), w) for p, w in row.support()])
+        for row in reversed(kern.rows)
+    ]
+    return Kernel(kern.source, kern.target, rows)
+
+
+def _reversed(flat):
+    values, denom = flat
+    return values[::-1], denom
 
 
 def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, capsys):
-    # Eight broken copies of verify's building blocks, one family each: only
-    # that family's checks fail, each FAIL line shows the fingerprint of the
-    # freshly built side first and of the reference (memoized) side second.
-    # The expected columns are built by the point-keyed public routes
-    # (`expectation_table`, `cond_exp_sides`) and rendered by the
-    # point-keyed rule (`point_keyed_table_lines`), not by verify's index
-    # route.
-    compose = verify.comp_kernel
-    integrate, split = verify._row_integrals, verify.traj_split_sides
+    # Seven broken copies of verify's building blocks: only the checks of
+    # the families that read the copy fail, each FAIL line shows the
+    # fingerprint of the freshly built side first and of the reference
+    # (memoized) side second.  The expected columns are built by the
+    # point-keyed public routes (`expectation_table`, `cond_exp_sides`) and
+    # rendered by the point-keyed rule (`point_keyed_table_lines`), not by
+    # verify's index route.
+    #
+    # kernel-comp and restrict decide on flat lists, and their broken
+    # copies reverse the fresh list; split:a,b is the kernel-comp:a,b,3
+    # comparison, so it fails with it.  The expected columns are the Kernel
+    # routes (`comp_kernel`, `_restrict` row by row, `traj_split_sides`)
+    # with rows and points reversed to match.  Where source and target
+    # depth agree (kernel-comp:a,a,a, restrict:a,a,c, split:3,3) every block
+    # holds one entry, so the flat list of any kernel is its denominator
+    # repeated: no broken copy that still returns a kernel changes it, and
+    # those lines must pass.  A row outside its block is caught when the
+    # memoized kernels are read (test_a_row_outside_its_block_exits_4).
+    composed, block_sums = verify._composed, verify._block_sums
+    integrate, split = verify._row_integrals, traj_split_sides
     blocks, const_sides = verify._cond_exp_blocks, verify.partial_traj_const_sides
     split_product, project = verify.product_split_sides, verify.product_projection_sides
     chain = load_model(WEATHER).chain
@@ -241,17 +268,17 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
         lhs, rhs = cond_exp_sides(chain, a, start, b, f, table(b, 3))
         return by_table(b, _perturbed(lhs)), by_table(b, rhs)
 
-    def split_rotated(ch, a, b):
-        two_stage, direct = split(ch, a, b)
-        return _rotated(two_stage), direct
-
     def restricted(a, b, c):
         target = chain.prefix_space(b)
-        return Kernel(kern(a, c).source, target, [_mirrored(row, target) for row in kern(a, c).rows])
+        return Kernel(kern(a, c).source, target, [_restrict(row, target) for row in kern(a, c).rows])
 
     def split_columns(a, b):
         two_stage, direct = split(chain, a, b)
-        return by_kernel(_rotated(two_stage)), by_kernel(direct)
+        size_d = chain.prefix_space(3).size
+        ratio = size_d // chain.prefix_space(b).size
+        flipped = _flipped(two_stage, size_d, lambda p: p % size_d,
+                           lambda j: (j // ratio) * size_d + j)
+        return by_kernel(flipped), by_kernel(direct)
 
     def const_rotated(ch, marginals, a, b):
         kernel, literal = const_sides(ch, marginals, a, b)
@@ -273,42 +300,52 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
             return by_dist(_mirrored(fresh)), by_dist(reference)
         return columns
 
-    cases = [  # family, model, name replaced, broken copy, expected (column 1, column 2)
-        ("kernel-comp", WEATHER, "comp_kernel", lambda first, second: _rotated(compose(first, second)),
-         lambda a, b, c: (by_kernel(_rotated(compose(kern(a, b), kern(b, c)))),
-                          by_kernel(kern(a, c)))),
-        ("restrict", WEATHER, "_restrict", _mirrored,
-         lambda a, b, c: (by_kernel(restricted(a, b, c)), by_kernel(kern(a, b)))),
-        ("tower", WEATHER, "_row_integrals", staged,
-         lambda a, b, c: (by_table(a, _perturbed(expectation_table(chain, a, b, table(b, c)))),
-                          by_table(a, table(a, c)))),
-        ("condexp", WEATHER, "_cond_exp_blocks", blocks_perturbed, condexp_columns),
-        ("split", WEATHER, "traj_split_sides", split_rotated, split_columns),
-        ("product-form", TRI, "partial_traj_const_sides", const_rotated, const_columns),
-        ("product-split", TRI, "product_split_sides", fresh_mirrored(split_product),
-         product_columns(split_product)),
-        ("product-proj", TRI, "product_projection_sides", fresh_mirrored(project),
-         product_columns(project)),
+    cases = [  # model, name replaced, broken copy, {family: expected (column 1, column 2)}
+        (WEATHER, "_composed", lambda first, second: _reversed(composed(first, second)),
+         {"kernel-comp": lambda a, b, c: (by_kernel(_flipped(comp_kernel(kern(a, b), kern(b, c)))),
+                                          by_kernel(kern(a, c))),
+          "split": split_columns}),
+        (WEATHER, "_block_sums", lambda values, run: block_sums(values, run)[::-1],
+         {"restrict": lambda a, b, c: (by_kernel(_flipped(restricted(a, b, c))),
+                                       by_kernel(kern(a, b)))}),
+        (WEATHER, "_row_integrals", staged,
+         {"tower": lambda a, b, c: (by_table(a, _perturbed(expectation_table(chain, a, b, table(b, c)))),
+                                    by_table(a, table(a, c)))}),
+        (WEATHER, "_cond_exp_blocks", blocks_perturbed, {"condexp": condexp_columns}),
+        (TRI, "partial_traj_const_sides", const_rotated, {"product-form": const_columns}),
+        (TRI, "product_split_sides", fresh_mirrored(split_product),
+         {"product-split": product_columns(split_product)}),
+        (TRI, "product_projection_sides", fresh_mirrored(project),
+         {"product-proj": product_columns(project)}),
     ]
-    for family, model, name, broken, columns in cases:
+    one_entry_blocks = {  # the lines whose fresh side has one entry per block
+        "kernel-comp": lambda a, b, c: a == c,
+        "restrict": lambda a, b, c: a == b,
+        "split": lambda a, b: a == b == 3,
+    }
+    # depth 3: triples a <= b <= c, pairs a <= b, pairs a < b
+    lines_of = {"kernel-comp": 20, "restrict": 20, "tower": 20, "condexp": 10, "split": 10,
+                "product-form": 10, "product-split": 6, "product-proj": 6}
+    for model, name, broken, columns in cases:
         monkeypatch.setattr(verify, name, broken)
         code = main(["verify", "--model", model])
         monkeypatch.undo()
         lines = capsys.readouterr().out.splitlines()
         checks = [line.split() for line in lines[1:-1]]
-        failed = [c for c in checks if c[1].startswith(f"{family}:")]
-        expected = {  # depth 3: triples a <= b <= c, pairs a <= b, pairs a < b
-            "kernel-comp": 20, "restrict": 20, "tower": 20,
-            "product-split": 6, "product-proj": 6,
-        }.get(family, 10)
-        assert code == 1
-        assert len(failed) == expected
-        for c in failed:
-            depths = map(int, c[1].split(":")[1].split(","))
+        read = [c for c in checks if c[1].split(":")[0] in columns]
+        assert len(read) == sum(lines_of[family] for family in columns)
+        failed = []
+        for c in read:
+            family, depths = c[1].split(":")[0], [int(d) for d in c[1].split(":")[1].split(",")]
+            if one_entry_blocks.get(family, lambda *depths: False)(*depths):
+                continue
             assert c[2] == "FAIL" and c[3] != c[4]
-            assert (c[3], c[4]) == columns(*depths)
+            assert (c[3], c[4]) == columns[family](*depths)
+            failed.append(c)
+        assert code == 1
         assert all(c[2] == "PASS" and c[3] == c[4] for c in checks if c not in failed)
-        assert lines[-1] == f"RESULT FAIL failed={expected} checks={len(checks)}"
+        assert lines[-1] == f"RESULT FAIL failed={len(failed)} checks={len(checks)}"
+        assert len(failed) == {"_composed": 16 + 9, "_block_sums": 10}.get(name, len(read))
 
 
 def test_a_wrong_product_form_shows_the_literal_side_first(monkeypatch, capsys):
@@ -343,14 +380,22 @@ def test_a_wrong_product_form_shows_the_literal_side_first(monkeypatch, capsys):
 
 def test_kernel_checks_render_each_memoized_kernel_once(monkeypatch):
     # depth 4: each family has 35 triples a <= b <= c but compares against
-    # only the 15 memoized kernels and tables of the pairs a <= c
+    # only the 15 memoized kernels and tables of the pairs a <= c.  An
+    # (a, D) kernel's text is joined from its rows' entry texts
+    # (`_row_texts`, shared with the split checks), any other kernel's is
+    # `canonical_kernel`'s.
     chain = weather_chain(4)
     render_kernel, render_table = verify.canonical_kernel, verify.canonical_table
+    render_rows = verify._row_texts
     kernels, tables = [], []
 
     def counted_kernel(k):
         kernels.append((k.source, k.target))
         return render_kernel(k)
+
+    def counted_rows(ch, a, heads):
+        kernels.append((ch.prefix_space(a), ch.prefix_space(ch.max_depth)))
+        return render_rows(ch, a, heads)
 
     def counted_table(space, table):
         assert isinstance(table, list)  # the tower's tables are by prefix number
@@ -358,9 +403,11 @@ def test_kernel_checks_render_each_memoized_kernel_once(monkeypatch):
         return render_table(space, table)
 
     monkeypatch.setattr(verify, "canonical_kernel", counted_kernel)
+    monkeypatch.setattr(verify, "_row_texts", counted_rows)
     monkeypatch.setattr(verify, "canonical_table", counted_table)
     report = Report("HEADER")
-    verify._kernel_checks(report, chain, verify._kernel_texts(chain))
+    kernel_text, _ = verify._kernel_texts(chain)
+    verify._kernel_checks(report, chain, kernel_text)
     assert report.ok and len(report.lines) == 3 * 35
     spaces = [chain.prefix_space(n) for n in range(5)]
     pairs = [(spaces[a], spaces[c]) for a in range(5) for c in range(a, 5)]
@@ -368,11 +415,37 @@ def test_kernel_checks_render_each_memoized_kernel_once(monkeypatch):
     assert Counter(tables) == Counter(source for source, _ in pairs)
 
 
+def test_verify_builds_one_flat_list_per_memoized_kernel(monkeypatch):
+    # depth 4: the kernel-comp and restrict checks read the 15 memoized
+    # kernels a <= c each as one flat list, built once per run, and the
+    # split checks, which take kernel-comp:a,b,4's verdict, render nothing:
+    # their texts were kept when the (a, 4) rows were rendered for the
+    # kernel-comp checks, one call of `_row_texts` per a.
+    flat_kernel, render_rows = verify._flat_kernel, verify._row_texts
+    built, rendered = [], []
+
+    def counted_flat(chain, a, c):
+        built.append((a, c))
+        return flat_kernel(chain, a, c)
+
+    def counted_rows(chain, a, heads):
+        rendered.append(a)
+        return render_rows(chain, a, heads)
+
+    monkeypatch.setattr(verify, "_flat_kernel", counted_flat)
+    monkeypatch.setattr(verify, "_row_texts", counted_rows)
+    report = run_verify(LoadedModel(weather_chain(4)))
+    assert report.ok
+    assert sorted(built) == [(a, c) for a in range(5) for c in range(a, 5)]
+    assert sorted(rendered) == list(range(5))
+
+
 def test_split_reference_text_is_the_direct_sides_canonical_text():
-    # The split checks write the direct side's text from the (a, D) rows'
-    # entry texts and per-b head labels; on 100 random chains, with 2 or 3
-    # states per coordinate, zero step weights and rows for every prefix,
-    # it is the text of the one kernel renderer for every pair a <= b.
+    # The (a, D) kernel's text and the split checks' reference texts are
+    # joined from the (a, D) rows' entry texts and per-b head labels; on
+    # 100 random chains, with 2 or 3 states per coordinate, zero step
+    # weights and rows for every prefix, they are the texts of the one
+    # kernel renderer for the kernel and for every pair a <= b.
     rng = random.Random(20260815)
     one = FiniteSpace("O", ["o"])
     # One-state spaces too, where the pair space of two one-point prefix
@@ -382,12 +455,15 @@ def test_split_reference_text_is_the_direct_sides_canonical_text():
         for spaces in ([one, one], [FiniteSpace("W", ["S", "R"]), one])
     ]
     for chain in [random_chain(rng) for _ in range(100)] + singles:
-        texts = dict(verify._split_texts(chain))
         depth = chain.max_depth
-        assert sorted(texts) == [(a, b) for a in range(depth + 1) for b in range(a, depth + 1)]
-        for (a, b), text in texts.items():
-            _, direct = verify.traj_split_sides(chain, a, b)
-            assert text == canonical_kernel(direct)
+        heads = verify._split_heads(chain)
+        for a in range(depth + 1):
+            texts = list(verify._row_texts(chain, a, heads))
+            assert texts[0] == canonical_kernel(chain.partial_traj(a, depth))
+            assert len(texts) == depth + 2 - a
+            for b, text in zip(range(a, depth + 1), texts[1:]):
+                _, direct = traj_split_sides(chain, a, b)
+                assert text == canonical_kernel(direct)
 
 
 def test_tower_builds_one_table_per_depth_pair(monkeypatch):
@@ -423,7 +499,8 @@ def test_product_checks_render_each_product_once(monkeypatch):
 
     monkeypatch.setattr(verify, "canonical_dist", counted)
     report = Report("HEADER")
-    verify._product_checks(report, loaded.chain, loaded.marginals, verify._kernel_texts(loaded.chain))
+    kernel_text, _ = verify._kernel_texts(loaded.chain)
+    verify._product_checks(report, loaded.chain, loaded.marginals, kernel_text)
     assert report.ok and len(report.lines) == 10 + 1 + 2 * 6
     assert Counter(spaces) == Counter(loaded.chain.prefix_space(d) for d in range(4))
 
@@ -468,6 +545,121 @@ def test_index_tables_and_condexp_blocks_equal_the_point_keyed_routes():
                     start = spaces[a].point_at(index)
                     lhs, rhs = cond_exp_sides(chain, a, start, b, f, reference)
                     assert blocks == [(spaces[b].index_of(p), lhs[p], rhs[p]) for p in lhs]
+
+
+def _memoize_all(chain) -> None:
+    """Build every kernel (a, c), a <= c, so none is built later from a
+    row that a test replaces."""
+    for a in range(chain.max_depth + 1):
+        for c in range(a, chain.max_depth + 1):
+            chain.partial_traj(a, c)
+
+
+def _replace_row(chain, a, c, i, row) -> None:
+    """Replace row i of the memoized (a, c) kernel, in the kernel and in the
+    row memo, after memoizing every kernel."""
+    _memoize_all(chain)
+    kern = chain.partial_traj(a, c)
+    rows = list(kern.rows)
+    rows[i] = row
+    chain._partial[a, c] = Kernel(kern.source, kern.target, rows)
+    chain._rows[a, c, i] = row
+
+
+def _moved(row, j1, j2):
+    """row with weight 1 / (2 * denominator) moved from its entry j1 to j2."""
+    entries = {j: 2 * n for j, n in row._numerators}
+    entries[j1] -= 1
+    entries[j2] = entries.get(j2, 0) + 1
+    return Dist._from_numerators(row.space, 2 * row._denom, sorted(entries.items()))
+
+
+def _kernel_routes(chain) -> dict:
+    """{check id: (fresh, reference)} of every kernel-comp, restrict and
+    split check, built by the Kernel routes: `comp_kernel`, `_restrict`
+    row by row, and `traj_split_sides`, the pair-space coupling of
+    `kernel._couple`."""
+    depth = chain.max_depth
+    kern = chain.partial_traj
+    sides = {}
+    for a in range(depth + 1):
+        for b in range(a, depth + 1):
+            for c in range(b, depth + 1):
+                target = chain.prefix_space(b)
+                sides[f"kernel-comp:{a},{b},{c}"] = comp_kernel(kern(a, b), kern(b, c)), kern(a, c)
+                restricted = [_restrict(row, target) for row in kern(a, c).rows]
+                sides[f"restrict:{a},{b},{c}"] = Kernel(kern(a, c).source, target, restricted), kern(a, b)
+            sides[f"split:{a},{b}"] = traj_split_sides(chain, a, b)
+    return sides
+
+
+def test_flat_verdicts_equal_the_kernel_verdicts():
+    # On the conftest pool, whose zero weights leave supports smaller than
+    # their blocks, with weight moved inside one row of a random memoized
+    # kernel (a, c), 0 < a < c: every kernel-comp, restrict and split line
+    # decided on flat lists has the verdict of `==` on the Kernels of the
+    # Kernel routes, and shows their fingerprints, the fresh side first.
+    # (The content and witness checks read the rows from depth 0, which
+    # stay as built.)
+    rng = random.Random(35)
+    failed = 0
+    for chain in _verify_pool():
+        depth = chain.max_depth
+        a = rng.randint(1, depth - 1)
+        c = rng.randint(a + 1, depth)
+        i = rng.randrange(chain.prefix_space(a).size)
+        row = chain.partial_traj(a, c).rows[i]
+        run = chain.prefix_space(c).size // chain.prefix_space(a).size
+        j1 = rng.choice([j for j, _ in row._numerators])
+        j2 = rng.choice([j for j in range(i * run, (i + 1) * run) if j != j1])
+        _replace_row(chain, a, c, i, _moved(row, j1, j2))
+        sides = _kernel_routes(chain)
+        checked = 0
+        for line in run_verify(LoadedModel(chain)).lines:
+            _, check_id, verdict, lhs, rhs = line.split()
+            if check_id in sides:
+                fresh, reference = sides[check_id]
+                assert (verdict == "PASS") == (fresh == reference), check_id
+                text = fingerprint(canonical_kernel(reference))
+                assert (lhs, rhs) == ((text if fresh == reference else
+                                       fingerprint(canonical_kernel(fresh))), text)
+                failed += verdict == "FAIL"
+                checked += 1
+        assert checked == len(sides)
+    assert failed > 100
+
+
+def test_a_moved_weight_fails_the_lines_that_read_its_kernel_on_one_side():
+    # Weight moves inside row 1 of the memoized (1, 3) kernel of the depth-5
+    # weather chain, between two points that differ at x_2, so every
+    # restriction of the row to a depth b in 2..3 changes too.  Exactly the
+    # lines that read that kernel on one side fail; those that read it on
+    # both (kernel-comp:1,1,3 and 1,3,3, restrict:1,1,3 and 1,3,3,
+    # tower:1,1,3 and 1,3,3) pass.  No condexp, content or witness line
+    # reads it.
+    chain = weather_chain(5)
+    row = chain.partial_traj(1, 3).rows[1]
+    _replace_row(chain, 1, 3, 1, _moved(row, 4, 6))
+    assert _failed_ids(run_verify(LoadedModel(chain))) == [
+        "kernel-comp:0,1,3", "kernel-comp:1,2,3", "kernel-comp:1,3,4", "kernel-comp:1,3,5",
+        "restrict:1,2,3", "restrict:1,3,4", "restrict:1,3,5",
+        "tower:0,1,3", "tower:1,2,3", "tower:1,3,4", "tower:1,3,5",
+        "split:1,3",
+    ]
+
+
+def test_a_row_outside_its_block_exits_4(monkeypatch, capsys):
+    # Row 0 of the memoized (0, 2) kernel replaced by row 1, whose mass
+    # lies on the prefixes that extend prefix 1: reading the kernel as a
+    # flat list finds it outside its block, a fault in the library.
+    chain = weather_chain(3)
+    _replace_row(chain, 0, 2, 0, chain.partial_traj(0, 2).rows[1])
+    monkeypatch.setattr(markovtraj.cli, "load_model", lambda path: LoadedModel(chain))
+    code = main(["verify", "--model", WEATHER])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err == "error: row 0 of the (0, 2) kernel leaves its prefix block [0, 4)\n"
 
 
 @pytest.mark.parametrize("model", [WEATHER, COIN, TRI], ids=["weather", "coin", "tri"])

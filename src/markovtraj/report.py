@@ -17,7 +17,9 @@ byte for byte across runs.
 Every canonical form and table line is written by prefix number, each
 label read by `label_at`: distributions by `measure.dist_lines`, tables
 by `table_lines`, the one renderer of table lines, which the command
-line's `condexp` and `sample` listings share.
+line's `condexp` and `sample` listings share.  `verify` writes the
+`canonical_kernel` text of its kernel-comp, restrict and split lines
+straight from flat integer lists (`verify._flat_texts`).
 """
 from __future__ import annotations
 

@@ -48,11 +48,7 @@ Implements:
     Each identity's two sides come from one function (cond_exp_sides,
     traj_split_sides); `verify` reads the conditional expectation's sides
     by prefix number from _cond_exp_blocks, which cond_exp_sides keys by
-    point, and decides the split on the flat lists below.
-  * _flat_kernel: a memoized (a, c) kernel as one list of integer
-    numerators by depth-c prefix number over one denominator, row i
-    filling the block of prefixes that extend prefix i; `verify` decides
-    its kernel-comp, restrict and split checks on such lists.
+    point.
 
 Prefixes are tuples (or lists) of state labels; a prefix of depth n has
 n + 1 entries, and every prefix argument is looked up by _prefix_index.
@@ -848,36 +844,6 @@ def check_cond_exp(model: ChainModel, a: int, prefix, b: int, f) -> bool:
     return lhs == rhs
 
 
-def _flat_kernel(model: ChainModel, a: int, c: int) -> tuple:
-    """(values, L): the memoized (a, c) kernel, a <= c, as one list of
-    integer numerators by depth-c prefix number over one denominator L, the
-    lcm of its rows' denominators.
-
-    Row i lives only in its prefix block [i * r, (i + 1) * r), for
-    r = |P_c| / |P_a|: the prefixes that extend prefix i.  So the list is
-    the rows' numerators, each scaled to L, at their own indices, with 0
-    where a row has no mass.  Each row's sorted entries are checked against
-    its block; a row that leaves it is an InvariantError naming a, c and i.
-    """
-    kern = model.partial_traj(a, c)
-    rows = kern.rows
-    run = kern.target.size // len(rows)
-    denom = math.lcm(*(row._denom for row in rows))
-    values = [0] * kern.target.size
-    lo = 0
-    for i, row in enumerate(rows):
-        entries = row._numerators
-        if entries[0][0] < lo or entries[-1][0] >= lo + run:
-            raise InvariantError(
-                f"row {i} of the ({a}, {c}) kernel leaves its prefix block [{lo}, {lo + run})"
-            )
-        scale = denom // row._denom
-        for j, n in entries:
-            values[j] = n * scale
-        lo += run
-    return values, denom
-
-
 def traj_split_sides(model: ChainModel, a: int, b: int) -> tuple:
     """Both sides of the split of the trajectory law at depth b.
 
@@ -887,10 +853,10 @@ def traj_split_sides(model: ChainModel, a: int, b: int) -> tuple:
     kernel and continues it with the (b, D) kernel; the right side draws
     the full trajectory from the (a, D) kernel and pairs it with its
     restriction.  Rows store only their support, so the size of the pair
-    space costs nothing.  `verify` decides its split:a,b line on flat
-    lists instead: both sides put the pair (i, j) only where i is j's
-    restriction to depth b, so they compare as the (a, D) kernel and the
-    composition of (a, b) with (b, D), the kernel-comp:a,b,D comparison.
+    space costs nothing.  Both sides put the pair (i, j) only where i is
+    j's restriction to depth b, so they are equal iff the (a, D) kernel is
+    the composition of the (a, b) and (b, D) kernels; `verify` decides its
+    split:a,b line by that comparison.
     """
     _check_depth_pair(a, b, model.max_depth)
     first = model.partial_traj(a, b)

@@ -6,33 +6,32 @@ equal as exact values, the comparison the `check_*` functions make.  Every
 line is written by one rule, `_line` (and `_add_flat` for the lines
 decided on flat lists): a PASS renders one side and shows it in both
 columns, and a FAIL shows the freshly built side first and the reference
-side second.  Where the reference side is one of the
-model's memoized kernels or tables (`kernel-comp`, `restrict`, `tower`
-and `product-form`), or the product over coordinates 0..d (`product-law`,
+side second.  Where the reference side is one of the model's memoized
+kernels or tables (`kernel-comp`, `restrict`, `tower` and
+`product-form`), or the product over coordinates 0..d (`product-law`,
 `product-split` and `product-proj`), its fingerprint is rendered once per
 depth pair or depth and shared by every check against it, and the fresh
-side is rendered only when the check fails.  The reference text of
-`split:a,b` is joined from the entry texts of the memoized (a, D) rows
-and the head labels of depth b (`_split_heads`), so it too is rendered
-without a label lookup per entry; those entry texts are rendered once per
-a, when the (a, D) kernel's own text is, and serve both (`_row_texts`).
+side is rendered only when the check fails.
 
 The kernel-comp, restrict and split checks decide on flat lists.  Row i
 of a memoized (a, c) kernel lives only in the block of depth-c prefixes
 that extend prefix i, so the kernel is one list of integer numerators by
-depth-c prefix number over one denominator (`trajectory._flat_kernel`,
-which checks the blocks), built once per depth pair per run.  The fresh
-side of `kernel-comp:a,b,c` is the (a, b) list composed with the (b, c)
-list (`_composed`), and that of `restrict:a,b,c` the (a, c) list summed
-over runs of |P_c| / |P_b|.  Each is compared with its
-reference list by cross-multiplied list equality (`_same`), and no Dist
-or Kernel is built unless the check fails: then the fresh list becomes
-the Kernel it stands for, rows being blocks, so the line renders what was
-compared (`_add_flat`).  Both sides of `split:a,b` (`traj_split_sides`)
-put the pair (i, j) only where i is j's restriction to depth b, so by j
-alone they are the lists of kernel-comp:a,b,D: the split line takes that
-comparison's verdict and, on a FAIL, renders its fresh list in the pair
-space (`_split_kernel`).
+depth-c prefix number over one denominator (`_flat_kernel`, which checks
+the blocks), built once per depth pair per run.  The fresh side of
+`kernel-comp:a,b,c` is the (a, b) list composed with the (b, c) list
+(`_composed`), and that of `restrict:a,b,c` the (a, c) list summed over
+runs of |P_c| / |P_b| (`_block_sums`).  Each is compared with its
+reference list by cross-multiplied list equality (`_same`).  Both sides
+of `split:a,b` (`traj_split_sides`) put the pair (i, j) only where i is
+j's restriction to depth b, so by j alone they are the lists of
+kernel-comp:a,b,D, and the split line takes that comparison's verdict.
+
+One renderer, `_flat_texts`, writes every text of these three families
+from a flat list, reference and fresh, PASS and FAIL: the
+`canonical_kernel` text of the kernel whose row i is block i, and the
+text of a split side, each entry headed by its depth-b prefix's label
+(`_split_heads`).  It builds no Dist, so a fresh list that is no kernel
+at all, as a fault may make it, still renders as a FAIL line.
 
 The tower and condexp checks work by prefix number.  Each tower table is
 a list by depth-b prefix number that integrates the integer vector
@@ -53,8 +52,7 @@ import math
 import operator
 from typing import Callable
 
-from .kernel import Kernel
-from .measure import Dist, TupleSpace, dist_lines
+from .errors import InvariantError
 from .model_io import LoadedModel
 from .product import (
     const_chain_law_sides,
@@ -63,7 +61,7 @@ from .product import (
     product_projection_sides,
     product_split_sides,
 )
-from .rational import ONE, ZERO
+from .rational import ONE, ZERO, format_ratio
 from .report import (
     Report,
     canonical_dist,
@@ -80,7 +78,6 @@ from .trajectory import (
     extract_witness,
     intersect_cylinders,
     _cond_exp_blocks,
-    _flat_kernel,
     _row_integrals,
 )
 
@@ -88,8 +85,7 @@ from .trajectory import (
 def run_verify(loaded: LoadedModel) -> Report:
     chain = loaded.chain
     report = Report(loaded.header())
-    kernel_text, split_text = _kernel_texts(chain)
-    cond_tables, splits = _kernel_checks(report, chain, kernel_text)
+    cond_tables, kernel_text, splits = _kernel_checks(report, chain)
     start = (chain.spaces[0].labels[0],)
     parts = _state_cylinders(chain, min(1, chain.max_depth))
     scores = [cylinder_content(chain, 0, start, c) for c in parts]
@@ -98,7 +94,9 @@ def run_verify(loaded: LoadedModel) -> Report:
     _witness_check(report, chain, start, parts[best])
     _condexp_checks(report, chain, cond_tables)
     del cond_tables  # not held through the split checks
-    _split_checks(report, chain, splits, split_text)
+    for b in range(chain.max_depth + 1):
+        for a in range(b + 1):
+            report.add(f"split:{a},{b}", *splits[a, b])
     if loaded.marginals is not None:
         _product_checks(report, chain, loaded.marginals, kernel_text)
     return report
@@ -118,36 +116,34 @@ def _fingerprinted(canonical, *context):
     return lambda value: fingerprint(canonical(*context, value))
 
 
-def _kernel_texts(chain: ChainModel) -> tuple:
-    """(kernel_text, split_text): (a, c) -> the fingerprint of the memoized
-    `partial_traj(a, c)`, and (a, b) -> that of the direct side of
-    split:a,b, each rendered once.  Only the model's own kernels are kept,
-    never fresh ones.
+def _flat_kernel(model: ChainModel, a: int, c: int) -> tuple:
+    """(values, L): the memoized (a, c) kernel, a <= c, as one list of
+    integer numerators by depth-c prefix number over one denominator L, the
+    lcm of its rows' denominators.
 
-    The (a, D) rows' entry texts serve both: the first call of
-    kernel_text(a, D) renders them once (`_row_texts`) and keeps the
-    fingerprints of the kernel and of every split:a,b, b = a..D, not the
-    texts."""
-    depth = chain.max_depth
-    heads = _split_heads(chain)
-    splits = {}
-
-    def render(a, c):
-        if c < depth:
-            return fingerprint(canonical_kernel(chain.partial_traj(a, c)))
-        texts = _row_texts(chain, a, heads)
-        text = fingerprint(next(texts))
-        for b, split in zip(range(a, depth + 1), texts):
-            splits[a, b] = fingerprint(split)
-        return text
-
-    kernel_text = functools.cache(render)
-
-    def split_text(a, b):
-        kernel_text(a, depth)
-        return splits[a, b]
-
-    return kernel_text, split_text
+    Row i lives only in its prefix block [i * r, (i + 1) * r), for
+    r = |P_c| / |P_a|: the prefixes that extend prefix i.  So the list is
+    the rows' numerators, each scaled to L, at their own indices, with 0
+    where a row has no mass.  Each row's sorted entries are checked against
+    its block; a row that leaves it is an InvariantError naming a, c and i.
+    """
+    kern = model.partial_traj(a, c)
+    rows = kern.rows
+    run = kern.target.size // len(rows)
+    denom = math.lcm(*(row._denom for row in rows))
+    values = [0] * kern.target.size
+    lo = 0
+    for i, row in enumerate(rows):
+        entries = row._numerators
+        if entries[0][0] < lo or entries[-1][0] >= lo + run:
+            raise InvariantError(
+                f"row {i} of the ({a}, {c}) kernel leaves its prefix block [{lo}, {lo + run})"
+            )
+        scale = denom // row._denom
+        for j, n in entries:
+            values[j] = n * scale
+        lo += run
+    return values, denom
 
 
 def _split_heads(chain: ChainModel) -> list:
@@ -164,23 +160,27 @@ def _split_heads(chain: ChainModel) -> list:
     return heads
 
 
-def _row_texts(chain: ChainModel, a: int, heads: list):
-    """The canonical_kernel text of `partial_traj(a, D)`, then, for each b
-    = a..D, that of the direct side of split:a,b.
+def _flat_texts(chain: ChainModel, a: int, c: int, flat: tuple, heads=()):
+    """The canonical_kernel text of the (a, c) kernel whose row i is block
+    i of the flat list (values, L), then, for each (head, ratio) of
+    `heads` (see _split_heads; c = D), the text of the split side that
+    pairs the entry j with the depth-b prefix j // ratio.
 
-    The direct side's row i holds, for each entry (j, n) of the (a, D) row
-    i, the pair (j // ratio, j) with ratio = |P_D| / |P_b|, which the pair
-    space labels `label_b(j // ratio) + "|" + label_D(j)`.  So every text
-    is joined from the (a, D) rows' entry texts, each rendered once here,
-    and the head labels `heads[b]` (see _split_heads).
+    Each nonzero entry j is `label_c(j)=format_ratio(v, L)`, which reduces
+    each weight on its own, so the text is that of the reduced rows byte
+    for byte; each entry's text is written once and serves every text.  No
+    Dist is built, so a list whose blocks do not sum to L renders too.
     """
-    label_a = chain.prefix_space(a).label_at
-    rows = [
-        (f"{label_a(i)}:", [j for j, _ in row._numerators], list(dist_lines(row, "=")))
-        for i, row in enumerate(chain.partial_traj(a, chain.max_depth).rows)
-    ]
+    values, denom = flat
+    label_a, label_c = chain.prefix_space(a).label_at, chain.prefix_space(c).label_at
+    run = len(values) // chain.prefix_space(a).size
+    rows = []
+    for i, lo in enumerate(range(0, len(values), run)):
+        js = [j for j in range(lo, lo + run) if values[j]]
+        rows.append((f"{label_a(i)}:", js,
+                     [f"{label_c(j)}={format_ratio(values[j], denom)}" for j in js]))
     yield "; ".join(prefix + " ".join(entries) for prefix, _, entries in rows)
-    for head, ratio in heads[a:]:
+    for head, ratio in heads:
         yield "; ".join(
             prefix + " ".join([head[j // ratio] + entry for j, entry in zip(js, entries)])
             for prefix, js, entries in rows
@@ -207,16 +207,18 @@ def _add(report: Report, *check) -> None:
 
 
 def _add_flat(report: Report, check_id: str, fresh: tuple, reference: tuple,
-              to_kernel: Callable, text: str) -> bool:
+              render: Callable, text: str):
     """Add the line of a kernel check decided on flat lists (values,
     denom), by `_line`'s rule with the reference's text given: PASS iff
-    the two are equal as rationals (`_same`), and a FAIL renders only the
-    fresh side, as the Kernel `to_kernel(fresh)`, so the line shows what
-    was compared.  Returns the verdict."""
-    same = _same(fresh, reference)
-    fresh_text = text if same else fingerprint(canonical_kernel(to_kernel(fresh)))
-    report.add(check_id, same, fresh_text, text)
-    return same
+    the two are equal as rationals (`_same`), and a FAIL shows the first
+    of `render(fresh)`, the fingerprints of the fresh list's texts.
+    Returns None on a PASS, else those fingerprints."""
+    if _same(fresh, reference):
+        report.add(check_id, True, text, text)
+        return None
+    texts = render(fresh)
+    report.add(check_id, False, texts[0], text)
+    return texts
 
 
 def _same(fresh: tuple, reference: tuple) -> bool:
@@ -240,10 +242,9 @@ def _block_sums(values: list, run: int) -> list:
 
 
 def _composed(first: tuple, second: tuple) -> tuple:
-    """The flat form (see trajectory._flat_kernel) of the composition of
-    the (a, b) and (b, c) kernels, from theirs: the (a, c) kernel that
-    draws the depth-b prefix x from the first and continues it by the
-    second.
+    """The flat form (see _flat_kernel) of the composition of the (a, b)
+    and (b, c) kernels, from theirs: the (a, c) kernel that draws the
+    depth-b prefix x from the first and continues it by the second.
 
     Only x's own row of the second reaches the depth-c prefixes extending
     x, the block [x * r, (x + 1) * r) for r = |P_c| / |P_b|, so the result
@@ -258,64 +259,46 @@ def _composed(first: tuple, second: tuple) -> tuple:
     return values, head_denom * tail_denom
 
 
-def _flat_rows(source, target, flat: tuple, place: Callable | None = None) -> Kernel:
-    """The Kernel from `source` to `target` whose row i is block i of the
-    flat list (values, denom), each nonzero entry j at index place(j) of
-    `target` (j itself with no `place`); the inverse of
-    trajectory._flat_kernel."""
-    values, denom = flat
-    run = len(values) // source.size
-    rows = []
-    for lo in range(0, len(values), run):
-        entries = [(j, values[j]) for j in range(lo, lo + run) if values[j]]
-        if place is not None:
-            entries = [(place(j), n) for j, n in entries]
-        rows.append(Dist._from_numerators(target, denom, entries))
-    return Kernel(source, target, rows)
-
-
-def _split_kernel(model: ChainModel, a: int, b: int, flat: tuple) -> Kernel:
-    """One side of the split at depth b, a flat list by depth-D prefix
-    number, as the kernel into the pair space of traj_split_sides."""
-    depth = model.max_depth
-    size_d = model.prefix_space(depth).size
-    ratio = size_d // model.prefix_space(b).size
-    pairs = TupleSpace([model.prefix_space(b), model.prefix_space(depth)])
-    return _flat_rows(model.prefix_space(a), pairs, flat, lambda j: (j // ratio) * size_d + j)
-
-
-def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> tuple:
+def _kernel_checks(report: Report, chain: ChainModel) -> tuple:
     """Add the kernel-comp, restrict and tower checks.  Returns the tower's
     (b, D) tables by b, each `cond_exp(chain, b, f)` as a list by depth-b
     prefix number, for f(p) = i / |P_D|, i the number of the depth-D
-    prefix p, and the split verdicts: (a, b) -> None where
-    kernel-comp:a,b,D passed, else its fresh flat list.
+    prefix p; the fingerprints (a, c) -> text of the memoized kernels; and
+    the split lines' (ok, column 1, column 2) by (a, b), from the verdict
+    of kernel-comp:a,b,D.
 
     kernel-comp and restrict compare flat lists, one per memoized (a, c)
-    kernel (see trajectory._flat_kernel), built once here: the
-    composition of (a, b) and (b, c) is `_composed` of theirs, and the
-    restriction of (a, c) to depth b sums its list over runs of
-    |P_c| / |P_b| prefixes, the depth-c prefixes that extend one depth-b
-    prefix."""
+    kernel (see _flat_kernel), built and rendered once here with, for
+    c = D, the reference texts of split:a,b, b = a..D: the composition of
+    (a, b) and (b, c) is `_composed` of theirs, and the restriction of
+    (a, c) to depth b sums its list over runs of |P_c| / |P_b| prefixes,
+    the depth-c prefixes that extend one depth-b prefix.  A FAIL renders
+    the fresh list, and that of kernel-comp:a,b,D also split:a,b's text."""
     depth = chain.max_depth
     spaces = [chain.prefix_space(c) for c in range(depth + 1)]
-    flat = functools.cache(functools.partial(_flat_kernel, chain))
+    heads = _split_heads(chain)
+    flat = {(a, c): _flat_kernel(chain, a, c) for a in range(depth + 1) for c in range(a, depth + 1)}
 
-    def kernel_of(a, c):
-        return lambda fresh: _flat_rows(spaces[a], spaces[c], fresh)
+    def render(a, c, split=()):
+        return lambda values: [fingerprint(t) for t in _flat_texts(chain, a, c, values, split)]
 
+    kernel_text, split_text = {}, {}
+    for (a, c), values in flat.items():
+        kernel_text[a, c], *texts = render(a, c, heads[a:] if c == depth else ())(values)
+        split_text.update(((a, b), text) for b, text in enumerate(texts, a))
     splits = {}
     for a, b, c in _depth_triples(depth):
-        fresh = _composed(flat(a, b), flat(b, c))
-        same = _add_flat(report, f"kernel-comp:{a},{b},{c}", fresh,
-                         flat(a, c), kernel_of(a, c), kernel_text(a, c))
+        failed = _add_flat(report, f"kernel-comp:{a},{b},{c}", _composed(flat[a, b], flat[b, c]),
+                           flat[a, c], render(a, c, heads[b:b + 1] if c == depth else ()),
+                           kernel_text[a, c])
         if c == depth:
-            splits[a, b] = None if same else fresh
+            text = split_text[a, b]
+            splits[a, b] = (True, text, text) if failed is None else (False, failed[1], text)
     for a, b, c in _depth_triples(depth):
-        values, denom = flat(a, c)
+        values, denom = flat[a, c]
         restricted = _block_sums(values, spaces[c].size // spaces[b].size), denom
         _add_flat(report, f"restrict:{a},{b},{c}", restricted,
-                  flat(a, b), kernel_of(a, b), kernel_text(a, b))
+                  flat[a, b], render(a, b), kernel_text[a, b])
     # One table per pair b <= c, of the test function i / |P_c| on depth-c
     # prefixes, serves as the inner stage of every (a, b, c) and as the
     # direct side of every (b, ., c), and is rendered once.  Tables are
@@ -337,7 +320,7 @@ def _kernel_checks(report: Report, chain: ChainModel, kernel_text: Callable) -> 
         _add(report, f"tower:{a},{b},{c}",
              _row_integrals(chain, a, b, values, denom), tables[a, c],
              _fingerprinted(canonical_table, spaces[a]), table_text(a, c))
-    return {b: tables[b, depth] for b in range(depth + 1)}, splits
+    return {b: tables[b, depth] for b in range(depth + 1)}, kernel_text, splits
 
 
 def _integer_form(table: list) -> tuple:
@@ -366,7 +349,8 @@ def _content_checks(report: Report, chain: ChainModel, start, parts, scores, bes
 def _witness_check(report: Report, chain: ChainModel, start, outer) -> None:
     """`inner` is the first of largest content among the cylinders
     outer ∩ {x_coord = t}, coord = min(2, D), each scored once, and ε is
-    its content, which is positive because the candidates split `outer`."""
+    its content.  The candidates split `outer`, so ε is positive unless
+    the content routes disagree, and then the line is a FAIL."""
     candidates = [
         intersect_cylinders(chain, outer, c)
         for c in _state_cylinders(chain, min(2, chain.max_depth))
@@ -374,8 +358,10 @@ def _witness_check(report: Report, chain: ChainModel, start, outer) -> None:
     scores = [cylinder_content(chain, 0, start, c) for c in candidates]
     eps = max(scores)
     inner = candidates[scores.index(eps)]
-    witness = extract_witness(chain, 0, start, [outer, inner], eps)
-    member = ONE if witness in outer and witness in inner else ZERO
+    member = ZERO
+    if eps > 0:
+        witness = extract_witness(chain, 0, start, [outer, inner], eps)
+        member = ONE if witness in outer and witness in inner else ZERO
     _add(report, "witness-member", member, ONE, str)
 
 
@@ -397,21 +383,7 @@ def _condexp_checks(report: Report, chain: ChainModel, tables: dict) -> None:
             _add(report, f"condexp:{a},{b}", lhs, rhs, render)
 
 
-def _split_checks(report: Report, chain: ChainModel, splits: dict, split_text: Callable) -> None:
-    """Add the split checks, in the order (b, a).  `splits[a, b]` is None
-    where kernel-comp:a,b,D passed, else its fresh flat list, which a FAIL
-    renders as the two-stage side of `traj_split_sides`."""
-    for b in range(chain.max_depth + 1):
-        for a in range(b + 1):
-            fresh, text = splits[a, b], split_text(a, b)
-            if fresh is None:
-                report.add(f"split:{a},{b}", True, text, text)
-            else:
-                kern = _split_kernel(chain, a, b, fresh)
-                report.add(f"split:{a},{b}", False, fingerprint(canonical_kernel(kern)), text)
-
-
-def _product_checks(report: Report, chain: ChainModel, marginals, kernel_text: Callable) -> None:
+def _product_checks(report: Report, chain: ChainModel, marginals, kernel_text: dict) -> None:
     """Add the product checks.  The reference side of `product-law`,
     `product-split:a,b` and `product-proj:a,b` is `product_prefix_dist` at
     depth D, b and a, whose text is rendered once per depth."""
@@ -422,7 +394,7 @@ def _product_checks(report: Report, chain: ChainModel, marginals, kernel_text: C
     for a in range(depth + 1):
         for b in range(a, depth + 1):
             kern, literal = partial_traj_const_sides(chain, marginals, a, b)
-            _add(report, f"product-form:{a},{b}", literal, kern, by_kernel, kernel_text(a, b))
+            _add(report, f"product-form:{a},{b}", literal, kern, by_kernel, kernel_text[a, b])
     law, product = const_chain_law_sides(chain, marginals)
     _add(report, "product-law", law, product, by_dist, product_text(depth))
     for a in range(depth + 1):

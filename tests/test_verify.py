@@ -1,7 +1,9 @@
 import hashlib
 import random
+import re
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -186,22 +188,16 @@ def _mirrored(d):
     return Dist.from_support(d.space, [(d.space.size - 1 - i, w) for i, w in d.support()])
 
 
-def _flipped(kern, size=None, coord=lambda p: p, place=lambda j: j):
-    """What reversing verify's flat list of `kern` does: row i is row
-    n - 1 - i with the point numbered j in the list moved to size - 1 - j.
-    `coord` reads the number j of a target index and `place` writes it
-    back; a split's pair space numbers its pair (j // ratio, j) by j."""
-    size = kern.target.size if size is None else size
-    rows = [
-        Dist.from_support(kern.target, [(place(size - 1 - coord(p)), w) for p, w in row.support()])
-        for row in reversed(kern.rows)
-    ]
-    return Kernel(kern.source, kern.target, rows)
+def _head_doubled(values: list) -> list:
+    """A copy of a flat list with entry 0 doubled: row 0 of the kernel it
+    stands for then weighs more than 1, so no kernel has that list."""
+    return [2 * values[0], *values[1:]]
 
 
-def _reversed(flat):
-    values, denom = flat
-    return values[::-1], denom
+def _first_weight_doubled(text: str) -> str:
+    """A canonical_kernel text with row 0's first weight doubled, by
+    Fraction arithmetic on the text."""
+    return re.sub(r"=([^ ;]+)", lambda m: f"={2 * Fraction(m.group(1))}", text, count=1)
 
 
 def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, capsys):
@@ -214,15 +210,13 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
     # verify's index route.
     #
     # kernel-comp and restrict decide on flat lists, and their broken
-    # copies reverse the fresh list; split:a,b is the kernel-comp:a,b,3
-    # comparison, so it fails with it.  The expected columns are the Kernel
-    # routes (`comp_kernel`, `_restrict` row by row, `traj_split_sides`)
-    # with rows and points reversed to match.  Where source and target
-    # depth agree (kernel-comp:a,a,a, restrict:a,a,c, split:3,3) every block
-    # holds one entry, so the flat list of any kernel is its denominator
-    # repeated: no broken copy that still returns a kernel changes it, and
-    # those lines must pass.  A row outside its block is caught when the
-    # memoized kernels are read (test_a_row_outside_its_block_exits_4).
+    # copies double entry 0 of every fresh list, so that no fresh side is a
+    # kernel any more and every line of the family fails, those whose
+    # blocks hold one entry too; split:a,b is the kernel-comp:a,b,3
+    # comparison, so it fails with it.  The expected first columns are the
+    # canonical texts of the Kernel routes (`comp_kernel`, `_restrict` row
+    # by row, the two-stage side of `traj_split_sides`) with row 0's first
+    # weight doubled on the text.
     composed, block_sums = verify._composed, verify._block_sums
     integrate, split = verify._row_integrals, traj_split_sides
     blocks, const_sides = verify._cond_exp_blocks, verify.partial_traj_const_sides
@@ -272,13 +266,16 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
         target = chain.prefix_space(b)
         return Kernel(kern(a, c).source, target, [_restrict(row, target) for row in kern(a, c).rows])
 
+    def doubled(kern):
+        return fingerprint(_first_weight_doubled(canonical_kernel(kern)))
+
+    def composed_doubled(first, second):
+        values, denom = composed(first, second)
+        return _head_doubled(values), denom
+
     def split_columns(a, b):
         two_stage, direct = split(chain, a, b)
-        size_d = chain.prefix_space(3).size
-        ratio = size_d // chain.prefix_space(b).size
-        flipped = _flipped(two_stage, size_d, lambda p: p % size_d,
-                           lambda j: (j // ratio) * size_d + j)
-        return by_kernel(flipped), by_kernel(direct)
+        return doubled(two_stage), by_kernel(direct)
 
     def const_rotated(ch, marginals, a, b):
         kernel, literal = const_sides(ch, marginals, a, b)
@@ -301,13 +298,12 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
         return columns
 
     cases = [  # model, name replaced, broken copy, {family: expected (column 1, column 2)}
-        (WEATHER, "_composed", lambda first, second: _reversed(composed(first, second)),
-         {"kernel-comp": lambda a, b, c: (by_kernel(_flipped(comp_kernel(kern(a, b), kern(b, c)))),
+        (WEATHER, "_composed", composed_doubled,
+         {"kernel-comp": lambda a, b, c: (doubled(comp_kernel(kern(a, b), kern(b, c))),
                                           by_kernel(kern(a, c))),
           "split": split_columns}),
-        (WEATHER, "_block_sums", lambda values, run: block_sums(values, run)[::-1],
-         {"restrict": lambda a, b, c: (by_kernel(_flipped(restricted(a, b, c))),
-                                       by_kernel(kern(a, b)))}),
+        (WEATHER, "_block_sums", lambda values, run: _head_doubled(block_sums(values, run)),
+         {"restrict": lambda a, b, c: (doubled(restricted(a, b, c)), by_kernel(kern(a, b)))}),
         (WEATHER, "_row_integrals", staged,
          {"tower": lambda a, b, c: (by_table(a, _perturbed(expectation_table(chain, a, b, table(b, c)))),
                                     by_table(a, table(a, c)))}),
@@ -318,11 +314,6 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
         (TRI, "product_projection_sides", fresh_mirrored(project),
          {"product-proj": product_columns(project)}),
     ]
-    one_entry_blocks = {  # the lines whose fresh side has one entry per block
-        "kernel-comp": lambda a, b, c: a == c,
-        "restrict": lambda a, b, c: a == b,
-        "split": lambda a, b: a == b == 3,
-    }
     # depth 3: triples a <= b <= c, pairs a <= b, pairs a < b
     lines_of = {"kernel-comp": 20, "restrict": 20, "tower": 20, "condexp": 10, "split": 10,
                 "product-form": 10, "product-split": 6, "product-proj": 6}
@@ -332,20 +323,15 @@ def test_a_wrong_composition_fails_exactly_the_kernel_comp_checks(monkeypatch, c
         monkeypatch.undo()
         lines = capsys.readouterr().out.splitlines()
         checks = [line.split() for line in lines[1:-1]]
-        read = [c for c in checks if c[1].split(":")[0] in columns]
-        assert len(read) == sum(lines_of[family] for family in columns)
-        failed = []
-        for c in read:
+        failed = [c for c in checks if c[1].split(":")[0] in columns]
+        assert len(failed) == sum(lines_of[family] for family in columns)
+        for c in failed:
             family, depths = c[1].split(":")[0], [int(d) for d in c[1].split(":")[1].split(",")]
-            if one_entry_blocks.get(family, lambda *depths: False)(*depths):
-                continue
             assert c[2] == "FAIL" and c[3] != c[4]
             assert (c[3], c[4]) == columns[family](*depths)
-            failed.append(c)
         assert code == 1
         assert all(c[2] == "PASS" and c[3] == c[4] for c in checks if c not in failed)
         assert lines[-1] == f"RESULT FAIL failed={len(failed)} checks={len(checks)}"
-        assert len(failed) == {"_composed": 16 + 9, "_block_sums": 10}.get(name, len(read))
 
 
 def test_a_wrong_product_form_shows_the_literal_side_first(monkeypatch, capsys):
@@ -378,74 +364,72 @@ def test_a_wrong_product_form_shows_the_literal_side_first(monkeypatch, capsys):
     assert lines[-1] == f"RESULT FAIL failed=15 checks={len(checks)}"
 
 
+def _unused_renderer(*args):
+    raise AssertionError("a passing kernel line rendered a Kernel")
+
+
 def test_kernel_checks_render_each_memoized_kernel_once(monkeypatch):
     # depth 4: each family has 35 triples a <= b <= c but compares against
-    # only the 15 memoized kernels and tables of the pairs a <= c.  An
-    # (a, D) kernel's text is joined from its rows' entry texts
-    # (`_row_texts`, shared with the split checks), any other kernel's is
-    # `canonical_kernel`'s.
+    # only the 15 memoized kernels and tables of the pairs a <= c.  Every
+    # kernel text is written from the pair's flat list by `_flat_texts`,
+    # once per pair, and no Kernel is rendered by `canonical_kernel`.
     chain = weather_chain(4)
-    render_kernel, render_table = verify.canonical_kernel, verify.canonical_table
-    render_rows = verify._row_texts
+    flat_texts, render_table = verify._flat_texts, verify.canonical_table
     kernels, tables = [], []
 
-    def counted_kernel(k):
-        kernels.append((k.source, k.target))
-        return render_kernel(k)
-
-    def counted_rows(ch, a, heads):
-        kernels.append((ch.prefix_space(a), ch.prefix_space(ch.max_depth)))
-        return render_rows(ch, a, heads)
+    def counted_texts(ch, a, c, flat, heads=()):
+        kernels.append((a, c))
+        return flat_texts(ch, a, c, flat, heads)
 
     def counted_table(space, table):
         assert isinstance(table, list)  # the tower's tables are by prefix number
         tables.append(space)
         return render_table(space, table)
 
-    monkeypatch.setattr(verify, "canonical_kernel", counted_kernel)
-    monkeypatch.setattr(verify, "_row_texts", counted_rows)
+    monkeypatch.setattr(verify, "_flat_texts", counted_texts)
+    monkeypatch.setattr(verify, "canonical_kernel", _unused_renderer)
     monkeypatch.setattr(verify, "canonical_table", counted_table)
     report = Report("HEADER")
-    kernel_text, _ = verify._kernel_texts(chain)
-    verify._kernel_checks(report, chain, kernel_text)
+    verify._kernel_checks(report, chain)
     assert report.ok and len(report.lines) == 3 * 35
-    spaces = [chain.prefix_space(n) for n in range(5)]
-    pairs = [(spaces[a], spaces[c]) for a in range(5) for c in range(a, 5)]
+    pairs = [(a, c) for a in range(5) for c in range(a, 5)]
     assert Counter(kernels) == Counter(pairs)
-    assert Counter(tables) == Counter(source for source, _ in pairs)
+    assert Counter(tables) == Counter(chain.prefix_space(a) for a, _ in pairs)
 
 
 def test_verify_builds_one_flat_list_per_memoized_kernel(monkeypatch):
     # depth 4: the kernel-comp and restrict checks read the 15 memoized
-    # kernels a <= c each as one flat list, built once per run, and the
-    # split checks, which take kernel-comp:a,b,4's verdict, render nothing:
-    # their texts were kept when the (a, 4) rows were rendered for the
-    # kernel-comp checks, one call of `_row_texts` per a.
-    flat_kernel, render_rows = verify._flat_kernel, verify._row_texts
+    # kernels a <= c each as one flat list, built once per run, and render
+    # each list once.  The split checks, which take kernel-comp:a,b,4's
+    # verdict, render nothing of their own: their texts are written in the
+    # one render of each (a, 4) list, one split text per b = a..4.
+    flat_kernel, flat_texts = verify._flat_kernel, verify._flat_texts
     built, rendered = [], []
 
     def counted_flat(chain, a, c):
         built.append((a, c))
         return flat_kernel(chain, a, c)
 
-    def counted_rows(chain, a, heads):
-        rendered.append(a)
-        return render_rows(chain, a, heads)
+    def counted_texts(chain, a, c, flat, heads=()):
+        rendered.append((a, c, len(heads)))
+        return flat_texts(chain, a, c, flat, heads)
 
     monkeypatch.setattr(verify, "_flat_kernel", counted_flat)
-    monkeypatch.setattr(verify, "_row_texts", counted_rows)
+    monkeypatch.setattr(verify, "_flat_texts", counted_texts)
     report = run_verify(LoadedModel(weather_chain(4)))
     assert report.ok
-    assert sorted(built) == [(a, c) for a in range(5) for c in range(a, 5)]
-    assert sorted(rendered) == list(range(5))
+    pairs = [(a, c) for a in range(5) for c in range(a, 5)]
+    assert sorted(built) == pairs
+    assert sorted(rendered) == [(a, c, 5 - a if c == 4 else 0) for a, c in pairs]
 
 
 def test_split_reference_text_is_the_direct_sides_canonical_text():
-    # The (a, D) kernel's text and the split checks' reference texts are
-    # joined from the (a, D) rows' entry texts and per-b head labels; on
-    # 100 random chains, with 2 or 3 states per coordinate, zero step
-    # weights and rows for every prefix, they are the texts of the one
-    # kernel renderer for the kernel and for every pair a <= b.
+    # On 100 random chains, with 2 or 3 states per coordinate, zero step
+    # weights and rows for every prefix, the first text that `_flat_texts`
+    # writes from the flat list of every memoized kernel (a, c), a <= c, is
+    # that kernel's `canonical_kernel` text; and for c = D, with the head
+    # labels of every depth b = a..D, the split texts that follow are the
+    # `canonical_kernel` texts of split:a,b's direct side.
     rng = random.Random(20260815)
     one = FiniteSpace("O", ["o"])
     # One-state spaces too, where the pair space of two one-point prefix
@@ -458,8 +442,10 @@ def test_split_reference_text_is_the_direct_sides_canonical_text():
         depth = chain.max_depth
         heads = verify._split_heads(chain)
         for a in range(depth + 1):
-            texts = list(verify._row_texts(chain, a, heads))
-            assert texts[0] == canonical_kernel(chain.partial_traj(a, depth))
+            for c in range(a, depth + 1):
+                flat = verify._flat_kernel(chain, a, c)
+                texts = list(verify._flat_texts(chain, a, c, flat, heads[a:] if c == depth else ()))
+                assert texts[0] == canonical_kernel(chain.partial_traj(a, c))
             assert len(texts) == depth + 2 - a
             for b, text in zip(range(a, depth + 1), texts[1:]):
                 _, direct = traj_split_sides(chain, a, b)
@@ -489,20 +475,29 @@ def test_product_checks_render_each_product_once(monkeypatch):
     # depth 3: the product-law, product-split and product-proj checks
     # compare against the products over coordinates 0..d, and each of the
     # 4 depths d is rendered once, where rendering per check would take 13.
+    # The product-form checks compare against the memoized kernels, whose
+    # texts the kernel checks wrote, one per pair a <= c, so a passing run
+    # renders no Kernel.
     loaded = load_model(TRI)
-    render = verify.canonical_dist
-    spaces = []
+    render, flat_texts = verify.canonical_dist, verify._flat_texts
+    spaces, kernels = [], []
 
     def counted(d):
         spaces.append(d.space)
         return render(d)
 
+    def counted_texts(chain, a, c, flat, heads=()):
+        kernels.append((a, c))
+        return flat_texts(chain, a, c, flat, heads)
+
     monkeypatch.setattr(verify, "canonical_dist", counted)
-    report = Report("HEADER")
-    kernel_text, _ = verify._kernel_texts(loaded.chain)
-    verify._product_checks(report, loaded.chain, loaded.marginals, kernel_text)
-    assert report.ok and len(report.lines) == 10 + 1 + 2 * 6
+    monkeypatch.setattr(verify, "_flat_texts", counted_texts)
+    monkeypatch.setattr(verify, "canonical_kernel", _unused_renderer)
+    report = run_verify(loaded)
+    assert report.ok
+    assert sum(line.split()[1].startswith("product-") for line in report.lines) == 10 + 1 + 2 * 6
     assert Counter(spaces) == Counter(loaded.chain.prefix_space(d) for d in range(4))
+    assert Counter(kernels) == Counter((a, c) for a in range(4) for c in range(a, 4))
 
 
 def _verify_pool() -> list:
@@ -660,6 +655,22 @@ def test_a_row_outside_its_block_exits_4(monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert err == "error: row 0 of the (0, 2) kernel leaves its prefix block [0, 4)\n"
+
+
+def test_a_witness_whose_candidates_all_score_0_fails_its_line(monkeypatch, capsys):
+    # Weight moved inside row 0 of the memoized (0, 1) kernel of a depth-2
+    # chain, from its one entry j = 1 to j = 0: the box route then gives the
+    # outer cylinder {x_1 = s} content 1/2 while each of its parts
+    # {x_1 = s, x_2 = t} scores 0.  The witness's ε is 0, which is no bound
+    # `extract_witness` takes, so the witness-member line fails and verify
+    # exits 1, not 3.
+    chain = _verify_pool()[13]
+    _replace_row(chain, 0, 1, 0, _moved(chain.partial_traj(0, 1).rows[0], 1, 0))
+    monkeypatch.setattr(markovtraj.cli, "load_model", lambda path: LoadedModel(chain))
+    code = main(["verify", "--model", WEATHER])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert "CHECK witness-member FAIL 0 1" in out.splitlines()
 
 
 @pytest.mark.parametrize("model", [WEATHER, COIN, TRI], ids=["weather", "coin", "tri"])
